@@ -226,9 +226,8 @@ def verify_certificate(
 ) -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class.
 
-    `classes` defaults to the computed admissible enumeration and may be
-    supplied from a cache file; entries must be canonical representatives on
-    6 vertices.
+    `classes` defaults to the computed admissible enumeration; supplied
+    entries must be canonical representatives on 6 vertices.
     """
     if classes is None:
         return _default_report()

@@ -1,10 +1,12 @@
 """Command-line front end: bound reports, enumerations, certificate runs.
 
 Exit codes: 0 success, 1 a checked mathematical statement failed (negative
-certificate slack, refuted inequality), 2 usage or parameter-range error.
-All rationals are serialized as exact "p/q" strings; decimal renderings are
-always marked as approximations.  Output for identical inputs is
-byte-identical, and class caches are written exclusive-create-then-rename.
+certificate slack, refuted inequality), 2 usage or parameter-range error,
+3 invalid input file (a class cache that cannot be read or whose classes
+differ from the enumeration).  All rationals are serialized as exact "p/q"
+strings; decimal renderings are always marked as approximations.  Output
+for identical inputs is byte-identical, and class caches are written
+exclusive-create-then-rename.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .hypergraph import (
 
 CACHE_ENV = "TURANKIT_CACHE"
 DEFAULT_CACHE_DIR = ".hgr-cache"
+
+
+class InvalidInputFile(Exception):
+    """An input file is unreadable or disagrees with what it should hold."""
 
 
 def _frac(value) -> str:
@@ -171,21 +177,29 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _load_or_build_e5free(directory: str) -> tuple[Hypergraph, ...]:
-    path = _cache_path(directory, 3, 6, "no-empty-5")
-    if os.path.exists(path):
-        k, n, tag, classes = read_hgr(path)
-        if (k, n, tag) == (3, 6, "no-empty-5"):
-            return classes
+def _check_e5free_cache(directory: str) -> None:
+    """Write the admissible class file if it is missing; if it exists, its
+    classes must equal the enumeration."""
     classes = certificate.e5free_six_classes()
-    os.makedirs(directory, exist_ok=True)
-    write_hgr(path, 3, 6, classes, "no-empty-5")
-    return classes
+    path = _cache_path(directory, 3, 6, "no-empty-5")
+    if not os.path.exists(path):
+        os.makedirs(directory, exist_ok=True)
+        write_hgr(path, 3, 6, classes, "no-empty-5")
+        return
+    try:
+        cached = read_hgr(path)
+    except ValueError as exc:
+        raise InvalidInputFile(f"{path}: {exc}") from exc
+    if cached != (3, 6, "no-empty-5", classes):
+        raise InvalidInputFile(
+            f"{path}: cached classes differ from the enumeration "
+            f"({len(cached[3])} cached, {len(classes)} enumerated)"
+        )
 
 
 def _cmd_certificate(args) -> int:
-    classes = _load_or_build_e5free(_cache_dir(args))
-    report = certificate.verify_certificate(classes)
+    _check_e5free_cache(_cache_dir(args))
+    report = certificate.verify_certificate()
     payload = {
         "k": report.k,
         "n": report.n,
@@ -381,6 +395,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvalidInputFile as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

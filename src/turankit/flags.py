@@ -10,23 +10,34 @@ of disjoint extension sets, so every expansion computed here is an exact
 identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
+
+Classification is table-driven.  The typed mask of an ordered vertex tuple
+is gathered through `hypergraph.tuple_bits`, and `_typed_canon(t, s, k)`
+maps every ordered t-vertex mask to its minimum over the permutations of
+the untyped positions s..t-1 (at most 2^10 entries at t = 5), so
+`typed_code` is a single lookup.  Expansions keep integer counts per host
+(type placements, extension sets per code, ordered disjoint pairs per code
+pair) and apply the rational coefficients once per host.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .hypergraph import (
     Hypergraph,
-    colex_subsets,
+    _gather,
     enumerate_all,
     restriction_class_counts,
-    subset_rank,
+    tuple_bits,
 )
 
 __all__ = [
@@ -46,6 +57,8 @@ __all__ = [
 # types are interchangeable only when their masks are literally equal.
 
 _LIFT_LIMIT = 6
+# Typed-code tables hold 2^C(t,k) entries; same bound as class enumeration.
+_MAX_TYPED_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -84,25 +97,34 @@ class Flag:
 
 def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
     """Edge mask of H on `vertices` relabeled so vertices[i] becomes i."""
-    mask = 0
-    for i, sub in enumerate(colex_subsets(len(vertices), H.k)):
-        orig = tuple(vertices[j] for j in sub)
-        if (H.edges >> subset_rank(orig)) & 1:
-            mask |= 1 << i
-    return mask
+    return _gather(H.edges, tuple_bits(H.k, vertices))
+
+
+@lru_cache(maxsize=None)
+def _typed_canon(t: int, s: int, k: int) -> tuple[int, ...]:
+    """Canonical typed code of every ordered t-vertex mask: the minimum of
+    its relabelings that fix positions 0..s-1 and permute s..t-1."""
+    nbits = math.comb(t, k)
+    if nbits > _MAX_TYPED_BITS:
+        raise ValueError(
+            f"typed_code: C({t},{k}) = {nbits} exceeds the {_MAX_TYPED_BITS}-bit guard"
+        )
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    best = masks.copy()
+    for extra in itertools.permutations(range(s, t)):
+        image = np.zeros_like(masks)
+        for i, b in enumerate(tuple_bits(k, tuple(range(s)) + extra)):
+            image |= ((masks >> b) & 1) << i
+        np.minimum(best, image, out=best)
+    return tuple(best.tolist())
 
 
 def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
     """Canonical mask of the flag induced by typed vertices theta and
     extension set extras: typed labels are pinned, untyped labels are
     minimized over their permutations."""
-    extras = tuple(sorted(extras))
-    best = None
-    for p in itertools.permutations(extras):
-        m = _typed_mask(H, theta + p)
-        if best is None or m < best:
-            best = m
-    return best if best is not None else _typed_mask(H, theta)
+    ordered = tuple(theta) + tuple(sorted(extras))
+    return _typed_canon(len(ordered), len(theta), H.k)[_typed_mask(H, ordered)]
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +140,27 @@ def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
         raise ValueError("type_embeddings: type larger than host")
     if sigma.k != H.k:
         raise ValueError("type_embeddings: uniformities differ")
-    return [
-        theta
-        for theta in itertools.permutations(range(H.n), sigma.n)
-        if _typed_mask(H, theta) == sigma.edges
-    ]
+    return sorted(_placements(sigma, H))
+
+
+@lru_cache(maxsize=None)
+def _orderings(sigma: Hypergraph, mask: int) -> tuple[tuple[int, ...], ...]:
+    """Orderings p of an s-vertex set with sorted-order mask `mask` under
+    which the placement (set[p[0]], ..., set[p[s-1]]) carries the type."""
+    if mask.bit_count() != sigma.edges.bit_count():
+        return ()
+    return tuple(
+        p
+        for p in itertools.permutations(range(sigma.n))
+        if _gather(mask, tuple_bits(sigma.k, p)) == sigma.edges
+    )
+
+
+def _placements(sigma: Hypergraph, H: Hypergraph):
+    """Every embedding placement of the type in H, grouped by vertex set."""
+    for vs in itertools.combinations(range(H.n), sigma.n):
+        for p in _orderings(sigma, _typed_mask(H, vs)):
+            yield tuple(vs[i] for i in p)
 
 
 def extension_density(F: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
@@ -230,42 +268,6 @@ def _term_layout(
     return sizes.pop(), [(Fraction(a), flag_code(f)) for a, f in terms]
 
 
-def _placement_value(
-    H: Hypergraph,
-    theta: tuple[int, ...],
-    e: int,
-    coded: list[tuple[Fraction, int]],
-    constant: Fraction,
-    squared: bool,
-) -> Fraction:
-    """Value of (sum a_i F_i - c sigma)^2, or the linear version, at one
-    placement.  Extension subsets are classified once; the squared case sums
-    coefficient products over ordered disjoint subset pairs."""
-    if not coded:
-        return constant * constant if squared else constant
-    free = [v for v in range(H.n) if v not in theta]
-    f = len(free)
-    by_code = {}
-    for a, code in coded:
-        by_code[code] = by_code.get(code, Fraction(0)) + a
-    coef: dict[tuple[int, ...], Fraction] = {}
-    for S in itertools.combinations(free, e):
-        val = by_code.get(typed_code(H, theta, S))
-        if val:
-            coef[S] = val
-    single = sum(coef.values(), Fraction(0)) / math.comb(f, e)
-    if not squared:
-        return single + constant
-    pair_sum = Fraction(0)
-    for Sa, va in coef.items():
-        sa = set(Sa)
-        for Sb, vb in coef.items():
-            if sa.isdisjoint(Sb):
-                pair_sum += va * vb
-    pairs_total = math.comb(f, e) * math.comb(f - e, e)
-    return pair_sum / pairs_total - 2 * constant * single + constant * constant
-
-
 def _averaged_expansion(
     sigma: Hypergraph,
     terms: Sequence[tuple[Fraction, Flag]],
@@ -273,6 +275,15 @@ def _averaged_expansion(
     size: int,
     squared: bool,
 ) -> ExpansionVector:
+    """Average over type placements of (sum a_i F_i - c sigma)^2, or of the
+    linear version, on every base-size host class.
+
+    Per host, integer counts are summed over the embedding placements: the
+    placements themselves, the extension sets of each code, and (squared)
+    the ordered disjoint pairs of extension sets per code pair.  The free
+    vertex count is the same at every placement, so the rational
+    coefficients apply once per host.
+    """
     constant = Fraction(constant)
     t, coded = _term_layout(sigma, terms)
     s = sigma.n
@@ -283,13 +294,43 @@ def _averaged_expansion(
         )
     k = sigma.k
     e = t - s
+    weight: dict[int, Fraction] = {}
+    for a, code in coded:
+        weight[code] = weight.get(code, Fraction(0)) + a
+    f = base - s
+    singles_total = math.comb(f, e)
+    pairs_total = singles_total * math.comb(f - e, e)
     coeffs: dict[int, Fraction] = {}
     for rep in enumerate_all(base, k):
-        total = Fraction(0)
-        for theta in itertools.permutations(range(base), s):
-            if _typed_mask(rep, theta) != sigma.edges:
-                continue
-            total += _placement_value(rep, theta, e, coded, constant, squared)
+        placements = 0
+        hits: Counter[int] = Counter()
+        pairs: Counter[tuple[int, int]] = Counter()
+        for theta in _placements(sigma, rep):
+            placements += 1
+            free = [v for v in range(base) if v not in theta]
+            found = []
+            for S in itertools.combinations(free, e):
+                code = typed_code(rep, theta, S)
+                if code in weight:
+                    hits[code] += 1
+                    found.append((sum(1 << v for v in S), code))
+            if squared:
+                for sa, ca in found:
+                    for sb, cb in found:
+                        if not sa & sb:
+                            pairs[ca, cb] += 1
+        single = sum((weight[c] * n for c, n in hits.items()), Fraction(0))
+        if squared:
+            pair_sum = sum(
+                (weight[a] * weight[b] * n for (a, b), n in pairs.items()), Fraction(0)
+            )
+            total = (
+                pair_sum / pairs_total
+                - 2 * constant * single / singles_total
+                + placements * constant * constant
+            )
+        else:
+            total = single / singles_total + placements * constant
         coeffs[rep.edges] = total / math.perm(base, s)
     vec = ExpansionVector(k, base, coeffs)
     return chain_lift(vec, size) if size > base else vec

@@ -6,9 +6,19 @@ is an edge.  The canonical form of a graph is the integer-minimal mask over
 all vertex relabelings, so isomorphism classes, cache files and report
 orderings all share one stable total order.
 
-Enumeration walks every labeled mask and deduplicates by canonical form.
-The orbit minimization over all n! relabelings is vectorized with numpy so
-the 2^20-mask space of 3-graphs on 6 vertices finishes in seconds.
+Enumeration extends classes one vertex at a time.  Every n-vertex class has
+a member whose restriction to {0..n-2} is a canonical (n-1)-vertex
+representative, and the k-subsets containing vertex n-1 follow all others
+in colex order, so the candidates are each (n-1)-vertex representative OR'd
+with every link of vertex n-1 shifted above it.  The candidates' orbit
+minima over all n! relabelings are taken at once with numpy, through
+per-permutation lookup tables of the low and high halves of a mask; at
+(6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
+
+`tuple_bits` caches, for an ordered vertex tuple, the host bit position of
+each of its colex k-subsets.  Restriction and the typed masks of
+`turankit.flags` gather a sub-mask through it instead of re-ranking every
+subset.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = [
     "read_hgr",
     "restriction_class_counts",
     "subset_rank",
+    "tuple_bits",
     "write_hgr",
 ]
 
@@ -48,7 +59,6 @@ MAX_VERTICES = 8
 # Full permutation action tables are cached up to 6 vertices (720 relabelings);
 # 7 and 8 vertices fall back to a direct scan, fine for occasional use.
 _TABLE_VERTEX_LIMIT = 6
-_SPLIT_BITS = 10
 _MAX_ENUM_BITS = 20
 
 HGR_MAGIC = "HGR1"
@@ -66,6 +76,24 @@ def colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 def subset_rank(subset: Iterable[int]) -> int:
     """Colex rank of a subset: sum of C(v_i, i+1) over the sorted elements."""
     return sum(math.comb(v, i + 1) for i, v in enumerate(sorted(subset)))
+
+
+@lru_cache(maxsize=None)
+def tuple_bits(k: int, vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """Host bit position of each colex k-subset of the ordered tuple
+    `vertices`: entry i is the rank of {vertices[j] : j in the i-th k-subset
+    of range(len(vertices))}."""
+    return tuple(
+        subset_rank(vertices[j] for j in sub) for sub in colex_subsets(len(vertices), k)
+    )
+
+
+def _gather(edges: int, bits: tuple[int, ...]) -> int:
+    """Mask whose bit i is bit bits[i] of edges."""
+    mask = 0
+    for b in reversed(bits):
+        mask = (mask << 1) | ((edges >> b) & 1)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -127,12 +155,7 @@ class Hypergraph:
     def restrict(self, verts: Iterable[int]) -> "Hypergraph":
         """Induced subgraph on `verts`, relabeled to 0..len-1 in sorted order."""
         verts = tuple(sorted(verts))
-        mask = 0
-        for i, sub in enumerate(colex_subsets(len(verts), self.k)):
-            orig = tuple(verts[j] for j in sub)
-            if (self.edges >> subset_rank(orig)) & 1:
-                mask |= 1 << i
-        return Hypergraph(len(verts), self.k, mask)
+        return Hypergraph(len(verts), self.k, _gather(self.edges, tuple_bits(self.k, verts)))
 
     def permuted(self, perm: Sequence[int]) -> "Hypergraph":
         """Relabel vertices: old vertex v becomes perm[v]."""
@@ -168,7 +191,8 @@ class CanonicalCode(NamedTuple):
 @lru_cache(maxsize=None)
 def _perm_tables(n: int, k: int):
     """Per-permutation lookup tables mapping the low/high halves of an edge
-    mask to their relabeled images.  split is the low-half bit count."""
+    mask to their relabeled images.  split is the low-half bit count, so
+    each permutation holds at most 2 * 2^10 entries within the 20-bit guard."""
     subsets = colex_subsets(n, k)
     nbits = len(subsets)
     perms = tuple(itertools.permutations(range(n)))
@@ -176,7 +200,7 @@ def _perm_tables(n: int, k: int):
     for pi, p in enumerate(perms):
         for b, sub in enumerate(subsets):
             img[pi, b] = 1 << subset_rank(p[v] for v in sub)
-    split = min(nbits, _SPLIT_BITS)
+    split = (nbits + 1) // 2
     lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
     hi_width = nbits - split
     hi_bitmat = (np.arange(1 << hi_width, dtype=np.int64)[:, None] >> np.arange(hi_width)) & 1
@@ -215,25 +239,26 @@ def canonicalize(G: Hypergraph) -> CanonicalCode:
 def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     """One representative per isomorphism class, sorted by canonical mask.
 
-    Walks all 2^C(n,k) labeled masks; for each relabeling the mask image is
-    two table lookups, and a running numpy minimum over permutations yields
-    every orbit minimum at once.
+    Extends the (n-1)-vertex representatives by every link of vertex n-1;
+    for each relabeling a candidate's image is two table lookups, and a
+    running numpy minimum over permutations yields every orbit minimum at
+    once.
     """
-    nbits = math.comb(n, k)
-    if nbits == 0:
+    if math.comb(n, k) == 0:
         return (Hypergraph(n, k, 0),)
-    perms = tuple(itertools.permutations(range(n)))
+    shift = math.comb(n - 1, k)
+    prev = np.array([g.edges for g in _all_classes(n - 1, k)], dtype=np.int64)
+    links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64) << shift
+    cands = (prev[:, None] | links[None, :]).ravel()
     split, lo_tab, hi_tab = _perm_tables(n, k)
     lo_arr = np.asarray(lo_tab, dtype=np.int64)
     hi_arr = np.asarray(hi_tab, dtype=np.int64)
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    mlo = masks & ((1 << split) - 1)
-    mhi = masks >> split
-    canon = masks.copy()
-    for pi in range(1, len(perms)):  # perms[0] is the identity
-        np.minimum(canon, lo_arr[pi][mlo] | hi_arr[pi][mhi], out=canon)
-    reps = np.unique(canon)
-    return tuple(Hypergraph(n, k, int(m)) for m in reps)
+    clo = cands & ((1 << split) - 1)
+    chi = cands >> split
+    canon = cands.copy()
+    for pi in range(1, len(lo_arr)):  # permutation 0 is the identity
+        np.minimum(canon, lo_arr[pi][clo] | hi_arr[pi][chi], out=canon)
+    return tuple(Hypergraph(n, k, int(m)) for m in np.unique(canon))
 
 
 def enumerate_all(
@@ -242,8 +267,7 @@ def enumerate_all(
     """All isomorphism classes of k-graphs on n vertices, canonically ordered.
 
     Each representative's own edge mask is its canonical code.  The optional
-    predicate filters classes after deduplication.  Guarded to C(n,k) <= 20
-    so the labeled space stays within 2^20 masks.
+    predicate filters classes after deduplication.  Guarded to C(n,k) <= 20.
     """
     nbits = math.comb(n, k)
     if nbits > _MAX_ENUM_BITS:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,25 @@ from turankit import (
     two_clique_density,
     verify_certificate,
 )
+from turankit.certificate import _term_vectors
+
+# SHA-256 of `<hex code> <p/q>` lines sorted by code: the slack of every
+# admissible class, then the size-6 coefficients of each of the six squares
+# in certificate order (all 2136 classes).
+SLACK_DIGEST = "89b1fe66fc6140fddb9e310886d53ad10d8b3df377e49f2dd5111d52d763680b"
+TERM_DIGESTS = [
+    "fb252561c06c295af56267015320a58643c2d14b686ce831443d94607233e37a",
+    "8d2a75db3c4822aa488e78d057aeb06ae1bbea723193f4b4f5ae08d98fcc6b42",
+    "37b3e659a8a4e763efa2527e0a8eac144b9aad0492090a2bce48034fe4309a76",
+    "eb25563e94cc031eb223b7b48d8ef128b026b9f87a96c0a05ccf4884dfb521d8",
+    "9a117cc70a3b684a04f922a614404d174b8d2cb20c46fbbb51a299d787b87783",
+    "8db802e194b7781848b12bd795eff19e157a8105695a21c648ee2d56a2a62050",
+]
+
+
+def table_digest(table):
+    lines = "".join(f"{code:x} {value}\n" for code, value in sorted(table.items()))
+    return hashlib.sha256(lines.encode("ascii")).hexdigest()
 
 
 def test_catalog_hosts_and_types():
@@ -37,6 +57,15 @@ def test_catalog_hosts_and_types():
         assert restricted == f.sigma, f
     # the two O flags are genuinely different typed flags
     assert flag_code(cat.o_a) != flag_code(cat.o_b)
+
+
+def test_pinned_result_digests(certificate_run):
+    report, _ = certificate_run
+    assert len(report.slacks) == 2102
+    assert table_digest(report.slacks) == SLACK_DIGEST
+    vecs = _term_vectors()
+    assert all(len(v.coeffs) == 2136 for v in vecs)
+    assert [table_digest(v.coeffs) for v in vecs] == TERM_DIGESTS
 
 
 def test_certificate_weights():

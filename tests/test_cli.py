@@ -1,8 +1,10 @@
 import json
 import os
 
+import pytest
+
 from turankit.cli import main
-from turankit.hypergraph import read_hgr
+from turankit.hypergraph import Hypergraph, read_hgr, write_hgr
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,34 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
     assert os.path.exists(os.path.join(cache, "k3-n6-no-empty-5.hgr"))
     code2, out2 = run_cli(capsys, "certificate", "--cache-dir", cache)
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize(
+    "code", [(1 << 20) - 1, 0], ids=["complete-graph-only", "empty-graph-only"]
+)
+def test_certificate_rejects_forged_cache(capsys, tmp_path, code):
+    # a one-class cache, whether the complete graph (admissible, tight) or
+    # the empty graph (not admissible), must not stand in for the 2102
+    # enumerated classes
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = str(cache / "k3-n6-no-empty-5.hgr")
+    write_hgr(path, 3, 6, [Hypergraph(6, 3, code)], "no-empty-5")
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "differ from the enumeration (1 cached, 2102 enumerated)" in captured.err
+
+
+def test_certificate_rejects_unreadable_cache(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 1 no-empty-5\nzz\n")
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_text_format(capsys):

@@ -12,6 +12,7 @@ from turankit import (
     binomial,
     catalog_flags,
     chain_lift,
+    colex_subsets,
     disjoint_union,
     enumerate_all,
     extension_density,
@@ -21,6 +22,7 @@ from turankit import (
     nonedge_core_size,
     pair_density,
     square_expansion,
+    subset_rank,
     type_embeddings,
     typed_code,
 )
@@ -220,3 +222,36 @@ def test_square_expansion_rejects_size_mismatch():
         square_expansion(
             cat.p2, ((Fraction(1), cat.l_a), (Fraction(1), cat.e3_p1)), Fraction(0), 6
         )  # mixed types
+
+
+def brute_typed_code(H, theta, extras):
+    """Reference classifier: try every ordering of the extension vertices and
+    rebuild each typed mask bit by bit through subset_rank."""
+    best = None
+    for p in itertools.permutations(extras):
+        verts = tuple(theta) + p
+        m = 0
+        for i, sub in enumerate(colex_subsets(len(verts), H.k)):
+            if (H.edges >> subset_rank(verts[j] for j in sub)) & 1:
+                m |= 1 << i
+        best = m if best is None else min(best, m)
+    return best
+
+
+def test_typed_code_matches_brute_force():
+    rng = random.Random(20070419)
+    shapes = [(t, s) for t in (3, 4, 5) for s in range(1, min(t, 4) + 1)]
+    triples = 0
+    for t, s in shapes:
+        for _ in range(200):
+            k = rng.choice((2, 3))
+            n = rng.randint(t, 8)
+            H = Hypergraph(n, k, rng.getrandbits(math.comb(n, k)))
+            verts = rng.sample(range(n), t)
+            theta, extras = tuple(verts[:s]), tuple(verts[s:])
+            assert typed_code(H, theta, extras) == brute_typed_code(H, theta, extras)
+            triples += 1
+    assert triples >= 2000
+    # the code table covers C(t,k) <= 20 bits; a 7-vertex 3-flag is refused
+    with pytest.raises(ValueError, match="guard"):
+        typed_code(Hypergraph.empty(7, 3), (0,), tuple(range(1, 7)))

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from turankit import (
@@ -21,6 +22,7 @@ from turankit import (
     subset_rank,
     write_hgr,
 )
+from turankit.hypergraph import MAX_VERTICES, _perm_tables
 
 
 def test_colex_order_and_rank_agree():
@@ -120,6 +122,34 @@ def burnside_count(n, k):
         total += 2**cycles
     assert total % math.factorial(n) == 0
     return total // math.factorial(n)
+
+
+def full_space_classes(n, k):
+    """Reference enumeration: canonicalize all 2^C(n,k) labeled masks with a
+    running numpy minimum over every relabeling, then deduplicate."""
+    nbits = math.comb(n, k)
+    split, lo_tab, hi_tab = _perm_tables(n, k)
+    lo_arr = np.asarray(lo_tab, dtype=np.int64)
+    hi_arr = np.asarray(hi_tab, dtype=np.int64)
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    mlo = masks & ((1 << split) - 1)
+    mhi = masks >> split
+    canon = masks.copy()
+    for pi in range(1, len(lo_arr)):  # permutation 0 is the identity
+        np.minimum(canon, lo_arr[pi][mlo] | hi_arr[pi][mhi], out=canon)
+    return np.unique(canon).tolist()
+
+
+def test_extension_enumeration_matches_full_space():
+    sizes = [
+        (n, k)
+        for n in range(1, MAX_VERTICES + 1)
+        for k in range(1, n + 1)
+        if math.comb(n, k) <= 16
+    ]
+    assert len(sizes) == 26
+    for n, k in sizes:
+        assert [g.edges for g in enumerate_all(n, k)] == full_space_classes(n, k), (n, k)
 
 
 def test_enumerate_4_3_against_brute_force(h4_classes):
