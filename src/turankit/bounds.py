@@ -10,7 +10,9 @@ determinant is 1) that make every inverse entry an explicit product.
 Everything here is exact `fractions.Fraction` arithmetic.  The multiplier
 vector is always computed twice -- once through the minor/product formula
 and once through a direct linear solve -- and the two routes are checked
-against each other on every call.
+against each other on every call.  `inverse_matrix` and `solve_delta` each
+run the pair of minor recursions once per call and read every entry from
+those tables.
 """
 
 from __future__ import annotations
@@ -186,17 +188,12 @@ def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> Recurren
     )
 
 
-def inverse_entry(
-    sys: TridiagonalSystem, eps: Fraction, m: int, g: int
+def _entry_from_tables(
+    sys: TridiagonalSystem, tab: RecurrenceTables, m: int, g: int
 ) -> Fraction:
-    """Entry (m, g) of the inverse of the shifted system via the minor and
-    off-diagonal-product formula."""
-    k, r = sys.k, sys.r
-    if not (k <= m < r and k <= g < r):
-        raise ValueError(f"inverse_entry: indices must lie in [{k}, {r - 1}]")
-    tab = recurrences(sys, eps)
-    if tab.determinant == 0:
-        raise ZeroDivisionError("inverse_entry: shifted system is singular")
+    """Entry (m, g) of the inverse: sign * minors * off-diagonal product /
+    determinant, with the minors read from `tab`."""
+    k = sys.k
     sign = -1 if (m + g) % 2 else 1
     if m <= g:
         prod = math.prod(
@@ -211,12 +208,30 @@ def inverse_entry(
     return sign * minors * prod / tab.determinant
 
 
+def inverse_entry(
+    sys: TridiagonalSystem, eps: Fraction, m: int, g: int
+) -> Fraction:
+    """Entry (m, g) of the inverse of the shifted system via the minor and
+    off-diagonal-product formula."""
+    k, r = sys.k, sys.r
+    if not (k <= m < r and k <= g < r):
+        raise ValueError(f"inverse_entry: indices must lie in [{k}, {r - 1}]")
+    tab = recurrences(sys, eps)
+    if tab.determinant == 0:
+        raise ZeroDivisionError("inverse_entry: shifted system is singular")
+    return _entry_from_tables(sys, tab, m, g)
+
+
 def inverse_matrix(
     sys: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
-    """Full inverse of the shifted system, rows/columns indexed by [k, r-1]."""
+    """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
+    one pair of minor recursions serves every entry."""
+    tab = recurrences(sys, eps)
+    if tab.determinant == 0:
+        raise ZeroDivisionError("inverse_matrix: shifted system is singular")
     ms = sys.ms
-    return [[inverse_entry(sys, eps, m, g) for g in ms] for m in ms]
+    return [[_entry_from_tables(sys, tab, m, g) for g in ms] for m in ms]
 
 
 def _solve_linear(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -249,11 +264,13 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
+    eps = Fraction(eps)
     sys = build_system(k, r)
     rhs = [Fraction(1) if m == g else Fraction(0) for m in sys.ms]
-    delta = _solve_linear(sys.dense(Fraction(eps)), rhs)
+    delta = _solve_linear(sys.dense(eps), rhs)  # raises if singular
+    tab = recurrences(sys, eps)
     for i, m in enumerate(sys.ms):
-        if delta[i] != inverse_entry(sys, Fraction(eps), m, g):
+        if delta[i] != _entry_from_tables(sys, tab, m, g):
             raise ArithmeticError(
                 "solve_delta: direct solve and minor formula disagree"
             )

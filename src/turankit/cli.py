@@ -1,11 +1,15 @@
 """Command-line front end: bound reports, enumerations, certificate runs.
 
 Exit codes: 0 success, 1 a checked mathematical statement failed (negative
-certificate slack, refuted inequality), 2 usage or parameter-range error,
-3 invalid input file (a class cache that cannot be read or whose classes
-differ from the enumeration).  All rationals are serialized as exact "p/q"
-strings; decimal renderings are always marked as approximations.  Output
-for identical inputs is byte-identical, and class caches are written
+certificate slack, refuted inequality), 2 usage or parameter-range error
+(including a singular shifted system), 3 invalid input file (a class cache
+that cannot be read, holds a non-canonical code, or whose classes differ
+from the enumeration), 4 an operating-system error (e.g. `--cache-dir`
+naming a regular file), 5 an internal cross-check failed (two independent
+routes to a result disagree).  A command that fails prints one `error:`
+line to stderr.  All rationals are serialized as exact "p/q" strings;
+decimal renderings are always marked as approximations.  Output for
+identical inputs is byte-identical, and class caches are written
 exclusive-create-then-rename.
 """
 
@@ -188,7 +192,7 @@ def _check_e5free_cache(directory: str) -> None:
         return
     try:
         cached = read_hgr(path)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise InvalidInputFile(f"{path}: {exc}") from exc
     if cached != (3, 6, "no-empty-5", classes):
         raise InvalidInputFile(
@@ -401,6 +405,12 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:  # after ZeroDivisionError, its subclass
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

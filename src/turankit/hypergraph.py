@@ -422,7 +422,8 @@ def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str)
 
 
 def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
-    """Read an HGR1 class file; returns (k, n, tag, graphs)."""
+    """Read an HGR1 class file; returns (k, n, tag, graphs).  Every code must
+    be the canonical mask of its graph."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != HGR_MAGIC:
@@ -434,4 +435,8 @@ def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
         raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)}")
     if codes != sorted(codes):
         raise ValueError("read_hgr: codes are not ascending")
-    return k, n, tag, tuple(Hypergraph(n, k, c) for c in codes)
+    graphs = tuple(Hypergraph(n, k, c) for c in codes)
+    for G in graphs:
+        if canonical_mask(G) != G.edges:
+            raise ValueError(f"read_hgr: code {G.edges:x} is not canonical")
+    return k, n, tag, graphs

@@ -1,7 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turankit import (
     EpsilonMode,
@@ -21,6 +24,11 @@ from turankit import (
     vertex_threshold,
     x_ratio,
 )
+
+# SHA-256 of the `str()` of every inverse_matrix entry (row by row) and of
+# every solve_delta entry (g = k..r-1), one per line, over all
+# 2 <= k < r <= 16 and eps in {0, epsilon_threshold(k, r)/2}.
+BOUNDS_DIGEST = "2b9f11e673f76b53fc09f4a12952fcc632cd5de1db3d34ad4908bce3432e1678"
 
 
 def matmul(A, B):
@@ -154,6 +162,61 @@ def test_solve_delta_matches_inverse_column():
         assert res == expected
 
 
+def test_pinned_bounds_digest():
+    h = hashlib.sha256()
+    for r in range(3, 17):
+        for k in range(2, r):
+            sysm = build_system(k, r)
+            for eps in (Fraction(0), epsilon_threshold(k, r) / 2):
+                for row in inverse_matrix(sysm, eps):
+                    for v in row:
+                        h.update(f"{v}\n".encode("ascii"))
+                for g in range(k, r):
+                    for v in solve_delta(k, g, r, eps):
+                        h.update(f"{v}\n".encode("ascii"))
+    assert h.hexdigest() == BOUNDS_DIGEST
+
+
+@st.composite
+def shifted_systems(draw):
+    """(k, r, eps) with r <= 12 and eps = epsilon_threshold(k, r) * p/q,
+    0 <= p < q, so eps lies in [0, threshold)."""
+    r = draw(st.integers(3, 12))
+    k = draw(st.integers(2, r - 1))
+    q = draw(st.integers(1, 50))
+    p = draw(st.integers(0, q - 1))
+    return k, r, epsilon_threshold(k, r) * Fraction(p, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shifted_systems())
+def test_property_inverse_matrix_matches_entries(case):
+    k, r, eps = case
+    s = build_system(k, r)
+    inv = inverse_matrix(s, eps)
+    for i, m in enumerate(s.ms):
+        for j, g in enumerate(s.ms):
+            assert inv[i][j] == inverse_entry(s, eps, m, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shifted_systems(), st.data())
+def test_property_solve_delta_is_inverse_column(case, data):
+    k, r, eps = case
+    g = data.draw(st.integers(k, r - 1))
+    s = build_system(k, r)
+    inv = inverse_matrix(s, eps)
+    assert solve_delta(k, g, r, eps) == [row[g - k] for row in inv]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shifted_systems())
+def test_property_dense_times_inverse_is_identity(case):
+    k, r, eps = case
+    s = build_system(k, r)
+    assert matmul(s.dense(eps), inverse_matrix(s, eps)) == identity(s.dim)
+
+
 def test_singular_shift_rejected():
     # the 1x1 system for (k, r) = (2, 3) has the single entry 1, so the
     # shift eps = 1 is exactly singular
@@ -163,6 +226,8 @@ def test_singular_shift_rejected():
         solve_delta(2, 2, 3, Fraction(1))
     with pytest.raises(ZeroDivisionError):
         inverse_entry(s, Fraction(1), 2, 2)
+    with pytest.raises(ZeroDivisionError):
+        inverse_matrix(s, Fraction(1))
 
 
 def test_recurrences_flag_nonpositive_tables():

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -206,3 +207,62 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "finiteBound = 10/23" in out
+
+
+def test_os_error_exit_4(capsys, tmp_path):
+    # --cache-dir naming a regular file cannot hold a cache
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    code = main(["enumerate", "--k", "3", "--n", "4", "--cache-dir", str(not_a_dir)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_failed_cross_check_exit_5(capsys, monkeypatch):
+    from turankit import bounds
+
+    solve = bounds._solve_linear
+
+    def perturbed(A, b):
+        x = solve(A, b)
+        x[0] += Fraction(1, 10**9)
+        return x
+
+    monkeypatch.setattr(bounds, "_solve_linear", perturbed)
+    code = main(["solve", "--k", "3", "--r", "5", "--g", "4"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal cross-check failed: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_singular_system_keeps_exit_2(capsys):
+    # ZeroDivisionError is an ArithmeticError but stays a parameter error
+    code = main(["solve", "--k", "2", "--r", "3", "--g", "2", "--eps", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_certificate_rejects_noncanonical_cache(capsys, tmp_path):
+    # ascending codes, but 2 (the single edge {0,1,3}) is not canonical
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 2 no-empty-5\n0\n2\n")
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "code 2 is not canonical" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_certificate_cache_path_is_directory_exit_3(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "k3-n6-no-empty-5.hgr").mkdir(parents=True)
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -284,3 +284,12 @@ def test_hgr_round_trip(tmp_path, h4_classes):
     with open(path, encoding="ascii") as fh:
         first = fh.readline()
     assert first == "HGR1 3 4 5 none\n"
+
+
+def test_read_hgr_rejects_noncanonical_code(tmp_path):
+    # ascending, but 2 is the single edge {0,1,3}, whose canonical mask is 1
+    path = tmp_path / "k3-n6-none.hgr"
+    path.write_text("HGR1 3 6 2 none\n0\n2\n")
+    assert canonical_mask(Hypergraph(6, 3, 2)) == 1
+    with pytest.raises(ValueError, match="not canonical"):
+        read_hgr(str(path))
