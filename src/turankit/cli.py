@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds, certificate, relations
-from .combinat import EpsilonMode, decimal_string, x_ratio
+from .combinat import EpsilonMode, decimal_string, epsilon_threshold, x_ratio
 from .hypergraph import (
     Hypergraph,
     enumerate_all,
@@ -87,6 +87,7 @@ def _bound_payload(report: bounds.BoundReport) -> dict:
         "finiteBoundApprox": _approx(report.finite_bound),
         "deCaen": _frac(report.de_caen) if report.de_caen is not None else None,
         "lowerBound": _frac(report.lower_bound) if report.lower_bound is not None else None,
+        "vacuous": report.finite_bound >= 1,
     }
 
 
@@ -231,6 +232,10 @@ def _cmd_solve(args) -> int:
         "phi": [_frac(p) for p in tables.phi],
         "zeta": [_frac(z) for z in tables.zeta],
         "determinant": _frac(tables.determinant),
+        "nonpositiveEntries": [
+            {"table": table, "m": m} for table, m in tables.nonpositive_entries()
+        ],
+        "belowThreshold": eps < epsilon_threshold(args.k, args.r),
     }
     _emit(payload, args.format)
     return 0

@@ -14,6 +14,8 @@ with every link of vertex n-1 shifted above it.  The candidates' orbit
 minima over all n! relabelings are taken at once with numpy, through
 per-permutation lookup tables of the low and high halves of a mask; at
 (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
+The same tables give one graph's canonical mask as a single gather of its
+two halves across all relabelings, followed by a numpy minimum.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets.  Restriction and the typed masks of
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 MAX_VERTICES = 8
-# Full permutation action tables are cached up to 6 vertices (720 relabelings);
-# 7 and 8 vertices fall back to a direct scan, fine for occasional use.
+# Permutation tables (int64 arrays) are cached up to 6 vertices, 720 relabelings;
+# canonical forms at 7 and 8 vertices use a direct scan, for occasional use.
 _TABLE_VERTEX_LIMIT = 6
 _MAX_ENUM_BITS = 20
 
@@ -191,8 +193,10 @@ class CanonicalCode(NamedTuple):
 @lru_cache(maxsize=None)
 def _perm_tables(n: int, k: int):
     """Per-permutation lookup tables mapping the low/high halves of an edge
-    mask to their relabeled images.  split is the low-half bit count, so
-    each permutation holds at most 2 * 2^10 entries within the 20-bit guard."""
+    mask to their relabeled images: int64 arrays of shape (perms, 2^split)
+    and (perms, 2^(C(n,k) - split)), row 0 the identity.  split is the
+    low-half bit count, so each row holds at most 2^10 entries within the
+    20-bit guard."""
     subsets = colex_subsets(n, k)
     nbits = len(subsets)
     perms = tuple(itertools.permutations(range(n)))
@@ -206,28 +210,26 @@ def _perm_tables(n: int, k: int):
     hi_bitmat = (np.arange(1 << hi_width, dtype=np.int64)[:, None] >> np.arange(hi_width)) & 1
     lo_tab = (lo_bitmat @ img[:, :split].T).T  # (perms, 2^split)
     hi_tab = (hi_bitmat @ img[:, split:].T).T
-    return split, lo_tab.tolist(), hi_tab.tolist()
+    return split, lo_tab, hi_tab
+
+
+def _orbit_masks(G: Hypergraph) -> np.ndarray:
+    """Edge mask of every relabeling of G, one entry per permutation: one
+    gather from the tables up to 6 vertices, a direct scan at 7 and 8."""
+    if G.n <= _TABLE_VERTEX_LIMIT:
+        split, lo_tab, hi_tab = _perm_tables(G.n, G.k)
+        return lo_tab[:, G.edges & ((1 << split) - 1)] | hi_tab[:, G.edges >> split]
+    edges = G.edge_list()
+    perms = itertools.permutations(range(G.n))
+    images = [sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms]
+    return np.array(images, dtype=object)  # C(8,4) = 70 bits overflows int64
 
 
 def canonical_mask(G: Hypergraph) -> int:
     """Minimum edge mask over all vertex relabelings of G."""
-    full = (1 << G.nbits) - 1
-    if G.edges in (0, full):
+    if G.edges in (0, (1 << G.nbits) - 1):
         return G.edges
-    if G.n <= _TABLE_VERTEX_LIMIT:
-        split, lo_tab, hi_tab = _perm_tables(G.n, G.k)
-        mlo = G.edges & ((1 << split) - 1)
-        mhi = G.edges >> split
-        return min(lo[mlo] | hi[mhi] for lo, hi in zip(lo_tab, hi_tab))
-    edges = G.edge_list()
-    best = G.edges
-    for p in itertools.permutations(range(G.n)):
-        m = 0
-        for e in edges:
-            m |= 1 << subset_rank(p[v] for v in e)
-        if m < best:
-            best = m
-    return best
+    return int(_orbit_masks(G).min())
 
 
 def canonicalize(G: Hypergraph) -> CanonicalCode:
@@ -251,13 +253,11 @@ def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64) << shift
     cands = (prev[:, None] | links[None, :]).ravel()
     split, lo_tab, hi_tab = _perm_tables(n, k)
-    lo_arr = np.asarray(lo_tab, dtype=np.int64)
-    hi_arr = np.asarray(hi_tab, dtype=np.int64)
     clo = cands & ((1 << split) - 1)
     chi = cands >> split
     canon = cands.copy()
-    for pi in range(1, len(lo_arr)):  # permutation 0 is the identity
-        np.minimum(canon, lo_arr[pi][clo] | hi_arr[pi][chi], out=canon)
+    for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
+        np.minimum(canon, lo_tab[pi][clo] | hi_tab[pi][chi], out=canon)
     return tuple(Hypergraph(n, k, int(m)) for m in np.unique(canon))
 
 
@@ -299,9 +299,7 @@ def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def _subgraph_orbit(F: Hypergraph) -> frozenset[int]:
     """Distinct edge masks of all relabelings of F (for containment tests)."""
-    return frozenset(
-        F.permuted(p).edges for p in itertools.permutations(range(F.n))
-    )
+    return frozenset(_orbit_masks(F).tolist())
 
 
 def induced_density(F: Hypergraph, G: Hypergraph, induced: bool = True) -> Fraction:

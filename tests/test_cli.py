@@ -100,6 +100,41 @@ def test_solve_output(capsys):
     assert json.loads(out)["eps"] == "1/100"
 
 
+def test_solve_reports_threshold_and_nonpositive_entries(capsys):
+    # the new keys come after every existing one
+    _, out = run_cli(capsys, "solve", "--k", "3", "--r", "5", "--g", "4")
+    payload = json.loads(out)
+    assert list(payload)[-2:] == ["nonpositiveEntries", "belowThreshold"]
+    assert payload["nonpositiveEntries"] == [] and payload["belowThreshold"] is True
+    # threshold 1/4: every table entry is still positive at eps = 1/2
+    _, out = run_cli(capsys, "solve", "--k", "3", "--r", "5", "--g", "4", "--eps", "1/2")
+    payload = json.loads(out)
+    assert payload["nonpositiveEntries"] == [] and payload["belowThreshold"] is False
+    _, out = run_cli(capsys, "solve", "--k", "3", "--r", "5", "--g", "4", "--eps", "1/4")
+    assert json.loads(out)["belowThreshold"] is False  # strict inequality
+    code, out = run_cli(capsys, "solve", "--k", "3", "--r", "6", "--g", "3", "--eps", "1/2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nonpositiveEntries"] == [
+        {"table": "theta", "m": 5},
+        {"table": "phi", "m": 3},
+    ]
+    assert payload["belowThreshold"] is False
+
+
+def test_bound_flags_vacuous(capsys):
+    _, out = run_cli(capsys, "bound", "--k", "3", "--g", "4", "--r", "5", "--n", "100")
+    payload = json.loads(out)
+    assert list(payload)[-1] == "vacuous" and payload["vacuous"] is False
+    code, out = run_cli(
+        capsys, "bound", "--k", "40", "--g", "41", "--r", "80", "--n", "100000"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vacuous"] is True
+    assert payload["finiteBoundApprox"].startswith("~1.0008")
+
+
 def test_lower_output(capsys):
     code, out = run_cli(capsys, "lower", "--k", "3", "--g", "4", "--r", "5")
     assert code == 0

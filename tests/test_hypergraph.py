@@ -1,10 +1,16 @@
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turankit import (
     Hypergraph,
@@ -293,3 +299,117 @@ def test_read_hgr_rejects_noncanonical_code(tmp_path):
     assert canonical_mask(Hypergraph(6, 3, 2)) == 1
     with pytest.raises(ValueError, match="not canonical"):
         read_hgr(str(path))
+
+
+def oracle_canonical_masks(n, k, masks):
+    """Independent canonical forms: the minimum relabeled mask of each mask,
+    with explicit loops over permutations and edge bits."""
+    subs = colex_subsets(n, k)
+    images = [
+        [1 << subset_rank(tuple(p[v] for v in s)) for s in subs]
+        for p in itertools.permutations(range(n))
+    ]
+    out = []
+    for mask in masks:
+        best = mask
+        for image in images:
+            m = 0
+            for i, bit in enumerate(image):
+                if (mask >> i) & 1:
+                    m |= bit
+            best = min(best, m)
+        out.append(best)
+    return out
+
+
+def test_canonical_mask_matches_oracle():
+    sizes = [
+        (n, k)
+        for n in range(1, 7)
+        for k in range(1, n + 1)
+        if math.comb(n, k) <= 10
+    ]
+    for n, k in sizes:
+        masks = range(1 << math.comb(n, k))
+        got = [canonical_mask(Hypergraph(n, k, m)) for m in masks]
+        assert got == oracle_canonical_masks(n, k, masks), (n, k)
+    rng = random.Random(4242)
+    for n, k in [(6, 2), (6, 3)]:
+        masks = [rng.getrandbits(math.comb(n, k)) for _ in range(500)]
+        got = [canonical_mask(Hypergraph(n, k, m)) for m in masks]
+        assert got == oracle_canonical_masks(n, k, masks), (n, k)
+
+
+def test_canonical_mask_returns_python_int():
+    rng = random.Random(7)
+    graphs = [
+        Hypergraph(6, 3, rng.getrandbits(20)),
+        Hypergraph(6, 2, rng.getrandbits(15)),
+        Hypergraph(7, 2, rng.getrandbits(21)),
+        Hypergraph.empty(6, 3),
+        Hypergraph.complete(6, 3),
+    ]
+    for G in graphs:
+        code = canonical_mask(G)
+        assert type(code) is int
+        assert json.loads(json.dumps(code)) == code
+
+
+def _codes_digest(codes):
+    return hashlib.sha256(" ".join(f"{c:x}" for c in codes).encode("ascii")).hexdigest()
+
+
+def test_pinned_canonical_mask_digests():
+    # computed with the per-permutation Python minimum that preceded the
+    # numpy gather; every canonical code must stay the same
+    assert _codes_digest(
+        canonical_mask(Hypergraph(6, 2, m)) for m in range(1 << 15)
+    ) == "a83ebfbdd16392bbadf2ac734df3a3312adad1664337509869985fa839ba640b"
+    rng = random.Random(20000)
+    assert _codes_digest(
+        canonical_mask(Hypergraph(6, 3, rng.getrandbits(20))) for _ in range(20000)
+    ) == "3fc8948e368d9ca1b9913cb899e6e1bd17a163c792fc003e4c0b49e9c88ed8bb"
+
+
+@st.composite
+def relabeled_graphs(draw, n_values):
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from(n_values))
+    G = Hypergraph(n, k, draw(st.integers(0, (1 << math.comb(n, k)) - 1)))
+    return G, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(relabeled_graphs(range(1, 7)))
+def test_property_canonical_mask_relabeling_invariant(case):
+    G, perm = case
+    code = canonical_mask(G)
+    assert canonical_mask(G.permuted(perm)) == code
+    assert code <= G.edges
+    assert canonical_mask(Hypergraph(G.n, G.k, code)) == code
+
+
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(relabeled_graphs((7,)))
+def test_property_canonical_mask_relabeling_invariant_direct_scan(case):
+    G, perm = case
+    assert canonical_mask(G.permuted(perm)) == canonical_mask(G)
+
+
+@st.composite
+def class_lists(draw):
+    n, k = draw(st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)]))
+    classes = enumerate_all(n, k)
+    picked = draw(st.sets(st.integers(0, len(classes) - 1), max_size=40))
+    tag = draw(st.from_regex(r"[a-z0-9-]{1,12}", fullmatch=True))
+    return k, n, tag, tuple(classes[i] for i in sorted(picked))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(class_lists())
+def test_property_hgr_round_trip(case):
+    k, n, tag, graphs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "classes.hgr")
+        write_hgr(path, k, n, graphs, tag)
+        assert read_hgr(path) == (k, n, tag, graphs)
