@@ -7,12 +7,12 @@ against a tridiagonal matrix indexed by m in [k, r-1]; its determinant
 recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
-Everything here is exact `fractions.Fraction` arithmetic.  The multiplier
-vector is always computed twice -- once through the minor/product formula
-and once through a direct linear solve -- and the two routes are checked
-against each other on every call.  `inverse_matrix` and `solve_delta` each
-run the pair of minor recursions once per call and read every entry from
-those tables.
+Everything here is exact `fractions.Fraction` arithmetic.  `inverse_matrix`
+and `solve_delta` each run the pair of minor recursions once per call and
+read every entry from those tables.  The multiplier vector is then checked
+against the tridiagonal equations it must solve, row by row; with a nonzero
+determinant that solution is unique, so the check is independent of the
+minor formula and costs O(dimension).
 """
 
 from __future__ import annotations
@@ -234,45 +234,31 @@ def inverse_matrix(
     return [[_entry_from_tables(sys, tab, m, g) for g in ms] for m in ms]
 
 
-def _solve_linear(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction with partial pivoting."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((row for row in range(col, n) if M[row][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular linear system")
-        M[col], M[pivot] = M[pivot], M[col]
-        for row in range(col + 1, n):
-            if M[row][col] != 0:
-                f = M[row][col] / M[col][col]
-                for j in range(col, n + 1):
-                    M[row][j] -= f * M[col][j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = M[i][n] - sum((M[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = acc / M[i][i]
-    return x
-
-
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
     """Multiplier vector (indices m = k..r-1): column g of the shifted
-    system's inverse, obtained by a direct linear solve.
+    system's inverse, read from the minor/product formula.
 
-    The result is cross-checked entrywise against the minor/product formula;
-    the two independent routes guard each other's sign conventions.
+    Every row of the shifted system applied to the vector is checked to be 1
+    at m = g and 0 elsewhere; the determinant is nonzero, so this accepts
+    only the true column.
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     eps = Fraction(eps)
     sys = build_system(k, r)
-    rhs = [Fraction(1) if m == g else Fraction(0) for m in sys.ms]
-    delta = _solve_linear(sys.dense(eps), rhs)  # raises if singular
     tab = recurrences(sys, eps)
+    if tab.determinant == 0:
+        raise ZeroDivisionError("solve_delta: shifted system is singular")
+    delta = [_entry_from_tables(sys, tab, m, g) for m in sys.ms]
     for i, m in enumerate(sys.ms):
-        if delta[i] != _entry_from_tables(sys, tab, m, g):
+        row = (sys.diag[i] - eps) * delta[i]
+        if i >= 1:
+            row += sys.lower[i - 1] * delta[i - 1]
+        if i + 1 < sys.dim:
+            row += sys.upper[i] * delta[i + 1]
+        if row != (1 if m == g else 0):
             raise ArithmeticError(
-                "solve_delta: direct solve and minor formula disagree"
+                "solve_delta: minor formula does not solve the tridiagonal system"
             )
     return delta
 
@@ -306,7 +292,6 @@ class BoundReport:
     finite_bound: Fraction
     de_caen: Optional[Fraction]  # only meaningful when g == k
     lower_bound: Optional[Fraction]
-    threshold_ok: bool
 
 
 def upper_bound(
@@ -352,7 +337,6 @@ def upper_bound(
         finite_bound=factor * asym,
         de_caen=de_caen_bound(k, r, n) if g == k else None,
         lower_bound=lower,
-        threshold_ok=True,
     )
 
 
@@ -436,7 +420,6 @@ class SandwichTable:
     multinomial_lower: Fraction
     product: Fraction
     exp_limit_approx: str
-    ordering_ok: bool
 
 
 def sandwich_table(k: int, r: int) -> SandwichTable:
@@ -451,8 +434,7 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
     lower = Fraction(multinomial(r - 1, (k - 1,) * l), l ** (r - 1))
     product = asymptotic_product(k, r - 1, r)
     exp_lo, exp_hi = exp_bounds(Fraction(k - r, k))
-    ok = lower <= product <= exp_lo
-    if not ok:
+    if not lower <= product <= exp_lo:
         raise ArithmeticError("sandwich_table: ordering check failed")
     approx = decimal_string((exp_lo + exp_hi) / 2, 12)
     return SandwichTable(
@@ -462,5 +444,4 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
         multinomial_lower=lower,
         product=product,
         exp_limit_approx=f"~{approx}",
-        ordering_ok=True,
     )

@@ -5,11 +5,11 @@ certificate slack, refuted inequality), 2 usage or parameter-range error
 (including a singular shifted system), 3 invalid input file (a class cache
 that cannot be read, holds a non-canonical code, or whose classes differ
 from the enumeration), 4 an operating-system error (e.g. `--cache-dir`
-naming a regular file), 5 an internal cross-check failed (two independent
-routes to a result disagree).  A command that fails prints one `error:`
-line to stderr.  All rationals are serialized as exact "p/q" strings;
-decimal renderings are always marked as approximations.  Output for
-identical inputs is byte-identical, and class caches are written
+naming a regular file), 5 an internal cross-check failed (a result
+disagrees with an independent route or check).  A command that fails
+prints one `error:` line to stderr.  All rationals are serialized as exact
+"p/q" strings; decimal renderings are always marked as approximations.
+Output for identical inputs is byte-identical, and class caches are written
 exclusive-create-then-rename.
 """
 
@@ -80,7 +80,6 @@ def _bound_payload(report: bounds.BoundReport) -> dict:
         "r": report.r,
         "n": report.n,
         "mode": report.mode.value,
-        "thresholdOk": report.threshold_ok,
         "finiteFactor": _frac(report.finite_factor),
         "asymptotic": _frac(report.asymptotic),
         "finiteBound": _frac(report.finite_bound),
@@ -144,7 +143,6 @@ def _cmd_lower(args) -> int:
             "multinomialLower": _frac(sand.multinomial_lower),
             "product": _frac(sand.product),
             "expLimitApprox": sand.exp_limit_approx,
-            "orderingOk": sand.ordering_ok,
         }
     _emit(payload, args.format)
     return 0

@@ -409,8 +409,10 @@ def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str)
     if any(g.k != k or g.n != n for g in graphs):
         raise ValueError("write_hgr: graph parameters disagree with header")
     codes = [g.edges for g in graphs]
-    if codes != sorted(codes):
-        raise ValueError("write_hgr: graphs must be in ascending canonical order")
+    if any(a >= b for a, b in zip(codes, codes[1:])):
+        raise ValueError(
+            "write_hgr: graphs must be in strictly ascending canonical order"
+        )
     lines = [f"{HGR_MAGIC} {k} {n} {len(graphs)} {tag}\n"]
     lines.extend(f"{c:x}\n" for c in codes)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -420,8 +422,10 @@ def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str)
 
 
 def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
-    """Read an HGR1 class file; returns (k, n, tag, graphs).  Every code must
-    be the canonical mask of its graph."""
+    """Read an HGR1 class file; returns (k, n, tag, graphs).  Codes must be
+    strictly ascending and each the canonical mask of its graph; (n, k) must
+    lie within the enumeration guard C(n,k) <= 20, checked before any code
+    is canonicalized."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != HGR_MAGIC:
@@ -431,8 +435,10 @@ def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
         codes = [int(line, 16) for line in fh if line.strip()]
     if len(codes) != count:
         raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)}")
-    if codes != sorted(codes):
-        raise ValueError("read_hgr: codes are not ascending")
+    if any(a >= b for a, b in zip(codes, codes[1:])):
+        raise ValueError("read_hgr: codes are not strictly ascending")
+    if math.comb(n, k) > _MAX_ENUM_BITS:
+        raise ValueError(f"read_hgr: C({n},{k}) exceeds the {_MAX_ENUM_BITS}-bit guard")
     graphs = tuple(Hypergraph(n, k, c) for c in codes)
     for G in graphs:
         if canonical_mask(G) != G.edges:

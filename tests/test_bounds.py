@@ -352,21 +352,21 @@ def test_sandwich_3_5():
     assert t.multinomial_lower == Fraction(3, 8)
     assert t.product == Fraction(5, 12)
     assert t.exp_limit_approx.startswith("~0.513417")
-    assert t.ordering_ok
+    assert t.multinomial_lower <= t.product
 
 
 def test_sandwich_2_3_equality():
     t = sandwich_table(2, 3)
     assert t.multinomial_lower == Fraction(1, 2)
     assert t.product == Fraction(1, 2)
-    assert t.ordering_ok
+    assert t.multinomial_lower <= t.product
 
 
 def test_sandwich_3_7_and_divisibility_guard():
     t = sandwich_table(3, 7)
     assert t.multinomial_lower == Fraction(10, 81)
     assert t.product == Fraction(56, 375)
-    assert t.ordering_ok
+    assert t.multinomial_lower <= t.product
     with pytest.raises(ValueError):
         sandwich_table(3, 6)
 

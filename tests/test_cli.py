@@ -258,20 +258,30 @@ def test_os_error_exit_4(capsys, tmp_path):
 def test_failed_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
-    solve = bounds._solve_linear
+    entry = bounds._entry_from_tables
 
-    def perturbed(A, b):
-        x = solve(A, b)
-        x[0] += Fraction(1, 10**9)
-        return x
+    def perturbed(sys, tab, m, g):
+        value = entry(sys, tab, m, g)
+        return value + Fraction(1, 10**9) if m == sys.k else value
 
-    monkeypatch.setattr(bounds, "_solve_linear", perturbed)
+    monkeypatch.setattr(bounds, "_entry_from_tables", perturbed)
     code = main(["solve", "--k", "3", "--r", "5", "--g", "4"])
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
     assert captured.err.startswith("error: internal cross-check failed: ")
     assert captured.err.count("\n") == 1
+
+
+def test_solve_zero_leading_minor_nonsingular(capsys):
+    # theta(3) = 0 but the determinant is -1/5: solvable only with pivoting
+    code, out = run_cli(
+        capsys, "solve", "--k", "3", "--r", "5", "--g", "4", "--eps", "6/5"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["delta"] == ["-5/2", "0"]
+    assert payload["determinant"] == "-1/5"
 
 
 def test_singular_system_keeps_exit_2(capsys):
@@ -301,3 +311,35 @@ def test_certificate_cache_path_is_directory_exit_3(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_certificate_rejects_duplicate_code_cache(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 2 no-empty-5\n0\n0\n")
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not strictly ascending" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_certificate_rejects_oversized_header_before_canonicalizing(
+    capsys, tmp_path, monkeypatch
+):
+    from turankit import hypergraph
+
+    calls = []
+    monkeypatch.setattr(hypergraph, "canonical_mask", calls.append)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    dense = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
+    (cache / "k3-n6-no-empty-5.hgr").write_text(
+        f"HGR1 4 8 2 no-empty-5\n{dense:x}\n{dense + 1:x}\n"
+    )
+    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "C(8,4) exceeds the 20-bit guard" in captured.err
+    assert captured.err.count("\n") == 1
+    assert calls == []

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turankit import (
     ExpansionVector,
@@ -172,6 +174,28 @@ def test_lift_then_evaluate_agrees_on_larger_hosts():
     for _ in range(20):
         G = Hypergraph(8, 3, rng.getrandbits(56))
         assert base.value_at(G) == lifted.value_at(G)
+
+
+@st.composite
+def lift_cases(draw):
+    size = draw(st.sampled_from([4, 5]))
+    classes = enumerate_all(size, 3)
+    coeffs = draw(
+        st.lists(st.integers(-5, 5), min_size=len(classes), max_size=len(classes))
+    )
+    vec = ExpansionVector(
+        3, size, {rep.edges: Fraction(c) for rep, c in zip(classes, coeffs) if c}
+    )
+    n = draw(st.sampled_from([6, 7]))
+    host = Hypergraph(n, 3, draw(st.integers(0, (1 << binomial(n, 3)) - 1)))
+    return vec, host
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lift_cases())
+def test_property_chain_lift_then_evaluate_matches_direct(case):
+    vec, G = case
+    assert chain_lift(vec, 6).value_at(G) == vec.value_at(G)
 
 
 def test_evaluation_consistency_lift_vs_direct():

@@ -292,6 +292,15 @@ def test_hgr_round_trip(tmp_path, h4_classes):
     assert first == "HGR1 3 4 5 none\n"
 
 
+def test_hgr_rejects_duplicate_codes(tmp_path):
+    path = tmp_path / "k3-n4-none.hgr"
+    path.write_text("HGR1 3 4 2 none\n1\n1\n")
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        read_hgr(str(path))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        write_hgr(str(path), 3, 4, [Hypergraph(4, 3, 1)] * 2, "none")
+
+
 def test_read_hgr_rejects_noncanonical_code(tmp_path):
     # ascending, but 2 is the single edge {0,1,3}, whose canonical mask is 1
     path = tmp_path / "k3-n6-none.hgr"
