@@ -54,7 +54,6 @@ from .flags import (
     chain_lift,
     extension_density,
     flag_code,
-    linear_expansion,
     pair_density,
     square_expansion,
     type_embeddings,

@@ -78,9 +78,6 @@ class TridiagonalSystem:
     def ms(self) -> tuple[int, ...]:
         return tuple(range(self.k, self.r))
 
-    def x(self, m: int) -> Fraction:
-        return x_ratio(self.k, m, self.r)
-
     def dense(self, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
         """The shifted matrix (system minus eps on the diagonal) as rows."""
         d = self.dim

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .flags import ExpansionVector, Flag, square_expansion
 from .hypergraph import (
@@ -49,9 +48,9 @@ TARGET = Fraction(3, 8)
 class FlagCatalog:
     """The types and typed flags used by the certificate.
 
-    Types (labels significant): p1/p2/p3/p4 are edgeless on 1..4 vertices,
-    q4 has the single edge (0,1,2), t4 is complete on 4 vertices.  Each
-    flag comment lists the host's full edge set.
+    Types (labels significant): p1/p2/p3/p4 are edgeless on 1..4 vertices
+    and q4 has the single edge (0,1,2).  Each flag comment lists the host's
+    full edge set.
     """
 
     p1: Hypergraph
@@ -59,7 +58,6 @@ class FlagCatalog:
     p3: Hypergraph
     p4: Hypergraph
     q4: Hypergraph
-    t4: Hypergraph
     e3_p1: Flag  # empty 3-set over a single typed vertex
     l_a: Flag  # 4 vertices, edge (0,2,3), type (0,1)
     l_b: Flag  # 4 vertices, edge (1,2,3), type (0,1)
@@ -98,14 +96,12 @@ def catalog_flags() -> FlagCatalog:
     p3 = Hypergraph.empty(3, 3)
     p4 = Hypergraph.empty(4, 3)
     q4 = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
-    t4 = Hypergraph.complete(4, 3)
     return FlagCatalog(
         p1=p1,
         p2=p2,
         p3=p3,
         p4=p4,
         q4=q4,
-        t4=t4,
         e3_p1=Flag(Hypergraph.empty(3, 3), (0,), p1),
         l_a=Flag(Hypergraph.from_edges(4, 3, [(0, 2, 3)]), (0, 1), p2),
         l_b=Flag(Hypergraph.from_edges(4, 3, [(1, 2, 3)]), (0, 1), p2),
@@ -221,33 +217,17 @@ class CertificateReport:
         return self.verdict == "pass"
 
 
-def verify_certificate(
-    classes: Optional[Sequence[Hypergraph]] = None,
-) -> CertificateReport:
-    """Check the certificate slack on every admissible 6-vertex class.
-
-    `classes` defaults to the computed admissible enumeration; supplied
-    entries must be canonical representatives on 6 vertices.
-    """
-    if classes is None:
-        return _default_report()
-    return _build_report(tuple(classes))
-
-
 @lru_cache(maxsize=1)
-def _default_report() -> CertificateReport:
-    return _build_report(e5free_six_classes())
-
-
-def _build_report(classes: tuple[Hypergraph, ...]) -> CertificateReport:
+def verify_certificate() -> CertificateReport:
+    """Check the certificate slack on every admissible 6-vertex class, as
+    enumerated by `e5free_six_classes`."""
+    classes = e5free_six_classes()
     terms = certificate_terms()
     vecs = _term_vectors()
     e4 = Hypergraph.empty(4, 3)
     slacks: dict[int, Fraction] = {}
     square_values: dict[int, tuple[Fraction, ...]] = {}
     for H in classes:
-        if H.n != 6 or H.k != 3:
-            raise ValueError("verify_certificate: classes must be 3-graphs on 6 vertices")
         contribs = tuple(
             t.weight * v.coefficient(H.edges) for t, v in zip(terms, vecs)
         )

@@ -46,7 +46,6 @@ __all__ = [
     "chain_lift",
     "extension_density",
     "flag_code",
-    "linear_expansion",
     "pair_density",
     "square_expansion",
     "type_embeddings",
@@ -268,26 +267,29 @@ def _term_layout(
     return sizes.pop(), [(Fraction(a), flag_code(f)) for a, f in terms]
 
 
-def _averaged_expansion(
+def square_expansion(
     sigma: Hypergraph,
     terms: Sequence[tuple[Fraction, Flag]],
     constant: Fraction,
     size: int,
-    squared: bool,
 ) -> ExpansionVector:
-    """Average over type placements of (sum a_i F_i - c sigma)^2, or of the
-    linear version, on every base-size host class.
+    """Coefficients of the averaged square (sum a_i F_i - c sigma)^2 over
+    the classes of size-vertex hosts.
 
-    Per host, integer counts are summed over the embedding placements: the
-    placements themselves, the extension sets of each code, and (squared)
-    the ordered disjoint pairs of extension sets per code pair.  The free
-    vertex count is the same at every placement, so the rational
-    coefficients apply once per host.
+    Per host the value is the average, over all injective type placements
+    (non-embedding placements contribute 0), of the exact pair-density
+    square at that placement.  Integer counts are summed over the embedding
+    placements: the placements themselves, the extension sets of each code,
+    and the ordered disjoint pairs of extension sets per code pair.  The
+    free vertex count is the same at every placement, so the rational
+    coefficients apply once per host.  The square is expanded on hosts of
+    2t - s vertices (flag size t, type size s); larger targets are lifted
+    through the chain rule, which is loss-free here.
     """
     constant = Fraction(constant)
     t, coded = _term_layout(sigma, terms)
     s = sigma.n
-    base = (2 * t - s) if squared else t
+    base = 2 * t - s
     if base > size:
         raise ValueError(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
@@ -314,53 +316,22 @@ def _averaged_expansion(
                 if code in weight:
                     hits[code] += 1
                     found.append((sum(1 << v for v in S), code))
-            if squared:
-                for sa, ca in found:
-                    for sb, cb in found:
-                        if not sa & sb:
-                            pairs[ca, cb] += 1
+            for sa, ca in found:
+                for sb, cb in found:
+                    if not sa & sb:
+                        pairs[ca, cb] += 1
         single = sum((weight[c] * n for c, n in hits.items()), Fraction(0))
-        if squared:
-            pair_sum = sum(
-                (weight[a] * weight[b] * n for (a, b), n in pairs.items()), Fraction(0)
-            )
-            total = (
-                pair_sum / pairs_total
-                - 2 * constant * single / singles_total
-                + placements * constant * constant
-            )
-        else:
-            total = single / singles_total + placements * constant
+        pair_sum = sum(
+            (weight[a] * weight[b] * n for (a, b), n in pairs.items()), Fraction(0)
+        )
+        total = (
+            pair_sum / pairs_total
+            - 2 * constant * single / singles_total
+            + placements * constant * constant
+        )
         coeffs[rep.edges] = total / math.perm(base, s)
     vec = ExpansionVector(k, base, coeffs)
     return chain_lift(vec, size) if size > base else vec
-
-
-def square_expansion(
-    sigma: Hypergraph,
-    terms: Sequence[tuple[Fraction, Flag]],
-    constant: Fraction,
-    size: int,
-) -> ExpansionVector:
-    """Coefficients of the averaged square (sum a_i F_i - c sigma)^2 over
-    the classes of size-vertex hosts.
-
-    Per host the value is the average, over all injective type placements
-    (non-embedding placements contribute 0), of the exact pair-density
-    square at that placement; hosts smaller than the target size are lifted
-    through the chain rule, which is loss-free here.
-    """
-    return _averaged_expansion(sigma, terms, constant, size, squared=True)
-
-
-def linear_expansion(
-    sigma: Hypergraph,
-    terms: Sequence[tuple[Fraction, Flag]],
-    constant: Fraction,
-    size: int,
-) -> ExpansionVector:
-    """Averaged linear combination (sum a_i F_i + c sigma) over host classes."""
-    return _averaged_expansion(sigma, terms, constant, size, squared=False)
 
 
 def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
@@ -371,13 +342,5 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
         raise ValueError(f"chain_lift: need {vec.n} <= size <= {_LIFT_LIMIT}")
     if size == vec.n:
         return ExpansionVector(vec.k, vec.n, dict(vec.coeffs))
-    coeffs: dict[int, Fraction] = {}
-    denom = math.comb(size, vec.n)
-    for rep in enumerate_all(size, vec.k):
-        counts = restriction_class_counts(rep, vec.n)
-        num = sum(
-            (vec.coeffs[code] * cnt for code, cnt in counts.items() if code in vec.coeffs),
-            Fraction(0),
-        )
-        coeffs[rep.edges] = num / denom
+    coeffs = {rep.edges: vec.value_at(rep) for rep in enumerate_all(size, vec.k)}
     return ExpansionVector(vec.k, size, coeffs)

@@ -213,23 +213,18 @@ def _perm_tables(n: int, k: int):
     return split, lo_tab, hi_tab
 
 
-def _orbit_masks(G: Hypergraph) -> np.ndarray:
-    """Edge mask of every relabeling of G, one entry per permutation: one
-    gather from the tables up to 6 vertices, a direct scan at 7 and 8."""
-    if G.n <= _TABLE_VERTEX_LIMIT:
-        split, lo_tab, hi_tab = _perm_tables(G.n, G.k)
-        return lo_tab[:, G.edges & ((1 << split) - 1)] | hi_tab[:, G.edges >> split]
-    edges = G.edge_list()
-    perms = itertools.permutations(range(G.n))
-    images = [sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms]
-    return np.array(images, dtype=object)  # C(8,4) = 70 bits overflows int64
-
-
 def canonical_mask(G: Hypergraph) -> int:
-    """Minimum edge mask over all vertex relabelings of G."""
+    """Minimum edge mask over all vertex relabelings of G: one gather from
+    the tables up to 6 vertices, a direct scan at 7 and 8."""
     if G.edges in (0, (1 << G.nbits) - 1):
         return G.edges
-    return int(_orbit_masks(G).min())
+    if G.n <= _TABLE_VERTEX_LIMIT:
+        split, lo_tab, hi_tab = _perm_tables(G.n, G.k)
+        lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
+        return int((lo_tab[:, lo] | hi_tab[:, hi]).min())
+    edges = G.edge_list()
+    perms = itertools.permutations(range(G.n))
+    return min(sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms)
 
 
 def canonicalize(G: Hypergraph) -> CanonicalCode:
@@ -296,34 +291,15 @@ def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
     return counts
 
 
-@lru_cache(maxsize=None)
-def _subgraph_orbit(F: Hypergraph) -> frozenset[int]:
-    """Distinct edge masks of all relabelings of F (for containment tests)."""
-    return frozenset(_orbit_masks(F).tolist())
-
-
-def induced_density(F: Hypergraph, G: Hypergraph, induced: bool = True) -> Fraction:
-    """Density of F among the |F|-subsets of G.
-
-    induced=True counts subsets whose induced subgraph is isomorphic to F;
-    induced=False counts subsets containing a (not necessarily induced) copy
-    of F.  The two agree when F is complete.
-    """
+def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
+    """Density of F among the |F|-subsets of G: the share of subsets whose
+    induced subgraph is isomorphic to F."""
     if F.k != G.k:
         raise ValueError("induced_density: uniformities differ")
     if F.n > G.n:
         raise ValueError("induced_density: F has more vertices than G")
-    total = math.comb(G.n, F.n)
-    if induced:
-        hits = restriction_class_counts(G, F.n).get(canonical_mask(F), 0)
-    else:
-        orbit = _subgraph_orbit(F)
-        hits = 0
-        for S in itertools.combinations(range(G.n), F.n):
-            mask = G.restrict(S).edges
-            if any(om & ~mask == 0 for om in orbit):
-                hits += 1
-    return Fraction(hits, total)
+    hits = restriction_class_counts(G, F.n).get(canonical_mask(F), 0)
+    return Fraction(hits, math.comb(G.n, F.n))
 
 
 def clique_density(G: Hypergraph, m: int) -> Fraction:

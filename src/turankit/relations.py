@@ -16,9 +16,7 @@ from fractions import Fraction
 from .bounds import solve_delta
 from .combinat import EpsilonMode, binomial, epsilon_value, x_ratio
 from .hypergraph import (
-    CanonicalCode,
     Hypergraph,
-    canonicalize,
     clique_density,
     enumerate_all,
     induced_density,
@@ -42,7 +40,6 @@ class InequalityCheck:
     slack is the negated combination, so holds is slack >= 0.
     """
 
-    graph: CanonicalCode
     m: int
     x: Fraction
     slack: Fraction
@@ -71,7 +68,7 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
         - x * clique_density(G, m - 1)
     )
     slack = -value
-    return InequalityCheck(canonicalize(G), m, x, slack, slack >= 0)
+    return InequalityCheck(m, x, slack, slack >= 0)
 
 
 def check_square_intermediate(G: Hypergraph, m: int) -> bool:

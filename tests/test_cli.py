@@ -182,6 +182,15 @@ def test_verify_lemma_suite(capsys):
     assert payload["checks"] > 1000
 
 
+def test_verify_claims_suite(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "claims")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checks"] == 268
+    assert payload["failures"] == 0
+    assert payload["verdict"] == "pass"
+
+
 def test_verify_rows_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "rows")
     assert code == 0

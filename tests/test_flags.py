@@ -20,7 +20,6 @@ from turankit import (
     extension_density,
     flag_code,
     induced_density,
-    linear_expansion,
     nonedge_core_size,
     pair_density,
     square_expansion,
@@ -129,15 +128,6 @@ def test_square_expansion_unit_law():
     vec = square_expansion(cat.p1, (), Fraction(2, 5), 6)
     for rep in enumerate_all(6, 3):
         assert vec.coefficient(rep.edges) == Fraction(4, 25)
-
-
-def test_linear_average_of_complete_flag_is_clique_indicator():
-    for m in (3, 4):
-        F = complete_flag(m, 3)
-        vec = linear_expansion(F.sigma, ((Fraction(1), F),), Fraction(0), m)
-        for rep in enumerate_all(m, 3):
-            expected = Fraction(1) if rep.is_complete() else Fraction(0)
-            assert vec.coefficient(rep.edges) == expected
 
 
 def test_squared_complete_flag_coefficients(h4_classes, h5_classes):

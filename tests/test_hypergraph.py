@@ -196,17 +196,18 @@ def test_density_empty4_in_two_triangles():
     assert induced_density(Hypergraph.empty(4, 3), two) == Fraction(3, 5)
 
 
-def test_density_induced_vs_containment():
+def test_clique_density_matches_brute_force():
     rng = random.Random(5)
-    K4 = Hypergraph.complete(4, 3)
     for _ in range(20):
         G = Hypergraph(6, 3, rng.getrandbits(20))
-        assert induced_density(K4, G) == induced_density(K4, G, induced=False)
-    # containment counts supergraphs as well
-    one_edge = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
-    K6 = Hypergraph.complete(6, 3)
-    assert induced_density(one_edge, K6) == 0
-    assert induced_density(one_edge, K6, induced=False) == 1
+        for m in range(7):
+            subsets = list(itertools.combinations(range(6), m))
+            hits = sum(
+                all(G.is_edge(e) for e in itertools.combinations(S, 3)) for S in subsets
+            )
+            assert clique_density(G, m) == Fraction(hits, len(subsets))
+            if m < 3:
+                assert clique_density(G, m) == 1
 
 
 def test_densities_partition_probability(h5_classes):
