@@ -18,7 +18,6 @@ from .bounds import (
     asymptotic_product,
     build_system,
     de_caen_bound,
-    inverse_entry,
     inverse_matrix,
     partite_lower_bound,
     recurrences,
@@ -60,11 +59,9 @@ from .flags import (
     typed_code,
 )
 from .hypergraph import (
-    CanonicalCode,
     Hypergraph,
     LocalStats,
     canonical_mask,
-    canonicalize,
     clique_density,
     colex_subsets,
     disjoint_union,

@@ -42,7 +42,6 @@ __all__ = [
     "asymptotic_product",
     "build_system",
     "de_caen_bound",
-    "inverse_entry",
     "inverse_matrix",
     "partite_lower_bound",
     "recurrences",
@@ -132,11 +131,6 @@ class RecurrenceTables:
             raise IndexError(f"phi index {m} outside [{self.k}, {self.r + 1}]")
         return self.phi[m - self.k]
 
-    def zeta_at(self, m: int) -> Fraction:
-        if not self.k <= m <= self.r:
-            raise IndexError(f"zeta index {m} outside [{self.k}, {self.r}]")
-        return self.zeta[m - self.k]
-
     def nonpositive_entries(self) -> list[tuple[str, int]]:
         """Flag (table, m) pairs with nonpositive values; nonempty tables
         signal that epsilon sits at or beyond the positivity threshold."""
@@ -203,20 +197,6 @@ def _entry_from_tables(
         )
         minors = tab.theta_at(g - 1) * tab.phi_at(m + 1)
     return sign * minors * prod / tab.determinant
-
-
-def inverse_entry(
-    sys: TridiagonalSystem, eps: Fraction, m: int, g: int
-) -> Fraction:
-    """Entry (m, g) of the inverse of the shifted system via the minor and
-    off-diagonal-product formula."""
-    k, r = sys.k, sys.r
-    if not (k <= m < r and k <= g < r):
-        raise ValueError(f"inverse_entry: indices must lie in [{k}, {r - 1}]")
-    tab = recurrences(sys, eps)
-    if tab.determinant == 0:
-        raise ZeroDivisionError("inverse_entry: shifted system is singular")
-    return _entry_from_tables(sys, tab, m, g)
 
 
 def inverse_matrix(
@@ -361,7 +341,9 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                value backed by the counting argument.
     """
     if k < 2 or g < k or l < 1:
-        raise ValueError(f"partite_lower_bound: need k >= 2, g >= k, l >= 1")
+        raise ValueError(
+            f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
+        )
     cap = k - 1
     # direct: DP over groups, dp[t] = #assignments of some t of the g
     # labeled items into the groups so far, each group holding <= cap.

@@ -69,20 +69,6 @@ class FlagCatalog:
     o_a: Flag  # 5 vertices, edge (0,1,4) only, edgeless type (0,1,2,3)
     o_b: Flag  # 5 vertices, edge (2,3,4) only, edgeless type (0,1,2,3)
 
-    def all_flags(self) -> tuple[Flag, ...]:
-        return (
-            self.e3_p1,
-            self.l_a,
-            self.l_b,
-            self.m_a,
-            self.m_b,
-            self.m_c,
-            self.e4_p3,
-            self.n_q4,
-            self.o_a,
-            self.o_b,
-        )
-
 
 @lru_cache(maxsize=1)
 def catalog_flags() -> FlagCatalog:
@@ -185,12 +171,12 @@ def combined_square_vector() -> ExpansionVector:
     gives the exact average of the six squares over G, which is the
     quantity the certificate bounds by 3/8 minus the empty-4-set density.
     """
-    terms = certificate_terms()
     vecs = _term_vectors()
-    out = vecs[0].scaled(terms[0].weight)
-    for t, v in zip(terms[1:], vecs[1:]):
-        out = out.plus(v.scaled(t.weight))
-    return out
+    out: dict[int, Fraction] = {}
+    for t, v in zip(certificate_terms(), vecs):
+        for code, coeff in v.coeffs.items():
+            out[code] = out.get(code, Fraction(0)) + t.weight * coeff
+    return ExpansionVector(vecs[0].k, vecs[0].n, out)
 
 
 @dataclass(frozen=True)

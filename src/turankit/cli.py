@@ -20,20 +20,13 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import bounds, certificate, relations
-from .combinat import EpsilonMode, decimal_string, epsilon_threshold, x_ratio
-from .hypergraph import (
-    Hypergraph,
-    enumerate_all,
-    has_no_empty_set,
-    read_hgr,
-    write_hgr,
-)
+from .combinat import EpsilonMode, decimal_string, epsilon_threshold
+from .hypergraph import enumerate_all, has_no_empty_set, read_hgr, write_hgr
 
 CACHE_ENV = "TURANKIT_CACHE"
 DEFAULT_CACHE_DIR = ".hgr-cache"
@@ -98,24 +91,15 @@ def _cmd_bound(args) -> int:
 
 def _cmd_table(args) -> int:
     mode = _mode(args)
-    rows = []
-    for g in range(args.k, args.r):
-        rep = bounds.upper_bound(args.k, g, args.r, args.n, mode)
-        rows.append(
-            {
-                "g": g,
-                "finiteBound": _frac(rep.finite_bound),
-                "asymptotic": _frac(rep.asymptotic),
-                "deCaen": _frac(rep.de_caen) if rep.de_caen is not None else "",
-                "lowerBound": _frac(rep.lower_bound) if rep.lower_bound is not None else "",
-            }
-        )
     buffer = io.StringIO()
     writer = csv.DictWriter(
-        buffer, fieldnames=["g", "finiteBound", "asymptotic", "deCaen", "lowerBound"]
+        buffer,
+        fieldnames=["g", "finiteBound", "asymptotic", "deCaen", "lowerBound"],
+        extrasaction="ignore",
     )
     writer.writeheader()
-    writer.writerows(rows)
+    for g in range(args.k, args.r):
+        writer.writerow(_bound_payload(bounds.upper_bound(args.k, g, args.r, args.n, mode)))
     sys.stdout.write(buffer.getvalue())
     return 0
 
@@ -239,91 +223,8 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _verify_lemma_suite() -> tuple[int, list, list]:
-    """Three-term inequality over all 3-graph classes on 4 and 5 vertices,
-    on a dyadic x grid plus the bound-relevant x values."""
-    xs = {Fraction(j, 8) for j in range(1, 17)}
-    for r in range(5, 9):
-        for m in (3, 4):
-            xs.add(x_ratio(3, m, r))
-    checks = 0
-    failures = []
-    for n in (4, 5):
-        for G in enumerate_all(n, 3):
-            for m in range(3, n):
-                for x in sorted(xs):
-                    res = relations.check_three_term_inequality(G, m, x)
-                    checks += 1
-                    if not res.holds:
-                        failures.append(
-                            {"graph": f"{G.edges:x}", "n": n, "m": m, "x": _frac(x)}
-                        )
-    return checks, failures, []
-
-
-def _verify_claims_suite() -> tuple[int, list, list]:
-    """Local-statistics moment identities on all 5-vertex classes plus a
-    fixed sample of random 6-vertex hosts."""
-    checks = 0
-    failures = []
-    hosts = list(enumerate_all(5, 3))
-    rng = random.Random(271828)
-    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(100)]
-    for G in hosts:
-        for m in (3, 4):
-            if m >= G.n:
-                continue
-            checks += 1
-            if not relations.check_square_intermediate(G, m):
-                failures.append({"graph": f"{G.edges:x}", "n": G.n, "m": m})
-    return checks, failures, []
-
-
-def _verify_rows_suite() -> tuple[int, list, list]:
-    """Relaxed rows and the telescoping identity on fixed 6-vertex hosts."""
-    checks = 0
-    failures = []
-    warnings = []
-    rng = random.Random(314159)
-    hosts = [
-        Hypergraph.complete(6, 3),
-        Hypergraph.empty(6, 3),
-    ] + [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(60)]
-    r = 5
-    for G in hosts:
-        rows = relations.check_relaxed_rows(G, r, EpsilonMode.CORRECTED)
-        checks += 1
-        if any(row > 0 for row in rows):
-            failures.append({"graph": f"{G.edges:x}", "kind": "corrected-row-positive"})
-        literal_rows = relations.check_relaxed_rows(G, r, EpsilonMode.LITERAL)
-        for m, row in zip(range(3, r), literal_rows):
-            if row > 0:
-                warnings.append(
-                    {
-                        "graph": f"{G.edges:x}",
-                        "m": m,
-                        "row": _frac(row),
-                        "kind": "literal-row-positive",
-                    }
-                )
-        for g in (3, 4):
-            for mode in (EpsilonMode.CORRECTED, EpsilonMode.LITERAL):
-                lhs, rhs = relations.telescoped_combination(G, g, r, mode)
-                checks += 1
-                if lhs != rhs:
-                    failures.append(
-                        {"graph": f"{G.edges:x}", "g": g, "kind": "telescoping-mismatch"}
-                    )
-    return checks, failures, warnings
-
-
 def _cmd_verify(args) -> int:
-    suites = {
-        "lemma": _verify_lemma_suite,
-        "claims": _verify_claims_suite,
-        "rows": _verify_rows_suite,
-    }
-    checks, failures, warnings = suites[args.suite]()
+    checks, failures, warnings = relations.SUITES[args.suite]()
     payload = {
         "suite": args.suite,
         "checks": checks,
@@ -383,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certificate)
 
     p = sub.add_parser("verify", help="run a relation-verification suite")
-    p.add_argument("--suite", choices=["lemma", "claims", "rows"], required=True)
+    p.add_argument("--suite", choices=list(relations.SUITES), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -238,19 +238,6 @@ class ExpansionVector:
         )
         return num / math.comb(G.n, self.n)
 
-    def scaled(self, w: Fraction) -> "ExpansionVector":
-        return ExpansionVector(
-            self.k, self.n, {c: w * v for c, v in self.coeffs.items()}
-        )
-
-    def plus(self, other: "ExpansionVector") -> "ExpansionVector":
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError("plus: vectors live at different sizes")
-        out = dict(self.coeffs)
-        for c, v in other.coeffs.items():
-            out[c] = out.get(c, Fraction(0)) + v
-        return ExpansionVector(self.k, self.n, out)
-
 
 def _term_layout(
     sigma: Hypergraph, terms: Sequence[tuple[Fraction, Flag]]

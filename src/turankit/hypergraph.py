@@ -37,11 +37,9 @@ import numpy as np
 
 __all__ = [
     "MAX_VERTICES",
-    "CanonicalCode",
     "Hypergraph",
     "LocalStats",
     "canonical_mask",
-    "canonicalize",
     "clique_density",
     "colex_subsets",
     "disjoint_union",
@@ -182,14 +180,6 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     return Hypergraph(n, a.k, mask)
 
 
-class CanonicalCode(NamedTuple):
-    """Isomorphism-class key: the relabeling-minimal edge mask plus (k, n)."""
-
-    k: int
-    n: int
-    code: int
-
-
 @lru_cache(maxsize=None)
 def _perm_tables(n: int, k: int):
     """Per-permutation lookup tables mapping the low/high halves of an edge
@@ -225,11 +215,6 @@ def canonical_mask(G: Hypergraph) -> int:
     edges = G.edge_list()
     perms = itertools.permutations(range(G.n))
     return min(sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms)
-
-
-def canonicalize(G: Hypergraph) -> CanonicalCode:
-    """Canonical code of G; equal codes characterize isomorphic graphs."""
-    return CanonicalCode(G.k, G.n, canonical_mask(G))
 
 
 @lru_cache(maxsize=None)

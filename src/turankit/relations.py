@@ -5,11 +5,16 @@ or identities on explicit hosts with exact arithmetic: the three-term
 clique-density inequality, the local statistics it is averaged from, the
 relaxed rows obtained by substituting a uniform slack constant, and the
 telescoping identity that ties the multiplier vector to the final bound.
+
+`SUITES` holds the batteries behind `turankit verify`: each entry runs its
+checks over a fixed host set and returns (checks, failures, warnings), the
+last two as lists of JSON-ready records.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +30,7 @@ from .hypergraph import (
 )
 
 __all__ = [
+    "SUITES",
     "InequalityCheck",
     "check_relaxed_rows",
     "check_square_intermediate",
@@ -46,6 +52,20 @@ class InequalityCheck:
     holds: bool
 
 
+def _row(G: Hypergraph, m: int, x: Fraction, shift: Fraction) -> Fraction:
+    """The three-term row at m and parameter x with diagonal shift `shift`:
+
+        -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - shift) d(K_m, G)
+        - x d(K_{m-1}, G)
+    """
+    a = Fraction(G.k - 1, m)
+    return (
+        -(1 - a) / x * clique_density(G, m + 1)
+        + (2 - a / x - shift) * clique_density(G, m)
+        - x * clique_density(G, m - 1)
+    )
+
+
 def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> InequalityCheck:
     """Evaluate, at parameter x > 0, the inequality
 
@@ -59,15 +79,9 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
     x = Fraction(x)
     if x <= 0:
         raise ValueError("check_three_term_inequality: need x > 0")
-    k, n = G.k, G.n
-    if not k <= m < n:
+    if not G.k <= m < G.n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    value = (
-        -(1 - Fraction(k - 1, m)) / x * clique_density(G, m + 1)
-        + (2 - Fraction(k - 1, m) / x - Fraction(1, n - m) / x) * clique_density(G, m)
-        - x * clique_density(G, m - 1)
-    )
-    slack = -value
+    slack = -_row(G, m, x, Fraction(1, G.n - m) / x)
     return InequalityCheck(m, x, slack, slack >= 0)
 
 
@@ -118,15 +132,7 @@ def check_relaxed_rows(
     if n <= r:
         raise ValueError(f"check_relaxed_rows: need |G| > r, got |G|={n}, r={r}")
     eps = epsilon_value(k, r, n, mode)
-    rows = []
-    for m in range(k, r):
-        xm = x_ratio(k, m, r)
-        rows.append(
-            -(1 - Fraction(k - 1, m)) / xm * clique_density(G, m + 1)
-            + (2 - Fraction(k - 1, m) / xm - eps) * clique_density(G, m)
-            - xm * clique_density(G, m - 1)
-        )
-    return rows
+    return [_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
 
 
 def telescoped_combination(
@@ -157,3 +163,82 @@ def telescoped_combination(
         * clique_density(G, r)
     )
     return lhs, rhs
+
+
+def _lemma_suite() -> tuple[int, list, list]:
+    """Three-term inequality over all 3-graph classes on 4 and 5 vertices,
+    on a dyadic x grid plus the bound-relevant x values."""
+    xs = {Fraction(j, 8) for j in range(1, 17)}
+    for r in range(5, 9):
+        for m in (3, 4):
+            xs.add(x_ratio(3, m, r))
+    checks = 0
+    failures = []
+    for n in (4, 5):
+        for G in enumerate_all(n, 3):
+            for m in range(3, n):
+                for x in sorted(xs):
+                    res = check_three_term_inequality(G, m, x)
+                    checks += 1
+                    if not res.holds:
+                        failures.append({"graph": f"{G.edges:x}", "n": n, "m": m, "x": str(x)})
+    return checks, failures, []
+
+
+def _claims_suite() -> tuple[int, list, list]:
+    """Local-statistics moment identities on all 5-vertex classes plus a
+    fixed sample of random 6-vertex hosts."""
+    checks = 0
+    failures = []
+    hosts = list(enumerate_all(5, 3))
+    rng = random.Random(271828)
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(100)]
+    for G in hosts:
+        for m in (3, 4):
+            if m >= G.n:
+                continue
+            checks += 1
+            if not check_square_intermediate(G, m):
+                failures.append({"graph": f"{G.edges:x}", "n": G.n, "m": m})
+    return checks, failures, []
+
+
+def _rows_suite() -> tuple[int, list, list]:
+    """Relaxed rows and the telescoping identity on fixed 6-vertex hosts."""
+    checks = 0
+    failures = []
+    warnings = []
+    rng = random.Random(314159)
+    hosts = [
+        Hypergraph.complete(6, 3),
+        Hypergraph.empty(6, 3),
+    ] + [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(60)]
+    r = 5
+    for G in hosts:
+        rows = check_relaxed_rows(G, r, EpsilonMode.CORRECTED)
+        checks += 1
+        if any(row > 0 for row in rows):
+            failures.append({"graph": f"{G.edges:x}", "kind": "corrected-row-positive"})
+        literal_rows = check_relaxed_rows(G, r, EpsilonMode.LITERAL)
+        for m, row in zip(range(3, r), literal_rows):
+            if row > 0:
+                warnings.append(
+                    {
+                        "graph": f"{G.edges:x}",
+                        "m": m,
+                        "row": str(row),
+                        "kind": "literal-row-positive",
+                    }
+                )
+        for g in (3, 4):
+            for mode in (EpsilonMode.CORRECTED, EpsilonMode.LITERAL):
+                lhs, rhs = telescoped_combination(G, g, r, mode)
+                checks += 1
+                if lhs != rhs:
+                    failures.append(
+                        {"graph": f"{G.edges:x}", "g": g, "kind": "telescoping-mismatch"}
+                    )
+    return checks, failures, warnings
+
+
+SUITES = {"lemma": _lemma_suite, "claims": _claims_suite, "rows": _rows_suite}

@@ -14,7 +14,6 @@ from turankit import (
     de_caen_bound,
     epsilon_threshold,
     epsilon_value,
-    inverse_entry,
     inverse_matrix,
     partite_lower_bound,
     recurrences,
@@ -117,7 +116,7 @@ def test_zeta_and_phi_envelopes():
         tab = recurrences(build_system(k, r), eps)
         shrink = 1 - Fraction(k - 1, r - 1)
         for m in range(k, r + 1):
-            z = tab.zeta_at(m)
+            z = tab.zeta[m - k]
             assert z >= 0
             assert z <= eps * Fraction(r - 1, k - 1) * (1 - shrink ** (r - m))
         for m in range(k, r + 1):
@@ -130,11 +129,12 @@ def test_inverse_entry_first_row_products():
     for k in range(2, 8):
         for r in range(k + 1, 12):
             s = build_system(k, r)
+            first_row = inverse_matrix(s)[0]
             for g in range(k, r):
                 expected = math.prod(
                     (x_ratio(k, m, r) for m in range(k + 1, g + 1)), start=Fraction(1)
                 )
-                assert inverse_entry(s, Fraction(0), k, g) == expected
+                assert first_row[g - k] == expected
 
 
 def test_inverse_matrix_times_system_is_identity():
@@ -189,17 +189,6 @@ def shifted_systems(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(shifted_systems())
-def test_property_inverse_matrix_matches_entries(case):
-    k, r, eps = case
-    s = build_system(k, r)
-    inv = inverse_matrix(s, eps)
-    for i, m in enumerate(s.ms):
-        for j, g in enumerate(s.ms):
-            assert inv[i][j] == inverse_entry(s, eps, m, g)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
 @given(shifted_systems(), st.data())
 def test_property_solve_delta_is_inverse_column(case, data):
     k, r, eps = case
@@ -224,8 +213,6 @@ def test_singular_shift_rejected():
     assert s.diag == (Fraction(1),)
     with pytest.raises(ZeroDivisionError):
         solve_delta(2, 2, 3, Fraction(1))
-    with pytest.raises(ZeroDivisionError):
-        inverse_entry(s, Fraction(1), 2, 2)
     with pytest.raises(ZeroDivisionError):
         inverse_matrix(s, Fraction(1))
 
@@ -311,6 +298,12 @@ def test_partite_lower_bound_small_cases():
     direct, formula = partite_lower_bound(3, 4, 2)
     assert direct == Fraction(3, 8)
     assert formula == Fraction(-1, 8)  # the printed sum disagrees here
+
+
+def test_partite_lower_bound_reports_bad_range():
+    for k, g, l in [(1, 3, 2), (3, 2, 2), (3, 4, 0)]:
+        with pytest.raises(ValueError, match=rf"got \({k}, {g}, {l}\)$"):
+            partite_lower_bound(k, g, l)
 
 
 def test_partite_direct_k2_falling_factorial():

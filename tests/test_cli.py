@@ -179,7 +179,7 @@ def test_verify_lemma_suite(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["failures"] == 0
-    assert payload["checks"] > 1000
+    assert payload["checks"] == 1679
 
 
 def test_verify_claims_suite(capsys):
@@ -196,6 +196,8 @@ def test_verify_rows_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
+    assert payload["checks"] == 310
+    assert payload["failures"] == 0
     # literal-mode positives are warnings, never failures
     assert all(w["kind"] == "literal-row-positive" for w in payload["warnings"])
 

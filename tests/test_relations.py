@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from turankit import (
     check_three_term_inequality,
     clique_density,
     disjoint_union,
+    enumerate_all,
     epsilon_value,
     nonedge_core_size,
     telescoped_combination,
@@ -179,3 +181,30 @@ def test_telescoping_matches_explicit_sum():
 def test_relaxed_rows_requires_larger_host():
     with pytest.raises(ValueError):
         check_relaxed_rows(Hypergraph.complete(5, 3), 5)
+
+
+# SHA-256 of every relation value below, `str()` of each Fraction one per line:
+# the three-term slacks for every m on the grid x = j/8 (j = 1..16), then on
+# 6-vertex hosts the relaxed rows at r = 5 and both telescoping sides for each
+# g < 5, both in both modes.  Hosts: all 5-vertex 3-graph classes, 40 seeded
+# 6-vertex 3-graphs and 20 seeded 6-vertex 2-graphs.
+RELATION_VALUES_SHA256 = "686dc9e168d3c6676911f1af80c98771114a10b888cf5b3b61a05e65a4e9aaa3"
+
+
+def test_pinned_relation_values_digest():
+    rng = random.Random(8128)
+    hosts = list(enumerate_all(5, 3))
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(40)]
+    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(20)]
+    xs = [Fraction(j, 8) for j in range(1, 17)]
+    values = []
+    for G in hosts:
+        for m in range(G.k, G.n):
+            values += [check_three_term_inequality(G, m, x).slack for x in xs]
+        if G.n > 5:
+            for mode in EpsilonMode:
+                values += check_relaxed_rows(G, 5, mode)
+                for g in range(G.k, 5):
+                    values += telescoped_combination(G, g, 5, mode)
+    lines = "".join(f"{v}\n" for v in values)
+    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == RELATION_VALUES_SHA256
