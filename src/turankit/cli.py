@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 a checked mathematical statement failed (negative
 certificate slack, refuted inequality), 2 usage or parameter-range error
-(including a singular shifted system), 3 invalid input file (a class cache
-that cannot be read, holds a non-canonical code, or whose classes differ
-from the enumeration), 4 an operating-system error (e.g. `--cache-dir`
-naming a regular file), 5 an internal cross-check failed (a result
-disagrees with an independent route or check).  A command that fails
-prints one `error:` line to stderr.  All rationals are serialized as exact
-"p/q" strings; decimal renderings are always marked as approximations.
-Output for identical inputs is byte-identical, and class caches are written
-exclusive-create-then-rename.
+(including a singular shifted system), 4 an operating-system error (e.g.
+`--cache-dir` naming a regular file), 5 an internal cross-check failed (a
+result disagrees with an independent route or check).  Code 3, once an
+invalid class file, is retired: no command reads a file.  A command that
+fails prints one `error:` line to stderr.  All rationals are serialized as
+exact "p/q" strings; decimal renderings are always marked as
+approximations.  Output for identical inputs is byte-identical.
+
+`enumerate` and `certificate` write the classes they enumerated to an HGR1
+class file, an output only: a file already at that path is replaced
+atomically (exclusive-create, then rename), never read.
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ from typing import Optional
 
 from . import bounds, certificate, relations
 from .combinat import EpsilonMode, decimal_string, epsilon_threshold
-from .hypergraph import enumerate_all, has_no_empty_set, read_hgr, write_hgr
+from .hypergraph import enumerate_all, has_no_empty_set, write_hgr
 
 CACHE_ENV = "TURANKIT_CACHE"
 DEFAULT_CACHE_DIR = ".hgr-cache"
-
-
-class InvalidInputFile(Exception):
-    """An input file is unreadable or disagrees with what it should hold."""
 
 
 def _frac(value) -> str:
@@ -56,14 +54,14 @@ def _mode(args) -> EpsilonMode:
     return EpsilonMode(args.mode)
 
 
-def _cache_dir(args) -> str:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-
-
-def _cache_path(directory: str, k: int, n: int, tag: str) -> str:
-    return os.path.join(directory, f"k{k}-n{n}-{tag}.hgr")
+def _write_classes(args, k: int, n: int, tag: str, classes) -> str:
+    """Write `classes` to `k{k}-n{n}-{tag}.hgr` in the cache directory,
+    replacing any file there; returns the path."""
+    directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"k{k}-n{n}-{tag}.hgr")
+    write_hgr(path, k, n, classes, tag)
+    return path
 
 
 def _bound_payload(report: bounds.BoundReport) -> dict:
@@ -147,10 +145,7 @@ def _parse_filter(value: Optional[str]):
 def _cmd_enumerate(args) -> int:
     tag, predicate = _parse_filter(args.filter)
     classes = enumerate_all(args.n, args.k, predicate)
-    directory = _cache_dir(args)
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(directory, args.k, args.n, tag)
-    write_hgr(path, args.k, args.n, classes, tag)
+    path = _write_classes(args, args.k, args.n, tag, classes)
     _emit(
         {
             "k": args.k,
@@ -164,28 +159,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_e5free_cache(directory: str) -> None:
-    """Write the admissible class file if it is missing; if it exists, its
-    classes must equal the enumeration."""
-    classes = certificate.e5free_six_classes()
-    path = _cache_path(directory, 3, 6, "no-empty-5")
-    if not os.path.exists(path):
-        os.makedirs(directory, exist_ok=True)
-        write_hgr(path, 3, 6, classes, "no-empty-5")
-        return
-    try:
-        cached = read_hgr(path)
-    except (ValueError, OSError) as exc:
-        raise InvalidInputFile(f"{path}: {exc}") from exc
-    if cached != (3, 6, "no-empty-5", classes):
-        raise InvalidInputFile(
-            f"{path}: cached classes differ from the enumeration "
-            f"({len(cached[3])} cached, {len(classes)} enumerated)"
-        )
-
-
 def _cmd_certificate(args) -> int:
-    _check_e5free_cache(_cache_dir(args))
+    _write_classes(args, 3, 6, "no-empty-5", certificate.e5free_six_classes())
     report = certificate.verify_certificate()
     payload = {
         "k": report.k,
@@ -303,9 +278,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputFile as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

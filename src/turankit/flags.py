@@ -34,7 +34,9 @@ import numpy as np
 
 from .hypergraph import (
     Hypergraph,
+    _check_bits,
     _gather,
+    _orbit_minima,
     enumerate_all,
     restriction_class_counts,
     tuple_bits,
@@ -56,8 +58,6 @@ __all__ = [
 # types are interchangeable only when their masks are literally equal.
 
 _LIFT_LIMIT = 6
-# Typed-code tables hold 2^C(t,k) entries; same bound as class enumeration.
-_MAX_TYPED_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,9 @@ def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
 def _typed_canon(t: int, s: int, k: int) -> tuple[int, ...]:
     """Canonical typed code of every ordered t-vertex mask: the minimum of
     its relabelings that fix positions 0..s-1 and permute s..t-1."""
-    nbits = math.comb(t, k)
-    if nbits > _MAX_TYPED_BITS:
-        raise ValueError(
-            f"typed_code: C({t},{k}) = {nbits} exceeds the {_MAX_TYPED_BITS}-bit guard"
-        )
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    best = masks.copy()
-    for extra in itertools.permutations(range(s, t)):
-        image = np.zeros_like(masks)
-        for i, b in enumerate(tuple_bits(k, tuple(range(s)) + extra)):
-            image |= ((masks >> b) & 1) << i
-        np.minimum(best, image, out=best)
-    return tuple(best.tolist())
+    _check_bits("typed_code", t, k)
+    masks = np.arange(1 << math.comb(t, k), dtype=np.int64)
+    return tuple(_orbit_minima(masks, t, k, s).tolist())
 
 
 def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:

@@ -10,12 +10,14 @@ Enumeration extends classes one vertex at a time.  Every n-vertex class has
 a member whose restriction to {0..n-2} is a canonical (n-1)-vertex
 representative, and the k-subsets containing vertex n-1 follow all others
 in colex order, so the candidates are each (n-1)-vertex representative OR'd
-with every link of vertex n-1 shifted above it.  The candidates' orbit
-minima over all n! relabelings are taken at once with numpy, through
-per-permutation lookup tables of the low and high halves of a mask; at
-(6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
-The same tables give one graph's canonical mask as a single gather of its
-two halves across all relabelings, followed by a numpy minimum.
+with every link of vertex n-1 shifted above it.  `_orbit_minima` takes
+the candidates' orbit minima over all n! relabelings at once with numpy,
+through per-permutation lookup tables of the low and high halves of a mask;
+at (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
+The typed codes of `turankit.flags` use the same loop over the relabelings
+that fix the typed vertices.  The same tables give one graph's canonical
+mask as a single gather of its two halves across all relabelings, followed
+by a numpy minimum.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets.  Restriction and the typed masks of
@@ -181,19 +183,15 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int, k: int):
-    """Per-permutation lookup tables mapping the low/high halves of an edge
-    mask to their relabeled images: int64 arrays of shape (perms, 2^split)
-    and (perms, 2^(C(n,k) - split)), row 0 the identity.  split is the
-    low-half bit count, so each row holds at most 2^10 entries within the
-    20-bit guard."""
-    subsets = colex_subsets(n, k)
-    nbits = len(subsets)
-    perms = tuple(itertools.permutations(range(n)))
-    img = np.zeros((len(perms), nbits), dtype=np.int64)
-    for pi, p in enumerate(perms):
-        for b, sub in enumerate(subsets):
-            img[pi, b] = 1 << subset_rank(p[v] for v in sub)
+def _perm_tables(n: int, k: int, fixed: int = 0):
+    """Lookup tables mapping the low/high halves of an edge mask to their
+    images under each relabeling of {0..n-1} that fixes 0..fixed-1: int64
+    arrays of shape (perms, 2^split) and (perms, 2^(C(n,k) - split)), row 0
+    the identity.  split is the low-half bit count, so each row holds at
+    most 2^10 entries within the 20-bit guard."""
+    nbits = math.comb(n, k)
+    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
+    img = np.array([[1 << b for b in tuple_bits(k, p)] for p in perms], dtype=np.int64)
     split = (nbits + 1) // 2
     lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
     hi_width = nbits - split
@@ -201,6 +199,28 @@ def _perm_tables(n: int, k: int):
     lo_tab = (lo_bitmat @ img[:, :split].T).T  # (perms, 2^split)
     hi_tab = (hi_bitmat @ img[:, split:].T).T
     return split, lo_tab, hi_tab
+
+
+def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
+    """Minimum of each mask over the relabelings that fix 0..fixed-1: for
+    each relabeling an image is two table lookups, folded into a running
+    numpy minimum."""
+    split, lo_tab, hi_tab = _perm_tables(n, k, fixed)
+    lo, hi = masks & ((1 << split) - 1), masks >> split
+    best = masks.copy()
+    for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
+        np.minimum(best, lo_tab[pi][lo] | hi_tab[pi][hi], out=best)
+    return best
+
+
+def _check_bits(caller: str, n: int, k: int) -> None:
+    """Refuse mask tables over more than 2^_MAX_ENUM_BITS entries, before
+    any of them is allocated."""
+    nbits = math.comb(n, k)
+    if nbits > _MAX_ENUM_BITS:
+        raise ValueError(
+            f"{caller}: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard"
+        )
 
 
 def canonical_mask(G: Hypergraph) -> int:
@@ -221,10 +241,8 @@ def canonical_mask(G: Hypergraph) -> int:
 def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     """One representative per isomorphism class, sorted by canonical mask.
 
-    Extends the (n-1)-vertex representatives by every link of vertex n-1;
-    for each relabeling a candidate's image is two table lookups, and a
-    running numpy minimum over permutations yields every orbit minimum at
-    once.
+    Extends the (n-1)-vertex representatives by every link of vertex n-1
+    and takes the orbit minima of all candidates at once.
     """
     if math.comb(n, k) == 0:
         return (Hypergraph(n, k, 0),)
@@ -232,13 +250,7 @@ def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     prev = np.array([g.edges for g in _all_classes(n - 1, k)], dtype=np.int64)
     links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64) << shift
     cands = (prev[:, None] | links[None, :]).ravel()
-    split, lo_tab, hi_tab = _perm_tables(n, k)
-    clo = cands & ((1 << split) - 1)
-    chi = cands >> split
-    canon = cands.copy()
-    for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
-        np.minimum(canon, lo_tab[pi][clo] | hi_tab[pi][chi], out=canon)
-    return tuple(Hypergraph(n, k, int(m)) for m in np.unique(canon))
+    return tuple(Hypergraph(n, k, int(m)) for m in np.unique(_orbit_minima(cands, n, k)))
 
 
 def enumerate_all(
@@ -249,11 +261,7 @@ def enumerate_all(
     Each representative's own edge mask is its canonical code.  The optional
     predicate filters classes after deduplication.  Guarded to C(n,k) <= 20.
     """
-    nbits = math.comb(n, k)
-    if nbits > _MAX_ENUM_BITS:
-        raise ValueError(
-            f"enumerate_all: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard"
-        )
+    _check_bits("enumerate_all", n, k)
     reps = _all_classes(n, k)
     if predicate is not None:
         reps = tuple(g for g in reps if predicate(g))
@@ -379,7 +387,11 @@ def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "x", encoding="ascii") as fh:
         fh.writelines(lines)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:

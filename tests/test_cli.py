@@ -211,38 +211,44 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
     assert payload["minSlack"] == "0"
     assert payload["verdict"] == "pass"
     assert f"{(1 << 20) - 1:x}" in payload["tightGraphs"]
-    # the cache was auto-built; a rerun loads it and emits identical bytes
+    # the class file is written; a rerun replaces it and emits identical bytes
     assert os.path.exists(os.path.join(cache, "k3-n6-no-empty-5.hgr"))
     code2, out2 = run_cli(capsys, "certificate", "--cache-dir", cache)
     assert code2 == 0 and out2 == out
 
 
 @pytest.mark.parametrize(
-    "code", [(1 << 20) - 1, 0], ids=["complete-graph-only", "empty-graph-only"]
+    "content",
+    [
+        None,  # a forged file: the complete graph alone, validly written
+        "HGR1 3 6 1 no-empty-5\nzz\n",
+        "HGR1 3 6 2 no-empty-5\n0\n2\n",  # stale and not canonical
+    ],
+    ids=["forged", "garbage", "stale"],
 )
-def test_certificate_rejects_forged_cache(capsys, tmp_path, code):
-    # a one-class cache, whether the complete graph (admissible, tight) or
-    # the empty graph (not admissible), must not stand in for the 2102
-    # enumerated classes
+def test_certificate_overwrites_existing_class_file(
+    capsys, tmp_path, monkeypatch, certificate_run, content
+):
+    from turankit import cli, hypergraph
+
+    fresh = tmp_path / "fresh"
+    code, out = run_cli(capsys, "certificate", "--cache-dir", str(fresh))
+    assert code == 0
     cache = tmp_path / "cache"
     cache.mkdir()
-    path = str(cache / "k3-n6-no-empty-5.hgr")
-    write_hgr(path, 3, 6, [Hypergraph(6, 3, code)], "no-empty-5")
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "differ from the enumeration (1 cached, 2102 enumerated)" in captured.err
+    path = cache / "k3-n6-no-empty-5.hgr"
+    if content is None:
+        write_hgr(str(path), 3, 6, [Hypergraph(6, 3, (1 << 20) - 1)], "no-empty-5")
+    else:
+        path.write_text(content)
 
+    def unexpected(*args):
+        raise AssertionError("certificate read its class file")
 
-def test_certificate_rejects_unreadable_cache(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 1 no-empty-5\nzz\n")
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    monkeypatch.setattr(hypergraph, "read_hgr", unexpected)
+    monkeypatch.setattr(cli, "read_hgr", unexpected, raising=False)
+    assert run_cli(capsys, "certificate", "--cache-dir", str(cache)) == (0, out)
+    assert path.read_bytes() == (fresh / "k3-n6-no-empty-5.hgr").read_bytes()
 
 
 def test_text_format(capsys):
@@ -303,54 +309,19 @@ def test_singular_system_keeps_exit_2(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_certificate_rejects_noncanonical_cache(capsys, tmp_path):
-    # ascending codes, but 2 (the single edge {0,1,3}) is not canonical
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["enumerate", "--k", "3", "--n", "4"], "k3-n4-none.hgr"),
+        (["certificate"], "k3-n6-no-empty-5.hgr"),
+    ],
+    ids=["enumerate", "certificate"],
+)
+def test_class_file_path_is_directory_exit_4(capsys, tmp_path, argv, name):
     cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 2 no-empty-5\n0\n2\n")
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "code 2 is not canonical" in captured.err
-    assert captured.err.count("\n") == 1
-
-
-def test_certificate_cache_path_is_directory_exit_3(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    (cache / "k3-n6-no-empty-5.hgr").mkdir(parents=True)
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
+    (cache / name).mkdir(parents=True)
+    assert main(argv + ["--cache-dir", str(cache)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_certificate_rejects_duplicate_code_cache(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "k3-n6-no-empty-5.hgr").write_text("HGR1 3 6 2 no-empty-5\n0\n0\n")
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not strictly ascending" in captured.err
-    assert captured.err.count("\n") == 1
-
-
-def test_certificate_rejects_oversized_header_before_canonicalizing(
-    capsys, tmp_path, monkeypatch
-):
-    from turankit import hypergraph
-
-    calls = []
-    monkeypatch.setattr(hypergraph, "canonical_mask", calls.append)
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    dense = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
-    (cache / "k3-n6-no-empty-5.hgr").write_text(
-        f"HGR1 4 8 2 no-empty-5\n{dense:x}\n{dense + 1:x}\n"
-    )
-    assert main(["certificate", "--cache-dir", str(cache)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "C(8,4) exceeds the 20-bit guard" in captured.err
-    assert captured.err.count("\n") == 1
-    assert calls == []
+    assert not list(cache.glob("*.tmp.*"))

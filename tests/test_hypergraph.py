@@ -309,6 +309,33 @@ def test_read_hgr_rejects_noncanonical_code(tmp_path):
         read_hgr(str(path))
 
 
+_DENSE_84 = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("HGR1 3 6 1 none\nzz\n", "invalid literal"),
+        (
+            f"HGR1 4 8 2 none\n{_DENSE_84:x}\n{_DENSE_84 + 1:x}\n",
+            r"C\(8,4\) exceeds the 20-bit guard",
+        ),
+        ("HGR1 3 4 3 none\n0\n1\n", "expected 3 lines, found 2"),
+    ],
+    ids=["non-hex", "oversized-header", "count-mismatch"],
+)
+def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
+    from turankit import hypergraph
+
+    calls = []
+    monkeypatch.setattr(hypergraph, "canonical_mask", calls.append)
+    path = tmp_path / "classes.hgr"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_hgr(str(path))
+    assert calls == []
+
+
 def oracle_canonical_masks(n, k, masks):
     """Independent canonical forms: the minimum relabeled mask of each mask,
     with explicit loops over permutations and edge bits."""
