@@ -23,6 +23,7 @@ from functools import lru_cache
 from .flags import ExpansionVector, Flag, square_expansion
 from .hypergraph import (
     Hypergraph,
+    _subset_edge_masks,
     disjoint_union,
     enumerate_all,
     has_no_empty_set,
@@ -210,14 +211,15 @@ def verify_certificate() -> CertificateReport:
     classes = e5free_six_classes()
     terms = certificate_terms()
     vecs = _term_vectors()
-    e4 = Hypergraph.empty(4, 3)
+    quads = _subset_edge_masks(6, 4, 3)  # the triples inside each 4-subset
     slacks: dict[int, Fraction] = {}
     square_values: dict[int, tuple[Fraction, ...]] = {}
     for H in classes:
         contribs = tuple(
             t.weight * v.coefficient(H.edges) for t, v in zip(terms, vecs)
         )
-        slack = TARGET - induced_density(e4, H) - sum(contribs, Fraction(0))
+        empty = Fraction(sum(1 for m in quads if not H.edges & m), len(quads))
+        slack = TARGET - empty - sum(contribs, Fraction(0))
         slacks[H.edges] = slack
         square_values[H.edges] = contribs
     min_slack = min(slacks.values())

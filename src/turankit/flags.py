@@ -11,20 +11,19 @@ identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
 
-Classification is table-driven.  The typed mask of an ordered vertex tuple
-is gathered through `hypergraph.tuple_bits`, and `_typed_canon(t, s, k)`
-maps every ordered t-vertex mask to its minimum over the permutations of
-the untyped positions s..t-1 (at most 2^10 entries at t = 5), so
-`typed_code` is a single lookup.  Expansions keep integer counts per host
-(type placements, extension sets per code, ordered disjoint pairs per code
-pair) and apply the rational coefficients once per host.
+Classification is table-driven.  `_typed_canon(t, s, k)` is an int64 array
+holding every ordered t-vertex mask's minimum over the permutations of the
+untyped positions s..t-1; the per-host `typed_code` reads one entry of it.
+`square_expansion` works on all base-size classes at once, one ordered type
+placement at a time: a numpy gather of their type masks, another of their
+typed masks per extension set, int64 counts per class, and the rational
+coefficients applied once per class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +35,7 @@ from .hypergraph import (
     Hypergraph,
     _check_bits,
     _gather,
+    _gather_masks,
     _orbit_minima,
     enumerate_all,
     restriction_class_counts,
@@ -100,12 +100,12 @@ def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _typed_canon(t: int, s: int, k: int) -> tuple[int, ...]:
-    """Canonical typed code of every ordered t-vertex mask: the minimum of
-    its relabelings that fix positions 0..s-1 and permute s..t-1."""
+def _typed_canon(t: int, s: int, k: int) -> np.ndarray:
+    """Canonical typed code of every ordered t-vertex mask, as an int64 array:
+    the minimum of its relabelings that fix positions 0..s-1 and permute
+    s..t-1."""
     _check_bits("typed_code", t, k)
-    masks = np.arange(1 << math.comb(t, k), dtype=np.int64)
-    return tuple(_orbit_minima(masks, t, k, s).tolist())
+    return _orbit_minima(np.arange(1 << math.comb(t, k), dtype=np.int64), t, k, s)
 
 
 def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
@@ -113,7 +113,7 @@ def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
     extension set extras: typed labels are pinned, untyped labels are
     minimized over their permutations."""
     ordered = tuple(theta) + tuple(sorted(extras))
-    return _typed_canon(len(ordered), len(theta), H.k)[_typed_mask(H, ordered)]
+    return int(_typed_canon(len(ordered), len(theta), H.k)[_typed_mask(H, ordered)])
 
 
 @lru_cache(maxsize=None)
@@ -129,27 +129,11 @@ def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
         raise ValueError("type_embeddings: type larger than host")
     if sigma.k != H.k:
         raise ValueError("type_embeddings: uniformities differ")
-    return sorted(_placements(sigma, H))
-
-
-@lru_cache(maxsize=None)
-def _orderings(sigma: Hypergraph, mask: int) -> tuple[tuple[int, ...], ...]:
-    """Orderings p of an s-vertex set with sorted-order mask `mask` under
-    which the placement (set[p[0]], ..., set[p[s-1]]) carries the type."""
-    if mask.bit_count() != sigma.edges.bit_count():
-        return ()
-    return tuple(
-        p
-        for p in itertools.permutations(range(sigma.n))
-        if _gather(mask, tuple_bits(sigma.k, p)) == sigma.edges
-    )
-
-
-def _placements(sigma: Hypergraph, H: Hypergraph):
-    """Every embedding placement of the type in H, grouped by vertex set."""
-    for vs in itertools.combinations(range(H.n), sigma.n):
-        for p in _orderings(sigma, _typed_mask(H, vs)):
-            yield tuple(vs[i] for i in p)
+    return [
+        theta
+        for theta in itertools.permutations(range(H.n), sigma.n)
+        if _typed_mask(H, theta) == sigma.edges
+    ]
 
 
 def extension_density(F: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
@@ -231,17 +215,17 @@ class ExpansionVector:
 
 def _term_layout(
     sigma: Hypergraph, terms: Sequence[tuple[Fraction, Flag]]
-) -> tuple[int, list[tuple[Fraction, int]]]:
-    """Validate a term list and return (flag size t, [(coeff, code)])."""
-    if not terms:
-        return sigma.n, []
-    sizes = {f.size for _, f in terms}
+) -> tuple[int, dict[int, Fraction]]:
+    """Validate a term list and return (flag size t, summed coeff per code)."""
+    sizes = {f.size for _, f in terms} or {sigma.n}
     if len(sizes) != 1:
         raise ValueError("terms must all have the same flag size")
-    for _, f in terms:
-        if f.sigma != sigma:
-            raise ValueError("terms must all carry the given type")
-    return sizes.pop(), [(Fraction(a), flag_code(f)) for a, f in terms]
+    if any(f.sigma != sigma for _, f in terms):
+        raise ValueError("terms must all carry the given type")
+    weight: dict[int, Fraction] = {}
+    for a, f in terms:
+        weight[flag_code(f)] = weight.get(flag_code(f), Fraction(0)) + Fraction(a)
+    return sizes.pop(), weight
 
 
 def square_expansion(
@@ -255,16 +239,19 @@ def square_expansion(
 
     Per host the value is the average, over all injective type placements
     (non-embedding placements contribute 0), of the exact pair-density
-    square at that placement.  Integer counts are summed over the embedding
-    placements: the placements themselves, the extension sets of each code,
-    and the ordered disjoint pairs of extension sets per code pair.  The
-    free vertex count is the same at every placement, so the rational
-    coefficients apply once per host.  The square is expanded on hosts of
-    2t - s vertices (flag size t, type size s); larger targets are lifted
-    through the chain rule, which is loss-free here.
+    square at that placement.  The square is expanded on all classes of
+    2t - s vertices at once (flag size t, type size s), one ordered
+    placement theta at a time: a gather of the type masks picks the classes
+    that embed the type at theta, and a gather per extension set maps their
+    typed masks through `_typed_canon` to the weights a_i, scaled to
+    integers by the lcm of their denominators.  Per class, int64 sums (or
+    Python ints, where int64 could overflow) collect the placements, the
+    extension-set weights and the weight products over ordered disjoint
+    pairs of extension sets; the rational coefficients apply once per class.
+    Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
-    t, coded = _term_layout(sigma, terms)
+    t, weight = _term_layout(sigma, terms)
     s = sigma.n
     base = 2 * t - s
     if base > size:
@@ -272,41 +259,41 @@ def square_expansion(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
         )
     k = sigma.k
-    e = t - s
-    weight: dict[int, Fraction] = {}
-    for a, code in coded:
-        weight[code] = weight.get(code, Fraction(0)) + a
+    scale = math.lcm(*(w.denominator for w in weight.values()))
     f = base - s
-    singles_total = math.comb(f, e)
-    pairs_total = singles_total * math.comb(f - e, e)
+    sets = list(itertools.combinations(range(f), t - s))
+    disjoint = [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if not {*a} & {*b}]
+    pa, pb = np.array(disjoint).T
+    top = max((abs(w) * scale for w in weight.values()), default=0) ** 2
+    fits = top * len(pa) * math.perm(base, s) < 1 << 63  # else exact Python ints
+    canon = _typed_canon(t, s, k)
+    by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
+    for code, w in weight.items():
+        by_code[code] = int(w * scale)
+    by_mask = by_code[canon]
+    classes = enumerate_all(base, k)
+    masks = np.array([g.edges for g in classes], dtype=np.int64)
+    placed = np.zeros(len(classes), dtype=np.int64)
+    single = np.zeros(len(classes), dtype=by_code.dtype)
+    pair = np.zeros(len(classes), dtype=by_code.dtype)
+    for theta in itertools.permutations(range(base), s):
+        hosts = np.flatnonzero(_gather_masks(masks, tuple_bits(k, theta)) == sigma.edges)
+        if not len(hosts):
+            continue
+        free = [v for v in range(base) if v not in theta]
+        bits = [tuple_bits(k, theta + tuple(free[i] for i in S)) for S in sets]
+        w = by_mask[_gather_masks(masks[hosts], bits)]  # (hosts, extension sets)
+        placed[hosts] += 1
+        single[hosts] += w.sum(axis=1)
+        pair[hosts] += (w[:, pa] * w[:, pb]).sum(axis=1)
+    # common denominator of pairs / (scale^2 n2), singles / (scale n1), c = cn/cd
+    cn, cd = constant.numerator, constant.denominator
+    n1, n2 = len(sets), len(pa)
+    denom = scale * scale * n1 * n2 * cd * cd * math.perm(base, s)
     coeffs: dict[int, Fraction] = {}
-    for rep in enumerate_all(base, k):
-        placements = 0
-        hits: Counter[int] = Counter()
-        pairs: Counter[tuple[int, int]] = Counter()
-        for theta in _placements(sigma, rep):
-            placements += 1
-            free = [v for v in range(base) if v not in theta]
-            found = []
-            for S in itertools.combinations(free, e):
-                code = typed_code(rep, theta, S)
-                if code in weight:
-                    hits[code] += 1
-                    found.append((sum(1 << v for v in S), code))
-            for sa, ca in found:
-                for sb, cb in found:
-                    if not sa & sb:
-                        pairs[ca, cb] += 1
-        single = sum((weight[c] * n for c, n in hits.items()), Fraction(0))
-        pair_sum = sum(
-            (weight[a] * weight[b] * n for (a, b), n in pairs.items()), Fraction(0)
-        )
-        total = (
-            pair_sum / pairs_total
-            - 2 * constant * single / singles_total
-            + placements * constant * constant
-        )
-        coeffs[rep.edges] = total / math.perm(base, s)
+    for rep, p, one, two in zip(classes, placed.tolist(), single.tolist(), pair.tolist()):
+        num = (two * n1 * cd - 2 * cn * one * scale * n2) * cd
+        coeffs[rep.edges] = Fraction(num + p * cn * cn * scale * scale * n1 * n2, denom)
     vec = ExpansionVector(k, base, coeffs)
     return chain_lift(vec, size) if size > base else vec
 
@@ -314,10 +301,23 @@ def square_expansion(
 def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     """Re-express a coefficient vector over larger hosts: the new coefficient
     of H is the density-weighted sum of the old coefficients over the
-    induced restrictions of H."""
+    induced restrictions of H.  The vec.n-subset sub-masks of all classes
+    are gathered and canonicalized together by `_orbit_minima`, and the
+    coefficients, scaled to integers, are summed per class as Python ints."""
     if not vec.n <= size <= _LIFT_LIMIT:
         raise ValueError(f"chain_lift: need {vec.n} <= size <= {_LIFT_LIMIT}")
     if size == vec.n:
         return ExpansionVector(vec.k, vec.n, dict(vec.coeffs))
-    coeffs = {rep.edges: vec.value_at(rep) for rep in enumerate_all(size, vec.k)}
-    return ExpansionVector(vec.k, size, coeffs)
+    b, k = vec.n, vec.k
+    classes = enumerate_all(size, k)
+    masks = np.array([g.edges for g in classes], dtype=np.int64)
+    bits = [tuple_bits(k, S) for S in itertools.combinations(range(size), b)]
+    codes = _orbit_minima(_gather_masks(masks, bits), b, k)  # (classes, subsets)
+    scale = math.lcm(*(c.denominator for c in vec.coeffs.values()))
+    by_code = np.zeros(1 << math.comb(b, k), dtype=object)
+    for code, c in vec.coeffs.items():
+        by_code[code] = int(c * scale)
+    sums = by_code[codes].sum(axis=1)
+    denom = scale * math.comb(size, b)
+    coeffs = {rep.edges: Fraction(int(num), denom) for rep, num in zip(classes, sums)}
+    return ExpansionVector(k, size, coeffs)

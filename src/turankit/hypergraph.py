@@ -22,7 +22,8 @@ by a numpy minimum.
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets.  Restriction and the typed masks of
 `turankit.flags` gather a sub-mask through it instead of re-ranking every
-subset.
+subset; `_gather_masks` is the same gather over a whole array of masks, for
+the expansions and lifts of `turankit.flags` that work on all classes.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ def _gather(edges: int, bits: tuple[int, ...]) -> int:
     for b in reversed(bits):
         mask = (mask << 1) | ((edges >> b) & 1)
     return mask
+
+
+def _gather_masks(masks: np.ndarray, bits) -> np.ndarray:
+    """`_gather` over a whole int64 array of masks at once: bits holds one
+    position tuple, or rows of them, and the result has shape
+    masks.shape + bits.shape[:-1]."""
+    bits = np.asarray(bits, dtype=np.int64)
+    shifted = masks.reshape(masks.shape + (1,) * bits.ndim) >> bits
+    return ((shifted & 1) << np.arange(bits.shape[-1], dtype=np.int64)).sum(axis=-1)
 
 
 @dataclass(frozen=True)

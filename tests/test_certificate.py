@@ -179,51 +179,32 @@ def test_certificate_fails_outside_admissible_family(monkeypatch):
     assert report.slacks[Hypergraph.empty(6, 3).edges] < Fraction(3, 8) - 1
 
 
-def test_slack_oracle_from_public_flag_ops(certificate_run):
-    # independent recomputation of the slack through pair_density /
-    # extension_density / type_embeddings, bypassing the expansion engine's
-    # classification and lifting machinery entirely
-    import math as _math
-
-    from turankit import extension_density, pair_density, type_embeddings
-
-    def oracle_coefficient(term, H):
-        total = Fraction(0)
-        for theta in type_embeddings(term.sigma, H):
-            pair_part = sum(
-                (
-                    a * b * pair_density(Fa, Fb, H, theta)
-                    for a, Fa in term.terms
-                    for b, Fb in term.terms
-                ),
-                Fraction(0),
-            )
-            single_part = sum(
-                (a * extension_density(F, H, theta) for a, F in term.terms),
-                Fraction(0),
-            )
-            total += pair_part - 2 * term.constant * single_part + term.constant**2
-        return total / _math.perm(H.n, term.sigma.n)
-
+def test_slack_oracle_from_public_flag_ops(certificate_run, square_oracle):
+    # independent recomputation of every term coefficient and of the slack
+    # through type_embeddings / pair_density / extension_density on labeled
+    # admissible hosts, bypassing the expansion engine's whole-class arrays,
+    # its lifting and the class enumeration
     report, _ = certificate_run
+    vecs = _term_vectors()
     e4 = Hypergraph.empty(4, 3)
+    rng = random.Random(2102)
     hosts = [
         Hypergraph.complete(6, 3),
         disjoint_union(Hypergraph.complete(3, 3), Hypergraph.complete(3, 3)),
-        Hypergraph(6, 3, canonical_mask(Hypergraph(6, 3, 0b1010110010011001011))),
-    ]
+        Hypergraph(6, 3, 0b1010110010011001011),
+    ] + [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(9)]
     for H in hosts:
+        assert has_no_empty_set(H, 5), H
         code = canonical_mask(H)
-        oracle_slack = (
-            Fraction(3, 8)
-            - induced_density(e4, H)
-            - sum(
-                (t.weight * oracle_coefficient(t, Hypergraph(6, 3, code)) for t in certificate_terms()),
-                Fraction(0),
-            )
-        )
-        if code in report.slacks:
-            assert oracle_slack == report.slacks[code]
+        assert code in report.slacks
+        contribs = []
+        for i, t in enumerate(certificate_terms()):
+            coeff = square_oracle(t.sigma, t.terms, t.constant, H)
+            assert coeff == vecs[i].coefficient(code), (t.label, H)
+            contribs.append(t.weight * coeff)
+        assert tuple(contribs) == report.square_values[code]
+        oracle_slack = Fraction(3, 8) - induced_density(e4, H) - sum(contribs, Fraction(0))
+        assert oracle_slack == report.slacks[code]
 
 
 def test_empty_density_column(certificate_run, e5free_classes):

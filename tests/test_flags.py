@@ -188,6 +188,33 @@ def test_property_chain_lift_then_evaluate_matches_direct(case):
     assert chain_lift(vec, 6).value_at(G) == vec.value_at(G)
 
 
+def test_chain_lift_matches_value_at_on_every_class():
+    # the whole-class lift against the per-class route: each size-6
+    # coefficient is the vector's average over that class, via value_at
+    rng = random.Random(4136)
+    for size in (4, 5):
+        vec = ExpansionVector(
+            3,
+            size,
+            {rep.edges: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+             for rep in enumerate_all(size, 3)},
+        )
+        lifted = chain_lift(vec, 6)
+        assert len(lifted.coeffs) == 2136
+        for rep in enumerate_all(6, 3):
+            assert lifted.coefficient(rep.edges) == vec.value_at(rep)
+
+
+def test_square_expansion_exact_beyond_int64():
+    # weights whose squared sums overflow int64 are summed as Python ints
+    cat = catalog_flags()
+    big = 10**12
+    huge = square_expansion(cat.p1, ((Fraction(big), cat.e3_p1),), Fraction(0), 6)
+    unit = square_expansion(cat.p1, ((Fraction(1), cat.e3_p1),), Fraction(0), 6)
+    assert big * big > 1 << 63  # a single pair product already overflows int64
+    assert huge.coeffs == {code: big * big * c for code, c in unit.coeffs.items()}
+
+
 def test_evaluation_consistency_lift_vs_direct():
     # size-5 expansion lifted to 6 equals the direct size-6 expansion
     cat = catalog_flags()
@@ -269,3 +296,39 @@ def test_typed_code_matches_brute_force():
     # the code table covers C(t,k) <= 20 bits; a 7-vertex 3-flag is refused
     with pytest.raises(ValueError, match="guard"):
         typed_code(Hypergraph.empty(7, 3), (0,), tuple(range(1, 7)))
+
+
+@st.composite
+def square_cases(draw):
+    """A random term list over one catalog type: flags of one size t on
+    that type, weights with small denominators, and a rational constant.
+    Shapes run to base size 2t - s <= 5; the size-6 shapes of the six
+    certificate squares are checked class by class in test_certificate."""
+    cat = catalog_flags()
+    sigma, t = draw(
+        st.sampled_from(
+            [(cat.p1, 2), (cat.p1, 3), (cat.p2, 2), (cat.p2, 3), (cat.p3, 3),
+             (cat.p3, 4), (cat.p4, 4), (cat.q4, 4)]
+        )
+    )
+    free_bits = binomial(t, 3) - binomial(sigma.n, 3)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        high = draw(st.integers(0, (1 << free_bits) - 1))
+        host = Hypergraph(t, 3, (high << binomial(sigma.n, 3)) | sigma.edges)
+        weight = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+        terms.append((weight, Flag(host, tuple(range(sigma.n)), sigma)))
+    constant = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    return sigma, tuple(terms), constant
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=square_cases())
+def test_property_square_expansion_matches_placement_oracle(case, square_oracle):
+    sigma, terms, constant = case
+    t = terms[0][1].size if terms else sigma.n
+    base = 2 * t - sigma.n
+    vec = square_expansion(sigma, terms, constant, base)
+    assert vec.n == base and len(vec.coeffs) == len(enumerate_all(base, 3))
+    for rep in enumerate_all(base, 3):
+        assert vec.coefficient(rep.edges) == square_oracle(sigma, terms, constant, rep)
