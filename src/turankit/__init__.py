@@ -62,6 +62,7 @@ from .hypergraph import (
     Hypergraph,
     LocalStats,
     canonical_mask,
+    clique_counts,
     clique_density,
     colex_subsets,
     disjoint_union,

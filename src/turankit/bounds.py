@@ -9,10 +9,11 @@ determinant is 1) that make every inverse entry an explicit product.
 
 Everything here is exact `fractions.Fraction` arithmetic.  `inverse_matrix`
 and `solve_delta` each run the pair of minor recursions once per call and
-read every entry from those tables.  The multiplier vector is then checked
-against the tridiagonal equations it must solve, row by row; with a nonzero
-determinant that solution is unique, so the check is independent of the
-minor formula and costs O(dimension).
+read every entry from those tables (`turankit solve`, which prints the
+tables as well, reads its column from the same ones).  The multiplier vector
+is then checked against the tridiagonal equations it must solve, row by row;
+with a nonzero determinant that solution is unique, so the check is
+independent of the minor formula and costs O(dimension).
 """
 
 from __future__ import annotations
@@ -221,9 +222,16 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    eps = Fraction(eps)
     sys = build_system(k, r)
-    tab = recurrences(sys, eps)
+    return _solve_column(sys, recurrences(sys, eps), g)
+
+
+def _solve_column(sys: TridiagonalSystem, tab: RecurrenceTables, g: int) -> list[Fraction]:
+    """`solve_delta` on a system and its minor tables at tab.epsilon, for a
+    caller that also reports the tables."""
+    k, r, eps = sys.k, sys.r, tab.epsilon
+    if not k <= g < r:
+        raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     if tab.determinant == 0:
         raise ZeroDivisionError("solve_delta: shifted system is singular")
     delta = [_entry_from_tables(sys, tab, m, g) for m in sys.ms]

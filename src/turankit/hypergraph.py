@@ -24,6 +24,13 @@ each of its colex k-subsets.  Restriction and the typed masks of
 `turankit.flags` gather a sub-mask through it instead of re-ranking every
 subset; `_gather_masks` is the same gather over a whole array of masks, for
 the expansions and lifts of `turankit.flags` that work on all classes.
+
+Complete sets are found without canonical forms: `_subset_edge_masks` holds,
+for each vertex subset, the mask of the k-subsets inside it, and a subset is
+complete exactly when the host's edges contain that mask.  `clique_counts`
+counts the complete m-sets of a host once for every m, as integers, and
+`clique_density` reads its ratios from them; `_extension_masks` adds, for each
+subset, the masks of its one-vertex extensions.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "Hypergraph",
     "LocalStats",
     "canonical_mask",
+    "clique_counts",
     "clique_density",
     "colex_subsets",
     "disjoint_union",
@@ -305,9 +313,22 @@ def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(hits, math.comb(G.n, F.n))
 
 
+@lru_cache(maxsize=None)
+def clique_counts(G: Hypergraph) -> tuple[int, ...]:
+    """Entry m (m = 0..n) is the number of complete m-sets of G: the
+    m-subsets S whose k-subset mask M_S satisfies edges & M_S == M_S.  For
+    m < k every mask is empty, so the entry is C(n, m)."""
+    return tuple(
+        sum(G.edges & M == M for M in _subset_edge_masks(G.n, m, G.k))
+        for m in range(G.n + 1)
+    )
+
+
 def clique_density(G: Hypergraph, m: int) -> Fraction:
     """Density of complete m-sets in G; equals 1 for m < k (vacuous)."""
-    return induced_density(Hypergraph.complete(m, G.k), G)
+    if not 0 <= m <= G.n:
+        raise ValueError(f"clique_density: need 0 <= m <= n, got m={m}, n={G.n}")
+    return Fraction(clique_counts(G)[m], math.comb(G.n, m))
 
 
 class LocalStats(NamedTuple):
@@ -370,6 +391,19 @@ def _subset_edge_masks(n: int, size: int, k: int) -> tuple[int, ...]:
             m |= 1 << subset_rank(sub)
         masks.append(m)
     return tuple(masks)
+
+
+@lru_cache(maxsize=None)
+def _extension_masks(n: int, size: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each size-subset S of {0..n-1}, in `itertools.combinations` order:
+    the k-subset mask of S and, for each vertex v outside S in increasing
+    order, the k-subset mask of S + v."""
+    supersets = itertools.combinations(range(n), size + 1)
+    inside = dict(zip(supersets, _subset_edge_masks(n, size + 1, k)))
+    return tuple(
+        (M, tuple(inside[tuple(sorted(S + (v,)))] for v in range(n) if v not in S))
+        for S, M in zip(itertools.combinations(range(n), size), _subset_edge_masks(n, size, k))
+    )
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:

@@ -6,6 +6,16 @@ clique-density inequality, the local statistics it is averaged from, the
 relaxed rows obtained by substituting a uniform slack constant, and the
 telescoping identity that ties the multiplier vector to the final bound.
 
+Every relation is evaluated on integer counts.  A host's complete m-sets are
+counted once, for every m (`hypergraph.clique_counts`); a three-term row is
+one integer numerator over the product of the denominators of x, the shift
+and the binomials C(n, .), and becomes a single exact `Fraction` at the end.
+The square moments tally, for each complete (m-1)-set, the integer number l
+of vertices extending it (through `hypergraph._extension_masks`), and compare
+both moments with their expected values by integer cross-multiplication.
+The multiplier vector of the telescoping identity does not depend on the
+host, so it is solved once per (k, g, r, eps).
+
 `SUITES` holds the batteries behind `turankit verify`: each entry runs its
 checks over a fixed host set and returns (checks, failures, warnings), the
 last two as lists of JSON-ready records.
@@ -13,20 +23,22 @@ last two as lists of JSON-ready records.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bounds import solve_delta
 from .combinat import EpsilonMode, binomial, epsilon_value, x_ratio
 from .hypergraph import (
     Hypergraph,
+    _extension_masks,
+    clique_counts,
     clique_density,
     enumerate_all,
-    induced_density,
-    local_stats,
     nonedge_core_size,
+    restriction_class_counts,
 )
 
 __all__ = [
@@ -57,13 +69,19 @@ def _row(G: Hypergraph, m: int, x: Fraction, shift: Fraction) -> Fraction:
 
         -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - shift) d(K_m, G)
         - x d(K_{m-1}, G)
+
+    With x = p/q, shift = s/t and d(K_j, G) = c_j / C(n, j), the row times
+    m p q t C(n, m+1) C(n, m) C(n, m-1) is an integer.
     """
-    a = Fraction(G.k - 1, m)
-    return (
-        -(1 - a) / x * clique_density(G, m + 1)
-        + (2 - a / x - shift) * clique_density(G, m)
-        - x * clique_density(G, m - 1)
-    )
+    k, n = G.k, G.n
+    c = clique_counts(G)
+    p, q = x.numerator, x.denominator
+    s, t = shift.numerator, shift.denominator
+    b_up, b_mid, b_low = math.comb(n, m + 1), math.comb(n, m), math.comb(n, m - 1)
+    up = (m - k + 1) * q * q * t * c[m + 1] * b_mid * b_low
+    mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * c[m] * b_up * b_low
+    low = m * p * p * t * c[m - 1] * b_up * b_mid
+    return Fraction(mid - up - low, m * p * q * t * b_up * b_mid * b_low)
 
 
 def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> InequalityCheck:
@@ -81,40 +99,63 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
         raise ValueError("check_three_term_inequality: need x > 0")
     if not G.k <= m < G.n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    slack = -_row(G, m, x, Fraction(1, G.n - m) / x)
+    slack = -_row(G, m, x, Fraction(x.denominator, (G.n - m) * x.numerator))
     return InequalityCheck(m, x, slack, slack >= 0)
 
 
-def check_square_intermediate(G: Hypergraph, m: int) -> bool:
-    """Verify, by full enumeration over the (m-1)-subsets of G:
+@lru_cache(maxsize=None)
+def _core_pair_weights(size: int, k: int) -> dict[int, int]:
+    """C(core, 2) for every size-vertex class, keyed by canonical mask, where
+    core is the class's common-nonedge-vertex count.  Read-only."""
+    return {H.edges: binomial(nonedge_core_size(H), 2) for H in enumerate_all(size, k)}
 
-    (a) pointwise: r(S)^2 <= rr(S) + r(S)/(n-m) for every (m-1)-subset S,
+
+def _extension_tallies(G: Hypergraph, size: int) -> list[int]:
+    """For each complete size-subset S of G, in `itertools.combinations`
+    order: l, the number of vertices v outside S with S + v complete."""
+    e = G.edges
+    return [
+        sum(e & M == M for M in ext)
+        for inside, ext in _extension_masks(G.n, size, G.k)
+        if e & inside == inside
+    ]
+
+
+def check_square_intermediate(G: Hypergraph, m: int) -> bool:
+    """Verify, by full enumeration over the (m-1)-subsets S of G, with q(S),
+    r(S) and rr(S) the statistics of `hypergraph.local_stats`:
+
+    (a) pointwise: r(S)^2 <= rr(S) + r(S)/(n-m) for every complete S,
     (b) the first moment: E[q r] equals d(K_m, G),
     (c) the second moment: E[q rr] equals the weighted sum of densities
         of (m+1)-vertex classes, weighted by C(core, 2)/C(m+1, 2) where
         core is the class's common-nonedge-vertex count.
+
+    Each complete S contributes the integer l of vertices extending it, so
+    with o = n-m+1 outside vertices r = l/o and rr = l(l-1)/(o(o-1)); all
+    three comparisons are made by integer cross-multiplication.  Check (a)
+    is then the identity l^2/o^2 <= l^2/(o(o-1)), true on every host, and is
+    kept as a guard on the tallies, not as a test of the host.
     """
     k, n = G.k, G.n
     if not k <= m < n:
         raise ValueError(f"check_square_intermediate: need k <= m < n, got m={m}")
-    total_qr = Fraction(0)
-    total_qrr = Fraction(0)
-    count = 0
-    for S in itertools.combinations(range(n), m - 1):
-        st = local_stats(G, S)
-        count += 1
-        if st.q:
-            total_qr += st.r
-            total_qrr += st.rr
-            if st.r * st.r > st.rr + st.r * Fraction(1, n - m):
-                return False
-    if total_qr / count != clique_density(G, m):
+    o = n - m + 1
+    tallies = _extension_tallies(G, m - 1)
+    if any(l * l * o * (o - 1) > (l * (l - 1) + l) * o * o for l in tallies):
         return False
-    expected = Fraction(0)
-    for H in enumerate_all(m + 1, k):
-        core = nonedge_core_size(H)
-        expected += Fraction(binomial(core, 2), binomial(m + 1, 2)) * induced_density(H, G)
-    return total_qrr / count == expected
+    count = math.comb(n, m - 1)
+    if sum(tallies) * math.comb(n, m) != clique_counts(G)[m] * o * count:
+        return False
+    weights = _core_pair_weights(m + 1, k)
+    weighted_hits = sum(
+        weights[code] * hits for code, hits in restriction_class_counts(G, m + 1).items()
+    )
+    pairs = sum(l * (l - 1) // 2 for l in tallies)
+    return (
+        pairs * math.comb(m + 1, 2) * math.comb(n, m + 1)
+        == weighted_hits * math.comb(o, 2) * count
+    )
 
 
 def check_relaxed_rows(
@@ -135,6 +176,13 @@ def check_relaxed_rows(
     return [_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
 
 
+@lru_cache(maxsize=None)
+def _delta(k: int, g: int, r: int, eps: Fraction) -> tuple[Fraction, ...]:
+    """`solve_delta`, solved once per (k, g, r, eps): it does not depend on
+    the host."""
+    return tuple(solve_delta(k, g, r, eps))
+
+
 def telescoped_combination(
     G: Hypergraph, g: int, r: int, mode: EpsilonMode = EpsilonMode.CORRECTED
 ) -> tuple[Fraction, Fraction]:
@@ -151,7 +199,7 @@ def telescoped_combination(
     if not (2 <= k <= g < r < n):
         raise ValueError("telescoped_combination: need 2 <= k <= g < r < |G|")
     eps = epsilon_value(k, r, n, mode)
-    delta = solve_delta(k, g, r, eps)
+    delta = _delta(k, g, r, eps)
     rows = check_relaxed_rows(G, r, mode)
     lhs = sum((d * row for d, row in zip(delta, rows)), Fraction(0))
     rhs = (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -173,9 +174,23 @@ def test_table_csv(capsys):
     assert second[0] == "4" and second[1] == "10/23" and second[3] == ""
 
 
+# SHA-256 of the stdout of `turankit verify --suite <name>`, the same digests
+# the CI console-script step checks.
+VERIFY_STDOUT_SHA256 = {
+    "lemma": "a6f3eebb715740260ece889c06624840e09f9ac3567047adbea7ac778a45254e",
+    "claims": "e89eb8908bcf6bf3054ed28e5d1ad3362b0818aabd756860c9897b6456a1df9c",
+    "rows": "d5165e020be8ba13c8e3cad9ca0149cedfaed504fafe1c52a4a7e3b7395d1a58",
+}
+
+
+def _stdout_digest(out):
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 def test_verify_lemma_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "lemma")
     assert code == 0
+    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["lemma"]
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["failures"] == 0
@@ -185,6 +200,7 @@ def test_verify_lemma_suite(capsys):
 def test_verify_claims_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "claims")
     assert code == 0
+    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["claims"]
     payload = json.loads(out)
     assert payload["checks"] == 268
     assert payload["failures"] == 0
@@ -194,6 +210,7 @@ def test_verify_claims_suite(capsys):
 def test_verify_rows_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "rows")
     assert code == 0
+    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["rows"]
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["checks"] == 310
@@ -299,6 +316,24 @@ def test_solve_zero_leading_minor_nonsingular(capsys):
     payload = json.loads(out)
     assert payload["delta"] == ["-5/2", "0"]
     assert payload["determinant"] == "-1/5"
+
+
+def test_solve_runs_the_minor_recursions_once(capsys, monkeypatch):
+    from turankit import bounds
+
+    calls = []
+    recurrences = bounds.recurrences
+
+    def counted(*args):
+        calls.append(args)
+        return recurrences(*args)
+
+    monkeypatch.setattr(bounds, "recurrences", counted)
+    code, out = run_cli(capsys, "solve", "--k", "3", "--r", "6", "--g", "4", "--eps", "1/100")
+    assert code == 0
+    assert len(calls) == 1
+    expected = bounds.solve_delta(3, 4, 6, Fraction(1, 100))
+    assert json.loads(out)["delta"] == [str(d) for d in expected]
 
 
 def test_singular_system_keeps_exit_2(capsys):

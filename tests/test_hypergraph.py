@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from turankit import (
     Hypergraph,
     canonical_mask,
+    clique_counts,
     clique_density,
     colex_subsets,
     disjoint_union,
@@ -208,6 +209,27 @@ def test_clique_density_matches_brute_force():
                 assert clique_density(G, m) == 1
 
 
+@st.composite
+def small_hosts(draw):
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, MAX_VERTICES))
+    return Hypergraph(n, k, draw(st.integers(0, (1 << math.comb(n, k)) - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_hosts())
+def test_clique_counts_match_brute_force(G):
+    # The route through canonical forms scans 5040 or 40320 relabelings per
+    # 7- or 8-vertex subset, so it is compared for m <= 6 only.
+    counts = clique_counts(G)
+    assert len(counts) == G.n + 1
+    for m in range(G.n + 1):
+        subsets = itertools.combinations(range(G.n), m)
+        assert counts[m] == sum(G.restrict(S).is_complete() for S in subsets)
+        if m <= 6:
+            assert clique_density(G, m) == induced_density(Hypergraph.complete(m, G.k), G)
+
+
 def test_densities_partition_probability(h5_classes):
     rng = random.Random(11)
     for _ in range(10):
@@ -239,6 +261,9 @@ def test_clique_density_vacuous_below_k():
     G = Hypergraph(6, 3, 12345)
     assert clique_density(G, 2) == 1
     assert clique_density(G, 0) == 1
+    for m in (-1, 7, 9):
+        with pytest.raises(ValueError):
+            clique_density(G, m)
 
 
 def test_local_stats_complete_host():

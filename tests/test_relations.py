@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,10 +16,12 @@ from turankit import (
     disjoint_union,
     enumerate_all,
     epsilon_value,
+    local_stats,
     nonedge_core_size,
     telescoped_combination,
     x_ratio,
 )
+from turankit import relations
 
 
 def x_grid():
@@ -86,6 +89,51 @@ def test_square_intermediate_random_six_vertex():
         G = Hypergraph(6, 3, rng.getrandbits(20))
         for m in (3, 4):
             assert check_square_intermediate(G, m)
+
+
+def test_extension_tallies_match_local_stats():
+    # local_stats restricts the host once per subset and extension: the oracle
+    rng = random.Random(61)
+    for k, bits in ((3, 20), (2, 15)):
+        for _ in range(20):
+            G = Hypergraph(6, k, rng.getrandbits(bits))
+            for m in range(k, 6):
+                o = 6 - m + 1
+                subsets = itertools.combinations(range(6), m - 1)
+                stats = [s for S in subsets if (s := local_stats(G, S)).q]
+                tallies = relations._extension_tallies(G, m - 1)
+                assert tallies == [s.l for s in stats]
+                assert sum((s.r for s in stats), Fraction(0)) == Fraction(sum(tallies), o)
+                pairs = sum(math.comb(l, 2) for l in tallies)
+                rr_total = sum((s.rr for s in stats), Fraction(0))
+                assert rr_total == Fraction(pairs, math.comb(o, 2))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("entry", ["class-count", "clique-count"])
+def test_square_intermediate_detects_one_count_off(monkeypatch, entry, m):
+    rng = random.Random(62)
+    hosts = [Hypergraph.complete(6, 3)]
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(10)]
+    assert all(check_square_intermediate(G, m) for G in hosts)
+    if entry == "class-count":
+        real = relations.restriction_class_counts
+
+        def bumped(G, size):
+            counts = dict(real(G, size))
+            complete = (1 << math.comb(size, G.k)) - 1  # weight C(size, 2) > 0
+            counts[complete] = counts.get(complete, 0) + 1
+            return counts
+
+        monkeypatch.setattr(relations, "restriction_class_counts", bumped)
+    else:
+        real = relations.clique_counts
+
+        def bumped(G):
+            return tuple(c + (j == m) for j, c in enumerate(real(G)))
+
+        monkeypatch.setattr(relations, "clique_counts", bumped)
+    assert not any(check_square_intermediate(G, m) for G in hosts)
 
 
 def test_core_at_most_k_unless_complete(h5_classes):
