@@ -7,13 +7,15 @@ against a tridiagonal matrix indexed by m in [k, r-1]; its determinant
 recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
-Everything here is exact `fractions.Fraction` arithmetic.  `inverse_matrix`
-and `solve_delta` each run the pair of minor recursions once per call and
-read every entry from those tables (`turankit solve`, which prints the
-tables as well, reads its column from the same ones).  The multiplier vector
-is then checked against the tridiagonal equations it must solve, row by row;
-with a nonzero determinant that solution is unique, so the check is
-independent of the minor formula and costs O(dimension).
+Everything here is exact `fractions.Fraction` arithmetic.  One recursion
+gives the leading minors; the trailing minors are the same recursion on the
+reversed system.  `inverse_matrix` and `solve_delta` run it once per call
+(`turankit solve`, which prints the tables as well, reads its column from
+the same ones) and build each column of the inverse in one pass outward
+from the diagonal, carrying the off-diagonal product.  Every multiplier
+vector is then checked against the tridiagonal equations it must solve,
+row by row; with a nonzero determinant that solution is unique, so the
+check is independent of the minor formula and costs O(dimension).
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def build_system(k: int, r: int) -> TridiagonalSystem:
 class RecurrenceTables:
     """Minor recursions of the shifted system.
 
-    theta[j] is the leading principal minor over rows/columns {k..m} with
-    m = k-1+j (theta for m = k-1 is the seed 1).  phi[j] is the trailing
-    minor over {m..r-1} with m = k+j, padded with the seeds phi(r) = 1 and
+    theta[j] = theta(k-1+j), the leading principal minor over rows/columns
+    {k..k-1+j}; theta[0] is the seed theta(k-1) = 1.  phi[j] = phi(k+j),
+    the trailing minor over {k+j..r-1}, padded with the seeds phi(r) = 1 and
     phi(r+1) = 0.  zeta[j] = phi(m+1) - phi(m) for m = k+j, with the seed
     zeta(r) = 0.  The determinant equals both theta(r-1) and phi(k).
     """
@@ -121,16 +123,6 @@ class RecurrenceTables:
     phi: tuple[Fraction, ...]  # m = k .. r+1
     zeta: tuple[Fraction, ...]  # m = k .. r
     determinant: Fraction
-
-    def theta_at(self, m: int) -> Fraction:
-        if not self.k - 1 <= m <= self.r - 1:
-            raise IndexError(f"theta index {m} outside [{self.k - 1}, {self.r - 1}]")
-        return self.theta[m - (self.k - 1)]
-
-    def phi_at(self, m: int) -> Fraction:
-        if not self.k <= m <= self.r + 1:
-            raise IndexError(f"phi index {m} outside [{self.k}, {self.r + 1}]")
-        return self.phi[m - self.k]
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
         """Flag (table, m) pairs with nonpositive values; nonempty tables
@@ -145,6 +137,16 @@ class RecurrenceTables:
         return bad
 
 
+def _minors(diag: list[Fraction], offs: list[Fraction]) -> list[Fraction]:
+    """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
+    with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
+    lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
+    out = [Fraction(0), Fraction(1)]
+    for i, a in enumerate(diag):
+        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
+    return out[1:]
+
+
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
     """Run both minor recursions for the shifted system and cross-check the
     determinant.  Large eps may drive entries nonpositive; that is reported
@@ -152,64 +154,50 @@ def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> Recurren
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("recurrences: eps must be nonnegative")
-    k, r, d = sys.k, sys.r, sys.dim
-    diag = [sys.diag[i] - eps for i in range(d)]
-    # theta over m = k-1 .. r-1; seeds theta(k-2) = 0, theta(k-1) = 1
-    theta = [Fraction(1)]
-    prev2, prev1 = Fraction(0), Fraction(1)
-    for i in range(d):
-        off = sys.upper[i - 1] * sys.lower[i - 1] if i >= 1 else Fraction(0)
-        cur = diag[i] * prev1 - off * prev2
-        theta.append(cur)
-        prev2, prev1 = prev1, cur
-    # phi over m = k .. r+1; seeds phi(r+1) = 0, phi(r) = 1
-    phi = [Fraction(0), Fraction(1)]
-    nxt2, nxt1 = Fraction(0), Fraction(1)
-    for i in range(d - 1, -1, -1):
-        off = sys.upper[i] * sys.lower[i] if i < d - 1 else Fraction(0)
-        cur = diag[i] * nxt1 - off * nxt2
-        phi.append(cur)
-        nxt2, nxt1 = nxt1, cur
-    phi.reverse()
-    det_theta, det_phi = theta[-1], phi[0]
-    if det_theta != det_phi:
+    diag = [a - eps for a in sys.diag]
+    offs = [u * l for u, l in zip(sys.upper, sys.lower)]
+    theta = _minors(diag, offs)
+    # the trailing minors are the leading minors of the reversed system
+    phi = _minors(diag[::-1], offs[::-1])[::-1] + [Fraction(0)]
+    if theta[-1] != phi[0]:
         raise ArithmeticError("minor recursions disagree on the determinant")
-    zeta = [phi[j + 1] - phi[j] for j in range(d)] + [Fraction(0)]
+    zeta = [phi[j + 1] - phi[j] for j in range(sys.dim)] + [Fraction(0)]
     return RecurrenceTables(
-        k, r, eps, tuple(theta), tuple(phi), tuple(zeta), det_theta
+        sys.k, sys.r, eps, tuple(theta), tuple(phi), tuple(zeta), theta[-1]
     )
 
 
-def _entry_from_tables(
-    sys: TridiagonalSystem, tab: RecurrenceTables, m: int, g: int
-) -> Fraction:
-    """Entry (m, g) of the inverse: sign * minors * off-diagonal product /
-    determinant, with the minors read from `tab`."""
-    k = sys.k
-    sign = -1 if (m + g) % 2 else 1
-    if m <= g:
-        prod = math.prod(
-            (sys.upper[i - k] for i in range(m, g)), start=Fraction(1)
-        )
-        minors = tab.theta_at(m - 1) * tab.phi_at(g + 1)
-    else:
-        prod = math.prod(
-            (sys.lower[i - k] for i in range(g, m)), start=Fraction(1)
-        )
-        minors = tab.theta_at(g - 1) * tab.phi_at(m + 1)
-    return sign * minors * prod / tab.determinant
+def _inverse_column(
+    sys: TridiagonalSystem, tab: RecurrenceTables, g: int
+) -> list[Fraction]:
+    """Column g of the inverse, rows m = k..r-1.  Entry (m, g) is
+    theta(min-1) phi(max+1) / det times the product of the negated
+    off-diagonals between m and g, carried outward from the diagonal, so
+    no minor is ever divided by."""
+    j = g - sys.k
+    col = [Fraction(0)] * sys.dim
+    carried = 1 / tab.determinant
+    col[j] = tab.theta[j] * tab.phi[j + 1] * carried
+    for i in range(j - 1, -1, -1):  # m < g: upper[i] joins rows m and m+1
+        carried *= -sys.upper[i]
+        col[i] = tab.theta[i] * tab.phi[j + 1] * carried
+    carried = 1 / tab.determinant
+    for i in range(j + 1, sys.dim):  # m > g: lower[i-1] joins rows m-1 and m
+        carried *= -sys.lower[i - 1]
+        col[i] = tab.theta[j] * tab.phi[i + 1] * carried
+    return col
 
 
 def inverse_matrix(
     sys: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
-    one pair of minor recursions serves every entry."""
+    one pair of minor recursions serves every column."""
     tab = recurrences(sys, eps)
     if tab.determinant == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
-    ms = sys.ms
-    return [[_entry_from_tables(sys, tab, m, g) for g in ms] for m in ms]
+    columns = [_inverse_column(sys, tab, g) for g in sys.ms]
+    return [list(row) for row in zip(*columns)]
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
@@ -234,7 +222,7 @@ def _solve_column(sys: TridiagonalSystem, tab: RecurrenceTables, g: int) -> list
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     if tab.determinant == 0:
         raise ZeroDivisionError("solve_delta: shifted system is singular")
-    delta = [_entry_from_tables(sys, tab, m, g) for m in sys.ms]
+    delta = _inverse_column(sys, tab, g)
     for i, m in enumerate(sys.ms):
         row = (sys.diag[i] - eps) * delta[i]
         if i >= 1:
@@ -310,7 +298,7 @@ def upper_bound(
     else:
         factor = geometric
     asym = asymptotic_product(k, g, r)
-    lower = partite_lower_bound(k, g, (r - 1) // (k - 1)).direct
+    lower = _partite_direct(k, g, (r - 1) // (k - 1))
     return BoundReport(
         k=k,
         g=g,
@@ -347,26 +335,15 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                comparison.  The two disagree in general (e.g. k=3, g=4,
                l=2 gives direct 3/8 but formula -1/8); `direct` is the
                value backed by the counting argument.
+
+    `upper_bound` reports `direct` alone and computes only that, never the
+    sum, whose term count grows exponentially in g.
     """
     if k < 2 or g < k or l < 1:
         raise ValueError(
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
-    cap = k - 1
-    # direct: DP over groups, dp[t] = #assignments of some t of the g
-    # labeled items into the groups so far, each group holding <= cap.
-    dp = [0] * (g + 1)
-    dp[0] = 1
-    for _ in range(l):
-        new = [0] * (g + 1)
-        for t in range(g + 1):
-            if dp[t] == 0:
-                continue
-            for c in range(0, min(cap, g - t) + 1):
-                new[t + c] += dp[t] * math.comb(g - t, c)
-        dp = new
-    direct = Fraction(dp[g], l**g)
-
+    direct = _partite_direct(k, g, l)
     formula = Fraction(0)
     for s in range(g // k + 1):
         inner = Fraction(0)
@@ -380,6 +357,22 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                 )
         formula += (-1) ** s * binomial(l, s) * inner
     return PartiteBound(direct, formula)
+
+
+def _partite_direct(k: int, g: int, l: int) -> Fraction:
+    """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
+    of assignments of some t of the g labeled items into the groups so far,
+    each group holding at most k-1."""
+    dp = [1] + [0] * g
+    for _ in range(l):
+        new = [0] * (g + 1)
+        for t in range(g + 1):
+            if dp[t] == 0:
+                continue
+            for c in range(0, min(k - 1, g - t) + 1):
+                new[t + c] += dp[t] * math.comb(g - t, c)
+        dp = new
+    return Fraction(dp[g], l**g)
 
 
 def _tuples_at_least(k: int, s: int, g: int):

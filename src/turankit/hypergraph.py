@@ -232,13 +232,16 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
-    """Refuse mask tables over more than 2^_MAX_ENUM_BITS entries, before
-    any of them is allocated."""
+    """Refuse mask tables over more than 2^_MAX_ENUM_BITS entries, or over
+    more than MAX_VERTICES vertices (n! relabelings), before any of them is
+    allocated."""
     nbits = math.comb(n, k)
     if nbits > _MAX_ENUM_BITS:
         raise ValueError(
             f"{caller}: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard"
         )
+    if n > MAX_VERTICES:
+        raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
 
 
 def canonical_mask(G: Hypergraph) -> int:
@@ -277,7 +280,8 @@ def enumerate_all(
     """All isomorphism classes of k-graphs on n vertices, canonically ordered.
 
     Each representative's own edge mask is its canonical code.  The optional
-    predicate filters classes after deduplication.  Guarded to C(n,k) <= 20.
+    predicate filters classes after deduplication.  Guarded to C(n,k) <= 20
+    and n <= MAX_VERTICES.
     """
     _check_bits("enumerate_all", n, k)
     reps = _all_classes(n, k)

@@ -83,8 +83,8 @@ def test_recurrences_at_zero_eps():
     s = build_system(3, 5)
     tab = recurrences(s, Fraction(0))
     assert tab.phi == (Fraction(1), Fraction(1), Fraction(1), Fraction(0))
-    assert tab.theta_at(3) == Fraction(6, 5)
-    assert tab.theta_at(4) == Fraction(1)
+    assert tab.theta[3 - 2] == Fraction(6, 5)  # theta[j] = theta(k-1+j)
+    assert tab.theta[4 - 2] == Fraction(1)
     assert tab.determinant == 1
     assert tab.zeta == (Fraction(0), Fraction(0), Fraction(0))
 
@@ -120,7 +120,7 @@ def test_zeta_and_phi_envelopes():
             assert z >= 0
             assert z <= eps * Fraction(r - 1, k - 1) * (1 - shrink ** (r - m))
         for m in range(k, r + 1):
-            p = tab.phi_at(m)
+            p = tab.phi[m - k]
             assert p <= 1
             assert p >= 1 - eps * Fraction((r - 1) * (r - m), k - 1)
 
@@ -143,6 +143,11 @@ def test_inverse_matrix_times_system_is_identity():
         for eps in (Fraction(0), Fraction(1, 100), epsilon_threshold(k, r) / 2):
             inv = inverse_matrix(s, eps)
             assert matmul(s.dense(eps), inv) == identity(s.dim)
+    # theta(3) = 0 while det = -1/5: no entry may divide by a minor
+    s = build_system(3, 5)
+    tab = recurrences(s, Fraction(6, 5))
+    assert tab.theta[1] == 0 and tab.determinant == Fraction(-1, 5)
+    assert matmul(s.dense(Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
 
 
 def test_solve_delta_matches_inverse_column():
@@ -291,6 +296,19 @@ def test_de_caen_values():
         assert de_caen_bound(2, 3, n) == 1 - (1 + Fraction(1, n - 2)) / 2
     with pytest.raises(ValueError):
         de_caen_bound(3, 5, 4)
+
+
+def test_upper_bound_skips_the_inclusion_exclusion_sum(monkeypatch):
+    import turankit.bounds as bounds
+
+    def unexpected(*args):
+        raise AssertionError("upper_bound evaluated the inclusion-exclusion sum")
+
+    monkeypatch.setattr(bounds, "_tuples_at_least", unexpected)
+    rep = upper_bound(2, 26, 27, 10**6)
+    assert rep.lower_bound == Fraction(math.factorial(26), 26**26)  # 26 groups, k = 2
+    with pytest.raises(AssertionError):
+        partite_lower_bound(2, 26, 26)
 
 
 def test_partite_lower_bound_small_cases():

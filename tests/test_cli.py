@@ -162,6 +162,20 @@ def test_enumerate_guard_exit_2(capsys):
     assert "guard" in err
 
 
+def test_enumerate_vertex_guard_builds_no_tables(capsys, monkeypatch):
+    from turankit import hypergraph
+
+    def unexpected(*args):
+        raise AssertionError("permutation tables built past the vertex guard")
+
+    monkeypatch.setattr(hypergraph, "_perm_tables", unexpected)
+    code = main(["enumerate", "--k", "1", "--n", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: enumerate_all: n = 12 exceeds the 8-vertex guard\n"
+
+
 def test_table_csv(capsys):
     code, out = run_cli(capsys, "table", "--k", "3", "--r", "5", "--n", "100")
     assert code == 0
@@ -185,6 +199,31 @@ VERIFY_STDOUT_SHA256 = {
 
 def _stdout_digest(out):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of the stdout of bound-side commands, the same digests the CI
+# console-script step checks.
+BOUNDS_STDOUT_SHA256 = {
+    "solve --k 3 --r 5 --g 4 --eps 1/100":
+        "25852c0a62759e99025c12cfc6d0543f04a3026b49ed35bf3bfd7793957dc591",
+    "solve --k 2 --r 16 --g 9 --eps 1/1000":
+        "39f38b474e97ff64bbf06445ce94b892e01db98994ed96bd575f993483c0d480",
+    "solve --k 3 --r 5 --g 4 --eps 6/5":
+        "c5effa4043953fe63a75330c0f9bfb03a9c4fb864d2d3af4205c00c72953eb0c",
+    "bound --k 2 --g 15 --r 16 --n 5000":
+        "1927c8a18856072a9a9d1d6f7ff6ddc0547a6f3c371e7664eb858f9b388b7d7d",
+    "table --k 2 --r 16 --n 3000":
+        "2bd5ad48725c030f3502f06058799f40b6a470c1e020cf042c08439577346eea",
+    "table --k 3 --r 9 --n 500":
+        "e17573dae1bdf94c5f98688402575c2d6d0b95e8c024d9f66bb417b7b7c1dd93",
+}
+
+
+@pytest.mark.parametrize("command", list(BOUNDS_STDOUT_SHA256))
+def test_bounds_stdout_digest(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert _stdout_digest(out) == BOUNDS_STDOUT_SHA256[command]
 
 
 def test_verify_lemma_suite(capsys):
@@ -292,13 +331,13 @@ def test_os_error_exit_4(capsys, tmp_path):
 def test_failed_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
-    entry = bounds._entry_from_tables
+    column = bounds._inverse_column
 
-    def perturbed(sys, tab, m, g):
-        value = entry(sys, tab, m, g)
-        return value + Fraction(1, 10**9) if m == sys.k else value
+    def perturbed(sys, tab, g):
+        col = column(sys, tab, g)
+        return [col[0] + Fraction(1, 10**9)] + col[1:]
 
-    monkeypatch.setattr(bounds, "_entry_from_tables", perturbed)
+    monkeypatch.setattr(bounds, "_inverse_column", perturbed)
     code = main(["solve", "--k", "3", "--r", "5", "--g", "4"])
     captured = capsys.readouterr()
     assert code == 5
