@@ -7,22 +7,30 @@ against a tridiagonal matrix indexed by m in [k, r-1]; its determinant
 recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
-Everything here is exact `fractions.Fraction` arithmetic.  One recursion
-gives the leading minors; the trailing minors are the same recursion on the
-reversed system.  `inverse_matrix` and `solve_delta` run it once per call
-(`turankit solve`, which prints the tables as well, reads its column from
-the same ones) and build each column of the inverse in one pass outward
-from the diagonal, carrying the off-diagonal product.  Every multiplier
-vector is then checked against the tridiagonal equations it must solve,
-row by row; with a nonzero determinant that solution is unique, so the
-check is independent of the minor formula and costs O(dimension).
+Everything here is exact, and the solve runs in Python integers.  Row i of
+the unshifted system, scaled by the lcm R_i of its entry denominators, is
+an integer row (cached per (k, r)); at eps = p/q the shifted system becomes
+the integer matrix M = q (scaled rows) - p diag(R).  One integer recursion
+gives M's leading minors; the trailing minors are the same recursion on the
+reversed system, and the two must agree on the determinant.
+`inverse_matrix` and `solve_delta` run it once per call (`turankit solve`,
+which prints the tables as well, reads its column from the same minors) and
+build each column of the inverse as integer numerators over det(M), in one
+pass outward from the diagonal carrying the off-diagonal product, so every
+entry is one `Fraction`.  The `Fraction` tables of `recurrences` are those
+integer minors divided by the prefix and suffix products of the row scales.
+Every multiplier vector is checked against the integer equations M N =
+det(M) q R_g e_g, row by row; with a nonzero determinant that solution is
+unique, so the check is independent of the minor formula and costs
+O(dimension).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .combinat import (
@@ -63,7 +71,8 @@ class TridiagonalSystem:
     lower[i] = entry (m+1, m) = -(1 - (k-1)/m) / x_ratio(k, m, r)
 
     Off-diagonal entries are strictly negative on the whole range, which is
-    what forces the inverse to be entrywise positive.
+    what forces the inverse to be entrywise positive.  The solvers read the
+    entries of `build_system(k, r)` through its cached integer rows.
     """
 
     k: int
@@ -92,6 +101,7 @@ class TridiagonalSystem:
         return out
 
 
+@lru_cache(maxsize=256)
 def build_system(k: int, r: int) -> TridiagonalSystem:
     """Construct the (r-k)-dimensional tridiagonal system for (k, r)."""
     if k < 2 or r <= k:
@@ -105,6 +115,87 @@ def build_system(k: int, r: int) -> TridiagonalSystem:
     return TridiagonalSystem(k, r, diag, upper, lower)
 
 
+class _IntegerRows(NamedTuple):
+    """`build_system(k, r)` with row i multiplied by scale[i], the lcm of
+    that row's entry denominators, so every entry is an integer."""
+
+    scale: tuple[int, ...]
+    diag: tuple[int, ...]  # scale[i] diag[i]
+    up: tuple[int, ...]  # -scale[i] upper[i], positive
+    down: tuple[int, ...]  # -scale[i+1] lower[i], positive
+
+
+@lru_cache(maxsize=256)
+def _integer_rows(k: int, r: int) -> _IntegerRows:
+    sys = build_system(k, r)
+    d = sys.dim
+    rows = []
+    for i in range(d):
+        left = sys.lower[i - 1] if i else Fraction(0)
+        right = sys.upper[i] if i + 1 < d else Fraction(0)
+        scale = math.lcm(left.denominator, sys.diag[i].denominator, right.denominator)
+        rows.append((scale, int(scale * left), int(scale * sys.diag[i]), int(scale * right)))
+    scale, left, diag, right = zip(*rows)
+    return _IntegerRows(scale, diag, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:]))
+
+
+class _IntegerSystem(NamedTuple):
+    """The shifted system A - eps I at eps = p/q as the integer matrix
+    M = diag(scale) (A - eps I) = q (R A) - p diag(R), where R holds the row
+    scales of `_IntegerRows` and scale = q R, together with M's minors.
+
+    theta[j] is the leading minor over rows 0..j-1 (theta[0] = 1) and
+    phi[j] the trailing minor over rows j..d-1 (phi[d] = 1), so det(M) =
+    theta[d] = phi[0].  up and down hold M's off-diagonals negated.
+    """
+
+    k: int
+    r: int
+    eps: Fraction
+    scale: list[int]
+    diag: list[int]
+    up: list[int]
+    down: list[int]
+    theta: list[int]
+    phi: list[int]
+
+    @property
+    def det(self) -> int:
+        return self.theta[-1]
+
+
+def _minors(diag: list[int], offs: list[int]) -> list[int]:
+    """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
+    with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
+    lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
+    out = [0, 1]
+    for i, a in enumerate(diag):
+        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
+    return out[1:]
+
+
+def _integer_system(k: int, r: int, eps: Fraction) -> _IntegerSystem:
+    """Shift the cached integer rows by eps in O(dimension), run the minor
+    recursion forward and on the reversed system, and cross-check the
+    determinant."""
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("recurrences: eps must be nonnegative")
+    rows = _integer_rows(k, r)
+    p, q = eps.numerator, eps.denominator
+    diag = [q * b - p * s for b, s in zip(rows.diag, rows.scale)]
+    up = [q * u for u in rows.up]
+    down = [q * l for l in rows.down]
+    offs = [u * l for u, l in zip(up, down)]
+    theta = _minors(diag, offs)
+    # the trailing minors are the leading minors of the reversed system
+    phi = _minors(diag[::-1], offs[::-1])[::-1]
+    if theta[-1] != phi[0]:
+        raise ArithmeticError("minor recursions disagree on the determinant")
+    scale = [q * s for s in rows.scale]
+    return _IntegerSystem(k, r, eps, scale, diag, up, down, theta, phi)
+
+
 @dataclass(frozen=True)
 class RecurrenceTables:
     """Minor recursions of the shifted system.
@@ -114,6 +205,7 @@ class RecurrenceTables:
     the trailing minor over {k+j..r-1}, padded with the seeds phi(r) = 1 and
     phi(r+1) = 0.  zeta[j] = phi(m+1) - phi(m) for m = k+j, with the seed
     zeta(r) = 0.  The determinant equals both theta(r-1) and phi(k).
+    `integer` is the integer system the tables are divided out of.
     """
 
     k: int
@@ -123,6 +215,7 @@ class RecurrenceTables:
     phi: tuple[Fraction, ...]  # m = k .. r+1
     zeta: tuple[Fraction, ...]  # m = k .. r
     determinant: Fraction
+    integer: _IntegerSystem = field(repr=False)
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
         """Flag (table, m) pairs with nonpositive values; nonempty tables
@@ -137,54 +230,44 @@ class RecurrenceTables:
         return bad
 
 
-def _minors(diag: list[Fraction], offs: list[Fraction]) -> list[Fraction]:
-    """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
-    with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
-    lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
-    out = [Fraction(0), Fraction(1)]
-    for i, a in enumerate(diag):
-        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
-    return out[1:]
-
-
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
-    """Run both minor recursions for the shifted system and cross-check the
-    determinant.  Large eps may drive entries nonpositive; that is reported
-    through `nonpositive_entries`, not an error."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("recurrences: eps must be nonnegative")
-    diag = [a - eps for a in sys.diag]
-    offs = [u * l for u, l in zip(sys.upper, sys.lower)]
-    theta = _minors(diag, offs)
-    # the trailing minors are the leading minors of the reversed system
-    phi = _minors(diag[::-1], offs[::-1])[::-1] + [Fraction(0)]
-    if theta[-1] != phi[0]:
-        raise ArithmeticError("minor recursions disagree on the determinant")
+    """Minor tables of the shifted system, read off the integer minors: row
+    i of M is scale[i] times row i of the shifted system, so a leading
+    (trailing) minor of M is the system's minor times the prefix (suffix)
+    product of the scales.  Large eps may drive entries nonpositive; that is
+    reported through `nonpositive_entries`, not an error."""
+    mat = _integer_system(sys.k, sys.r, eps)
+    prefix, suffix = [1], [1]
+    for s, t in zip(mat.scale, reversed(mat.scale)):
+        prefix.append(prefix[-1] * s)
+        suffix.append(suffix[-1] * t)
+    theta = [Fraction(t, p) for t, p in zip(mat.theta, prefix)]
+    phi = [Fraction(f, s) for f, s in zip(mat.phi, reversed(suffix))] + [Fraction(0)]
     zeta = [phi[j + 1] - phi[j] for j in range(sys.dim)] + [Fraction(0)]
     return RecurrenceTables(
-        sys.k, sys.r, eps, tuple(theta), tuple(phi), tuple(zeta), theta[-1]
+        sys.k, sys.r, mat.eps, tuple(theta), tuple(phi), tuple(zeta), theta[-1], mat
     )
 
 
-def _inverse_column(
-    sys: TridiagonalSystem, tab: RecurrenceTables, g: int
-) -> list[Fraction]:
-    """Column g of the inverse, rows m = k..r-1.  Entry (m, g) is
-    theta(min-1) phi(max+1) / det times the product of the negated
-    off-diagonals between m and g, carried outward from the diagonal, so
-    no minor is ever divided by."""
-    j = g - sys.k
-    col = [Fraction(0)] * sys.dim
-    carried = 1 / tab.determinant
-    col[j] = tab.theta[j] * tab.phi[j + 1] * carried
-    for i in range(j - 1, -1, -1):  # m < g: upper[i] joins rows m and m+1
-        carried *= -sys.upper[i]
-        col[i] = tab.theta[i] * tab.phi[j + 1] * carried
-    carried = 1 / tab.determinant
-    for i in range(j + 1, sys.dim):  # m > g: lower[i-1] joins rows m-1 and m
-        carried *= -sys.lower[i - 1]
-        col[i] = tab.theta[j] * tab.phi[i + 1] * carried
+def _inverse_column(mat: _IntegerSystem, g: int) -> list[int]:
+    """Integer numerators N of column g of the shifted system's inverse,
+    rows k..r-1: the column is N / det(M).  Entry (i, g) of M's inverse is
+    theta[min] phi[max+1] / det(M) times the product of M's negated
+    off-diagonals between i and g, carried outward from the diagonal; the
+    shifted system's inverse is M's inverse times diag(scale), so column g
+    carries scale[g] as well.  No minor is ever divided by."""
+    j = g - mat.k
+    d = len(mat.diag)
+    col = [0] * d
+    carried = mat.scale[j] * mat.phi[j + 1]
+    col[j] = mat.theta[j] * carried
+    for i in range(j - 1, -1, -1):  # rows above g: up[i] joins rows i and i+1
+        carried *= mat.up[i]
+        col[i] = mat.theta[i] * carried
+    carried = mat.scale[j] * mat.theta[j]
+    for i in range(j + 1, d):  # rows below g: down[i-1] joins rows i-1 and i
+        carried *= mat.down[i - 1]
+        col[i] = carried * mat.phi[i + 1]
     return col
 
 
@@ -193,47 +276,49 @@ def inverse_matrix(
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
     one pair of minor recursions serves every column."""
-    tab = recurrences(sys, eps)
-    if tab.determinant == 0:
+    mat = _integer_system(sys.k, sys.r, eps)
+    det = mat.det
+    if det == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
-    columns = [_inverse_column(sys, tab, g) for g in sys.ms]
-    return [list(row) for row in zip(*columns)]
+    columns = [_inverse_column(mat, g) for g in sys.ms]
+    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
     """Multiplier vector (indices m = k..r-1): column g of the shifted
     system's inverse, read from the minor/product formula.
 
-    Every row of the shifted system applied to the vector is checked to be 1
-    at m = g and 0 elsewhere; the determinant is nonzero, so this accepts
-    only the true column.
+    The integer matrix M applied to the numerators is checked to be
+    det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
+    is nonzero, so this accepts only the true column.
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    sys = build_system(k, r)
-    return _solve_column(sys, recurrences(sys, eps), g)
+    return _solve_column(_integer_system(k, r, eps), g)
 
 
-def _solve_column(sys: TridiagonalSystem, tab: RecurrenceTables, g: int) -> list[Fraction]:
-    """`solve_delta` on a system and its minor tables at tab.epsilon, for a
-    caller that also reports the tables."""
-    k, r, eps = sys.k, sys.r, tab.epsilon
+def _solve_column(mat: _IntegerSystem, g: int) -> list[Fraction]:
+    """`solve_delta` on an integer system, for a caller that also reports
+    its tables (`RecurrenceTables.integer`)."""
+    k, r = mat.k, mat.r
     if not k <= g < r:
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    if tab.determinant == 0:
+    det = mat.det
+    if det == 0:
         raise ZeroDivisionError("solve_delta: shifted system is singular")
-    delta = _inverse_column(sys, tab, g)
-    for i, m in enumerate(sys.ms):
-        row = (sys.diag[i] - eps) * delta[i]
+    num = _inverse_column(mat, g)
+    j, d = g - k, len(num)
+    for i in range(d):
+        row = mat.diag[i] * num[i]
         if i >= 1:
-            row += sys.lower[i - 1] * delta[i - 1]
-        if i + 1 < sys.dim:
-            row += sys.upper[i] * delta[i + 1]
-        if row != (1 if m == g else 0):
+            row -= mat.down[i - 1] * num[i - 1]
+        if i + 1 < d:
+            row -= mat.up[i] * num[i + 1]
+        if row != (det * mat.scale[j] if i == j else 0):
             raise ArithmeticError(
                 "solve_delta: minor formula does not solve the tridiagonal system"
             )
-    return delta
+    return [Fraction(v, det) for v in num]
 
 
 def asymptotic_product(k: int, g: int, r: int) -> Fraction:
@@ -336,27 +421,15 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                l=2 gives direct 3/8 but formula -1/8); `direct` is the
                value backed by the counting argument.
 
-    `upper_bound` reports `direct` alone and computes only that, never the
-    sum, whose term count grows exponentially in g.
+    Both are polynomial in g (`_inclusion_exclusion` groups the sum's terms
+    by s and by the total covered); `upper_bound` reports `direct` alone
+    and computes only that.
     """
     if k < 2 or g < k or l < 1:
         raise ValueError(
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
-    direct = _partite_direct(k, g, l)
-    formula = Fraction(0)
-    for s in range(g // k + 1):
-        inner = Fraction(0)
-        if s == 0:
-            inner = Fraction(1)
-        else:
-            for parts in _tuples_at_least(k, s, g):
-                total = sum(parts)
-                inner += Fraction(
-                    multinomial(g, parts + (g - total,)), l**total
-                )
-        formula += (-1) ** s * binomial(l, s) * inner
-    return PartiteBound(direct, formula)
+    return PartiteBound(_partite_direct(k, g, l), _inclusion_exclusion(k, g, l))
 
 
 def _partite_direct(k: int, g: int, l: int) -> Fraction:
@@ -375,14 +448,24 @@ def _partite_direct(k: int, g: int, l: int) -> Fraction:
     return Fraction(dp[g], l**g)
 
 
-def _tuples_at_least(k: int, s: int, g: int):
-    """Ordered s-tuples with every entry >= k and sum <= g."""
-    if s == 0:
-        yield ()
-        return
-    for first in range(k, g - k * (s - 1) + 1):
-        for rest in _tuples_at_least(k, s - 1, g - first):
-            yield (first,) + rest
+def _inclusion_exclusion(k: int, g: int, l: int) -> Fraction:
+    """`partite_lower_bound(k, g, l).formula`: the multinomials of the
+    s-tuples with sum T add up to C(g, T) c_s(T), where c_s(T) counts the
+    ordered s-tuples of disjoint labeled blocks, each of size >= k, covering
+    T labeled items; so the sum is
+    sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g.  DP over s:
+    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), c_0 = [1, 0, ..]."""
+    blocks = [1] + [0] * g
+    total = 0
+    for s in range(g // k + 1):
+        if s:
+            blocks = [
+                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t + 1))
+                for t in range(g + 1)
+            ]
+        covered = sum(math.comb(g, t) * c * l ** (g - t) for t, c in enumerate(blocks))
+        total += (-1) ** s * math.comb(l, s) * covered
+    return Fraction(total, l**g)
 
 
 @dataclass(frozen=True)
@@ -413,7 +496,15 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
     l = (r - 1) // (k - 1)
     lower = Fraction(multinomial(r - 1, (k - 1,) * l), l ** (r - 1))
     product = asymptotic_product(k, r - 1, r)
-    exp_lo, exp_hi = exp_bounds(Fraction(k - r, k))
+    # 64 series terms bracket e^x tightly for |x| up to about 10; beyond
+    # that the tail bound can exceed e^x itself, so double until the bracket
+    # is narrow against its (then positive) lower end.  r >= 2|x| + 2 terms
+    # keep the tail bound valid.
+    x, terms = Fraction(k - r, k), max(64, r)
+    exp_lo, exp_hi = exp_bounds(x, terms)
+    while exp_hi - exp_lo >= exp_lo / 10**20:
+        terms *= 2
+        exp_lo, exp_hi = exp_bounds(x, terms)
     if not lower <= product <= exp_lo:
         raise ArithmeticError("sandwich_table: ordering check failed")
     approx = decimal_string((exp_lo + exp_hi) / 2, 12)

@@ -130,13 +130,20 @@ def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
     x = Fraction(x)
     if terms < 2 * abs(x) + 2:
         raise ValueError("exp_bounds: too few series terms for a valid tail bound")
-    total = Fraction(0)
-    term = Fraction(1)
-    for j in range(terms):
+    # with x = a/b, term j of the series is t_j / (b^(N-1) (N-1)!) for the
+    # integer t_j = a^j b^(N-1-j) (N-1)!/j!; t_j = t_{j-1} a / (b j) exactly
+    a, b = x.numerator, x.denominator
+    term = b ** (terms - 1) * math.factorial(terms - 1)
+    denom = term
+    total = term
+    for j in range(1, terms):
+        term = term * a // (b * j)
         total += term
-        term = term * x / (j + 1)
-    tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
-    return total - tail, total + tail
+    # over b^N N!, the sum is total b N and the tail 2 |a|^N
+    total *= b * terms
+    denom *= b * terms
+    tail = 2 * abs(a) ** terms
+    return Fraction(total - tail, denom), Fraction(total + tail, denom)
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

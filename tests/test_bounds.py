@@ -15,6 +15,7 @@ from turankit import (
     epsilon_threshold,
     epsilon_value,
     inverse_matrix,
+    multinomial,
     partite_lower_bound,
     recurrences,
     sandwich_table,
@@ -40,6 +41,29 @@ def matmul(A, B):
 
 def identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def gauss_jordan_inverse(A):
+    """Dense Fraction inverse with row pivoting, independent of the minors."""
+    n = len(A)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if M[i][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for i in range(n):
+            if i != c and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return [row[n:] for row in M]
+
+
+def fraction_minors(diag, offs):
+    """Leading minors 1, D_1, .., D_d by the plain Fraction recursion."""
+    out = [Fraction(0), Fraction(1)]
+    for i, a in enumerate(diag):
+        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
+    return out[1:]
 
 
 def test_build_system_3_5():
@@ -148,6 +172,41 @@ def test_inverse_matrix_times_system_is_identity():
     tab = recurrences(s, Fraction(6, 5))
     assert tab.theta[1] == 0 and tab.determinant == Fraction(-1, 5)
     assert matmul(s.dense(Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
+
+
+def test_integer_inverse_matches_gauss_jordan():
+    # every 2 <= k < r <= 16 at eps = 0 and eps = threshold j/97, then the
+    # zero-minor shift of (3, 5): theta(3) = 0 while det = -1/5
+    cases = []
+    for r in range(3, 17):
+        for k in range(2, r):
+            thr = epsilon_threshold(k, r)
+            cases += [(k, r, thr * Fraction(j, 97)) for j in (0, 1, 24, 48, 96)]
+    cases.append((3, 5, Fraction(6, 5)))
+    for k, r, eps in cases:
+        s = build_system(k, r)
+        oracle = gauss_jordan_inverse(s.dense(eps))
+        assert inverse_matrix(s, eps) == oracle
+        for g in s.ms:
+            assert solve_delta(k, g, r, eps) == [row[g - k] for row in oracle]
+
+
+def test_recurrences_match_fraction_recursion():
+    for r in range(3, 17):
+        for k in range(2, r):
+            s = build_system(k, r)
+            thr = epsilon_threshold(k, r)
+            for eps in (Fraction(0), thr * Fraction(37, 97), thr, Fraction(6, 5), Fraction(2)):
+                diag = [a - eps for a in s.diag]
+                offs = [u * l for u, l in zip(s.upper, s.lower)]
+                theta = fraction_minors(diag, offs)
+                phi = fraction_minors(diag[::-1], offs[::-1])[::-1] + [Fraction(0)]
+                tab = recurrences(s, eps)
+                assert tab.epsilon == eps
+                assert tab.theta == tuple(theta)
+                assert tab.phi == tuple(phi)
+                assert tab.zeta == tuple(phi[j + 1] - phi[j] for j in range(s.dim)) + (0,)
+                assert tab.determinant == theta[-1]
 
 
 def test_solve_delta_matches_inverse_column():
@@ -304,7 +363,7 @@ def test_upper_bound_skips_the_inclusion_exclusion_sum(monkeypatch):
     def unexpected(*args):
         raise AssertionError("upper_bound evaluated the inclusion-exclusion sum")
 
-    monkeypatch.setattr(bounds, "_tuples_at_least", unexpected)
+    monkeypatch.setattr(bounds, "_inclusion_exclusion", unexpected)
     rep = upper_bound(2, 26, 27, 10**6)
     assert rep.lower_bound == Fraction(math.factorial(26), 26**26)  # 26 groups, k = 2
     with pytest.raises(AssertionError):
@@ -316,6 +375,38 @@ def test_partite_lower_bound_small_cases():
     direct, formula = partite_lower_bound(3, 4, 2)
     assert direct == Fraction(3, 8)
     assert formula == Fraction(-1, 8)  # the printed sum disagrees here
+
+
+def tuples_at_least(k, s, g):
+    """Ordered s-tuples with every entry >= k and sum <= g."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(k, g - k * (s - 1) + 1):
+        for rest in tuples_at_least(k, s - 1, g - first):
+            yield (first,) + rest
+
+
+def enumerated_inclusion_exclusion(k, g, l):
+    """The printed sum, term by term over the tuples."""
+    total = Fraction(0)
+    for s in range(g // k + 1):
+        inner = sum(
+            (
+                Fraction(multinomial(g, parts + (g - sum(parts),)), l ** sum(parts))
+                for parts in tuples_at_least(k, s, g)
+            ),
+            Fraction(0),
+        )
+        total += (-1) ** s * binomial(l, s) * inner
+    return total
+
+
+def test_partite_formula_matches_tuple_enumeration():
+    for k in range(2, 6):
+        for g in range(k, 15):
+            for l in range(1, 9):
+                assert partite_lower_bound(k, g, l).formula == enumerated_inclusion_exclusion(k, g, l)
 
 
 def test_partite_lower_bound_reports_bad_range():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -155,6 +156,18 @@ def test_lower_without_divisibility_has_no_sandwich(capsys):
     assert payload["sandwich"] is None
 
 
+def test_lower_large_g(capsys):
+    # the inclusion-exclusion sum is polynomial in g, and at x = -39/2 the
+    # sandwich needs more than the default 64 series terms around e^x
+    code, out = run_cli(capsys, "lower", "--k", "2", "--g", "40", "--r", "41")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["direct"] == str(Fraction(math.factorial(40), 40**40))
+    assert payload["formulaAgrees"] is False
+    assert payload["sandwich"]["product"] == payload["sandwich"]["multinomialLower"]
+    assert payload["sandwich"]["expLimitApprox"] == "~0.000000003398"
+
+
 def test_enumerate_guard_exit_2(capsys):
     code = main(["enumerate", "--k", "3", "--n", "7"])
     err = capsys.readouterr().err
@@ -216,6 +229,10 @@ BOUNDS_STDOUT_SHA256 = {
         "2bd5ad48725c030f3502f06058799f40b6a470c1e020cf042c08439577346eea",
     "table --k 3 --r 9 --n 500":
         "e17573dae1bdf94c5f98688402575c2d6d0b95e8c024d9f66bb417b7b7c1dd93",
+    "lower --k 3 --g 7 --r 9":
+        "b440beb3d8b6544a8bbd00c761f19c9d491b7acf8399d480d758d6ea4395bec5",
+    "lower --k 2 --g 15 --r 16":
+        "aca43721d3d92281fc1fa47d630d5cb0a06f0fa50612c6c383869cf795bb7f3d",
 }
 
 
@@ -333,9 +350,9 @@ def test_failed_cross_check_exit_5(capsys, monkeypatch):
 
     column = bounds._inverse_column
 
-    def perturbed(sys, tab, g):
-        col = column(sys, tab, g)
-        return [col[0] + Fraction(1, 10**9)] + col[1:]
+    def perturbed(m, g):
+        col = column(m, g)
+        return [col[0] + 1] + col[1:]
 
     monkeypatch.setattr(bounds, "_inverse_column", perturbed)
     code = main(["solve", "--k", "3", "--r", "5", "--g", "4"])

@@ -125,6 +125,18 @@ def test_exp_bounds_bracket():
     assert Fraction("2.718281828459") < lo1 and hi1 < Fraction("2.718281828460")
 
 
+def test_exp_bounds_matches_fraction_series():
+    # the integer-numerator sum against the term-by-term Fraction series
+    for x in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(-7), Fraction(13, 4), Fraction(-39, 2)):
+        for terms in (42, 64, 128):
+            total, term = Fraction(0), Fraction(1)
+            for j in range(terms):
+                total += term
+                term = term * x / (j + 1)
+            tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
+            assert exp_bounds(x, terms) == (total - tail, total + tail)
+
+
 def test_decimal_string():
     assert decimal_string(Fraction(1, 2), 3) == "0.500"
     assert decimal_string(Fraction(-5, 4), 2) == "-1.25"
