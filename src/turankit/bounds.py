@@ -7,17 +7,19 @@ against a tridiagonal matrix indexed by m in [k, r-1]; its determinant
 recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
-Everything here is exact, and the solve runs in Python integers.  Row i of
-the unshifted system, scaled by the lcm R_i of its entry denominators, is
-an integer row (cached per (k, r)); at eps = p/q the shifted system becomes
-the integer matrix M = q (scaled rows) - p diag(R).  One integer recursion
-gives M's leading minors; the trailing minors are the same recursion on the
-reversed system, and the two must agree on the determinant.
-`inverse_matrix` and `solve_delta` run it once per call (`turankit solve`,
-which prints the tables as well, reads its column from the same minors) and
-build each column of the inverse as integer numerators over det(M), in one
-pass outward from the diagonal carrying the off-diagonal product, so every
-entry is one `Fraction`.  The `Fraction` tables of `recurrences` are those
+Everything here is exact, and the solve runs in Python integers.  Each
+`TridiagonalSystem` carries its integer rows, computed once: row i scaled by
+the lcm R_i of its entry denominators (`build_system` caches the system, so
+the rows are kept per (k, r)).  `recurrences(sys, eps)` is the one record of
+the shift: at eps = p/q the system becomes the integer matrix M = q (scaled
+rows) - p diag(R), one integer recursion gives M's leading minors, the
+trailing minors are the same recursion on the reversed system, and the two
+must agree on the determinant.  `inverse_matrix` and `solve_delta` build it
+once per call (`turankit solve`, which prints the tables as well, reads its
+column from the same record) and build each column of the inverse as
+integer numerators over det(M), in one pass outward from the diagonal
+carrying the off-diagonal product, so every entry is one `Fraction`.  The
+`Fraction` tables theta, phi and zeta are computed only when read: the
 integer minors divided by the prefix and suffix products of the row scales.
 Every multiplier vector is checked against the integer equations M N =
 det(M) q R_g e_g, row by row; with a nonzero determinant that solution is
@@ -27,10 +29,12 @@ O(dimension).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .combinat import (
@@ -72,7 +76,7 @@ class TridiagonalSystem:
 
     Off-diagonal entries are strictly negative on the whole range, which is
     what forces the inverse to be entrywise positive.  The solvers read the
-    entries of `build_system(k, r)` through its cached integer rows.
+    entries of the system they are given through its cached integer rows.
     """
 
     k: int
@@ -88,6 +92,22 @@ class TridiagonalSystem:
     @property
     def ms(self) -> tuple[int, ...]:
         return tuple(range(self.k, self.r))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """(scale, diag, up, down): row i multiplied by scale[i], the lcm of
+        that row's entry denominators, so every entry is an integer; diag[i]
+        = scale[i] diag[i], up[i] = -scale[i] upper[i] and down[i] =
+        -scale[i+1] lower[i]."""
+        d = self.dim
+        rows = []
+        for i in range(d):
+            left, mid = self.lower[i - 1] if i else 0, self.diag[i]
+            right = self.upper[i] if i + 1 < d else 0
+            scale = math.lcm(left.denominator, mid.denominator, right.denominator)
+            rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
+        scale, left, diag, right = zip(*rows)
+        return scale, diag, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
 
     def dense(self, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
         """The shifted matrix (system minus eps on the diagonal) as rows."""
@@ -115,55 +135,6 @@ def build_system(k: int, r: int) -> TridiagonalSystem:
     return TridiagonalSystem(k, r, diag, upper, lower)
 
 
-class _IntegerRows(NamedTuple):
-    """`build_system(k, r)` with row i multiplied by scale[i], the lcm of
-    that row's entry denominators, so every entry is an integer."""
-
-    scale: tuple[int, ...]
-    diag: tuple[int, ...]  # scale[i] diag[i]
-    up: tuple[int, ...]  # -scale[i] upper[i], positive
-    down: tuple[int, ...]  # -scale[i+1] lower[i], positive
-
-
-@lru_cache(maxsize=256)
-def _integer_rows(k: int, r: int) -> _IntegerRows:
-    sys = build_system(k, r)
-    d = sys.dim
-    rows = []
-    for i in range(d):
-        left = sys.lower[i - 1] if i else Fraction(0)
-        right = sys.upper[i] if i + 1 < d else Fraction(0)
-        scale = math.lcm(left.denominator, sys.diag[i].denominator, right.denominator)
-        rows.append((scale, int(scale * left), int(scale * sys.diag[i]), int(scale * right)))
-    scale, left, diag, right = zip(*rows)
-    return _IntegerRows(scale, diag, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:]))
-
-
-class _IntegerSystem(NamedTuple):
-    """The shifted system A - eps I at eps = p/q as the integer matrix
-    M = diag(scale) (A - eps I) = q (R A) - p diag(R), where R holds the row
-    scales of `_IntegerRows` and scale = q R, together with M's minors.
-
-    theta[j] is the leading minor over rows 0..j-1 (theta[0] = 1) and
-    phi[j] the trailing minor over rows j..d-1 (phi[d] = 1), so det(M) =
-    theta[d] = phi[0].  up and down hold M's off-diagonals negated.
-    """
-
-    k: int
-    r: int
-    eps: Fraction
-    scale: list[int]
-    diag: list[int]
-    up: list[int]
-    down: list[int]
-    theta: list[int]
-    phi: list[int]
-
-    @property
-    def det(self) -> int:
-        return self.theta[-1]
-
-
 def _minors(diag: list[int], offs: list[int]) -> list[int]:
     """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
     with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
@@ -174,48 +145,53 @@ def _minors(diag: list[int], offs: list[int]) -> list[int]:
     return out[1:]
 
 
-def _integer_system(k: int, r: int, eps: Fraction) -> _IntegerSystem:
-    """Shift the cached integer rows by eps in O(dimension), run the minor
-    recursion forward and on the reversed system, and cross-check the
-    determinant."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("recurrences: eps must be nonnegative")
-    rows = _integer_rows(k, r)
-    p, q = eps.numerator, eps.denominator
-    diag = [q * b - p * s for b, s in zip(rows.diag, rows.scale)]
-    up = [q * u for u in rows.up]
-    down = [q * l for l in rows.down]
-    offs = [u * l for u, l in zip(up, down)]
-    theta = _minors(diag, offs)
-    # the trailing minors are the leading minors of the reversed system
-    phi = _minors(diag[::-1], offs[::-1])[::-1]
-    if theta[-1] != phi[0]:
-        raise ArithmeticError("minor recursions disagree on the determinant")
-    scale = [q * s for s in rows.scale]
-    return _IntegerSystem(k, r, eps, scale, diag, up, down, theta, phi)
-
-
 @dataclass(frozen=True)
 class RecurrenceTables:
-    """Minor recursions of the shifted system.
+    """The shifted system A - eps I at eps = p/q as the integer matrix
+    M = diag(scale) (A - eps I) = q (R A) - p diag(R), where R holds the row
+    scales of `TridiagonalSystem.rows` and scale = q R, with M's minors:
+    lead[j] over rows 0..j-1 (lead[0] = 1) and trail[j] over rows j..d-1
+    (trail[d] = 1), so det(M) = lead[d] = trail[0].  up and down hold M's
+    off-diagonals negated.
 
+    The `Fraction` tables, computed on first read, are the shifted system's
+    own minors: M's divided by the prefix (suffix) products of the scales.
     theta[j] = theta(k-1+j), the leading principal minor over rows/columns
-    {k..k-1+j}; theta[0] is the seed theta(k-1) = 1.  phi[j] = phi(k+j),
-    the trailing minor over {k+j..r-1}, padded with the seeds phi(r) = 1 and
+    {k..k-1+j}; theta[0] is the seed theta(k-1) = 1.  phi[j] = phi(k+j), the
+    trailing minor over {k+j..r-1}, padded with the seeds phi(r) = 1 and
     phi(r+1) = 0.  zeta[j] = phi(m+1) - phi(m) for m = k+j, with the seed
     zeta(r) = 0.  The determinant equals both theta(r-1) and phi(k).
-    `integer` is the integer system the tables are divided out of.
     """
 
     k: int
     r: int
     epsilon: Fraction
-    theta: tuple[Fraction, ...]  # m = k-1 .. r-1
-    phi: tuple[Fraction, ...]  # m = k .. r+1
-    zeta: tuple[Fraction, ...]  # m = k .. r
-    determinant: Fraction
-    integer: _IntegerSystem = field(repr=False)
+    scale: list[int]
+    diag: list[int]
+    up: list[int]
+    down: list[int]
+    lead: list[int]
+    trail: list[int]
+
+    @cached_property
+    def theta(self) -> tuple[Fraction, ...]:  # m = k-1 .. r-1
+        prefix = itertools.accumulate(self.scale, operator.mul, initial=1)
+        return tuple(Fraction(t, p) for t, p in zip(self.lead, prefix))
+
+    @cached_property
+    def phi(self) -> tuple[Fraction, ...]:  # m = k .. r+1
+        suffix = itertools.accumulate(reversed(self.scale), operator.mul, initial=1)
+        phi = [Fraction(f, s) for f, s in zip(reversed(self.trail), suffix)]
+        return tuple(phi[::-1]) + (Fraction(0),)
+
+    @cached_property
+    def zeta(self) -> tuple[Fraction, ...]:  # m = k .. r
+        phi = self.phi
+        return tuple(phi[j + 1] - phi[j] for j in range(len(self.diag))) + (Fraction(0),)
+
+    @property
+    def determinant(self) -> Fraction:
+        return self.theta[-1]
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
         """Flag (table, m) pairs with nonpositive values; nonempty tables
@@ -231,43 +207,47 @@ class RecurrenceTables:
 
 
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
-    """Minor tables of the shifted system, read off the integer minors: row
-    i of M is scale[i] times row i of the shifted system, so a leading
-    (trailing) minor of M is the system's minor times the prefix (suffix)
-    product of the scales.  Large eps may drive entries nonpositive; that is
-    reported through `nonpositive_entries`, not an error."""
-    mat = _integer_system(sys.k, sys.r, eps)
-    prefix, suffix = [1], [1]
-    for s, t in zip(mat.scale, reversed(mat.scale)):
-        prefix.append(prefix[-1] * s)
-        suffix.append(suffix[-1] * t)
-    theta = [Fraction(t, p) for t, p in zip(mat.theta, prefix)]
-    phi = [Fraction(f, s) for f, s in zip(mat.phi, reversed(suffix))] + [Fraction(0)]
-    zeta = [phi[j + 1] - phi[j] for j in range(sys.dim)] + [Fraction(0)]
-    return RecurrenceTables(
-        sys.k, sys.r, mat.eps, tuple(theta), tuple(phi), tuple(zeta), theta[-1], mat
-    )
+    """Shift the integer rows of `sys` by eps in O(dimension), run the minor
+    recursion forward and on the reversed system, and cross-check the
+    determinant.  Large eps may drive minors nonpositive; that is reported
+    through `nonpositive_entries`, not an error."""
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("recurrences: eps must be nonnegative")
+    scale, diag, up, down = sys.rows
+    p, q = eps.numerator, eps.denominator
+    diag = [q * b - p * s for b, s in zip(diag, scale)]
+    up = [q * u for u in up]
+    down = [q * l for l in down]
+    offs = [u * l for u, l in zip(up, down)]
+    lead = _minors(diag, offs)
+    # the trailing minors are the leading minors of the reversed system
+    trail = _minors(diag[::-1], offs[::-1])[::-1]
+    if lead[-1] != trail[0]:
+        raise ArithmeticError("minor recursions disagree on the determinant")
+    scale = [q * s for s in scale]
+    return RecurrenceTables(sys.k, sys.r, eps, scale, diag, up, down, lead, trail)
 
 
-def _inverse_column(mat: _IntegerSystem, g: int) -> list[int]:
+def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
     """Integer numerators N of column g of the shifted system's inverse,
     rows k..r-1: the column is N / det(M).  Entry (i, g) of M's inverse is
-    theta[min] phi[max+1] / det(M) times the product of M's negated
+    lead[min] trail[max+1] / det(M) times the product of M's negated
     off-diagonals between i and g, carried outward from the diagonal; the
     shifted system's inverse is M's inverse times diag(scale), so column g
     carries scale[g] as well.  No minor is ever divided by."""
     j = g - mat.k
     d = len(mat.diag)
     col = [0] * d
-    carried = mat.scale[j] * mat.phi[j + 1]
-    col[j] = mat.theta[j] * carried
+    carried = mat.scale[j] * mat.trail[j + 1]
+    col[j] = mat.lead[j] * carried
     for i in range(j - 1, -1, -1):  # rows above g: up[i] joins rows i and i+1
         carried *= mat.up[i]
-        col[i] = mat.theta[i] * carried
-    carried = mat.scale[j] * mat.theta[j]
+        col[i] = mat.lead[i] * carried
+    carried = mat.scale[j] * mat.lead[j]
     for i in range(j + 1, d):  # rows below g: down[i-1] joins rows i-1 and i
         carried *= mat.down[i - 1]
-        col[i] = carried * mat.phi[i + 1]
+        col[i] = carried * mat.trail[i + 1]
     return col
 
 
@@ -276,8 +256,8 @@ def inverse_matrix(
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
     one pair of minor recursions serves every column."""
-    mat = _integer_system(sys.k, sys.r, eps)
-    det = mat.det
+    mat = recurrences(sys, eps)
+    det = mat.lead[-1]
     if det == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
     columns = [_inverse_column(mat, g) for g in sys.ms]
@@ -294,16 +274,16 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    return _solve_column(_integer_system(k, r, eps), g)
+    return _solve_column(recurrences(build_system(k, r), eps), g)
 
 
-def _solve_column(mat: _IntegerSystem, g: int) -> list[Fraction]:
-    """`solve_delta` on an integer system, for a caller that also reports
-    its tables (`RecurrenceTables.integer`)."""
+def _solve_column(mat: RecurrenceTables, g: int) -> list[Fraction]:
+    """`solve_delta` on shifted tables, for a caller that also reports
+    them (`turankit solve`)."""
     k, r = mat.k, mat.r
     if not k <= g < r:
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    det = mat.det
+    det = mat.lead[-1]
     if det == 0:
         raise ZeroDivisionError("solve_delta: shifted system is singular")
     num = _inverse_column(mat, g)

@@ -178,7 +178,7 @@ def _cmd_solve(args) -> int:
     eps = Fraction(args.eps)
     sys_ = bounds.build_system(args.k, args.r)
     tables = bounds.recurrences(sys_, eps)
-    delta = bounds._solve_column(tables.integer, args.g)
+    delta = bounds._solve_column(tables, args.g)
     payload = {
         "k": args.k,
         "r": args.r,

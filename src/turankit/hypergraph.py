@@ -20,10 +20,12 @@ mask as a single gather of its two halves across all relabelings, followed
 by a numpy minimum.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
-each of its colex k-subsets.  Restriction and the typed masks of
-`turankit.flags` gather a sub-mask through it instead of re-ranking every
-subset; `_gather_masks` is the same gather over a whole array of masks, for
-the expansions and lifts of `turankit.flags` that work on all classes.
+each of its colex k-subsets, looked up in one colex index per k keyed by
+vertex bitmask (`subset_rank` is the definition).  Restriction and the
+typed masks of `turankit.flags` gather a sub-mask through it instead of
+re-ranking every subset; `_gather_masks` is the same gather over a whole
+array of masks, for the expansions and lifts of `turankit.flags` that work
+on all classes.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
@@ -90,13 +92,21 @@ def subset_rank(subset: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _colex_index(k: int) -> dict[int, int]:
+    """Colex rank of every k-subset of {0..MAX_VERTICES-1}, keyed by its
+    vertex bitmask; a colex rank does not depend on n."""
+    return {
+        sum(1 << v for v in s): rank for rank, s in enumerate(colex_subsets(MAX_VERTICES, k))
+    }
+
+
+@lru_cache(maxsize=None)
 def tuple_bits(k: int, vertices: tuple[int, ...]) -> tuple[int, ...]:
     """Host bit position of each colex k-subset of the ordered tuple
-    `vertices`: entry i is the rank of {vertices[j] : j in the i-th k-subset
-    of range(len(vertices))}."""
-    return tuple(
-        subset_rank(vertices[j] for j in sub) for sub in colex_subsets(len(vertices), k)
-    )
+    `vertices` (each below MAX_VERTICES): entry i is the rank of
+    {vertices[j] : j in the i-th k-subset of range(len(vertices))}."""
+    index, bit = _colex_index(k), [1 << v for v in vertices]
+    return tuple(index[sum(bit[j] for j in sub)] for sub in colex_subsets(len(vertices), k))
 
 
 def _gather(edges: int, bits: tuple[int, ...]) -> int:
@@ -232,9 +242,11 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
-    """Refuse mask tables over more than 2^_MAX_ENUM_BITS entries, or over
-    more than MAX_VERTICES vertices (n! relabelings), before any of them is
-    allocated."""
+    """Refuse k < 1, n < 0, mask tables over more than 2^_MAX_ENUM_BITS
+    entries, or over more than MAX_VERTICES vertices (n! relabelings), before
+    any of them is allocated."""
+    if k < 1 or n < 0:
+        raise ValueError(f"{caller}: need k >= 1 and n >= 0, got k={k}, n={n}")
     nbits = math.comb(n, k)
     if nbits > _MAX_ENUM_BITS:
         raise ValueError(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from turankit import (
     EpsilonMode,
+    TridiagonalSystem,
     asymptotic_product,
     binomial,
     build_system,
@@ -189,6 +190,15 @@ def test_integer_inverse_matches_gauss_jordan():
         assert inverse_matrix(s, eps) == oracle
         for g in s.ms:
             assert solve_delta(k, g, r, eps) == [row[g - k] for row in oracle]
+    # a hand-built system is solved from its own entries, not from
+    # build_system(3, 5), whose indices it shares
+    s = TridiagonalSystem(3, 5, (2, 2), (-1,), (-1,))
+    for eps in (Fraction(0), Fraction(1, 2)):
+        inv = inverse_matrix(s, eps)
+        assert inv == gauss_jordan_inverse(s.dense(eps))
+        assert matmul(s.dense(eps), inv) == identity(2)
+    assert inverse_matrix(s) == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
+    assert recurrences(s).determinant == 3
 
 
 def test_recurrences_match_fraction_recursion():

@@ -189,6 +189,15 @@ def test_enumerate_vertex_guard_builds_no_tables(capsys, monkeypatch):
     assert captured.err == "error: enumerate_all: n = 12 exceeds the 8-vertex guard\n"
 
 
+@pytest.mark.parametrize("k, n", [("0", "3"), ("3", "-1")])
+def test_enumerate_rejects_bad_k_and_n(capsys, k, n):
+    code = main(["enumerate", "--k", k, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: enumerate_all: need k >= 1 and n >= 0, got k={k}, n={n}\n"
+
+
 def test_table_csv(capsys):
     code, out = run_cli(capsys, "table", "--k", "3", "--r", "5", "--n", "100")
     assert code == 0

@@ -28,7 +28,7 @@ from turankit import (
     subset_rank,
     write_hgr,
 )
-from turankit.hypergraph import MAX_VERTICES, _perm_tables
+from turankit.hypergraph import MAX_VERTICES, _perm_tables, tuple_bits
 
 
 def test_colex_order_and_rank_agree():
@@ -38,6 +38,11 @@ def test_colex_order_and_rank_agree():
     assert colex_subsets(6, 3)[0] == (0, 1, 2)
     assert colex_subsets(6, 3)[1] == (0, 1, 3)
     assert subset_rank((3, 4, 5)) == 19
+    # tuple_bits looks ranks up; subset_rank is the definition
+    for k in range(5):
+        subs = colex_subsets(5, k)
+        for verts in itertools.permutations(range(MAX_VERTICES), 5):
+            assert tuple_bits(k, verts) == tuple(subset_rank(verts[j] for j in s) for s in subs)
 
 
 def test_constructors_and_edges():
