@@ -412,10 +412,12 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     return PartiteBound(_partite_direct(k, g, l), _inclusion_exclusion(k, g, l))
 
 
+@lru_cache(maxsize=256)
 def _partite_direct(k: int, g: int, l: int) -> Fraction:
     """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
     of assignments of some t of the g labeled items into the groups so far,
-    each group holding at most k-1."""
+    each group holding at most k-1.  Host-independent, so kept per (k, g, l):
+    `upper_bound` and `partite_lower_bound` share it."""
     dp = [1] + [0] * g
     for _ in range(l):
         new = [0] * (g + 1)

@@ -6,15 +6,20 @@ clique-density inequality, the local statistics it is averaged from, the
 relaxed rows obtained by substituting a uniform slack constant, and the
 telescoping identity that ties the multiplier vector to the final bound.
 
-Every relation is evaluated on integer counts.  A host's complete m-sets are
-counted once, for every m (`hypergraph.clique_counts`); a three-term row is
-one integer numerator over the product of the denominators of x, the shift
-and the binomials C(n, .), and becomes a single exact `Fraction` at the end.
-The square moments tally, for each complete (m-1)-set, the integer number l
-of vertices extending it (through `hypergraph._extension_masks`), and compare
-both moments with their expected values by integer cross-multiplication.
-The multiplier vector of the telescoping identity does not depend on the
-host, so it is solved once per (k, g, r, eps).
+Every relation is integer arithmetic on the host's clique counts plus one
+`Fraction` at the end.  A host's complete m-sets are counted once, for every m
+(`hypergraph.clique_counts`).  A three-term row at x = p/q with shift s/t is
+one integer numerator over m p q t C(n, m+1) C(n, m) C(n, m-1); x and the
+shift enter as integer pairs, so each three-term check and each relaxed row
+builds one `Fraction`, and a check reads its sign off the numerator.  The square moments tally, for each
+complete (m-1)-set, the integer number l of vertices extending it (through
+`hypergraph._extension_masks`), and compare both moments with their expected
+values by integer cross-multiplication.  The telescoping terms that do not
+depend on the host (the slack constant, the multiplier vector, each row's
+x(m) and the right side's coefficients) are solved once per
+(k, g, r, n, mode); the left side is summed from the host's own rows over one
+integer denominator and the right side is one integer combination of its
+clique counts, so the two sides stay independent evaluations.
 
 `SUITES` holds the batteries behind `turankit verify`: each entry runs its
 checks over a fixed host set and returns (checks, failures, warnings), the
@@ -28,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bounds import solve_delta
 from .combinat import EpsilonMode, binomial, epsilon_value, x_ratio
@@ -35,7 +41,6 @@ from .hypergraph import (
     Hypergraph,
     _extension_masks,
     clique_counts,
-    clique_density,
     enumerate_all,
     nonedge_core_size,
     restriction_class_counts,
@@ -64,24 +69,24 @@ class InequalityCheck:
     holds: bool
 
 
-def _row(G: Hypergraph, m: int, x: Fraction, shift: Fraction) -> Fraction:
-    """The three-term row at m and parameter x with diagonal shift `shift`:
+def _row(G: Hypergraph, m: int, p: int, q: int, s: int, t: int) -> tuple[int, int]:
+    """The three-term row at m and parameter x = p/q with diagonal shift
+    s/t, as (numerator, denominator) in integers:
 
-        -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - shift) d(K_m, G)
+        -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - s/t) d(K_m, G)
         - x d(K_{m-1}, G)
 
-    With x = p/q, shift = s/t and d(K_j, G) = c_j / C(n, j), the row times
-    m p q t C(n, m+1) C(n, m) C(n, m-1) is an integer.
+    With d(K_j, G) = c_j / C(n, j), the row times the denominator
+    m p q t C(n, m+1) C(n, m) C(n, m-1) is an integer, also for unreduced
+    p/q and s/t.  The denominator is positive when p, q and t are.
     """
     k, n = G.k, G.n
     c = clique_counts(G)
-    p, q = x.numerator, x.denominator
-    s, t = shift.numerator, shift.denominator
     b_up, b_mid, b_low = math.comb(n, m + 1), math.comb(n, m), math.comb(n, m - 1)
     up = (m - k + 1) * q * q * t * c[m + 1] * b_mid * b_low
     mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * c[m] * b_up * b_low
     low = m * p * p * t * c[m - 1] * b_up * b_mid
-    return Fraction(mid - up - low, m * p * q * t * b_up * b_mid * b_low)
+    return mid - up - low, m * p * q * t * b_up * b_mid * b_low
 
 
 def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> InequalityCheck:
@@ -92,15 +97,19 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
              - x d(K_{m-1}, G)
 
     exactly on G.  Requires k <= m < n; x <= 0 is rejected since the
-    combination above is a -1/x scaling of a sum of squares.
+    combination above is a -1/x scaling of a sum of squares.  x may be
+    anything `Fraction` accepts.
     """
-    x = Fraction(x)
-    if x <= 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if p <= 0:
         raise ValueError("check_three_term_inequality: need x > 0")
     if not G.k <= m < G.n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    slack = -_row(G, m, x, Fraction(x.denominator, (G.n - m) * x.numerator))
-    return InequalityCheck(m, x, slack, slack >= 0)
+    # shift 1/((n-m) x) = q/((n-m) p); den > 0, so slack >= 0 iff num <= 0
+    num, den = _row(G, m, p, q, q, (G.n - m) * p)
+    return InequalityCheck(m, x, Fraction(-num, den), num <= 0)
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +167,13 @@ def check_square_intermediate(G: Hypergraph, m: int) -> bool:
     )
 
 
+def _x_parts(k: int, m: int, r: int) -> tuple[int, int]:
+    """x(m) = `x_ratio(k, m, r)` as the unreduced pair
+    (C(r-1,k-1) - C(m-1,k-1), C(r-1,k-1)); needs k <= m <= r."""
+    top = math.comb(r - 1, k - 1)
+    return top - math.comb(m - 1, k - 1), top
+
+
 def check_relaxed_rows(
     G: Hypergraph, r: int, mode: EpsilonMode = EpsilonMode.CORRECTED
 ) -> list[Fraction]:
@@ -173,14 +189,47 @@ def check_relaxed_rows(
     if n <= r:
         raise ValueError(f"check_relaxed_rows: need |G| > r, got |G|={n}, r={r}")
     eps = epsilon_value(k, r, n, mode)
-    return [_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
+    s, t = eps.numerator, eps.denominator
+    return [Fraction(*_row(G, m, *_x_parts(k, m, r), s, t)) for m in range(k, r)]
 
 
-@lru_cache(maxsize=None)
-def _delta(k: int, g: int, r: int, eps: Fraction) -> tuple[Fraction, ...]:
-    """`solve_delta`, solved once per (k, g, r, eps): it does not depend on
-    the host."""
-    return tuple(solve_delta(k, g, r, eps))
+class _Telescoping(NamedTuple):
+    """The host-independent terms of the telescoping identity at one
+    (k, g, r, n, mode).  eps = s/t; rows[i] = (m, p, q, dn, dd) for
+    m = k..r-1 with x(m) = p/q and delta_m = dn/dd; the right side is
+    (low c_{k-1} + mid c_g + high c_r) / den over the clique counts c."""
+
+    s: int
+    t: int
+    rows: tuple[tuple[int, int, int, int, int], ...]
+    low: int
+    mid: int
+    high: int
+    den: int
+
+
+@lru_cache(maxsize=256)
+def _telescoping(k: int, g: int, r: int, n: int, mode: EpsilonMode) -> _Telescoping:
+    """Solved once per (k, g, r, n, mode): the multiplier vector delta at the
+    mode's slack constant, each row's x(m), and the right side's coefficients
+    -delta_k x(k)/C(n,k-1), 1/C(n,g) and
+    -delta_{r-1} (1-(k-1)/(r-1))/x(r-1)/C(n,r) over one denominator."""
+    eps = epsilon_value(k, r, n, mode)
+    delta = solve_delta(k, g, r, eps)
+    xs = [_x_parts(k, m, r) for m in range(k, r)]
+    rows = tuple(
+        (m, p, q, d.numerator, d.denominator)
+        for m, (p, q), d in zip(range(k, r), xs, delta)
+    )
+    (p_low, q_low), (p_high, q_high) = xs[0], xs[-1]
+    coeffs = (
+        -delta[0] * Fraction(p_low, q_low * math.comb(n, k - 1)),
+        Fraction(1, math.comb(n, g)),
+        -delta[-1] * Fraction((r - k) * q_high, (r - 1) * p_high * math.comb(n, r)),
+    )
+    den = math.lcm(*(c.denominator for c in coeffs))
+    low, mid, high = (c.numerator * (den // c.denominator) for c in coeffs)
+    return _Telescoping(eps.numerator, eps.denominator, rows, low, mid, high, den)
 
 
 def telescoped_combination(
@@ -192,25 +241,22 @@ def telescoped_combination(
                                 - delta_{r-1} ((1-(k-1)/(r-1))/x(r-1)) d(K_r, G)
 
     where delta is the multiplier vector at the mode's slack constant.  The
-    two returned values must agree exactly for every host; callers assert
-    equality.
+    left side is summed from G's own relaxed rows and the right side is read
+    from G's clique counts; the two must agree exactly for every host, and
+    callers assert equality.
     """
     k, n = G.k, G.n
     if not (2 <= k <= g < r < n):
         raise ValueError("telescoped_combination: need 2 <= k <= g < r < |G|")
-    eps = epsilon_value(k, r, n, mode)
-    delta = _delta(k, g, r, eps)
-    rows = check_relaxed_rows(G, r, mode)
-    lhs = sum((d * row for d, row in zip(delta, rows)), Fraction(0))
-    rhs = (
-        -delta[0] * x_ratio(k, k, r) * clique_density(G, k - 1)
-        + clique_density(G, g)
-        - delta[-1]
-        * (1 - Fraction(k - 1, r - 1))
-        / x_ratio(k, r - 1, r)
-        * clique_density(G, r)
-    )
-    return lhs, rhs
+    tel = _telescoping(k, g, r, n, mode)
+    num, den = 0, 1
+    for m, p, q, dn, dd in tel.rows:
+        row_num, row_den = _row(G, m, p, q, tel.s, tel.t)
+        num = num * dd * row_den + dn * row_num * den
+        den *= dd * row_den
+    c = clique_counts(G)
+    rhs = tel.low * c[k - 1] + tel.mid * c[g] + tel.high * c[r]
+    return Fraction(num, den), Fraction(rhs, tel.den)
 
 
 def _lemma_suite() -> tuple[int, list, list]:

@@ -61,13 +61,13 @@ def test_three_term_exhaustive_h4_h5(h4_classes, h5_classes):
 
 
 def test_three_term_rejects_nonpositive_x():
-    G = Hypergraph.complete(5, 3)
-    with pytest.raises(ValueError):
-        check_three_term_inequality(G, 3, Fraction(0))
-    with pytest.raises(ValueError):
-        check_three_term_inequality(G, 3, Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        check_three_term_inequality(G, 5, Fraction(1, 2))  # m = n
+    for G in (Hypergraph.complete(5, 3), Hypergraph(6, 2, 0x2B3D)):
+        for x in (Fraction(0), Fraction(-1, 2), 0, "-1/3", -0.5):
+            with pytest.raises(ValueError):
+                check_three_term_inequality(G, G.k, x)
+        for m in (G.k - 1, G.n, G.n + 1):  # outside [k, n)
+            with pytest.raises(ValueError):
+                check_three_term_inequality(G, m, Fraction(1, 2))
 
 
 def test_square_intermediate_trivial_cases():
@@ -226,6 +226,67 @@ def test_telescoping_matches_explicit_sum():
     assert lhs == rhs
 
 
+def _oracle_row(G, m, x, shift):
+    """The three-term row of the docstrings, term by term in `Fraction`s."""
+    k = G.k
+    return (
+        -((1 - Fraction(k - 1, m)) / x) * clique_density(G, m + 1)
+        + (2 - Fraction(k - 1, m) / x - shift) * clique_density(G, m)
+        - x * clique_density(G, m - 1)
+    )
+
+
+def _oracle_hosts():
+    rng = random.Random(5050)
+    hosts = [Hypergraph.complete(6, 3), Hypergraph.empty(7, 2)]
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(12)]
+    hosts += [Hypergraph(7, 3, rng.getrandbits(35)) for _ in range(4)]
+    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(12)]
+    hosts += [Hypergraph(7, 2, rng.getrandbits(21)) for _ in range(4)]
+    return hosts
+
+
+def test_relations_match_fraction_oracle():
+    # the integer numerators against the docstring formulas evaluated on
+    # clique densities, with shift 1/((n-m) x), eps, and the telescoping sides
+    from turankit import solve_delta
+
+    xs = [Fraction(1, 8), Fraction(3, 7), Fraction(1), Fraction(5, 3), Fraction(2)]
+    r = 5
+    for G in _oracle_hosts():
+        k, n = G.k, G.n
+        for m in range(k, n):
+            for x in xs:
+                res = check_three_term_inequality(G, m, x)
+                assert res.slack == -_oracle_row(G, m, x, 1 / ((n - m) * x))
+                assert res.holds == (res.slack >= 0)
+        for mode in EpsilonMode:
+            eps = epsilon_value(k, r, n, mode)
+            rows = [_oracle_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
+            assert check_relaxed_rows(G, r, mode) == rows
+            for g in range(k, r):
+                delta = solve_delta(k, g, r, eps)
+                lhs = sum((dm * row for dm, row in zip(delta, rows)), Fraction(0))
+                rhs = (
+                    -delta[0] * x_ratio(k, k, r) * clique_density(G, k - 1)
+                    + clique_density(G, g)
+                    - delta[-1]
+                    * (1 - Fraction(k - 1, r - 1))
+                    / x_ratio(k, r - 1, r)
+                    * clique_density(G, r)
+                )
+                assert telescoped_combination(G, g, r, mode) == (lhs, rhs)
+
+
+def test_three_term_accepts_any_rational_x():
+    G = Hypergraph(6, 3, 0x5A5A5)
+    for m in (3, 4, 5):
+        for given, exact in ((1, Fraction(1)), ("3/8", Fraction(3, 8)), (0.5, Fraction(1, 2))):
+            res = check_three_term_inequality(G, m, given)
+            assert res == check_three_term_inequality(G, m, exact)
+            assert type(res.x) is Fraction and res.x == exact
+
+
 def test_relaxed_rows_requires_larger_host():
     with pytest.raises(ValueError):
         check_relaxed_rows(Hypergraph.complete(5, 3), 5)
@@ -239,12 +300,11 @@ def test_relaxed_rows_requires_larger_host():
 RELATION_VALUES_SHA256 = "686dc9e168d3c6676911f1af80c98771114a10b888cf5b3b61a05e65a4e9aaa3"
 
 
-def test_pinned_relation_values_digest():
-    rng = random.Random(8128)
-    hosts = list(enumerate_all(5, 3))
-    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(40)]
-    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(20)]
-    xs = [Fraction(j, 8) for j in range(1, 17)]
+def _relation_value_digest(hosts, xs):
+    """SHA-256 of `str()` of each relation value, one per line, host by host:
+    the three-term slacks for every m and x, then on hosts with more than 5
+    vertices, in each mode, the relaxed rows at r = 5 and both telescoping
+    sides for each g < 5."""
     values = []
     for G in hosts:
         for m in range(G.k, G.n):
@@ -255,4 +315,24 @@ def test_pinned_relation_values_digest():
                 for g in range(G.k, 5):
                     values += telescoped_combination(G, g, 5, mode)
     lines = "".join(f"{v}\n" for v in values)
-    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == RELATION_VALUES_SHA256
+    return hashlib.sha256(lines.encode("ascii")).hexdigest()
+
+
+# The same values on the lemma suite's x grid (j/8 plus the x(m) of r = 5..8),
+# over all 4- and 5-vertex 3-graph classes, 60 seeded 6-vertex 3-graphs and 30
+# seeded 6-vertex 2-graphs.
+LEMMA_GRID_VALUES_SHA256 = "bf2d16cb78b579a306d6d2731e1a79b9b6d1ea6407f24974bf7f095a607c319a"
+
+
+def test_pinned_relation_values_digest(h4_classes, h5_classes):
+    rng = random.Random(8128)
+    hosts = list(h5_classes)
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(40)]
+    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(20)]
+    xs = [Fraction(j, 8) for j in range(1, 17)]
+    assert _relation_value_digest(hosts, xs) == RELATION_VALUES_SHA256
+    rng = random.Random(1729)
+    hosts = list(h4_classes) + list(h5_classes)
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(60)]
+    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(30)]
+    assert _relation_value_digest(hosts, x_grid()) == LEMMA_GRID_VALUES_SHA256
