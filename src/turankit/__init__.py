@@ -31,7 +31,6 @@ from .certificate import (
     FlagCatalog,
     catalog_flags,
     certificate_terms,
-    combined_square_vector,
     e5free_six_classes,
     two_clique_density,
     verify_certificate,
@@ -51,25 +50,19 @@ from .flags import (
     ExpansionVector,
     Flag,
     chain_lift,
-    extension_density,
     flag_code,
-    pair_density,
     square_expansion,
-    type_embeddings,
     typed_code,
 )
 from .hypergraph import (
     Hypergraph,
-    LocalStats,
     canonical_mask,
     clique_counts,
-    clique_density,
     colex_subsets,
     disjoint_union,
     enumerate_all,
     has_no_empty_set,
     induced_density,
-    local_stats,
     nonedge_core_size,
     read_hgr,
     restriction_class_counts,

@@ -109,17 +109,6 @@ class TridiagonalSystem:
         scale, left, diag, right = zip(*rows)
         return scale, diag, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
 
-    def dense(self, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
-        """The shifted matrix (system minus eps on the diagonal) as rows."""
-        d = self.dim
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            out[i][i] = self.diag[i] - eps
-            if i + 1 < d:
-                out[i][i + 1] = self.upper[i]
-                out[i + 1][i] = self.lower[i]
-        return out
-
 
 @lru_cache(maxsize=256)
 def build_system(k: int, r: int) -> TridiagonalSystem:

@@ -36,7 +36,6 @@ __all__ = [
     "FlagCatalog",
     "catalog_flags",
     "certificate_terms",
-    "combined_square_vector",
     "e5free_six_classes",
     "two_clique_density",
     "verify_certificate",
@@ -162,22 +161,6 @@ def _term_vectors() -> tuple[ExpansionVector, ...]:
     return tuple(
         square_expansion(t.sigma, t.terms, t.constant, 6) for t in certificate_terms()
     )
-
-
-@lru_cache(maxsize=1)
-def combined_square_vector() -> ExpansionVector:
-    """Weight-combined size-6 coefficients of all six squares.
-
-    Evaluating this vector against any admissible host G (via value_at)
-    gives the exact average of the six squares over G, which is the
-    quantity the certificate bounds by 3/8 minus the empty-4-set density.
-    """
-    vecs = _term_vectors()
-    out: dict[int, Fraction] = {}
-    for t, v in zip(certificate_terms(), vecs):
-        for code, coeff in v.coeffs.items():
-            out[code] = out.get(code, Fraction(0)) + t.weight * coeff
-    return ExpansionVector(vecs[0].k, vecs[0].n, out)
 
 
 @dataclass(frozen=True)

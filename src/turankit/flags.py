@@ -11,13 +11,16 @@ identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
 
-Classification is table-driven.  `_typed_canon(t, s, k)` is an int64 array
-holding every ordered t-vertex mask's minimum over the permutations of the
-untyped positions s..t-1; the per-host `typed_code` reads one entry of it.
-`square_expansion` works on all base-size classes at once, one ordered type
-placement at a time: a numpy gather of their type masks, another of their
-typed masks per extension set, int64 counts per class, and the rational
-coefficients applied once per class.
+Every sub-mask is classified through one table.  `_typed_canon(t, s, k)`
+is an int64 array holding every ordered t-vertex mask's minimum over the
+permutations of the untyped positions s..t-1; at s = 0 that is the untyped
+canonical code.  The per-host `typed_code` (and so `flag_code`) reads one
+entry of it, `square_expansion` maps the typed masks of all base-size
+classes through it, and `chain_lift` maps the untyped sub-masks of all
+target classes through it.  `square_expansion` works one ordered type
+placement at a time: a numpy gather of the classes' type masks, another of
+their typed masks per extension set, int64 counts per class, and the
+rational coefficients applied once per class.
 """
 
 from __future__ import annotations
@@ -46,11 +49,8 @@ __all__ = [
     "ExpansionVector",
     "Flag",
     "chain_lift",
-    "extension_density",
     "flag_code",
-    "pair_density",
     "square_expansion",
-    "type_embeddings",
     "typed_code",
 ]
 
@@ -103,8 +103,8 @@ def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
 def _typed_canon(t: int, s: int, k: int) -> np.ndarray:
     """Canonical typed code of every ordered t-vertex mask, as an int64 array:
     the minimum of its relabelings that fix positions 0..s-1 and permute
-    s..t-1."""
-    _check_bits("typed_code", t, k)
+    s..t-1.  At s = 0 the entry is the mask's untyped canonical code."""
+    _check_bits("_typed_canon", t, k)
     return _orbit_minima(np.arange(1 << math.comb(t, k), dtype=np.int64), t, k, s)
 
 
@@ -120,73 +120,6 @@ def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
 def flag_code(F: Flag) -> int:
     """Canonical mask of a flag under untyped-vertex relabeling."""
     return typed_code(F.host, F.type_map, F.untyped())
-
-
-def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
-    """All ordered injections of the type's labels into H whose induced,
-    relabeled subgraph equals the type exactly (non-edges included)."""
-    if sigma.n > H.n:
-        raise ValueError("type_embeddings: type larger than host")
-    if sigma.k != H.k:
-        raise ValueError("type_embeddings: uniformities differ")
-    return [
-        theta
-        for theta in itertools.permutations(range(H.n), sigma.n)
-        if _typed_mask(H, theta) == sigma.edges
-    ]
-
-
-def extension_density(F: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
-    """Probability that a uniform (|F|-s)-subset of the free vertices,
-    together with the placement theta, induces a flag isomorphic to F."""
-    _require_embedding(F.sigma, H, theta)
-    e = F.size - F.type_size
-    free = [v for v in range(H.n) if v not in theta]
-    if len(free) < e:
-        raise ValueError("extension_density: not enough free vertices")
-    target = flag_code(F)
-    hits = sum(
-        1 for S in itertools.combinations(free, e) if typed_code(H, theta, S) == target
-    )
-    return Fraction(hits, math.comb(len(free), e))
-
-
-def pair_density(
-    Fa: Flag, Fb: Flag, H: Hypergraph, theta: tuple[int, ...]
-) -> Fraction:
-    """Probability that an ordered pair of disjoint extension sets realizes
-    (Fa, Fb) simultaneously at the placement theta.
-
-    The pair (Sa, Sb) is uniform over disjoint subsets of the free vertices
-    with |Sa| = |Fa|-s and |Sb| = |Fb|-s.  This is the exact finite-size
-    product of the two flags.
-    """
-    if Fa.sigma != Fb.sigma:
-        raise ValueError("pair_density: flags carry different types")
-    _require_embedding(Fa.sigma, H, theta)
-    ea = Fa.size - Fa.type_size
-    eb = Fb.size - Fb.type_size
-    free = [v for v in range(H.n) if v not in theta]
-    f = len(free)
-    if f < ea + eb:
-        raise ValueError("pair_density: not enough free vertices")
-    ca, cb = flag_code(Fa), flag_code(Fb)
-    hits = 0
-    for Sa in itertools.combinations(free, ea):
-        if typed_code(H, theta, Sa) != ca:
-            continue
-        rest = [v for v in free if v not in Sa]
-        hits += sum(
-            1 for Sb in itertools.combinations(rest, eb) if typed_code(H, theta, Sb) == cb
-        )
-    return Fraction(hits, math.comb(f, ea) * math.comb(f - ea, eb))
-
-
-def _require_embedding(sigma: Hypergraph, H: Hypergraph, theta: tuple[int, ...]) -> None:
-    if len(theta) != sigma.n or len(set(theta)) != sigma.n:
-        raise ValueError("theta must be an injective placement of the type")
-    if _typed_mask(H, theta) != sigma.edges:
-        raise ValueError("theta does not embed the type")
 
 
 @dataclass(frozen=True)
@@ -302,8 +235,9 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     """Re-express a coefficient vector over larger hosts: the new coefficient
     of H is the density-weighted sum of the old coefficients over the
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
-    are gathered and canonicalized together by `_orbit_minima`, and the
-    coefficients, scaled to integers, are summed per class as Python ints."""
+    are gathered together and read through the untyped `_typed_canon` table,
+    and the coefficients, scaled to integers, are summed per class as Python
+    ints."""
     if not vec.n <= size <= _LIFT_LIMIT:
         raise ValueError(f"chain_lift: need {vec.n} <= size <= {_LIFT_LIMIT}")
     if size == vec.n:
@@ -312,12 +246,11 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
     bits = [tuple_bits(k, S) for S in itertools.combinations(range(size), b)]
-    codes = _orbit_minima(_gather_masks(masks, bits), b, k)  # (classes, subsets)
     scale = math.lcm(*(c.denominator for c in vec.coeffs.values()))
     by_code = np.zeros(1 << math.comb(b, k), dtype=object)
     for code, c in vec.coeffs.items():
         by_code[code] = int(c * scale)
-    sums = by_code[codes].sum(axis=1)
+    sums = by_code[_typed_canon(b, 0, k)][_gather_masks(masks, bits)].sum(axis=1)
     denom = scale * math.comb(size, b)
     coeffs = {rep.edges: Fraction(int(num), denom) for rep, num in zip(classes, sums)}
     return ExpansionVector(k, size, coeffs)

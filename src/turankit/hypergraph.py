@@ -14,10 +14,10 @@ with every link of vertex n-1 shifted above it.  `_orbit_minima` takes
 the candidates' orbit minima over all n! relabelings at once with numpy,
 through per-permutation lookup tables of the low and high halves of a mask;
 at (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
-The typed codes of `turankit.flags` use the same loop over the relabelings
-that fix the typed vertices.  The same tables give one graph's canonical
-mask as a single gather of its two halves across all relabelings, followed
-by a numpy minimum.
+`turankit.flags` builds its classification table with the same loop, over
+the relabelings that fix the typed vertices.  The same tables give one
+graph's canonical mask as a single gather of its two halves across all
+relabelings, followed by a numpy minimum.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets, looked up in one colex index per k keyed by
@@ -30,9 +30,9 @@ on all classes.
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
 complete exactly when the host's edges contain that mask.  `clique_counts`
-counts the complete m-sets of a host once for every m, as integers, and
-`clique_density` reads its ratios from them; `_extension_masks` adds, for each
-subset, the masks of its one-vertex extensions.
+counts the complete m-sets of a host once for every m, as integers;
+`_extension_masks` adds, for each subset, the masks of its one-vertex
+extensions.
 """
 
 from __future__ import annotations
@@ -43,23 +43,20 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "MAX_VERTICES",
     "Hypergraph",
-    "LocalStats",
     "canonical_mask",
     "clique_counts",
-    "clique_density",
     "colex_subsets",
     "disjoint_union",
     "enumerate_all",
     "has_no_empty_set",
     "induced_density",
-    "local_stats",
     "nonedge_core_size",
     "read_hgr",
     "restriction_class_counts",
@@ -73,6 +70,9 @@ MAX_VERTICES = 8
 # canonical forms at 7 and 8 vertices use a direct scan, for occasional use.
 _TABLE_VERTEX_LIMIT = 6
 _MAX_ENUM_BITS = 20
+# clique_counts remembers this many hosts: the relation checks on one host
+# reuse its counts, and a long run over many hosts does not grow.
+_CLIQUE_CACHE_HOSTS = 8
 
 HGR_MAGIC = "HGR1"
 
@@ -169,32 +169,13 @@ class Hypergraph:
         subs = colex_subsets(self.n, self.k)
         return tuple(subs[i] for i in range(self.nbits) if (self.edges >> i) & 1)
 
-    def edge_count(self) -> int:
-        return self.edges.bit_count()
-
-    def is_edge(self, verts: Iterable[int]) -> bool:
-        verts = tuple(sorted(verts))
-        if len(verts) != self.k:
-            raise ValueError("is_edge: wrong subset size")
-        return bool((self.edges >> subset_rank(verts)) & 1)
-
-    def is_complete(self) -> bool:
-        """True when every k-subset is an edge (vacuously true for n < k)."""
-        return self.edges == (1 << self.nbits) - 1
-
     def restrict(self, verts: Iterable[int]) -> "Hypergraph":
-        """Induced subgraph on `verts`, relabeled to 0..len-1 in sorted order."""
+        """Induced subgraph on the distinct vertices `verts`, relabeled to
+        0..len-1 in sorted order."""
         verts = tuple(sorted(verts))
+        if len({*verts}) < len(verts) or (verts and not 0 <= verts[0] <= verts[-1] < self.n):
+            raise ValueError(f"restrict: {verts} is not a vertex set of a {self.n}-vertex graph")
         return Hypergraph(len(verts), self.k, _gather(self.edges, tuple_bits(self.k, verts)))
-
-    def permuted(self, perm: Sequence[int]) -> "Hypergraph":
-        """Relabel vertices: old vertex v becomes perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("permuted: not a permutation of the vertex set")
-        mask = 0
-        for e in self.edge_list():
-            mask |= 1 << subset_rank(perm[v] for v in e)
-        return Hypergraph(self.n, self.k, mask)
 
 
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
@@ -302,13 +283,8 @@ def enumerate_all(
     return reps
 
 
-@lru_cache(maxsize=None)
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
-    """Counts of canonical masks over all induced size-subsets of G.
-
-    Shared by every density computation; treat the returned dict as
-    read-only.
-    """
+    """Counts of canonical masks over all induced size-subsets of G."""
     if not 0 <= size <= G.n:
         raise ValueError("restriction_class_counts: size out of range")
     counts: dict[int, int] = {}
@@ -329,7 +305,7 @@ def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(hits, math.comb(G.n, F.n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLIQUE_CACHE_HOSTS)
 def clique_counts(G: Hypergraph) -> tuple[int, ...]:
     """Entry m (m = 0..n) is the number of complete m-sets of G: the
     m-subsets S whose k-subset mask M_S satisfies edges & M_S == M_S.  For
@@ -338,44 +314,6 @@ def clique_counts(G: Hypergraph) -> tuple[int, ...]:
         sum(G.edges & M == M for M in _subset_edge_masks(G.n, m, G.k))
         for m in range(G.n + 1)
     )
-
-
-def clique_density(G: Hypergraph, m: int) -> Fraction:
-    """Density of complete m-sets in G; equals 1 for m < k (vacuous)."""
-    if not 0 <= m <= G.n:
-        raise ValueError(f"clique_density: need 0 <= m <= n, got m={m}, n={G.n}")
-    return Fraction(clique_counts(G)[m], math.comb(G.n, m))
-
-
-class LocalStats(NamedTuple):
-    """Completeness statistics of one vertex subset S inside a host.
-
-    q:  1 when S induces a complete subgraph (vacuously for |S| < k).
-    l:  number of outside vertices v with S+v still complete.
-    r:  l normalized by the number of outside vertices.
-    rr: probability two distinct outside vertices both extend S completely.
-    """
-
-    q: int
-    l: int
-    r: Fraction
-    rr: Fraction
-
-
-def local_stats(G: Hypergraph, S: Iterable[int]) -> LocalStats:
-    S = tuple(sorted(set(S)))
-    if any(not 0 <= v < G.n for v in S):
-        raise ValueError("local_stats: S is not a vertex subset")
-    q = 1 if G.restrict(S).is_complete() else 0
-    l = sum(
-        1
-        for v in range(G.n)
-        if v not in S and G.restrict(S + (v,)).is_complete()
-    )
-    out = G.n - len(S)
-    r = Fraction(l, out) if out >= 1 else Fraction(0)
-    rr = Fraction(math.comb(l, 2), math.comb(out, 2)) if out >= 2 else Fraction(0)
-    return LocalStats(q, l, r, rr)
 
 
 def nonedge_core_size(H: Hypergraph) -> int:

@@ -131,8 +131,10 @@ def _extension_tallies(G: Hypergraph, size: int) -> list[int]:
 
 
 def check_square_intermediate(G: Hypergraph, m: int) -> bool:
-    """Verify, by full enumeration over the (m-1)-subsets S of G, with q(S),
-    r(S) and rr(S) the statistics of `hypergraph.local_stats`:
+    """Verify, by full enumeration over the (m-1)-subsets S of G, with q(S)
+    = 1 when S is complete, r(S) the share of outside vertices v with S + v
+    complete, and rr(S) the probability that two distinct outside vertices
+    both are such v:
 
     (a) pointwise: r(S)^2 <= rr(S) + r(S)/(n-m) for every complete S,
     (b) the first moment: E[q r] equals d(K_m, G),

@@ -1,10 +1,9 @@
-import math
 import time
-from fractions import Fraction
 
 import pytest
 
-from turankit import certificate, enumerate_all, extension_density, pair_density, type_embeddings
+from oracles import square_oracle as _square_oracle
+from turankit import certificate, enumerate_all
 
 
 @pytest.fixture(scope="session")
@@ -28,24 +27,6 @@ def certificate_run():
     t0 = time.monotonic()
     report = certificate.verify_certificate()
     return report, time.monotonic() - t0
-
-
-def _square_oracle(sigma, terms, constant, H):
-    """Average over every injective type placement in H of the square
-    (sum a_i F_i - c sigma)^2, one placement at a time through the public
-    type_embeddings / pair_density / extension_density: no class tables,
-    no whole-class arrays and no chain lift."""
-    total = Fraction(0)
-    for theta in type_embeddings(sigma, H):
-        pair_part = sum(
-            (a * b * pair_density(Fa, Fb, H, theta) for a, Fa in terms for b, Fb in terms),
-            Fraction(0),
-        )
-        single_part = sum(
-            (a * extension_density(F, H, theta) for a, F in terms), Fraction(0)
-        )
-        total += pair_part - 2 * constant * single_part + constant * constant
-    return total / math.perm(H.n, sigma.n)
 
 
 @pytest.fixture(scope="session")

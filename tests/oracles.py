@@ -1,0 +1,192 @@
+"""Reference implementations that only the tests call.
+
+Each computes its quantity the direct way, one host, subset or placement at
+a time, so the table-driven and integer routes of the package can be checked
+against it.  None of them is on a command's path.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+from turankit import (
+    Hypergraph,
+    TridiagonalSystem,
+    clique_counts,
+    flag_code,
+    subset_rank,
+    typed_code,
+)
+from turankit.certificate import _term_vectors, certificate_terms
+from turankit.flags import ExpansionVector, Flag, _typed_mask
+
+
+def edge_count(G: Hypergraph) -> int:
+    return G.edges.bit_count()
+
+
+def is_edge(G: Hypergraph, verts: Iterable[int]) -> bool:
+    verts = tuple(sorted(verts))
+    if len(verts) != G.k:
+        raise ValueError("is_edge: wrong subset size")
+    return bool((G.edges >> subset_rank(verts)) & 1)
+
+
+def is_complete(G: Hypergraph) -> bool:
+    """True when every k-subset is an edge (vacuously true for n < k)."""
+    return G.edges == (1 << G.nbits) - 1
+
+
+def permuted(G: Hypergraph, perm: Sequence[int]) -> Hypergraph:
+    """Relabel vertices: old vertex v becomes perm[v]."""
+    if sorted(perm) != list(range(G.n)):
+        raise ValueError("permuted: not a permutation of the vertex set")
+    mask = 0
+    for e in G.edge_list():
+        mask |= 1 << subset_rank(perm[v] for v in e)
+    return Hypergraph(G.n, G.k, mask)
+
+
+def clique_density(G: Hypergraph, m: int) -> Fraction:
+    """Density of complete m-sets in G; equals 1 for m < k (vacuous)."""
+    if not 0 <= m <= G.n:
+        raise ValueError(f"clique_density: need 0 <= m <= n, got m={m}, n={G.n}")
+    return Fraction(clique_counts(G)[m], math.comb(G.n, m))
+
+
+class LocalStats(NamedTuple):
+    """Completeness statistics of one vertex subset S inside a host.
+
+    q:  1 when S induces a complete subgraph (vacuously for |S| < k).
+    l:  number of outside vertices v with S+v still complete.
+    r:  l normalized by the number of outside vertices.
+    rr: probability two distinct outside vertices both extend S completely.
+    """
+
+    q: int
+    l: int
+    r: Fraction
+    rr: Fraction
+
+
+def local_stats(G: Hypergraph, S: Iterable[int]) -> LocalStats:
+    S = tuple(sorted(set(S)))
+    if any(not 0 <= v < G.n for v in S):
+        raise ValueError("local_stats: S is not a vertex subset")
+    q = 1 if is_complete(G.restrict(S)) else 0
+    l = sum(1 for v in range(G.n) if v not in S and is_complete(G.restrict(S + (v,))))
+    out = G.n - len(S)
+    r = Fraction(l, out) if out >= 1 else Fraction(0)
+    rr = Fraction(math.comb(l, 2), math.comb(out, 2)) if out >= 2 else Fraction(0)
+    return LocalStats(q, l, r, rr)
+
+
+def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
+    """The shifted matrix (system minus eps on the diagonal) as rows."""
+    d = system.dim
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        out[i][i] = system.diag[i] - eps
+        if i + 1 < d:
+            out[i][i + 1] = system.upper[i]
+            out[i + 1][i] = system.lower[i]
+    return out
+
+
+def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
+    """All ordered injections of the type's labels into H whose induced,
+    relabeled subgraph equals the type exactly (non-edges included)."""
+    if sigma.n > H.n:
+        raise ValueError("type_embeddings: type larger than host")
+    if sigma.k != H.k:
+        raise ValueError("type_embeddings: uniformities differ")
+    return [
+        theta
+        for theta in itertools.permutations(range(H.n), sigma.n)
+        if _typed_mask(H, theta) == sigma.edges
+    ]
+
+
+def _require_embedding(sigma: Hypergraph, H: Hypergraph, theta: tuple[int, ...]) -> None:
+    if len(theta) != sigma.n or len(set(theta)) != sigma.n:
+        raise ValueError("theta must be an injective placement of the type")
+    if _typed_mask(H, theta) != sigma.edges:
+        raise ValueError("theta does not embed the type")
+
+
+def extension_density(F: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
+    """Probability that a uniform (|F|-s)-subset of the free vertices,
+    together with the placement theta, induces a flag isomorphic to F."""
+    _require_embedding(F.sigma, H, theta)
+    e = F.size - F.type_size
+    free = [v for v in range(H.n) if v not in theta]
+    if len(free) < e:
+        raise ValueError("extension_density: not enough free vertices")
+    target = flag_code(F)
+    hits = sum(
+        1 for S in itertools.combinations(free, e) if typed_code(H, theta, S) == target
+    )
+    return Fraction(hits, math.comb(len(free), e))
+
+
+def pair_density(Fa: Flag, Fb: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
+    """Probability that an ordered pair of disjoint extension sets realizes
+    (Fa, Fb) simultaneously at the placement theta.
+
+    The pair (Sa, Sb) is uniform over disjoint subsets of the free vertices
+    with |Sa| = |Fa|-s and |Sb| = |Fb|-s.  This is the exact finite-size
+    product of the two flags.
+    """
+    if Fa.sigma != Fb.sigma:
+        raise ValueError("pair_density: flags carry different types")
+    _require_embedding(Fa.sigma, H, theta)
+    ea = Fa.size - Fa.type_size
+    eb = Fb.size - Fb.type_size
+    free = [v for v in range(H.n) if v not in theta]
+    f = len(free)
+    if f < ea + eb:
+        raise ValueError("pair_density: not enough free vertices")
+    ca, cb = flag_code(Fa), flag_code(Fb)
+    hits = 0
+    for Sa in itertools.combinations(free, ea):
+        if typed_code(H, theta, Sa) != ca:
+            continue
+        rest = [v for v in free if v not in Sa]
+        hits += sum(
+            1 for Sb in itertools.combinations(rest, eb) if typed_code(H, theta, Sb) == cb
+        )
+    return Fraction(hits, math.comb(f, ea) * math.comb(f - ea, eb))
+
+
+def square_oracle(sigma, terms, constant, H):
+    """Average over every injective type placement in H of the square
+    (sum a_i F_i - c sigma)^2, one placement at a time through
+    type_embeddings / pair_density / extension_density: no class tables,
+    no whole-class arrays and no chain lift."""
+    total = Fraction(0)
+    for theta in type_embeddings(sigma, H):
+        pair_part = sum(
+            (a * b * pair_density(Fa, Fb, H, theta) for a, Fa in terms for b, Fb in terms),
+            Fraction(0),
+        )
+        single_part = sum(
+            (a * extension_density(F, H, theta) for a, F in terms), Fraction(0)
+        )
+        total += pair_part - 2 * constant * single_part + constant * constant
+    return total / math.perm(H.n, sigma.n)
+
+
+def combined_square_vector() -> ExpansionVector:
+    """Weight-combined size-6 coefficients of all six certificate squares.
+
+    Evaluating this vector against any admissible host G (via value_at)
+    gives the exact average of the six squares over G, which is the
+    quantity the certificate bounds by 3/8 minus the empty-4-set density.
+    """
+    vecs = _term_vectors()
+    out: dict[int, Fraction] = {}
+    for t, v in zip(certificate_terms(), vecs):
+        for code, coeff in v.coeffs.items():
+            out[code] = out.get(code, Fraction(0)) + t.weight * coeff
+    return ExpansionVector(vecs[0].k, vecs[0].n, out)

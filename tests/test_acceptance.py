@@ -37,6 +37,8 @@ from turankit import (
     x_ratio,
 )
 
+from oracles import dense
+
 
 def _report(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
@@ -61,12 +63,12 @@ def test_criterion_1_exact_identity_suite():
                 assert first_row[g - k] == expected
             for eps in (Fraction(0), epsilon_threshold(k, r) / 2):
                 inv = inverse_matrix(sysm, eps)
-                dense = sysm.dense(eps)
+                A = dense(sysm, eps)
                 dim = sysm.dim
                 for i in range(dim):
                     for j in range(dim):
                         acc = sum(
-                            (dense[i][l] * inv[l][j] for l in range(dim)), Fraction(0)
+                            (A[i][l] * inv[l][j] for l in range(dim)), Fraction(0)
                         )
                         assert acc == (1 if i == j else 0)
     elapsed = time.monotonic() - t0

@@ -26,6 +26,8 @@ from turankit import (
     x_ratio,
 )
 
+from oracles import dense
+
 # SHA-256 of the `str()` of every inverse_matrix entry (row by row) and of
 # every solve_delta entry (g = k..r-1), one per line, over all
 # 2 <= k < r <= 16 and eps in {0, epsilon_threshold(k, r)/2}.
@@ -167,12 +169,12 @@ def test_inverse_matrix_times_system_is_identity():
         s = build_system(k, r)
         for eps in (Fraction(0), Fraction(1, 100), epsilon_threshold(k, r) / 2):
             inv = inverse_matrix(s, eps)
-            assert matmul(s.dense(eps), inv) == identity(s.dim)
+            assert matmul(dense(s, eps), inv) == identity(s.dim)
     # theta(3) = 0 while det = -1/5: no entry may divide by a minor
     s = build_system(3, 5)
     tab = recurrences(s, Fraction(6, 5))
     assert tab.theta[1] == 0 and tab.determinant == Fraction(-1, 5)
-    assert matmul(s.dense(Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
+    assert matmul(dense(s, Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
 
 
 def test_integer_inverse_matches_gauss_jordan():
@@ -186,7 +188,7 @@ def test_integer_inverse_matches_gauss_jordan():
     cases.append((3, 5, Fraction(6, 5)))
     for k, r, eps in cases:
         s = build_system(k, r)
-        oracle = gauss_jordan_inverse(s.dense(eps))
+        oracle = gauss_jordan_inverse(dense(s, eps))
         assert inverse_matrix(s, eps) == oracle
         for g in s.ms:
             assert solve_delta(k, g, r, eps) == [row[g - k] for row in oracle]
@@ -195,8 +197,8 @@ def test_integer_inverse_matches_gauss_jordan():
     s = TridiagonalSystem(3, 5, (2, 2), (-1,), (-1,))
     for eps in (Fraction(0), Fraction(1, 2)):
         inv = inverse_matrix(s, eps)
-        assert inv == gauss_jordan_inverse(s.dense(eps))
-        assert matmul(s.dense(eps), inv) == identity(2)
+        assert inv == gauss_jordan_inverse(dense(s, eps))
+        assert matmul(dense(s, eps), inv) == identity(2)
     assert inverse_matrix(s) == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
     assert recurrences(s).determinant == 3
 
@@ -227,7 +229,7 @@ def test_solve_delta_matches_inverse_column():
         sysm = build_system(k, r)
         delta = solve_delta(k, g, r, eps)
         # residual: (system - eps I) delta = e_g
-        A = sysm.dense(eps)
+        A = dense(sysm, eps)
         res = [
             sum((A[i][j] * delta[j] for j in range(sysm.dim)), Fraction(0))
             for i in range(sysm.dim)
@@ -277,7 +279,7 @@ def test_property_solve_delta_is_inverse_column(case, data):
 def test_property_dense_times_inverse_is_identity(case):
     k, r, eps = case
     s = build_system(k, r)
-    assert matmul(s.dense(eps), inverse_matrix(s, eps)) == identity(s.dim)
+    assert matmul(dense(s, eps), inverse_matrix(s, eps)) == identity(s.dim)
 
 
 def test_singular_shift_rejected():

@@ -11,7 +11,6 @@ from turankit import (
     catalog_flags,
     certificate,
     certificate_terms,
-    combined_square_vector,
     disjoint_union,
     flag_code,
     has_no_empty_set,
@@ -20,6 +19,8 @@ from turankit import (
     verify_certificate,
 )
 from turankit.certificate import _term_vectors
+
+from oracles import combined_square_vector
 
 # SHA-256 of `<hex code> <p/q>` lines sorted by code: the slack of every
 # admissible class, then the size-6 coefficients of each of the six squares

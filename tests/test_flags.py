@@ -17,15 +17,20 @@ from turankit import (
     colex_subsets,
     disjoint_union,
     enumerate_all,
-    extension_density,
     flag_code,
     induced_density,
     nonedge_core_size,
-    pair_density,
     square_expansion,
     subset_rank,
-    type_embeddings,
     typed_code,
+)
+
+from oracles import (
+    extension_density,
+    is_complete,
+    is_edge,
+    pair_density,
+    type_embeddings,
 )
 
 
@@ -65,8 +70,8 @@ def test_type_embeddings_q4_brute_force():
     for theta in itertools.permutations(range(6), 4):
         ok = True
         for sub in itertools.combinations(range(4), 3):
-            want = cat.q4.is_edge(sub)
-            have = two.is_edge(tuple(theta[i] for i in sub))
+            want = is_edge(cat.q4, sub)
+            have = is_edge(two, tuple(theta[i] for i in sub))
             if want != have:
                 ok = False
                 break
@@ -95,7 +100,7 @@ def test_averaged_pair_density_matches_core_formula(h5_classes):
         total = Fraction(0)
         hits = 0
         for theta in itertools.permutations(range(5), 3):
-            if H.restrict(theta).is_complete():
+            if is_complete(H.restrict(theta)):
                 total += pair_density(F, F, H, theta)
                 hits += 1
         avg = total / math.perm(5, 3)
@@ -189,20 +194,22 @@ def test_property_chain_lift_then_evaluate_matches_direct(case):
 
 
 def test_chain_lift_matches_value_at_on_every_class():
-    # the whole-class lift against the per-class route: each size-6
-    # coefficient is the vector's average over that class, via value_at
+    # the whole-class lift, which reads the untyped `_typed_canon` table,
+    # against the per-class route: each size-6 coefficient is the vector's
+    # average over that class, via value_at and canonical_mask
     rng = random.Random(4136)
-    for size in (4, 5):
-        vec = ExpansionVector(
-            3,
-            size,
-            {rep.edges: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
-             for rep in enumerate_all(size, 3)},
-        )
-        lifted = chain_lift(vec, 6)
-        assert len(lifted.coeffs) == 2136
-        for rep in enumerate_all(6, 3):
-            assert lifted.coefficient(rep.edges) == vec.value_at(rep)
+    for k, classes in ((3, 2136), (2, 156)):
+        for size in (4, 5):
+            vec = ExpansionVector(
+                k,
+                size,
+                {rep.edges: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+                 for rep in enumerate_all(size, k)},
+            )
+            lifted = chain_lift(vec, 6)
+            assert len(lifted.coeffs) == classes
+            for rep in enumerate_all(6, k):
+                assert lifted.coefficient(rep.edges) == vec.value_at(rep)
 
 
 def test_square_expansion_exact_beyond_int64():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 
@@ -16,19 +17,19 @@ from turankit import (
     Hypergraph,
     canonical_mask,
     clique_counts,
-    clique_density,
     colex_subsets,
     disjoint_union,
     enumerate_all,
     has_no_empty_set,
     induced_density,
-    local_stats,
     nonedge_core_size,
     read_hgr,
     subset_rank,
     write_hgr,
 )
 from turankit.hypergraph import MAX_VERTICES, _perm_tables, tuple_bits
+
+from oracles import clique_density, edge_count, is_complete, is_edge, local_stats, permuted
 
 
 def test_colex_order_and_rank_agree():
@@ -47,10 +48,10 @@ def test_colex_order_and_rank_agree():
 
 def test_constructors_and_edges():
     G = Hypergraph.from_edges(4, 3, [(0, 1, 2), (1, 2, 3)])
-    assert G.edge_count() == 2
-    assert G.is_edge((2, 1, 0)) and not G.is_edge((0, 1, 3))
+    assert edge_count(G) == 2
+    assert is_edge(G, (2, 1, 0)) and not is_edge(G, (0, 1, 3))
     assert Hypergraph.complete(4, 3).edges == 0b1111
-    assert Hypergraph.complete(2, 3).is_complete()  # vacuous below k vertices
+    assert is_complete(Hypergraph.complete(2, 3))  # vacuous below k vertices
     with pytest.raises(ValueError):
         Hypergraph(9, 3, 0)
     with pytest.raises(ValueError):
@@ -60,10 +61,17 @@ def test_constructors_and_edges():
 def test_restrict_and_permute():
     G = Hypergraph.from_edges(5, 3, [(0, 1, 4), (1, 2, 3)])
     R = G.restrict((0, 1, 4))
-    assert R.n == 3 and R.edge_count() == 1 and R.is_edge((0, 1, 2))
-    P = G.permuted((4, 3, 2, 1, 0))
-    assert P.edge_count() == 2
-    assert P.is_edge((4, 3, 0)) and P.is_edge((3, 2, 1))
+    assert R.n == 3 and edge_count(R) == 1 and is_edge(R, (0, 1, 2))
+    P = permuted(G, (4, 3, 2, 1, 0))
+    assert edge_count(P) == 2
+    assert is_edge(P, (4, 3, 0)) and is_edge(P, (3, 2, 1))
+
+
+def test_restrict_rejects_vertices_outside_the_graph():
+    K = Hypergraph.complete(5, 3)
+    for verts in ((0, 1, 6), (0, 0, 1), (0, 1, 9), (-1, 1, 2)):
+        with pytest.raises(ValueError, match=re.escape(str(verts))):
+            K.restrict(verts)
 
 
 def test_canonical_complete_fixed_point():
@@ -86,13 +94,13 @@ def test_canonical_relabeling_invariance():
         G = Hypergraph(n, 3, rng.getrandbits(math.comb(n, 3)))
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canonical_mask(G) == canonical_mask(G.permuted(perm))
+        assert canonical_mask(G) == canonical_mask(permuted(G, perm))
     # the direct-scan path for 7 and 8 vertices
     for n in (7, 8):
         G = Hypergraph(n, 3, rng.getrandbits(math.comb(n, 3)))
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canonical_mask(G) == canonical_mask(G.permuted(perm))
+        assert canonical_mask(G) == canonical_mask(permuted(G, perm))
 
 
 def brute_force_classes(n, k):
@@ -207,11 +215,20 @@ def test_clique_density_matches_brute_force():
         for m in range(7):
             subsets = list(itertools.combinations(range(6), m))
             hits = sum(
-                all(G.is_edge(e) for e in itertools.combinations(S, 3)) for S in subsets
+                all(is_edge(G, e) for e in itertools.combinations(S, 3)) for S in subsets
             )
             assert clique_density(G, m) == Fraction(hits, len(subsets))
             if m < 3:
                 assert clique_density(G, m) == 1
+
+
+def test_clique_counts_cache_is_bounded():
+    # a run over many hosts keeps the counts of the last few only
+    for mask in range(300):
+        clique_counts(Hypergraph(6, 3, mask))
+    info = clique_counts.cache_info()
+    assert info.maxsize is not None and info.maxsize < 300
+    assert info.currsize <= info.maxsize
 
 
 @st.composite
@@ -230,7 +247,7 @@ def test_clique_counts_match_brute_force(G):
     assert len(counts) == G.n + 1
     for m in range(G.n + 1):
         subsets = itertools.combinations(range(G.n), m)
-        assert counts[m] == sum(G.restrict(S).is_complete() for S in subsets)
+        assert counts[m] == sum(is_complete(G.restrict(S)) for S in subsets)
         if m <= 6:
             assert clique_density(G, m) == induced_density(Hypergraph.complete(m, G.k), G)
 
@@ -449,7 +466,7 @@ def relabeled_graphs(draw, n_values):
 def test_property_canonical_mask_relabeling_invariant(case):
     G, perm = case
     code = canonical_mask(G)
-    assert canonical_mask(G.permuted(perm)) == code
+    assert canonical_mask(permuted(G, perm)) == code
     assert code <= G.edges
     assert canonical_mask(Hypergraph(G.n, G.k, code)) == code
 
@@ -458,7 +475,7 @@ def test_property_canonical_mask_relabeling_invariant(case):
 @given(relabeled_graphs((7,)))
 def test_property_canonical_mask_relabeling_invariant_direct_scan(case):
     G, perm = case
-    assert canonical_mask(G.permuted(perm)) == canonical_mask(G)
+    assert canonical_mask(permuted(G, perm)) == canonical_mask(G)
 
 
 @st.composite
