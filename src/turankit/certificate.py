@@ -8,8 +8,9 @@ expanded over the isomorphism classes of admissible 6-vertex hosts, must
 not exceed 3/8 minus the empty-4-set coefficient on any single class.
 
 This module pins the six squares and their weights as exact rationals,
-expands them at size 6, and checks the resulting slack of all 2102
-admissible classes.  The matching construction (two disjoint complete
+expands them at size 6 as integer numerators over one denominator each,
+and checks the slack of all 2102 admissible classes in integers, with one
+`Fraction` per class.  The matching construction (two disjoint complete
 halves) is evaluated for the lower bound.
 """
 
@@ -169,8 +170,6 @@ class CertificateReport:
 
     slack(H) = 3/8 - d(empty 4-set, H) - sum_i weight_i * coeff_i(H); the
     certificate holds exactly when every slack is nonnegative.
-    square_values keeps the six weighted per-class coefficients for
-    diagnostics (they may individually be negative at finite size).
     """
 
     k: int
@@ -180,7 +179,6 @@ class CertificateReport:
     min_slack: Fraction
     tight_graphs: tuple[int, ...]
     verdict: str
-    square_values: dict[int, tuple[Fraction, ...]]
 
     @property
     def passed(self) -> bool:
@@ -190,21 +188,21 @@ class CertificateReport:
 @lru_cache(maxsize=1)
 def verify_certificate() -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class, as
-    enumerated by `e5free_six_classes`."""
+    enumerated by `e5free_six_classes`: integer slack numerators over the
+    common denominator D of 3/8, d(E4) and the six weighted term vectors."""
     classes = e5free_six_classes()
     terms = certificate_terms()
     vecs = _term_vectors()
     quads = _subset_edge_masks(6, 4, 3)  # the triples inside each 4-subset
+    dens = [t.weight.denominator * v.den for t, v in zip(terms, vecs)]
+    D = math.lcm(TARGET.denominator, len(quads), *dens)
+    scales = [t.weight.numerator * (D // d) for t, d in zip(terms, dens)]
+    target, per_empty = TARGET.numerator * (D // TARGET.denominator), D // len(quads)
     slacks: dict[int, Fraction] = {}
-    square_values: dict[int, tuple[Fraction, ...]] = {}
     for H in classes:
-        contribs = tuple(
-            t.weight * v.coefficient(H.edges) for t, v in zip(terms, vecs)
-        )
-        empty = Fraction(sum(1 for m in quads if not H.edges & m), len(quads))
-        slack = TARGET - empty - sum(contribs, Fraction(0))
-        slacks[H.edges] = slack
-        square_values[H.edges] = contribs
+        empty = sum(1 for m in quads if not H.edges & m)
+        squares = sum(s * v.nums.get(H.edges, 0) for s, v in zip(scales, vecs))
+        slacks[H.edges] = Fraction(target - per_empty * empty - squares, D)
     min_slack = min(slacks.values())
     tight = tuple(code for code, s in slacks.items() if s == 0)
     return CertificateReport(
@@ -215,7 +213,6 @@ def verify_certificate() -> CertificateReport:
         min_slack=min_slack,
         tight_graphs=tight,
         verdict="pass" if min_slack >= 0 else "fail",
-        square_values=square_values,
     )
 
 
@@ -224,13 +221,13 @@ def two_clique_density(n: int) -> Fraction:
 
     The only empty 4-sets are the 2+2 splits, so the density is
     C(a,2) C(b,2) / C(n,4) with a = floor(n/2), b = n - a.  It decreases
-    toward 3/8 as n grows.  For n <= 8 the value and the
-    every-5-subset-spans-an-edge property are re-checked on the explicit
-    graph; beyond that the property is a pigeonhole fact (any 5 vertices
+    toward 3/8 as n grows (1225/3201 at n = 100).  For n <= 8 the value
+    and the every-5-subset-spans-an-edge property are re-checked on the
+    explicit graph; beyond that the property is a pigeonhole fact (any 5 vertices
     put 3 in one complete half).
     """
-    if not 6 <= n <= 16:
-        raise ValueError(f"two_clique_density: need 6 <= n <= 16, got n={n}")
+    if n < 6:
+        raise ValueError(f"two_clique_density: need n >= 6, got n={n}")
     a, b = n // 2, n - n // 2
     value = Fraction(math.comb(a, 2) * math.comb(b, 2), math.comb(n, 4))
     if n <= 8:

@@ -19,8 +19,8 @@ entry of it, `square_expansion` maps the typed masks of all base-size
 classes through it, and `chain_lift` maps the untyped sub-masks of all
 target classes through it.  `square_expansion` works one ordered type
 placement at a time: a numpy gather of the classes' type masks, another of
-their typed masks per extension set, int64 counts per class, and the
-rational coefficients applied once per class.
+their typed masks per extension set, int64 counts per class, and integer
+numerators over one denominator, which the chain lift keeps.
 """
 
 from __future__ import annotations
@@ -125,25 +125,30 @@ def flag_code(F: Flag) -> int:
 @dataclass(frozen=True)
 class ExpansionVector:
     """Coefficients of an averaged flag expression over the isomorphism
-    classes of n-vertex hosts, keyed by canonical mask (missing key = 0)."""
+    classes of n-vertex hosts: nums[code] / den per canonical mask, with
+    integer numerators over one positive denominator (missing key = 0)."""
 
     k: int
     n: int
-    coeffs: dict[int, Fraction]
+    nums: dict[int, int]
+    den: int
+
+    def __post_init__(self) -> None:
+        if type(self.den) is not int or self.den <= 0:
+            raise ValueError("ExpansionVector: den must be a positive int")
+        if not all(type(v) is int for v in self.nums.values()):
+            raise ValueError("ExpansionVector: numerators must be ints")
 
     def coefficient(self, code: int) -> Fraction:
-        return self.coeffs.get(code, Fraction(0))
+        return Fraction(self.nums.get(code, 0), self.den)
 
     def value_at(self, G: Hypergraph) -> Fraction:
         """Average of the expression over G: sum of coefficient(H) d(H, G)."""
         if G.k != self.k or G.n < self.n:
             raise ValueError("value_at: incompatible host")
         counts = restriction_class_counts(G, self.n)
-        num = sum(
-            (self.coeffs[code] * cnt for code, cnt in counts.items() if code in self.coeffs),
-            Fraction(0),
-        )
-        return num / math.comb(G.n, self.n)
+        num = sum(self.nums.get(code, 0) * cnt for code, cnt in counts.items())
+        return Fraction(num, self.den * math.comb(G.n, self.n))
 
 
 def _term_layout(
@@ -180,7 +185,8 @@ def square_expansion(
     integers by the lcm of their denominators.  Per class, int64 sums (or
     Python ints, where int64 could overflow) collect the placements, the
     extension-set weights and the weight products over ordered disjoint
-    pairs of extension sets; the rational coefficients apply once per class.
+    pairs of extension sets; each class gets one numerator over a common
+    denominator.
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
@@ -197,12 +203,12 @@ def square_expansion(
     sets = list(itertools.combinations(range(f), t - s))
     disjoint = [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if not {*a} & {*b}]
     pa, pb = np.array(disjoint).T
-    top = max((abs(w) * scale for w in weight.values()), default=0) ** 2
+    ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
+    top = max(map(abs, ints.values()), default=0) ** 2
     fits = top * len(pa) * math.perm(base, s) < 1 << 63  # else exact Python ints
     canon = _typed_canon(t, s, k)
     by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
-    for code, w in weight.items():
-        by_code[code] = int(w * scale)
+    by_code[list(ints)] = list(ints.values())
     by_mask = by_code[canon]
     classes = enumerate_all(base, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
@@ -219,15 +225,14 @@ def square_expansion(
         placed[hosts] += 1
         single[hosts] += w.sum(axis=1)
         pair[hosts] += (w[:, pa] * w[:, pb]).sum(axis=1)
-    # common denominator of pairs / (scale^2 n2), singles / (scale n1), c = cn/cd
-    cn, cd = constant.numerator, constant.denominator
+    # common denominator of pairs / (scale^2 n2), singles / (scale n1), c = cs/(cd scale)
+    cs, cd = constant.numerator * scale, constant.denominator
     n1, n2 = len(sets), len(pa)
     denom = scale * scale * n1 * n2 * cd * cd * math.perm(base, s)
-    coeffs: dict[int, Fraction] = {}
+    nums: dict[int, int] = {}
     for rep, p, one, two in zip(classes, placed.tolist(), single.tolist(), pair.tolist()):
-        num = (two * n1 * cd - 2 * cn * one * scale * n2) * cd
-        coeffs[rep.edges] = Fraction(num + p * cn * cn * scale * scale * n1 * n2, denom)
-    vec = ExpansionVector(k, base, coeffs)
+        nums[rep.edges] = (two * n1 * cd - 2 * cs * one * n2) * cd + p * cs * cs * n1 * n2
+    vec = ExpansionVector(k, base, nums, denom)
     return chain_lift(vec, size) if size > base else vec
 
 
@@ -236,21 +241,18 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     of H is the density-weighted sum of the old coefficients over the
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
     are gathered together and read through the untyped `_typed_canon` table,
-    and the coefficients, scaled to integers, are summed per class as Python
-    ints."""
+    and the numerators are summed per class as Python ints over
+    vec.den * C(size, vec.n)."""
     if not vec.n <= size <= _LIFT_LIMIT:
         raise ValueError(f"chain_lift: need {vec.n} <= size <= {_LIFT_LIMIT}")
     if size == vec.n:
-        return ExpansionVector(vec.k, vec.n, dict(vec.coeffs))
+        return ExpansionVector(vec.k, vec.n, dict(vec.nums), vec.den)
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
     bits = [tuple_bits(k, S) for S in itertools.combinations(range(size), b)]
-    scale = math.lcm(*(c.denominator for c in vec.coeffs.values()))
     by_code = np.zeros(1 << math.comb(b, k), dtype=object)
-    for code, c in vec.coeffs.items():
-        by_code[code] = int(c * scale)
+    by_code[list(vec.nums)] = list(vec.nums.values())
     sums = by_code[_typed_canon(b, 0, k)][_gather_masks(masks, bits)].sum(axis=1)
-    denom = scale * math.comb(size, b)
-    coeffs = {rep.edges: Fraction(int(num), denom) for rep, num in zip(classes, sums)}
-    return ExpansionVector(k, size, coeffs)
+    nums = dict(zip((rep.edges for rep in classes), sums.tolist()))
+    return ExpansionVector(k, size, nums, vec.den * math.comb(size, b))

@@ -184,9 +184,11 @@ def combined_square_vector() -> ExpansionVector:
     gives the exact average of the six squares over G, which is the
     quantity the certificate bounds by 3/8 minus the empty-4-set density.
     """
-    vecs = _term_vectors()
-    out: dict[int, Fraction] = {}
-    for t, v in zip(certificate_terms(), vecs):
-        for code, coeff in v.coeffs.items():
-            out[code] = out.get(code, Fraction(0)) + t.weight * coeff
-    return ExpansionVector(vecs[0].k, vecs[0].n, out)
+    terms, vecs = certificate_terms(), _term_vectors()
+    den = math.lcm(*(t.weight.denominator * v.den for t, v in zip(terms, vecs)))
+    nums: dict[int, int] = {}
+    for t, v in zip(terms, vecs):
+        scale = t.weight.numerator * (den // (t.weight.denominator * v.den))
+        for code, num in v.nums.items():
+            nums[code] = nums.get(code, 0) + scale * num
+    return ExpansionVector(vecs[0].k, vecs[0].n, nums, den)

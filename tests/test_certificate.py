@@ -36,6 +36,12 @@ TERM_DIGESTS = [
 ]
 
 
+def weighted_squares(code):
+    """The six weighted square coefficients weight_i * coeff_i of one class."""
+    pairs = zip(certificate_terms(), _term_vectors())
+    return tuple(t.weight * v.coefficient(code) for t, v in pairs)
+
+
 def table_digest(table):
     lines = "".join(f"{code:x} {value}\n" for code, value in sorted(table.items()))
     return hashlib.sha256(lines.encode("ascii")).hexdigest()
@@ -65,8 +71,8 @@ def test_pinned_result_digests(certificate_run):
     assert len(report.slacks) == 2102
     assert table_digest(report.slacks) == SLACK_DIGEST
     vecs = _term_vectors()
-    assert all(len(v.coeffs) == 2136 for v in vecs)
-    assert [table_digest(v.coeffs) for v in vecs] == TERM_DIGESTS
+    assert all(len(v.nums) == 2136 for v in vecs)
+    assert [table_digest({c: v.coefficient(c) for c in v.nums}) for v in vecs] == TERM_DIGESTS
 
 
 def test_certificate_weights():
@@ -103,7 +109,7 @@ def test_complete_graph_tight(certificate_run):
     assert report.slacks[k6.edges] == 0
     # at the complete host only the first square survives, through its
     # constant: weight 2/3 times (3/4)^2 equals the full 3/8 budget
-    contribs = report.square_values[k6.edges]
+    contribs = weighted_squares(k6.edges)
     assert contribs[0] == Fraction(2, 3) * Fraction(9, 16) == Fraction(3, 8)
     assert all(c == 0 for c in contribs[1:])
 
@@ -118,7 +124,7 @@ def test_per_graph_squares_can_be_negative(certificate_run):
     # finite-size square coefficients need not be nonnegative per class;
     # the verdict gates on the combined slack only
     report, _ = certificate_run
-    assert any(min(vals) < 0 for vals in report.square_values.values())
+    assert any(min(weighted_squares(code)) < 0 for code in report.slacks)
 
 
 def test_combined_vector_nonnegative_on_sampled_hosts():
@@ -162,7 +168,15 @@ def test_two_clique_density_values():
     with pytest.raises(ValueError):
         two_clique_density(4)
     with pytest.raises(ValueError):
-        two_clique_density(18)
+        two_clique_density(5)
+
+
+def test_two_clique_density_beyond_sixteen():
+    # a closed form with no cap on n: admissibility past n = 8 is the
+    # pigeonhole fact that any 5 vertices put 3 in one complete half
+    assert two_clique_density(17) == Fraction(36, 85)
+    assert two_clique_density(100) == Fraction(1225, 3201)
+    assert Fraction(3, 8) < two_clique_density(100) < two_clique_density(17)
 
 
 def test_certificate_fails_outside_admissible_family(monkeypatch):
@@ -203,7 +217,7 @@ def test_slack_oracle_from_public_flag_ops(certificate_run, square_oracle):
             coeff = square_oracle(t.sigma, t.terms, t.constant, H)
             assert coeff == vecs[i].coefficient(code), (t.label, H)
             contribs.append(t.weight * coeff)
-        assert tuple(contribs) == report.square_values[code]
+        assert tuple(contribs) == weighted_squares(code)
         oracle_slack = Fraction(3, 8) - induced_density(e4, H) - sum(contribs, Fraction(0))
         assert oracle_slack == report.slacks[code]
 
@@ -212,10 +226,10 @@ def test_empty_density_column(certificate_run, e5free_classes):
     # slack + squares + d(E4) reassemble to exactly 3/8 on every class
     report, _ = certificate_run
     e4 = Hypergraph.empty(4, 3)
-    for H in list(e5free_classes)[::97]:
+    for H in e5free_classes:
         total = (
             report.slacks[H.edges]
-            + sum(report.square_values[H.edges], Fraction(0))
+            + sum(weighted_squares(H.edges), Fraction(0))
             + induced_density(e4, H)
         )
         assert total == Fraction(3, 8)

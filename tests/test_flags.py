@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,20 +146,38 @@ def test_squared_complete_flag_coefficients(h4_classes, h5_classes):
             assert vec.coefficient(H.edges) == expected
 
 
+@pytest.mark.parametrize("den", [0, -3, Fraction(2), 2.0, True])
+def test_expansion_vector_rejects_bad_denominator(den):
+    with pytest.raises(ValueError, match="den"):
+        ExpansionVector(3, 4, {0: 1}, den)
+
+
+@pytest.mark.parametrize("num", [Fraction(1, 2), Fraction(1), 0.5, np.int64(1)])
+def test_expansion_vector_rejects_non_int_numerator(num):
+    # a Fraction numerator would otherwise be truncated by chain_lift's sums
+    with pytest.raises(ValueError, match="numerators"):
+        ExpansionVector(3, 4, {0: 1, 1: num}, 2)
+
+
+def test_expansion_vector_reads_numerators_over_den():
+    vec = ExpansionVector(3, 4, {0: 3, 1: -4}, 6)
+    assert vec.coefficient(0) == Fraction(1, 2)
+    assert vec.coefficient(1) == Fraction(-2, 3)
+    assert vec.coefficient(2) == 0
+
+
 def test_chain_lift_singleton_is_density():
     e4 = Hypergraph.empty(4, 3)
-    vec = ExpansionVector(3, 4, {e4.edges: Fraction(1)})
+    vec = ExpansionVector(3, 4, {e4.edges: 1}, 1)
     lifted = chain_lift(vec, 6)
     for rep in enumerate_all(6, 3)[:300]:
         assert lifted.coefficient(rep.edges) == induced_density(e4, rep)
 
 
 def test_chain_lift_preserves_all_ones():
-    ones = ExpansionVector(
-        3, 4, {rep.edges: Fraction(1) for rep in enumerate_all(4, 3)}
-    )
+    ones = ExpansionVector(3, 4, {rep.edges: 3 for rep in enumerate_all(4, 3)}, 3)
     lifted = chain_lift(ones, 6)
-    assert all(v == 1 for v in lifted.coeffs.values())
+    assert all(lifted.coefficient(code) == 1 for code in lifted.nums)
 
 
 def test_lift_then_evaluate_agrees_on_larger_hosts():
@@ -178,9 +197,7 @@ def lift_cases(draw):
     coeffs = draw(
         st.lists(st.integers(-5, 5), min_size=len(classes), max_size=len(classes))
     )
-    vec = ExpansionVector(
-        3, size, {rep.edges: Fraction(c) for rep, c in zip(classes, coeffs) if c}
-    )
+    vec = ExpansionVector(3, size, {rep.edges: c for rep, c in zip(classes, coeffs) if c}, 1)
     n = draw(st.sampled_from([6, 7]))
     host = Hypergraph(n, 3, draw(st.integers(0, (1 << binomial(n, 3)) - 1)))
     return vec, host
@@ -203,11 +220,12 @@ def test_chain_lift_matches_value_at_on_every_class():
             vec = ExpansionVector(
                 k,
                 size,
-                {rep.edges: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+                {rep.edges: rng.randint(-9, 9) * (14 // rng.choice((1, 2, 7)))
                  for rep in enumerate_all(size, k)},
+                14,
             )
             lifted = chain_lift(vec, 6)
-            assert len(lifted.coeffs) == classes
+            assert len(lifted.nums) == classes
             for rep in enumerate_all(6, k):
                 assert lifted.coefficient(rep.edges) == vec.value_at(rep)
 
@@ -219,7 +237,8 @@ def test_square_expansion_exact_beyond_int64():
     huge = square_expansion(cat.p1, ((Fraction(big), cat.e3_p1),), Fraction(0), 6)
     unit = square_expansion(cat.p1, ((Fraction(1), cat.e3_p1),), Fraction(0), 6)
     assert big * big > 1 << 63  # a single pair product already overflows int64
-    assert huge.coeffs == {code: big * big * c for code, c in unit.coeffs.items()}
+    assert huge.den == unit.den
+    assert huge.nums == {code: big * big * c for code, c in unit.nums.items()}
 
 
 def test_evaluation_consistency_lift_vs_direct():
@@ -246,7 +265,7 @@ def test_type_label_swap_mirrors_l_flags():
     swapped = square_expansion(
         cat.p2, ((Fraction(1), l_a_swapped), (Fraction(-1), l_b_swapped)), Fraction(0), 6
     )
-    assert orig.coeffs == swapped.coeffs
+    assert orig == swapped
 
 
 def test_extension_density_and_typed_code():
@@ -336,6 +355,6 @@ def test_property_square_expansion_matches_placement_oracle(case, square_oracle)
     t = terms[0][1].size if terms else sigma.n
     base = 2 * t - sigma.n
     vec = square_expansion(sigma, terms, constant, base)
-    assert vec.n == base and len(vec.coeffs) == len(enumerate_all(base, 3))
+    assert vec.n == base and len(vec.nums) == len(enumerate_all(base, 3))
     for rep in enumerate_all(base, 3):
         assert vec.coefficient(rep.edges) == square_oracle(sigma, terms, constant, rep)
