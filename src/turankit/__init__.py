@@ -63,7 +63,6 @@ from .hypergraph import (
     enumerate_all,
     has_no_empty_set,
     induced_density,
-    nonedge_core_size,
     read_hgr,
     restriction_class_counts,
     subset_rank,

@@ -318,7 +318,7 @@ class BoundReport:
     asymptotic: Fraction
     finite_bound: Fraction
     de_caen: Optional[Fraction]  # only meaningful when g == k
-    lower_bound: Optional[Fraction]
+    lower_bound: Fraction
 
 
 def upper_bound(

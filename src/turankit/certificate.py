@@ -9,9 +9,10 @@ not exceed 3/8 minus the empty-4-set coefficient on any single class.
 
 This module pins the six squares and their weights as exact rationals,
 expands them at size 6 as integer numerators over one denominator each,
-and checks the slack of all 2102 admissible classes in integers, with one
-`Fraction` per class.  The matching construction (two disjoint complete
-halves) is evaluated for the lower bound.
+lifts the empty-4-set density to size 6 the same way, and checks the slack
+of all 2102 admissible classes in integers, with one `Fraction` per class.
+The matching construction (two disjoint complete halves) is evaluated for
+the lower bound.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .flags import ExpansionVector, Flag, square_expansion
+from .flags import ExpansionVector, Flag, chain_lift, square_expansion
 from .hypergraph import (
     Hypergraph,
-    _subset_edge_masks,
     disjoint_union,
     enumerate_all,
     has_no_empty_set,
@@ -189,20 +189,20 @@ class CertificateReport:
 def verify_certificate() -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class, as
     enumerated by `e5free_six_classes`: integer slack numerators over the
-    common denominator D of 3/8, d(E4) and the six weighted term vectors."""
+    common denominator D of 3/8 and seven weighted vectors, d(E4) (the
+    empty 4-set lifted to size 6, weight 1) and the six term vectors."""
     classes = e5free_six_classes()
-    terms = certificate_terms()
-    vecs = _term_vectors()
-    quads = _subset_edge_masks(6, 4, 3)  # the triples inside each 4-subset
-    dens = [t.weight.denominator * v.den for t, v in zip(terms, vecs)]
-    D = math.lcm(TARGET.denominator, len(quads), *dens)
-    scales = [t.weight.numerator * (D // d) for t, d in zip(terms, dens)]
-    target, per_empty = TARGET.numerator * (D // TARGET.denominator), D // len(quads)
+    empty4 = chain_lift(ExpansionVector(3, 4, {0: 1}, 1), 6)  # d(E4) per class
+    weights = [Fraction(1)] + [t.weight for t in certificate_terms()]
+    vecs = (empty4,) + _term_vectors()
+    dens = [w.denominator * v.den for w, v in zip(weights, vecs)]
+    D = math.lcm(TARGET.denominator, *dens)
+    scales = [w.numerator * (D // d) for w, d in zip(weights, dens)]
+    target = TARGET.numerator * (D // TARGET.denominator)
     slacks: dict[int, Fraction] = {}
     for H in classes:
-        empty = sum(1 for m in quads if not H.edges & m)
-        squares = sum(s * v.nums.get(H.edges, 0) for s, v in zip(scales, vecs))
-        slacks[H.edges] = Fraction(target - per_empty * empty - squares, D)
+        used = sum(s * v.nums.get(H.edges, 0) for s, v in zip(scales, vecs))
+        slacks[H.edges] = Fraction(target - used, D)
     min_slack = min(slacks.values())
     tight = tuple(code for code, s in slacks.items() if s == 0)
     return CertificateReport(

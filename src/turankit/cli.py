@@ -76,7 +76,7 @@ def _bound_payload(report: bounds.BoundReport) -> dict:
         "finiteBound": _frac(report.finite_bound),
         "finiteBoundApprox": _approx(report.finite_bound),
         "deCaen": _frac(report.de_caen) if report.de_caen is not None else None,
-        "lowerBound": _frac(report.lower_bound) if report.lower_bound is not None else None,
+        "lowerBound": _frac(report.lower_bound),
         "vacuous": report.finite_bound >= 1,
     }
 

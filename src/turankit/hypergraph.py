@@ -14,18 +14,20 @@ with every link of vertex n-1 shifted above it.  `_orbit_minima` takes
 the candidates' orbit minima over all n! relabelings at once with numpy,
 through per-permutation lookup tables of the low and high halves of a mask;
 at (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
-`turankit.flags` builds its classification table with the same loop, over
-the relabelings that fix the typed vertices.  The same tables give one
-graph's canonical mask as a single gather of its two halves across all
-relabelings, followed by a numpy minimum.
+It is the only reader of those tables: it gathers every image of a small
+batch at once and folds a large one relabeling by relabeling.
+`turankit.flags` builds its classification table with it, over the
+relabelings that fix the typed vertices; `_canonical_codes` canonicalizes a
+batch of masks with it (a direct scan at 7 and 8 vertices) for
+`canonical_mask`, `restriction_class_counts` and `read_hgr`.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets, looked up in one colex index per k keyed by
-vertex bitmask (`subset_rank` is the definition).  Restriction and the
-typed masks of `turankit.flags` gather a sub-mask through it instead of
-re-ranking every subset; `_gather_masks` is the same gather over a whole
-array of masks, for the expansions and lifts of `turankit.flags` that work
-on all classes.
+vertex bitmask (`subset_rank` is the definition).  Restriction, the subset
+masks and the typed masks of `turankit.flags` gather a sub-mask through it
+instead of re-ranking every subset; `_gather_masks` is the same gather over
+a whole array of masks, for the expansions and lifts of `turankit.flags`
+that work on all classes.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +60,6 @@ __all__ = [
     "enumerate_all",
     "has_no_empty_set",
     "induced_density",
-    "nonedge_core_size",
     "read_hgr",
     "restriction_class_counts",
     "subset_rank",
@@ -70,6 +72,9 @@ MAX_VERTICES = 8
 # canonical forms at 7 and 8 vertices use a direct scan, for occasional use.
 _TABLE_VERTEX_LIMIT = 6
 _MAX_ENUM_BITS = 20
+# `_orbit_minima` gathers every image at once up to this many (mask,
+# relabeling) entries and folds one relabeling at a time above it.
+_GATHER_ENTRIES = 1 << 16
 # clique_counts remembers this many hosts: the relation checks on one host
 # reuse its counts, and a long run over many hosts does not grow.
 _CLIQUE_CACHE_HOSTS = 8
@@ -211,11 +216,14 @@ def _perm_tables(n: int, k: int, fixed: int = 0):
 
 
 def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
-    """Minimum of each mask over the relabelings that fix 0..fixed-1: for
-    each relabeling an image is two table lookups, folded into a running
-    numpy minimum."""
+    """Minimum of each mask over the relabelings that fix 0..fixed-1.  An
+    image is two table lookups; up to _GATHER_ENTRIES images are gathered
+    at once and reduced by one numpy minimum, above that they are folded
+    into a running minimum one relabeling at a time."""
     split, lo_tab, hi_tab = _perm_tables(n, k, fixed)
     lo, hi = masks & ((1 << split) - 1), masks >> split
+    if masks.size * len(lo_tab) <= _GATHER_ENTRIES:
+        return (lo_tab[:, lo] | hi_tab[:, hi]).min(axis=0)
     best = masks.copy()
     for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
         np.minimum(best, lo_tab[pi][lo] | hi_tab[pi][hi], out=best)
@@ -237,18 +245,25 @@ def _check_bits(caller: str, n: int, k: int) -> None:
         raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
 
 
+def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
+    """Canonical mask of each k-graph edge mask on n vertices, as Python
+    ints: `_orbit_minima` up to _TABLE_VERTEX_LIMIT vertices, a direct scan
+    over all relabelings at 7 and 8 (an 8-vertex 4-graph mask has 70 bits,
+    past int64)."""
+    if n <= _TABLE_VERTEX_LIMIT:
+        return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
+    codes = []
+    for m in masks:
+        edges, perms = Hypergraph(n, k, m).edge_list(), itertools.permutations(range(n))
+        codes.append(min(sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms))
+    return codes
+
+
 def canonical_mask(G: Hypergraph) -> int:
-    """Minimum edge mask over all vertex relabelings of G: one gather from
-    the tables up to 6 vertices, a direct scan at 7 and 8."""
+    """Minimum edge mask over all vertex relabelings of G."""
     if G.edges in (0, (1 << G.nbits) - 1):
         return G.edges
-    if G.n <= _TABLE_VERTEX_LIMIT:
-        split, lo_tab, hi_tab = _perm_tables(G.n, G.k)
-        lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
-        return int((lo_tab[:, lo] | hi_tab[:, hi]).min())
-    edges = G.edge_list()
-    perms = itertools.permutations(range(G.n))
-    return min(sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms)
+    return _canonical_codes([G.edges], G.n, G.k)[0]
 
 
 @lru_cache(maxsize=None)
@@ -284,14 +299,13 @@ def enumerate_all(
 
 
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
-    """Counts of canonical masks over all induced size-subsets of G."""
+    """Counts of canonical masks over all induced size-subsets of G: every
+    subset's sub-mask is gathered, then all are canonicalized in one call."""
     if not 0 <= size <= G.n:
         raise ValueError("restriction_class_counts: size out of range")
-    counts: dict[int, int] = {}
-    for S in itertools.combinations(range(G.n), size):
-        code = canonical_mask(G.restrict(S))
-        counts[code] = counts.get(code, 0) + 1
-    return counts
+    subsets = itertools.combinations(range(G.n), size)
+    sub_masks = [_gather(G.edges, tuple_bits(G.k, S)) for S in subsets]
+    return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
 
 
 def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
@@ -316,35 +330,12 @@ def clique_counts(G: Hypergraph) -> tuple[int, ...]:
     )
 
 
-def nonedge_core_size(H: Hypergraph) -> int:
-    """Number of vertices common to every non-edge of H.
-
-    Empty-family convention: a complete graph (no non-edges) returns n.
-    Equivalently this counts the vertices whose removal leaves a complete
-    graph, which is why the density of complete (n-1)-sets in H is this
-    value divided by n.
-    """
-    core = set(range(H.n))
-    found = False
-    for i, sub in enumerate(colex_subsets(H.n, H.k)):
-        if not (H.edges >> i) & 1:
-            found = True
-            core &= set(sub)
-            if not core:
-                return 0
-    return H.n if not found else len(core)
-
-
 @lru_cache(maxsize=None)
 def _subset_edge_masks(n: int, size: int, k: int) -> tuple[int, ...]:
     """For each size-subset of {0..n-1}: mask of the k-subset bits inside it."""
-    masks = []
-    for S in itertools.combinations(range(n), size):
-        m = 0
-        for sub in itertools.combinations(S, k):
-            m |= 1 << subset_rank(sub)
-        masks.append(m)
-    return tuple(masks)
+    return tuple(
+        sum(1 << b for b in tuple_bits(k, S)) for S in itertools.combinations(range(n), size)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +402,7 @@ def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
     if math.comb(n, k) > _MAX_ENUM_BITS:
         raise ValueError(f"read_hgr: C({n},{k}) exceeds the {_MAX_ENUM_BITS}-bit guard")
     graphs = tuple(Hypergraph(n, k, c) for c in codes)
-    for G in graphs:
-        if canonical_mask(G) != G.edges:
-            raise ValueError(f"read_hgr: code {G.edges:x} is not canonical")
+    for code, canon in zip(codes, _canonical_codes(codes, n, k)):
+        if canon != code:
+            raise ValueError(f"read_hgr: code {code:x} is not canonical")
     return k, n, tag, graphs

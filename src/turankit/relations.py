@@ -42,7 +42,6 @@ from .hypergraph import (
     _extension_masks,
     clique_counts,
     enumerate_all,
-    nonedge_core_size,
     restriction_class_counts,
 )
 
@@ -115,8 +114,9 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
 @lru_cache(maxsize=None)
 def _core_pair_weights(size: int, k: int) -> dict[int, int]:
     """C(core, 2) for every size-vertex class, keyed by canonical mask, where
-    core is the class's common-nonedge-vertex count.  Read-only."""
-    return {H.edges: binomial(nonedge_core_size(H), 2) for H in enumerate_all(size, k)}
+    core is the class's common-nonedge-vertex count, which is also its
+    number of complete (size-1)-sets.  Read-only."""
+    return {H.edges: binomial(clique_counts(H)[size - 1], 2) for H in enumerate_all(size, k)}
 
 
 def _extension_tallies(G: Hypergraph, size: int) -> list[int]:

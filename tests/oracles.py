@@ -14,6 +14,7 @@ from turankit import (
     Hypergraph,
     TridiagonalSystem,
     clique_counts,
+    colex_subsets,
     flag_code,
     subset_rank,
     typed_code,
@@ -46,6 +47,25 @@ def permuted(G: Hypergraph, perm: Sequence[int]) -> Hypergraph:
     for e in G.edge_list():
         mask |= 1 << subset_rank(perm[v] for v in e)
     return Hypergraph(G.n, G.k, mask)
+
+
+def nonedge_core_size(H: Hypergraph) -> int:
+    """Number of vertices common to every non-edge of H.
+
+    Empty-family convention: a complete graph (no non-edges) returns n.
+    Equivalently this counts the vertices whose removal leaves a complete
+    graph, which is why the density of complete (n-1)-sets in H is this
+    value divided by n.
+    """
+    core = set(range(H.n))
+    found = False
+    for i, sub in enumerate(colex_subsets(H.n, H.k)):
+        if not (H.edges >> i) & 1:
+            found = True
+            core &= set(sub)
+            if not core:
+                return 0
+    return H.n if not found else len(core)
 
 
 def clique_density(G: Hypergraph, m: int) -> Fraction:

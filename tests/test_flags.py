@@ -20,7 +20,6 @@ from turankit import (
     enumerate_all,
     flag_code,
     induced_density,
-    nonedge_core_size,
     square_expansion,
     subset_rank,
     typed_code,
@@ -30,6 +29,7 @@ from oracles import (
     extension_density,
     is_complete,
     is_edge,
+    nonedge_core_size,
     pair_density,
     type_embeddings,
 )

@@ -22,14 +22,28 @@ from turankit import (
     enumerate_all,
     has_no_empty_set,
     induced_density,
-    nonedge_core_size,
     read_hgr,
     subset_rank,
     write_hgr,
 )
-from turankit.hypergraph import MAX_VERTICES, _perm_tables, tuple_bits
+from turankit.hypergraph import (
+    _GATHER_ENTRIES,
+    MAX_VERTICES,
+    _orbit_minima,
+    _perm_tables,
+    restriction_class_counts,
+    tuple_bits,
+)
 
-from oracles import clique_density, edge_count, is_complete, is_edge, local_stats, permuted
+from oracles import (
+    clique_density,
+    edge_count,
+    is_complete,
+    is_edge,
+    local_stats,
+    nonedge_core_size,
+    permuted,
+)
 
 
 def test_colex_order_and_rank_agree():
@@ -376,6 +390,7 @@ def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
 
     calls = []
     monkeypatch.setattr(hypergraph, "canonical_mask", calls.append)
+    monkeypatch.setattr(hypergraph, "_canonical_codes", lambda *args: calls.append(args))
     path = tmp_path / "classes.hgr"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
@@ -420,6 +435,51 @@ def test_canonical_mask_matches_oracle():
         masks = [rng.getrandbits(math.comb(n, k)) for _ in range(500)]
         got = [canonical_mask(Hypergraph(n, k, m)) for m in masks]
         assert got == oracle_canonical_masks(n, k, masks), (n, k)
+
+
+def oracle_restriction_counts(G, size):
+    """Per-subset reference: restrict to each size-subset, then the oracle's
+    canonical form of the induced graph."""
+    subs = [G.restrict(S).edges for S in itertools.combinations(range(G.n), size)]
+    counts = {}
+    for code in oracle_canonical_masks(size, G.k, subs):
+        counts[code] = counts.get(code, 0) + 1
+    return counts
+
+
+def test_restriction_class_counts_match_per_subset_oracle():
+    rng = random.Random(1907)
+    for n, k in [(6, 3), (6, 2)]:
+        for _ in range(2):
+            G = Hypergraph(n, k, rng.getrandbits(math.comb(n, k)))
+            for size in range(n + 1):
+                assert restriction_class_counts(G, size) == oracle_restriction_counts(G, size)
+    # a 70-bit host gathers its sub-masks as Python ints
+    G = Hypergraph(8, 4, rng.getrandbits(70))
+    for size in range(7):
+        assert restriction_class_counts(G, size) == oracle_restriction_counts(G, size)
+    # a whole 7-vertex host is canonicalized by the direct scan
+    G = Hypergraph(7, 2, rng.getrandbits(21))
+    assert restriction_class_counts(G, 7) == oracle_restriction_counts(G, 7)
+
+
+def test_restriction_class_counts_below_k():
+    G = Hypergraph(6, 3, 0b1011_0110_1110_0101_1001)
+    for size in range(3):
+        assert restriction_class_counts(G, size) == {0: math.comb(6, size)}
+    assert restriction_class_counts(Hypergraph(0, 2), 0) == {0: 1}
+    with pytest.raises(ValueError, match="size out of range"):
+        restriction_class_counts(G, 7)
+
+
+def test_orbit_minima_gather_agrees_with_fold():
+    masks = np.arange(1 << 10, dtype=np.int64)  # every (5,3) mask
+    perms = math.factorial(5)
+    assert len(masks) * perms > _GATHER_ENTRIES >= 512 * perms  # fold, then gathers
+    folded = _orbit_minima(masks, 5, 3)
+    gathered = np.concatenate([_orbit_minima(masks[i : i + 512], 5, 3) for i in (0, 512)])
+    assert folded.tolist() == gathered.tolist()
+    assert folded.tolist() == oracle_canonical_masks(5, 3, range(1 << 10))
 
 
 def test_canonical_mask_returns_python_int():

@@ -15,13 +15,12 @@ from turankit import (
     disjoint_union,
     enumerate_all,
     epsilon_value,
-    nonedge_core_size,
     telescoped_combination,
     x_ratio,
 )
 from turankit import relations
 
-from oracles import clique_density, is_complete, local_stats
+from oracles import clique_density, is_complete, local_stats, nonedge_core_size
 
 
 def x_grid():
@@ -149,6 +148,17 @@ def test_core_at_most_k_unless_complete(h5_classes):
         else:
             assert core <= 3
             assert weight <= Fraction(2, m) * Fraction(core, m + 1)
+
+
+def test_core_pair_weights_match_oracle():
+    # the complete (n-1)-sets of a class are its common-nonedge vertices
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            if math.comb(n, k) <= 20:
+                expected = {
+                    H.edges: math.comb(nonedge_core_size(H), 2) for H in enumerate_all(n, k)
+                }
+                assert relations._core_pair_weights(n, k) == expected, (n, k)
 
 
 def test_relaxed_rows_corrected_nonpositive():
