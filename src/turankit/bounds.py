@@ -259,10 +259,9 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
 
     The integer matrix M applied to the numerators is checked to be
     det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
-    is nonzero, so this accepts only the true column.
+    is nonzero, so this accepts only the true column.  `build_system`
+    checks k and r, and `_solve_column` checks g.
     """
-    if not (2 <= k <= g < r):
-        raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     return _solve_column(recurrences(build_system(k, r), eps), g)
 
 
@@ -387,8 +386,9 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                sum_s (-1)^s C(l,s) sum_{i_1..i_s >= k, sum <= g}
                multinomial(g; i_1..i_s, g - sum) l^{-sum}, reported for
                comparison.  The two disagree in general (e.g. k=3, g=4,
-               l=2 gives direct 3/8 but formula -1/8); `direct` is the
-               value backed by the counting argument.
+               l=2 gives direct 3/8 but formula -1/8): the printed sum
+               drops the factor ((l-s)/l)^(g - sum).  With it the sum
+               equals `direct`, which is checked (ArithmeticError if not).
 
     Both are polynomial in g (`_inclusion_exclusion` groups the sum's terms
     by s and by the total covered); `upper_bound` reports `direct` alone
@@ -398,7 +398,11 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
         raise ValueError(
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
-    return PartiteBound(_partite_direct(k, g, l), _inclusion_exclusion(k, g, l))
+    direct = _partite_direct(k, g, l)
+    formula, corrected = _inclusion_exclusion(k, g, l)
+    if corrected != direct:
+        raise ArithmeticError("partite_lower_bound: corrected sum disagrees with direct")
+    return PartiteBound(direct, formula)
 
 
 @lru_cache(maxsize=256)
@@ -419,24 +423,26 @@ def _partite_direct(k: int, g: int, l: int) -> Fraction:
     return Fraction(dp[g], l**g)
 
 
-def _inclusion_exclusion(k: int, g: int, l: int) -> Fraction:
-    """`partite_lower_bound(k, g, l).formula`: the multinomials of the
-    s-tuples with sum T add up to C(g, T) c_s(T), where c_s(T) counts the
-    ordered s-tuples of disjoint labeled blocks, each of size >= k, covering
-    T labeled items; so the sum is
-    sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g.  DP over s:
+def _inclusion_exclusion(k: int, g: int, l: int) -> tuple[Fraction, Fraction]:
+    """(`partite_lower_bound(k, g, l).formula`, the corrected sum): the
+    multinomials of the s-tuples with sum T add up to C(g, T) c_s(T), where
+    c_s(T) counts the ordered s-tuples of disjoint labeled blocks, each of
+    size >= k, covering T labeled items; so the printed sum is
+    sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g, and the corrected
+    one has (l-s)^(g-T) in place of l^(g-T).  DP over s:
     c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), c_0 = [1, 0, ..]."""
     blocks = [1] + [0] * g
-    total = 0
+    printed = corrected = 0
     for s in range(g // k + 1):
         if s:
             blocks = [
                 sum(math.comb(t, i) * blocks[t - i] for i in range(k, t + 1))
                 for t in range(g + 1)
             ]
-        covered = sum(math.comb(g, t) * c * l ** (g - t) for t, c in enumerate(blocks))
-        total += (-1) ** s * math.comb(l, s) * covered
-    return Fraction(total, l**g)
+        terms = [(-1) ** s * math.comb(l, s) * math.comb(g, t) * c for t, c in enumerate(blocks)]
+        printed += sum(a * l ** (g - t) for t, a in enumerate(terms))
+        corrected += sum(a * (l - s) ** (g - t) for t, a in enumerate(terms))
+    return Fraction(printed, l**g), Fraction(corrected, l**g)
 
 
 @dataclass(frozen=True)

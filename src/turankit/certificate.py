@@ -71,7 +71,6 @@ class FlagCatalog:
     o_b: Flag  # 5 vertices, edge (2,3,4) only, edgeless type (0,1,2,3)
 
 
-@lru_cache(maxsize=1)
 def catalog_flags() -> FlagCatalog:
     """Build and validate the certificate's flag catalog.
 
@@ -113,7 +112,6 @@ class CertificateTerm:
     constant: Fraction
 
 
-@lru_cache(maxsize=1)
 def certificate_terms() -> tuple[CertificateTerm, ...]:
     """The six weighted squares, weights {2/3, 1/6, 13/12, 11/12, 2, 1/2}.
 
@@ -185,7 +183,6 @@ class CertificateReport:
         return self.verdict == "pass"
 
 
-@lru_cache(maxsize=1)
 def verify_certificate() -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class, as
     enumerated by `e5free_six_classes`: integer slack numerators over the

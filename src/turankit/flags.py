@@ -17,10 +17,11 @@ permutations of the untyped positions s..t-1; at s = 0 that is the untyped
 canonical code.  The per-host `typed_code` (and so `flag_code`) reads one
 entry of it, `square_expansion` maps the typed masks of all base-size
 classes through it, and `chain_lift` maps the untyped sub-masks of all
-target classes through it.  `square_expansion` works one ordered type
-placement at a time: a numpy gather of the classes' type masks, another of
-their typed masks per extension set, int64 counts per class, and integer
-numerators over one denominator, which the chain lift keeps.
+classes of a larger size, up to 6 vertices, through it.  `square_expansion`
+works one ordered type placement at a time: a numpy gather of the classes'
+type masks, another of their typed masks per extension set, int64 counts per
+class, and integer numerators over one denominator, which the chain lift
+keeps.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
     return int(_typed_canon(len(ordered), len(theta), H.k)[_typed_mask(H, ordered)])
 
 
-@lru_cache(maxsize=None)
 def flag_code(F: Flag) -> int:
     """Canonical mask of a flag under untyped-vertex relabeling."""
     return typed_code(F.host, F.type_map, F.untyped())
@@ -162,7 +162,8 @@ def _term_layout(
         raise ValueError("terms must all carry the given type")
     weight: dict[int, Fraction] = {}
     for a, f in terms:
-        weight[flag_code(f)] = weight.get(flag_code(f), Fraction(0)) + Fraction(a)
+        code = flag_code(f)
+        weight[code] = weight.get(code, Fraction(0)) + Fraction(a)
     return sizes.pop(), weight
 
 
@@ -243,10 +244,8 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     are gathered together and read through the untyped `_typed_canon` table,
     and the numerators are summed per class as Python ints over
     vec.den * C(size, vec.n)."""
-    if not vec.n <= size <= _LIFT_LIMIT:
-        raise ValueError(f"chain_lift: need {vec.n} <= size <= {_LIFT_LIMIT}")
-    if size == vec.n:
-        return ExpansionVector(vec.k, vec.n, dict(vec.nums), vec.den)
+    if not vec.n < size <= _LIFT_LIMIT:
+        raise ValueError(f"chain_lift: need {vec.n} < size <= {_LIFT_LIMIT}")
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)

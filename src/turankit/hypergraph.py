@@ -17,9 +17,10 @@ at (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
 It is the only reader of those tables: it gathers every image of a small
 batch at once and folds a large one relabeling by relabeling.
 `turankit.flags` builds its classification table with it, over the
-relabelings that fix the typed vertices; `_canonical_codes` canonicalizes a
-batch of masks with it (a direct scan at 7 and 8 vertices) for
-`canonical_mask`, `restriction_class_counts` and `read_hgr`.
+relabelings that fix the typed vertices.  `_canonical_codes` canonicalizes a
+batch of masks with it for `canonical_mask`, `restriction_class_counts` and
+`read_hgr`; at 7 and 8 vertices, past the tables, it scans every relabeling
+and ranks each image edge through the colex index of `tuple_bits`.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets, looked up in one colex index per k keyed by
@@ -184,16 +185,14 @@ class Hypergraph:
 
 
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    """Disjoint union with b's vertices shifted above a's."""
+    """Disjoint union with b's vertices shifted above a's.  Colex ranks do
+    not depend on n, so a's mask carries over and only b's edges are ranked."""
     if a.k != b.k:
         raise ValueError("disjoint_union: uniformities differ")
-    n = a.n + b.n
-    mask = 0
-    for e in a.edge_list():
-        mask |= 1 << subset_rank(e)
+    mask = a.edges
     for e in b.edge_list():
         mask |= 1 << subset_rank(v + a.n for v in e)
-    return Hypergraph(n, a.k, mask)
+    return Hypergraph(a.n + b.n, a.k, mask)
 
 
 @lru_cache(maxsize=None)
@@ -252,10 +251,10 @@ def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
     past int64)."""
     if n <= _TABLE_VERTEX_LIMIT:
         return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
-    codes = []
+    index, codes = _colex_index(k), []
     for m in masks:
         edges, perms = Hypergraph(n, k, m).edge_list(), itertools.permutations(range(n))
-        codes.append(min(sum(1 << subset_rank(p[v] for v in e) for e in edges) for p in perms))
+        codes.append(min(sum(1 << index[sum(1 << p[v] for v in e)] for e in edges) for p in perms))
     return codes
 
 
@@ -363,7 +362,10 @@ def has_no_empty_set(G: Hypergraph, size: int) -> bool:
 def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:
     """Write an HGR1 class file: header `HGR1 k n count tag`, then one
     lowercase-hex canonical mask per line, ascending (colex bit order, bit 0
-    least significant).  Writes are exclusive-create-then-rename."""
+    least significant), with tag one ASCII word so that `read_hgr` reads it
+    back.  Writes are exclusive-create-then-rename."""
+    if not tag.isascii() or tag.split() != [tag]:
+        raise ValueError(f"write_hgr: tag must be one nonempty ASCII word, got {tag!r}")
     if any(g.k != k or g.n != n for g in graphs):
         raise ValueError("write_hgr: graph parameters disagree with header")
     codes = [g.edges for g in graphs]

@@ -221,6 +221,20 @@ def test_recurrences_match_fraction_recursion():
                 assert tab.determinant == theta[-1]
 
 
+@pytest.mark.parametrize(
+    "k, g, r, message",
+    [
+        (1, 2, 3, "build_system: need 2 <= k < r"),
+        (3, 4, 3, "build_system: need 2 <= k < r"),
+        (3, 2, 5, "need 2 <= k <= g < r"),
+        (3, 5, 5, "need 2 <= k <= g < r"),
+    ],
+)
+def test_solve_delta_range_checked_by_system_and_column(k, g, r, message):
+    with pytest.raises(ValueError, match=message):
+        solve_delta(k, g, r)
+
+
 def test_solve_delta_matches_inverse_column():
     s = build_system(3, 5)
     assert solve_delta(3, 4, 5) == [Fraction(1, 2), Fraction(6, 5)]
@@ -387,6 +401,21 @@ def test_partite_lower_bound_small_cases():
     direct, formula = partite_lower_bound(3, 4, 2)
     assert direct == Fraction(3, 8)
     assert formula == Fraction(-1, 8)  # the printed sum disagrees here
+
+
+def test_corrected_inclusion_exclusion_equals_direct():
+    # with the factor ((l-s)/l)^(g - sum) the printed sum becomes the
+    # blowup limit itself, at every point of this grid
+    import turankit.bounds as bounds
+
+    points = 0
+    for k in range(2, 7):
+        for g in range(k, 17):
+            for l in range(1, 12):
+                _, corrected = bounds._inclusion_exclusion(k, g, l)
+                assert corrected == partite_lower_bound(k, g, l).direct, (k, g, l)
+                points += 1
+    assert points == 715
 
 
 def tuples_at_least(k, s, g):

@@ -181,14 +181,13 @@ def test_two_clique_density_beyond_sixteen():
 
 def test_certificate_fails_outside_admissible_family(monkeypatch):
     # the bound genuinely fails on hosts with empty 5-sets (the empty graph
-    # has empty-4-set density 1 > 3/8), so checking them flips the verdict;
-    # the unwrapped call leaves the cached report of the real classes alone
+    # has empty-4-set density 1 > 3/8), so checking them flips the verdict
     monkeypatch.setattr(
         certificate,
         "e5free_six_classes",
         lambda: (Hypergraph.empty(6, 3), Hypergraph.complete(6, 3)),
     )
-    report = verify_certificate.__wrapped__()
+    report = verify_certificate()
     assert report.verdict == "fail"
     assert report.min_slack < 0
     assert report.slacks[Hypergraph.empty(6, 3).edges] < Fraction(3, 8) - 1

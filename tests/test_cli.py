@@ -8,6 +8,7 @@ import pytest
 
 from turankit.cli import main
 from turankit.hypergraph import Hypergraph, read_hgr, write_hgr
+from turankit.relations import InequalityCheck
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,19 @@ def test_enumerate_filter_tag(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["filter"] == "no-empty-4"
     assert 0 < payload["count"] < 34
+
+
+def test_enumerate_filter_below_k_keeps_nothing(capsys, tmp_path):
+    # a 2-set never spans a 3-edge, so no class passes no-empty-2
+    cache = str(tmp_path / "cache")
+    code, out = run_cli(
+        capsys, "enumerate", "--k", "3", "--n", "5", "--filter", "no-empty-2",
+        "--cache-dir", cache,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 0
+    assert read_hgr(payload["cache"]) == (3, 5, "no-empty-2", ())
 
 
 def test_enumerate_bad_filter(capsys):
@@ -284,6 +298,53 @@ def test_verify_rows_suite(capsys):
     assert all(w["kind"] == "literal-row-positive" for w in payload["warnings"])
 
 
+# replacements for relation checks under which every check fails
+FAILING_CHECKS = {
+    "check_three_term_inequality": lambda G, m, x: InequalityCheck(
+        m, Fraction(x), Fraction(-1), False
+    ),
+    "check_square_intermediate": lambda G, m: False,
+    # every row positive: a corrected-mode failure, a literal-mode warning
+    "check_relaxed_rows": lambda G, r, mode: [Fraction(1, 7)] * (r - G.k),
+    "telescoped_combination": lambda G, g, r, mode: (Fraction(0), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, check, failures, keys",
+    [
+        ("lemma", "check_three_term_inequality", 1679, {"graph", "n", "m", "x"}),
+        ("claims", "check_square_intermediate", 268, {"graph", "n", "m"}),
+        ("rows", "check_relaxed_rows", 62, {"graph", "kind"}),
+        ("rows", "telescoped_combination", 248, {"graph", "g", "kind"}),
+    ],
+)
+def test_verify_reports_failing_checks_exit_1(capsys, monkeypatch, suite, check, failures, keys):
+    from turankit import relations
+
+    monkeypatch.setattr(relations, check, FAILING_CHECKS[check])
+    code, out = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["failures"] == failures
+    assert len(payload["counterexamples"]) == 10
+    assert all(set(c) == keys for c in payload["counterexamples"])
+    if check == "check_relaxed_rows":
+        assert {c["kind"] for c in payload["counterexamples"]} == {"corrected-row-positive"}
+        assert len(payload["warnings"]) == 10
+        assert payload["warnings"][:2] == [
+            {"graph": "fffff", "m": 3, "row": "1/7", "kind": "literal-row-positive"},
+            {"graph": "fffff", "m": 4, "row": "1/7", "kind": "literal-row-positive"},
+        ]
+    elif check == "telescoped_combination":
+        assert {c["kind"] for c in payload["counterexamples"]} == {"telescoping-mismatch"}
+
+
+CERTIFICATE_STDOUT_SHA256 = "0db83a97a49858eb2a0aaa202ddddf3b53e8428b862b679f979f3db5b7c89f48"
+CLASS_FILE_SHA256 = "dbfd8a9e29df35d774d0f6d2916a963ca91c241d368baec01806641734398624"
+
+
 def test_certificate_cli(capsys, tmp_path, certificate_run):
     cache = str(tmp_path / "cache")
     code, out = run_cli(capsys, "certificate", "--cache-dir", cache)
@@ -293,10 +354,30 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
     assert payload["minSlack"] == "0"
     assert payload["verdict"] == "pass"
     assert f"{(1 << 20) - 1:x}" in payload["tightGraphs"]
-    # the class file is written; a rerun replaces it and emits identical bytes
-    assert os.path.exists(os.path.join(cache, "k3-n6-no-empty-5.hgr"))
+    # stdout and class file as pinned in the CI console-script step
+    assert _stdout_digest(out) == CERTIFICATE_STDOUT_SHA256
+    with open(os.path.join(cache, "k3-n6-no-empty-5.hgr"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == CLASS_FILE_SHA256
+    # a rerun replaces the class file and emits identical bytes
     code2, out2 = run_cli(capsys, "certificate", "--cache-dir", cache)
     assert code2 == 0 and out2 == out
+
+
+# SHA-256 of the class files written by `enumerate`, the same digests the CI
+# console-script step checks: (6,2) folds its orbit minima one relabeling at
+# a time, (5,3) gathers them at once.
+@pytest.mark.parametrize(
+    "k, n, digest",
+    [
+        ("2", "6", "a50bb620b54e4fad46ec38551da43bb20ad6f984725fc7eafefa2cfc7c72dc1a"),
+        ("3", "5", "a9aa5feb0c0299e2a7003a5a00ec7e047f7b07e103f5ee681f5ed3b5e0282d98"),
+    ],
+)
+def test_enumerate_class_file_digest(capsys, tmp_path, k, n, digest):
+    code, out = run_cli(capsys, "enumerate", "--k", k, "--n", n, "--cache-dir", str(tmp_path))
+    assert code == 0
+    with open(json.loads(out)["cache"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -370,6 +451,28 @@ def test_failed_cross_check_exit_5(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: internal cross-check failed: ")
     assert captured.err.count("\n") == 1
+
+
+def test_lower_cross_check_exit_5(capsys, monkeypatch):
+    from turankit import bounds
+
+    monkeypatch.setattr(bounds, "_partite_direct", lambda k, g, l: Fraction(1, 2))
+    code = main(["lower", "--k", "3", "--g", "4", "--r", "5"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal cross-check failed: "
+        "partite_lower_bound: corrected sum disagrees with direct\n"
+    )
+
+
+def test_solve_g_out_of_range_exit_2(capsys):
+    code = main(["solve", "--k", "3", "--r", "5", "--g", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_solve_zero_leading_minor_nonsingular(capsys):

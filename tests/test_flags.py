@@ -180,6 +180,14 @@ def test_chain_lift_preserves_all_ones():
     assert all(lifted.coefficient(code) == 1 for code in lifted.nums)
 
 
+@pytest.mark.parametrize("size", [4, 7])
+def test_chain_lift_rejects_sizes_outside_its_range(size):
+    # a lift must grow the vector and stay within the 6-vertex tables
+    vec = ExpansionVector(3, 4, {0: 1}, 1)
+    with pytest.raises(ValueError, match="chain_lift: need 4 < size <= 6"):
+        chain_lift(vec, size)
+
+
 def test_lift_then_evaluate_agrees_on_larger_hosts():
     cat = catalog_flags()
     base = square_expansion(cat.p1, ((Fraction(1), cat.e3_p1),), Fraction(3, 4), 5)

@@ -117,6 +117,22 @@ def test_canonical_relabeling_invariance():
         assert canonical_mask(G) == canonical_mask(permuted(G, perm))
 
 
+# canonical codes of seeded 7- and 8-vertex masks, as the direct scan gave
+# them when it ranked every relabeled edge with `subset_rank`
+DIRECT_SCAN_CODES = {
+    (7, 2, 0x1A1034): 0x4F5,
+    (7, 3, 0x300A65CC): 0x3855F2,
+    (7, 4, 0x74CDAC1B3): 0x16BBBAF8,
+    (8, 2, 0xAA30B2D): 0x23AFA6,
+    (8, 3, 0xDF21D0BAFCF1AA): 0xC67F16ADF35E5,
+}
+
+
+def test_direct_scan_codes_pinned():
+    for (n, k, mask), code in DIRECT_SCAN_CODES.items():
+        assert canonical_mask(Hypergraph(n, k, mask)) == code, (n, k)
+
+
 def brute_force_classes(n, k):
     """Independent enumeration oracle: canonicalize every labeled mask with
     explicit permutation loops."""
@@ -339,6 +355,10 @@ def test_has_no_empty_set():
     two = disjoint_union(Hypergraph.complete(3, 3), Hypergraph.complete(3, 3))
     assert has_no_empty_set(two, 5)
     assert not has_no_empty_set(two, 4)
+    # a set smaller than k spans no edge, even in the complete graph
+    assert not has_no_empty_set(Hypergraph.complete(6, 3), 2)
+    with pytest.raises(ValueError, match="exceeds the vertex count"):
+        has_no_empty_set(two, 7)
 
 
 def test_hgr_round_trip(tmp_path, h4_classes):
@@ -359,6 +379,15 @@ def test_hgr_rejects_duplicate_codes(tmp_path):
         read_hgr(str(path))
     with pytest.raises(ValueError, match="strictly ascending"):
         write_hgr(str(path), 3, 4, [Hypergraph(4, 3, 1)] * 2, "none")
+
+
+@pytest.mark.parametrize("tag", ["", "a b", "x\ny", "caf\u00e9"])
+def test_write_hgr_rejects_unreadable_tag(tmp_path, tag):
+    # read_hgr splits its ASCII header on whitespace, so such a tag would
+    # be written and then fail to read back
+    with pytest.raises(ValueError, match="tag must be one nonempty ASCII word"):
+        write_hgr(str(tmp_path / "classes.hgr"), 3, 4, [Hypergraph(4, 3, 1)], tag)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_hgr_rejects_noncanonical_code(tmp_path):
