@@ -17,11 +17,11 @@ permutations of the untyped positions s..t-1; at s = 0 that is the untyped
 canonical code.  The per-host `typed_code` (and so `flag_code`) reads one
 entry of it, `square_expansion` maps the typed masks of all base-size
 classes through it, and `chain_lift` maps the untyped sub-masks of all
-classes of a larger size, up to 6 vertices, through it.  `square_expansion`
-works one ordered type placement at a time: a numpy gather of the classes'
-type masks, another of their typed masks per extension set, int64 counts per
-class, and integer numerators over one denominator, which the chain lift
-keeps.
+classes of a larger size, up to 6 vertices, through it.  Both read their
+sub-masks off `hypergraph._ordered_masks`: one relabeling-table image per
+class and ordered tuple (a type placement and an extension set, or a subset),
+whose low bits are the type mask and the typed mask.  Counts per class are
+int64, and numerators integers over one denominator, which the lift keeps.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ import numpy as np
 
 from .hypergraph import (
     Hypergraph,
+    _GATHER_ENTRIES,
     _check_bits,
     _gather,
-    _gather_masks,
     _orbit_minima,
+    _ordered_masks,
     enumerate_all,
     restriction_class_counts,
     tuple_bits,
@@ -179,15 +180,15 @@ def square_expansion(
     Per host the value is the average, over all injective type placements
     (non-embedding placements contribute 0), of the exact pair-density
     square at that placement.  The square is expanded on all classes of
-    2t - s vertices at once (flag size t, type size s), one ordered
-    placement theta at a time: a gather of the type masks picks the classes
-    that embed the type at theta, and a gather per extension set maps their
-    typed masks through `_typed_canon` to the weights a_i, scaled to
-    integers by the lcm of their denominators.  Per class, int64 sums (or
-    Python ints, where int64 could overflow) collect the placements, the
-    extension-set weights and the weight products over ordered disjoint
-    pairs of extension sets; each class gets one numerator over a common
-    denominator.
+    2t - s vertices at once (flag size t, type size s), a batch of ordered
+    placements theta at a time: each class's image under theta and an
+    extension set holds the type mask, which picks the classes that embed
+    the type at theta, and the typed mask, which `_typed_canon` maps to the
+    weights a_i, scaled to integers by the lcm of their denominators.  Per
+    class, int64 sums (or Python ints, where int64 could overflow) collect
+    the placements, the extension-set weights and the weight products over
+    ordered disjoint pairs of extension sets; each class gets one numerator
+    over a common denominator.
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
@@ -213,19 +214,23 @@ def square_expansion(
     by_mask = by_code[canon]
     classes = enumerate_all(base, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
+    type_bits, flag_bits = (1 << math.comb(s, k)) - 1, (1 << math.comb(t, k)) - 1
     placed = np.zeros(len(classes), dtype=np.int64)
     single = np.zeros(len(classes), dtype=by_code.dtype)
     pair = np.zeros(len(classes), dtype=by_code.dtype)
+    orders = []  # each placement theta followed by each extension set
     for theta in itertools.permutations(range(base), s):
-        hosts = np.flatnonzero(_gather_masks(masks, tuple_bits(k, theta)) == sigma.edges)
-        if not len(hosts):
-            continue
         free = [v for v in range(base) if v not in theta]
-        bits = [tuple_bits(k, theta + tuple(free[i] for i in S)) for S in sets]
-        w = by_mask[_gather_masks(masks[hosts], bits)]  # (hosts, extension sets)
-        placed[hosts] += 1
-        single[hosts] += w.sum(axis=1)
-        pair[hosts] += (w[:, pa] * w[:, pb]).sum(axis=1)
+        orders += [theta + tuple(free[j] for j in S) for S in sets]
+    step = max(1, _GATHER_ENTRIES // (len(classes) * len(sets))) * len(sets)
+    for i in range(0, len(orders), step):
+        images = _ordered_masks(masks, base, k, orders[i : i + step])
+        images = images.reshape(len(classes), -1, len(sets))
+        embeds = images[:, :, 0] & type_bits == sigma.edges  # (classes, placements)
+        w = np.where(embeds[:, :, None], by_mask[images & flag_bits], 0)
+        placed += embeds.sum(axis=1)
+        single += w.sum(axis=(1, 2))
+        pair += (w[:, :, pa] * w[:, :, pb]).sum(axis=(1, 2))
     # common denominator of pairs / (scale^2 n2), singles / (scale n1), c = cs/(cd scale)
     cs, cd = constant.numerator * scale, constant.denominator
     n1, n2 = len(sets), len(pa)
@@ -241,7 +246,7 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     """Re-express a coefficient vector over larger hosts: the new coefficient
     of H is the density-weighted sum of the old coefficients over the
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
-    are gathered together and read through the untyped `_typed_canon` table,
+    are read as table images and mapped through the untyped `_typed_canon` table,
     and the numerators are summed per class as Python ints over
     vec.den * C(size, vec.n)."""
     if not vec.n < size <= _LIFT_LIMIT:
@@ -249,9 +254,10 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
-    bits = [tuple_bits(k, S) for S in itertools.combinations(range(size), b)]
+    subsets = list(itertools.combinations(range(size), b))
+    sub_masks = _ordered_masks(masks, size, k, subsets) & ((1 << math.comb(b, k)) - 1)
     by_code = np.zeros(1 << math.comb(b, k), dtype=object)
     by_code[list(vec.nums)] = list(vec.nums.values())
-    sums = by_code[_typed_canon(b, 0, k)][_gather_masks(masks, bits)].sum(axis=1)
+    sums = by_code[_typed_canon(b, 0, k)][sub_masks].sum(axis=1)
     nums = dict(zip((rep.edges for rep in classes), sums.tolist()))
     return ExpansionVector(k, size, nums, vec.den * math.comb(size, b))

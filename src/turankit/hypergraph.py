@@ -9,26 +9,27 @@ orderings all share one stable total order.
 Enumeration extends classes one vertex at a time.  Every n-vertex class has
 a member whose restriction to {0..n-2} is a canonical (n-1)-vertex
 representative, and the k-subsets containing vertex n-1 follow all others
-in colex order, so the candidates are each (n-1)-vertex representative OR'd
-with every link of vertex n-1 shifted above it.  `_orbit_minima` takes
-the candidates' orbit minima over all n! relabelings at once with numpy,
-through per-permutation lookup tables of the low and high halves of a mask;
-at (6,3) that is 34 x 1024 candidates instead of the 2^20 labeled masks.
-It is the only reader of those tables: it gathers every image of a small
-batch at once and folds a large one relabeling by relabeling.
-`turankit.flags` builds its classification table with it, over the
-relabelings that fix the typed vertices.  `_canonical_codes` canonicalizes a
-batch of masks with it for `canonical_mask`, `restriction_class_counts` and
-`read_hgr`; at 7 and 8 vertices, past the tables, it scans every relabeling
-and ranks each image edge through the colex index of `tuple_bits`.
+in colex order, so the candidates are each representative OR'd with a link
+of vertex n-1 shifted above it, one link per orbit of the representative's
+automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
+34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)` maps the
+low and high halves of a mask to their images under each relabeling;
+`_orbit_minima` reads it to take the candidates' orbit minima over all n!
+relabelings at once, gathering every image of a small batch and folding a
+large one relabeling by relabeling.  `turankit.flags` builds its
+classification table with it, over the relabelings that fix the typed
+vertices.  `_canonical_codes` canonicalizes a batch of masks with it for
+`canonical_mask`, `restriction_class_counts` and `read_hgr`; at 7 and 8
+vertices, past the tables, it scans every relabeling and ranks each image
+edge through the colex index of `tuple_bits`.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets, looked up in one colex index per k keyed by
-vertex bitmask (`subset_rank` is the definition).  Restriction, the subset
-masks and the typed masks of `turankit.flags` gather a sub-mask through it
-instead of re-ranking every subset; `_gather_masks` is the same gather over
-a whole array of masks, for the expansions and lifts of `turankit.flags`
-that work on all classes.
+vertex bitmask (`subset_rank` is the definition).  Restriction and the
+per-host typed masks gather a sub-mask through it instead of re-ranking
+every subset.  Over a whole array of masks, `_ordered_masks` reads the same
+sub-masks as the low bits of table images: the placements and lifts of
+`turankit.flags`, which work on all classes, take theirs from it.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
@@ -74,7 +75,8 @@ MAX_VERTICES = 8
 _TABLE_VERTEX_LIMIT = 6
 _MAX_ENUM_BITS = 20
 # `_orbit_minima` gathers every image at once up to this many (mask,
-# relabeling) entries and folds one relabeling at a time above it.
+# relabeling) entries and folds one relabeling at a time above it;
+# `flags.square_expansion` reads its placement images in batches of this size.
 _GATHER_ENTRIES = 1 << 16
 # clique_counts remembers this many hosts: the relation checks on one host
 # reuse its counts, and a long run over many hosts does not grow.
@@ -121,15 +123,6 @@ def _gather(edges: int, bits: tuple[int, ...]) -> int:
     for b in reversed(bits):
         mask = (mask << 1) | ((edges >> b) & 1)
     return mask
-
-
-def _gather_masks(masks: np.ndarray, bits) -> np.ndarray:
-    """`_gather` over a whole int64 array of masks at once: bits holds one
-    position tuple, or rows of them, and the result has shape
-    masks.shape + bits.shape[:-1]."""
-    bits = np.asarray(bits, dtype=np.int64)
-    shifted = masks.reshape(masks.shape + (1,) * bits.ndim) >> bits
-    return ((shifted & 1) << np.arange(bits.shape[-1], dtype=np.int64)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,8 @@ def _perm_tables(n: int, k: int, fixed: int = 0):
     lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
     hi_width = nbits - split
     hi_bitmat = (np.arange(1 << hi_width, dtype=np.int64)[:, None] >> np.arange(hi_width)) & 1
-    lo_tab = (lo_bitmat @ img[:, :split].T).T  # (perms, 2^split)
-    hi_tab = (hi_bitmat @ img[:, split:].T).T
+    lo_tab = img[:, :split] @ lo_bitmat.T  # (perms, 2^split), C order: read flat
+    hi_tab = img[:, split:] @ hi_bitmat.T
     return split, lo_tab, hi_tab
 
 
@@ -227,6 +220,25 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
     for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
         np.minimum(best, lo_tab[pi][lo] | hi_tab[pi][hi], out=best)
     return best
+
+
+def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
+    """Image of each mask on n vertices under the relabeling o[i] -> i, for
+    each tuple o of distinct vertices in orders (the other vertices follow
+    in increasing order), with shape masks.shape + (len(orders),).  The low
+    C(t,k) bits of an image are the mask of the ordered tuple o[:t], as
+    `_gather` with `tuple_bits(k, o[:t])` reads it.  Each image is two
+    lookups into the `_perm_tables(n, k, 0)` row of the inverse of o, whose
+    lexicographic rank is its Lehmer code."""
+    split, lo_tab, hi_tab = _perm_tables(n, k, 0)
+    full = np.array([tuple(o) + tuple(v for v in range(n) if v not in o) for o in orders])
+    pos = np.argsort(full, axis=1)  # the inverse of each order
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    lehmer = ((pos[:, None, :] < pos[:, :, None]) & later).sum(axis=2)
+    rows = lehmer @ np.array([math.factorial(n - 1 - j) for j in range(n)])
+    lo = rows * lo_tab.shape[1] + (masks[..., None] & ((1 << split) - 1))
+    hi = rows * hi_tab.shape[1] + (masks[..., None] >> split)
+    return np.take(lo_tab, lo) | np.take(hi_tab, hi)  # flat reads beat two-axis indexing
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
@@ -269,16 +281,28 @@ def canonical_mask(G: Hypergraph) -> int:
 def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     """One representative per isomorphism class, sorted by canonical mask.
 
-    Extends the (n-1)-vertex representatives by every link of vertex n-1
-    and takes the orbit minima of all candidates at once.
+    Extends each (n-1)-vertex representative by one link of vertex n-1 per
+    orbit of its automorphism group, the relabelings of {0..n-2} that fix
+    it, and takes the orbit minima of all candidates at once.  A row of
+    `_perm_tables(n-1, k-1, 0)` moves the links as the same row of
+    `_perm_tables(n-1, k, 0)` moves the representative.
     """
     if math.comb(n, k) == 0:
         return (Hypergraph(n, k, 0),)
-    shift = math.comb(n - 1, k)
-    prev = np.array([g.edges for g in _all_classes(n - 1, k)], dtype=np.int64)
-    links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64) << shift
-    cands = (prev[:, None] | links[None, :]).ravel()
-    return tuple(Hypergraph(n, k, int(m)) for m in np.unique(_orbit_minima(cands, n, k)))
+    split, lo_tab, hi_tab = _perm_tables(n - 1, k, 0)
+    link_split, link_lo, link_hi = _perm_tables(n - 1, k - 1, 0)
+    links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64)
+    images = link_lo[:, links & ((1 << link_split) - 1)] | link_hi[:, links >> link_split]
+    cands = []
+    for rep in _all_classes(n - 1, k):
+        m = rep.edges
+        aut = (lo_tab[:, m & ((1 << split) - 1)] | hi_tab[:, m >> split]) == m
+        kept = links[images[aut].min(axis=0) == links]
+        cands.append(m | kept << math.comb(n - 1, k))
+    codes = np.sort(_orbit_minima(np.concatenate(cands), n, k))
+    # np.unique would import numpy.ma on its first call
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return tuple(Hypergraph(n, k, int(m)) for m in codes)
 
 
 def enumerate_all(

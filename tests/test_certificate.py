@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +95,23 @@ def test_e5free_count(e5free_classes):
     codes = [g.edges for g in e5free_classes]
     assert codes == sorted(codes)
     assert all(has_no_empty_set(g, 5) for g in e5free_classes)
+
+
+def test_cold_certificate_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, a cost every cold run paid
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "from turankit import verify_certificate\n"
+        "assert verify_certificate().passed\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_certificate_passes(certificate_run):

@@ -26,10 +26,15 @@ from turankit import (
     subset_rank,
     write_hgr,
 )
+from turankit import hypergraph
 from turankit.hypergraph import (
     _GATHER_ENTRIES,
     MAX_VERTICES,
+    _all_classes,
+    _check_bits,
+    _gather,
     _orbit_minima,
+    _ordered_masks,
     _perm_tables,
     restriction_class_counts,
     tuple_bits,
@@ -208,6 +213,60 @@ def test_enumerate_4_3_against_brute_force(h4_classes):
 def test_enumerate_matches_burnside(h4_classes, h5_classes):
     assert len(h4_classes) == burnside_count(4, 3)
     assert len(h5_classes) == burnside_count(5, 3)
+    assert len(enumerate_all(6, 3)) == burnside_count(6, 3) == 2136
+
+
+def link_orbit_minima(rep, m, k):
+    """Oracle: the links of a new vertex m over the m-vertex k-graph rep that
+    are the minimum of their orbit under Aut(rep), by explicit permutation
+    loops over edges and link subsets."""
+    edges, subs = Hypergraph(m, k, rep).edge_list(), colex_subsets(m, k - 1)
+    aut = [
+        p for p in itertools.permutations(range(m))
+        if sum(1 << subset_rank(p[v] for v in e) for e in edges) == rep
+    ]
+    moves = [[subset_rank(p[v] for v in S) for S in subs] for p in aut]
+    seen, minima = set(), set()
+    for link in range(1 << len(subs)):
+        if link in seen:
+            continue
+        members = [i for i in range(len(subs)) if (link >> i) & 1]
+        orbit = {sum(1 << move[i] for i in members) for move in moves}
+        seen |= orbit
+        minima.add(min(orbit))
+    return sorted(minima)
+
+
+def test_enumeration_keeps_one_link_per_orbit(monkeypatch):
+    sizes = []
+    for m in range(1, MAX_VERTICES):
+        for k in range(1, m + 1):
+            try:
+                _check_bits("test", m + 1, k)
+            except ValueError:
+                continue
+            if math.comb(m, k) <= 10:
+                sizes.append((m, k))
+    assert len(sizes) == 19
+    calls = {}
+    orbit_minima = hypergraph._orbit_minima
+
+    def spy(masks, n, k, fixed=0):
+        calls[n, k] = masks.tolist()
+        return orbit_minima(masks, n, k, fixed)
+
+    monkeypatch.setattr(hypergraph, "_orbit_minima", spy)
+    for m, k in sizes:
+        _all_classes.__wrapped__(m + 1, k)
+        cands = calls[m + 1, k]
+        shift = math.comb(m, k)
+        kept = {g.edges: [] for g in _all_classes(m, k)}
+        for c in cands:
+            kept[c & ((1 << shift) - 1)].append(c >> shift)
+        for rep, links in kept.items():
+            assert links == link_orbit_minima(rep, m, k), (m, k, rep)
+        if (m, k) == (5, 3):
+            assert len(cands) == 10688  # number of link orbits over the (5,3) classes
 
 
 def test_enumerate_5_3_against_brute_force(h5_classes):
@@ -509,6 +568,19 @@ def test_orbit_minima_gather_agrees_with_fold():
     gathered = np.concatenate([_orbit_minima(masks[i : i + 512], 5, 3) for i in (0, 512)])
     assert folded.tolist() == gathered.tolist()
     assert folded.tolist() == oracle_canonical_masks(5, 3, range(1 << 10))
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (6, 2), (6, 3), (7, 2)])
+def test_ordered_masks_match_gather(n, k):
+    rng = random.Random(n * 10 + k)
+    masks = [rng.getrandbits(math.comb(n, k)) for _ in range(40)]
+    orders = [tuple(rng.sample(range(n), rng.randint(0, n))) for _ in range(30)]
+    images = _ordered_masks(np.array(masks, dtype=np.int64), n, k, orders)
+    assert images.shape == (len(masks), len(orders))
+    for mask, row in zip(masks, images.tolist()):
+        for o, image in zip(orders, row):
+            low = image & ((1 << math.comb(len(o), k)) - 1)
+            assert low == _gather(mask, tuple_bits(k, o)), (n, k, mask, o)
 
 
 def test_canonical_mask_returns_python_int():
