@@ -15,13 +15,15 @@ Every sub-mask is classified through one table.  `_typed_canon(t, s, k)`
 is an int64 array holding every ordered t-vertex mask's minimum over the
 permutations of the untyped positions s..t-1; at s = 0 that is the untyped
 canonical code.  The per-host `typed_code` (and so `flag_code`) reads one
-entry of it, `square_expansion` maps the typed masks of all base-size
-classes through it, and `chain_lift` maps the untyped sub-masks of all
-classes of a larger size, up to 6 vertices, through it.  Both read their
-sub-masks off `hypergraph._ordered_masks`: one relabeling-table image per
-class and ordered tuple (a type placement and an extension set, or a subset),
-whose low bits are the type mask and the typed mask.  Counts per class are
-int64, and numerators integers over one denominator, which the lift keeps.
+entry of it, `square_expansion` maps every ordering of every t-vertex mask
+through it into a weight table, and `chain_lift` maps the untyped
+sub-masks of all classes of a larger size, up to 6 vertices, through it.
+A flag's weight at a placement depends only on the t vertices it spans, so
+both read the sub-masks of all classes on vertex subsets off
+`hypergraph._ordered_masks`, the low bits of one relabeling-table image per
+class and subset: the flag-size restrictions and the lifted sub-masks.
+Counts per class are int64, and numerators integers over one denominator,
+which the lift keeps.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .hypergraph import (
     _gather,
     _orbit_minima,
     _ordered_masks,
+    _perm_tables,
     enumerate_all,
     restriction_class_counts,
     tuple_bits,
@@ -180,15 +183,17 @@ def square_expansion(
     Per host the value is the average, over all injective type placements
     (non-embedding placements contribute 0), of the exact pair-density
     square at that placement.  The square is expanded on all classes of
-    2t - s vertices at once (flag size t, type size s), a batch of ordered
-    placements theta at a time: each class's image under theta and an
-    extension set holds the type mask, which picks the classes that embed
-    the type at theta, and the typed mask, which `_typed_canon` maps to the
-    weights a_i, scaled to integers by the lcm of their denominators.  Per
-    class, int64 sums (or Python ints, where int64 could overflow) collect
-    the placements, the extension-set weights and the weight products over
-    ordered disjoint pairs of extension sets; each class gets one numerator
-    over a common denominator.
+    2t - s vertices at once (flag size t, type size s).  The weight of a
+    placement theta and an extension set a depends only on the t vertices
+    U = theta + a, so it is one lookup of the class's restriction to U in a
+    table over (ordering of U, t-vertex mask): the weight a_i that
+    `_typed_canon` gives the mask ordered as theta then a, scaled to an
+    integer by the lcm of the denominators, and 0 where the type does not
+    embed.  Per class, int64 sums (or Python ints, where int64 could
+    overflow) collect the placements, the extension-set weights and, a
+    batch of placements at a time, the weight products over ordered
+    disjoint pairs of extension sets; each class gets one numerator over a
+    common denominator.
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
@@ -201,43 +206,50 @@ def square_expansion(
         )
     k = sigma.k
     scale = math.lcm(*(w.denominator for w in weight.values()))
-    f = base - s
-    sets = list(itertools.combinations(range(f), t - s))
-    disjoint = [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if not {*a} & {*b}]
-    pa, pb = np.array(disjoint).T
+    n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
     top = max(map(abs, ints.values()), default=0) ** 2
-    fits = top * len(pa) * math.perm(base, s) < 1 << 63  # else exact Python ints
+    fits = top * n1 * math.perm(base, s) < 1 << 63  # else exact Python ints
     canon = _typed_canon(t, s, k)
     by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
     by_code[list(ints)] = list(ints.values())
-    by_mask = by_code[canon]
+    # the weight of every t-vertex mask under every relabeling; a flag code
+    # keeps its type bits, so the weight is 0 where the type does not embed
+    _, lo_tab, hi_tab = _perm_tables(t, k, 0)
+    table = by_code[canon][hi_tab[:, :, None] | lo_tab[:, None, :]]  # (relabelings, masks)
     classes = enumerate_all(base, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
-    type_bits, flag_bits = (1 << math.comb(s, k)) - 1, (1 << math.comb(t, k)) - 1
-    placed = np.zeros(len(classes), dtype=np.int64)
-    single = np.zeros(len(classes), dtype=by_code.dtype)
-    pair = np.zeros(len(classes), dtype=by_code.dtype)
-    orders = []  # each placement theta followed by each extension set
-    for theta in itertools.permutations(range(base), s):
-        free = [v for v in range(base) if v not in theta]
-        orders += [theta + tuple(free[j] for j in S) for S in sets]
-    step = max(1, _GATHER_ENTRIES // (len(classes) * len(sets))) * len(sets)
-    for i in range(0, len(orders), step):
-        images = _ordered_masks(masks, base, k, orders[i : i + step])
-        images = images.reshape(len(classes), -1, len(sets))
-        embeds = images[:, :, 0] & type_bits == sigma.edges  # (classes, placements)
-        w = np.where(embeds[:, :, None], by_mask[images & flag_bits], 0)
-        placed += embeds.sum(axis=1)
-        single += w.sum(axis=(1, 2))
-        pair += (w[:, :, pa] * w[:, :, pb]).sum(axis=(1, 2))
-    # common denominator of pairs / (scale^2 n2), singles / (scale n1), c = cs/(cd scale)
+    # placements: an s-subset isomorphic to the type gives it in |Aut| = s!/|orbit| orderings
+    on_s = _ordered_masks(masks, base, k, list(itertools.combinations(range(base), s)))
+    iso = _typed_canon(s, 0, k) == _typed_canon(s, 0, k)[sigma.edges]
+    placed = iso[on_s & (len(iso) - 1)].sum(axis=1) * (math.factorial(s) // int(iso.sum()))
+    subsets = list(itertools.combinations(range(base), t))
+    restricted = _ordered_masks(masks, base, k, subsets) & ((1 << math.comb(t, k)) - 1)
+    rows = np.ascontiguousarray(restricted.T)  # (subsets, classes)
+    subset_of = {U: i for i, U in enumerate(subsets)}
+    row_of = {q: i * len(canon) for i, q in enumerate(itertools.permutations(range(t)))}
+    cols, offsets = [], []  # each placement theta = o[:s], then each extension set o[s:]
+    for o in itertools.permutations(range(base), t):
+        if list(o[s:]) == sorted(o[s:]):
+            U = tuple(sorted(o))
+            cols.append(subset_of[U])
+            offsets.append(row_of[tuple(map(o.index, U))])  # relabels o[j] as j
+    cols, offsets = np.array(cols), np.array(offsets)[:, None]
+    single, pair = np.zeros((2, len(classes)), dtype=by_code.dtype)
+    step = max(1, _GATHER_ENTRIES // (len(classes) * n1)) * n1
+    for i in range(0, len(cols), step):
+        w = np.take(table, rows[cols[i : i + step]] + offsets[i : i + step])
+        w = w.reshape(-1, n1, len(classes))  # (placements, extension sets, classes)
+        single += w.sum(axis=(0, 1))
+        # a placement's extension sets run in lex order over its 2(t-s) free
+        # vertices, so the one disjoint from the j-th is its complement, the (n1-1-j)-th
+        pair += (w * w[:, ::-1]).sum(axis=(0, 1))
+    # common denominator of pairs / (scale^2 n1), singles / (scale n1), c = cs/(cd scale)
     cs, cd = constant.numerator * scale, constant.denominator
-    n1, n2 = len(sets), len(pa)
-    denom = scale * scale * n1 * n2 * cd * cd * math.perm(base, s)
+    denom = scale * scale * n1 * n1 * cd * cd * math.perm(base, s)
     nums: dict[int, int] = {}
     for rep, p, one, two in zip(classes, placed.tolist(), single.tolist(), pair.tolist()):
-        nums[rep.edges] = (two * n1 * cd - 2 * cs * one * n2) * cd + p * cs * cs * n1 * n2
+        nums[rep.edges] = (two * n1 * cd - 2 * cs * one * n1) * cd + p * cs * cs * n1 * n1
     vec = ExpansionVector(k, base, nums, denom)
     return chain_lift(vec, size) if size > base else vec
 

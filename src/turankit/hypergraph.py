@@ -12,23 +12,24 @@ representative, and the k-subsets containing vertex n-1 follow all others
 in colex order, so the candidates are each representative OR'd with a link
 of vertex n-1 shifted above it, one link per orbit of the representative's
 automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
-34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)` maps the
-low and high halves of a mask to their images under each relabeling;
-`_orbit_minima` reads it to take the candidates' orbit minima over all n!
-relabelings at once, gathering every image of a small batch and folding a
-large one relabeling by relabeling.  `turankit.flags` builds its
-classification table with it, over the relabelings that fix the typed
-vertices.  `_canonical_codes` canonicalizes a batch of masks with it for
-`canonical_mask`, `restriction_class_counts` and `read_hgr`; at 7 and 8
-vertices, past the tables, it scans every relabeling and ranks each image
-edge through the colex index of `tuple_bits`.
+34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)`, built
+in numpy from one colex rank table, maps the low and high halves of a mask
+to their images under each relabeling; `_orbit_minima` reads it to take
+the candidates' orbit minima over all n! relabelings at once, gathering
+every image of a small batch and folding a large one relabeling by
+relabeling.  `turankit.flags` builds its classification table with it,
+over the relabelings that fix the typed vertices.  `_canonical_codes`
+canonicalizes a batch of masks with it for `canonical_mask`,
+`restriction_class_counts` and `read_hgr`; at 7 and 8 vertices, past the
+tables, it scans every relabeling and ranks each image edge through the
+colex index of `tuple_bits`.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets, looked up in one colex index per k keyed by
 vertex bitmask (`subset_rank` is the definition).  Restriction and the
 per-host typed masks gather a sub-mask through it instead of re-ranking
 every subset.  Over a whole array of masks, `_ordered_masks` reads the same
-sub-masks as the low bits of table images: the placements and lifts of
+sub-masks as the low bits of table images: the restrictions and lifts of
 `turankit.flags`, which work on all classes, take theirs from it.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
@@ -76,7 +77,7 @@ _TABLE_VERTEX_LIMIT = 6
 _MAX_ENUM_BITS = 20
 # `_orbit_minima` gathers every image at once up to this many (mask,
 # relabeling) entries and folds one relabeling at a time above it;
-# `flags.square_expansion` reads its placement images in batches of this size.
+# `flags.square_expansion` reads its placement weights in batches of this size.
 _GATHER_ENTRIES = 1 << 16
 # clique_counts remembers this many hosts: the relation checks on one host
 # reuse its counts, and a long run over many hosts does not grow.
@@ -189,22 +190,28 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int, k: int, fixed: int = 0):
+def _perm_tables(n: int, k: int, fixed: int):
     """Lookup tables mapping the low/high halves of an edge mask to their
     images under each relabeling of {0..n-1} that fixes 0..fixed-1: int64
-    arrays of shape (perms, 2^split) and (perms, 2^(C(n,k) - split)), row 0
-    the identity.  split is the low-half bit count, so each row holds at
-    most 2^10 entries within the 20-bit guard."""
+    arrays of shape (perms, 2^split) and (perms, 2^(C(n,k) - split)) in C
+    order, row 0 the identity, split = ceil(C(n,k) / 2) <= 10.  Bit b moves
+    to the colex rank of its subset's image, and each half-table doubles:
+    the entries with bit b set are those below 2^b OR'd with b's image."""
     nbits = math.comb(n, k)
     perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
-    img = np.array([[1 << b for b in tuple_bits(k, p)] for p in perms], dtype=np.int64)
+    perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    subsets = np.array(colex_subsets(n, k), dtype=np.int64).reshape(nbits, k)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    rank[(1 << subsets).sum(axis=1)] = np.arange(nbits)
+    img = 1 << rank[(1 << perms[:, subsets]).sum(axis=2)]  # (perms, nbits)
     split = (nbits + 1) // 2
-    lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
-    hi_width = nbits - split
-    hi_bitmat = (np.arange(1 << hi_width, dtype=np.int64)[:, None] >> np.arange(hi_width)) & 1
-    lo_tab = img[:, :split] @ lo_bitmat.T  # (perms, 2^split), C order: read flat
-    hi_tab = img[:, split:] @ hi_bitmat.T
-    return split, lo_tab, hi_tab
+    tabs = []
+    for bits in (img[:, :split], img[:, split:]):
+        tab = np.zeros((len(perms), 1 << bits.shape[1]), dtype=np.int64)
+        for b in range(bits.shape[1]):
+            np.bitwise_or(tab[:, : 1 << b], bits[:, b, None], out=tab[:, 1 << b : 2 << b])
+        tabs.append(tab)
+    return split, tabs[0], tabs[1]
 
 
 def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:

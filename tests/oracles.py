@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from turankit import (
     Hypergraph,
     TridiagonalSystem,
@@ -21,6 +23,7 @@ from turankit import (
 )
 from turankit.certificate import _term_vectors, certificate_terms
 from turankit.flags import ExpansionVector, Flag, _typed_mask
+from turankit.hypergraph import tuple_bits
 
 
 def edge_count(G: Hypergraph) -> int:
@@ -47,6 +50,20 @@ def permuted(G: Hypergraph, perm: Sequence[int]) -> Hypergraph:
     for e in G.edge_list():
         mask |= 1 << subset_rank(perm[v] for v in e)
     return Hypergraph(G.n, G.k, mask)
+
+
+def perm_tables(n: int, k: int, fixed: int):
+    """`hypergraph._perm_tables` one relabeling at a time: the image bits of
+    each relabeling through `tuple_bits`, and each half-table as the int64
+    product of those bits with the bit vector of every half-mask."""
+    nbits = math.comb(n, k)
+    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
+    img = np.array([[1 << b for b in tuple_bits(k, p)] for p in perms], dtype=np.int64)
+    split = (nbits + 1) // 2
+    lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
+    hi_width = nbits - split
+    hi_bitmat = (np.arange(1 << hi_width, dtype=np.int64)[:, None] >> np.arange(hi_width)) & 1
+    return split, img[:, :split] @ lo_bitmat.T, img[:, split:] @ hi_bitmat.T
 
 
 def nonedge_core_size(H: Hypergraph) -> int:

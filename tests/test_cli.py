@@ -365,14 +365,16 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
 
 # SHA-256 of the class files written by `enumerate`, the same digests the CI
 # console-script step checks: (6,2) folds its orbit minima one relabeling at
-# a time, (5,3) gathers them at once, and (6,3) is every class the
-# certificate's admissible set is filtered from.
+# a time, (5,3) gathers them at once, (6,3) is every class the
+# certificate's admissible set is filtered from, and (6,4) is the first
+# k = 4 pin, 156 classes.
 @pytest.mark.parametrize(
     "k, n, digest",
     [
         ("2", "6", "a50bb620b54e4fad46ec38551da43bb20ad6f984725fc7eafefa2cfc7c72dc1a"),
         ("3", "5", "a9aa5feb0c0299e2a7003a5a00ec7e047f7b07e103f5ee681f5ed3b5e0282d98"),
         ("3", "6", "d3b5ccc24c4fee50860ac7dc6f4bd25e9f6d89bc4835914ceba25ec5a6e93ce9"),
+        ("4", "6", "964255a24eb31ef8528bf79bbcd1cd7711f4e9cf4727f3db8165ccdc941b97fa"),
     ],
 )
 def test_enumerate_class_file_digest(capsys, tmp_path, k, n, digest):

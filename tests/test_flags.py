@@ -366,3 +366,31 @@ def test_property_square_expansion_matches_placement_oracle(case, square_oracle)
     assert vec.n == base and len(vec.nums) == len(enumerate_all(base, 3))
     for rep in enumerate_all(base, 3):
         assert vec.coefficient(rep.edges) == square_oracle(sigma, terms, constant, rep)
+
+
+@pytest.mark.parametrize(
+    "sigma, t, edge_sets, sizes",
+    [
+        # one typed vertex and two free ones per flag: t - s = 2, base 5
+        (Hypergraph.empty(1, 2), 3, ([(0, 1), (0, 2)], [(1, 2)]), (5, 6)),
+        # a typed edge and one free vertex per flag: base 4
+        (Hypergraph.complete(2, 2), 3, ([(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 2)]), (4, 6)),
+        # the empty type: every class has the one placement ()
+        (Hypergraph.empty(0, 2), 2, ([(0, 1)], []), (4, 5)),
+    ],
+    ids=["vertex-type", "edge-type", "empty-type"],
+)
+def test_square_expansion_on_graphs_matches_placement_oracle(
+    sigma, t, edge_sets, sizes, square_oracle
+):
+    # the certificate pins cover k = 3 only; 2-graphs take other shapes
+    # through the flag-size restriction table
+    flags = [Flag(Hypergraph.from_edges(t, 2, e), tuple(range(sigma.n)), sigma) for e in edge_sets]
+    terms = tuple(zip((Fraction(1), Fraction(-2, 3)), flags))
+    constant = Fraction(1, 2)
+    for size in sizes:
+        vec = square_expansion(sigma, terms, constant, size)
+        classes = enumerate_all(size, 2)
+        assert len(vec.nums) == len(classes)
+        for rep in classes:
+            assert vec.coefficient(rep.edges) == square_oracle(sigma, terms, constant, rep)

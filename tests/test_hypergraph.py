@@ -47,6 +47,7 @@ from oracles import (
     is_edge,
     local_stats,
     nonedge_core_size,
+    perm_tables,
     permuted,
 )
 
@@ -181,7 +182,7 @@ def full_space_classes(n, k):
     """Reference enumeration: canonicalize all 2^C(n,k) labeled masks with a
     running numpy minimum over every relabeling, then deduplicate."""
     nbits = math.comb(n, k)
-    split, lo_tab, hi_tab = _perm_tables(n, k)
+    split, lo_tab, hi_tab = _perm_tables(n, k, 0)
     lo_arr = np.asarray(lo_tab, dtype=np.int64)
     hi_arr = np.asarray(hi_tab, dtype=np.int64)
     masks = np.arange(1 << nbits, dtype=np.int64)
@@ -191,6 +192,28 @@ def full_space_classes(n, k):
     for pi in range(1, len(lo_arr)):  # permutation 0 is the identity
         np.minimum(canon, lo_arr[pi][mlo] | hi_arr[pi][mhi], out=canon)
     return np.unique(canon).tolist()
+
+
+def test_perm_tables_match_tuple_bits_oracle():
+    # every table the guards admit up to 6 vertices; (0, 0) and (2, 3) are
+    # the link tables of _all_classes(1, 1) and _all_classes(3, 3).  dtype
+    # and C order are checked too: `_orbit_minima` and `_ordered_masks` read
+    # the tables flat
+    cases = [
+        (n, k, fixed)
+        for n in range(7)
+        for k in range(n + 2)
+        if math.comb(n, k) <= 20
+        for fixed in range(n + 1)
+    ]
+    assert (0, 0, 0) in cases and (2, 3, 0) in cases and len(cases) == 168
+    for n, k, fixed in cases:
+        split, *tables = _perm_tables.__wrapped__(n, k, fixed)  # bypass the cache
+        want_split, *want = perm_tables(n, k, fixed)
+        assert split == want_split, (n, k, fixed)
+        for got, ref in zip(tables, want):
+            assert got.dtype == np.int64 and got.flags["C_CONTIGUOUS"], (n, k, fixed)
+            assert np.array_equal(got, ref), (n, k, fixed)
 
 
 def test_extension_enumeration_matches_full_space():
