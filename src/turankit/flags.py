@@ -11,10 +11,11 @@ identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
 
-Every sub-mask is classified through one table.  `_typed_canon(t, s, k)`
-is an int64 array holding every ordered t-vertex mask's minimum over the
-permutations of the untyped positions s..t-1; at s = 0 that is the untyped
-canonical code.  The per-host `typed_code` (and so `flag_code`) reads one
+Every sub-mask is classified through one table, `_typed_canon(t, s, k)` of
+`turankit.hypergraph`: an int64 array of every ordered t-vertex mask's
+minimum over the permutations of the untyped positions s..t-1; at s = 0
+that is the untyped canonical code, which `hypergraph._canonical_codes`
+also reads up to 5 vertices.  The per-host `typed_code` (and so `flag_code`) reads one
 entry of it, `square_expansion` maps every ordering of every t-vertex mask
 through it into a weight table, and `chain_lift` maps the untyped
 sub-masks of all classes of a larger size, up to 6 vertices, through it.
@@ -32,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +40,10 @@ import numpy as np
 from .hypergraph import (
     Hypergraph,
     _GATHER_ENTRIES,
-    _check_bits,
     _gather,
-    _orbit_minima,
     _ordered_masks,
     _perm_tables,
+    _typed_canon,
     enumerate_all,
     restriction_class_counts,
     tuple_bits,
@@ -102,15 +101,6 @@ class Flag:
 def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
     """Edge mask of H on `vertices` relabeled so vertices[i] becomes i."""
     return _gather(H.edges, tuple_bits(H.k, vertices))
-
-
-@lru_cache(maxsize=None)
-def _typed_canon(t: int, s: int, k: int) -> np.ndarray:
-    """Canonical typed code of every ordered t-vertex mask, as an int64 array:
-    the minimum of its relabelings that fix positions 0..s-1 and permute
-    s..t-1.  At s = 0 the entry is the mask's untyped canonical code."""
-    _check_bits("_typed_canon", t, k)
-    return _orbit_minima(np.arange(1 << math.comb(t, k), dtype=np.int64), t, k, s)
 
 
 def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:

@@ -17,11 +17,14 @@ in numpy from one colex rank table, maps the low and high halves of a mask
 to their images under each relabeling; `_orbit_minima` reads it to take
 the candidates' orbit minima over all n! relabelings at once, gathering
 every image of a small batch and folding a large one relabeling by
-relabeling.  `turankit.flags` builds its classification table with it,
-over the relabelings that fix the typed vertices.  `_canonical_codes`
-canonicalizes a batch of masks with it for `canonical_mask`,
-`restriction_class_counts` and `read_hgr`; at 7 and 8 vertices, past the
-tables, it scans every relabeling and ranks each image edge through the
+relabeling.  `_typed_canon(t, s, k)` builds the classification table with
+it, each ordered t-vertex mask's minimum over the relabelings that fix the
+first s vertices, which `turankit.flags` reads for typed flags.
+`_canonical_codes` canonicalizes a batch of masks for `canonical_mask`,
+`restriction_class_counts` and `read_hgr` in three tiers by vertex count: up
+to 5 vertices it reads the untyped table `_typed_canon(n, 0, k)`, of at most
+2^10 entries; at 6 it takes `_orbit_minima` of the batch; at 7 and 8, past
+the tables, it scans every relabeling and ranks each image edge through the
 colex index of `tuple_bits`.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
@@ -74,6 +77,8 @@ MAX_VERTICES = 8
 # Permutation tables (int64 arrays) are cached up to 6 vertices, 720 relabelings;
 # canonical forms at 7 and 8 vertices use a direct scan, for occasional use.
 _TABLE_VERTEX_LIMIT = 6
+# canonical codes up to this many vertices are one read of a 2^C(n,k) table
+_CANON_TABLE_LIMIT = 5
 _MAX_ENUM_BITS = 20
 # `_orbit_minima` gathers every image at once up to this many (mask,
 # relabeling) entries and folds one relabeling at a time above it;
@@ -242,7 +247,7 @@ def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
     pos = np.argsort(full, axis=1)  # the inverse of each order
     later = np.triu(np.ones((n, n), dtype=bool), 1)
     lehmer = ((pos[:, None, :] < pos[:, :, None]) & later).sum(axis=2)
-    rows = lehmer @ np.array([math.factorial(n - 1 - j) for j in range(n)])
+    rows = lehmer @ np.array([math.factorial(n - 1 - j) for j in range(n)], dtype=np.int64)
     lo = rows * lo_tab.shape[1] + (masks[..., None] & ((1 << split) - 1))
     hi = rows * hi_tab.shape[1] + (masks[..., None] >> split)
     return np.take(lo_tab, lo) | np.take(hi_tab, hi)  # flat reads beat two-axis indexing
@@ -263,11 +268,25 @@ def _check_bits(caller: str, n: int, k: int) -> None:
         raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
 
 
+@lru_cache(maxsize=None)
+def _typed_canon(t: int, s: int, k: int) -> np.ndarray:
+    """Canonical typed code of every ordered t-vertex mask, as an int64 array:
+    the minimum of its relabelings that fix positions 0..s-1 and permute
+    s..t-1.  At s = 0 the entry is the mask's untyped canonical code."""
+    _check_bits("_typed_canon", t, k)
+    return _orbit_minima(np.arange(1 << math.comb(t, k), dtype=np.int64), t, k, s)
+
+
 def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
     """Canonical mask of each k-graph edge mask on n vertices, as Python
-    ints: `_orbit_minima` up to _TABLE_VERTEX_LIMIT vertices, a direct scan
-    over all relabelings at 7 and 8 (an 8-vertex 4-graph mask has 70 bits,
-    past int64)."""
+    ints: up to _CANON_TABLE_LIMIT vertices a read of the untyped
+    `_typed_canon` table that `turankit.flags` classifies with, at 6
+    `_orbit_minima`, at 7 and 8 a direct scan over all relabelings (an
+    8-vertex 4-graph mask has 70 bits, past int64).  The scan is the only
+    route for `canonical_mask` on hosts of 7 or more vertices and for
+    `restriction_class_counts` at sizes 7 and 8."""
+    if n <= _CANON_TABLE_LIMIT:
+        return _typed_canon(n, 0, k)[masks].tolist()
     if n <= _TABLE_VERTEX_LIMIT:
         return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
     index, codes = _colex_index(k), []

@@ -9,12 +9,15 @@ telescoping identity that ties the multiplier vector to the final bound.
 Every relation is integer arithmetic on the host's clique counts plus one
 `Fraction` at the end.  A host's complete m-sets are counted once, for every m
 (`hypergraph.clique_counts`).  A three-term row at x = p/q with shift s/t is
-one integer numerator over m p q t C(n, m+1) C(n, m) C(n, m-1); x and the
-shift enter as integer pairs, so each three-term check and each relaxed row
-builds one `Fraction`, and a check reads its sign off the numerator.  The
-square moments tally, for each complete (m-1)-set, the integer number l of
-vertices extending it (through `hypergraph._extension_masks`), and compare
-both moments with their expected values by integer cross-multiplication.
+one integer numerator over m p q t (n-m) C(n, m); x and the shift enter as
+integer pairs, so each three-term check and each relaxed row builds one
+`Fraction`, and a check reads its sign off the numerator and returns an
+`InequalityCheck` tuple record.  The square moments tally, for each complete
+(m-1)-set, the integer number l of vertices extending it (through
+`hypergraph._extension_masks`), weigh the classes of the (m+1)-vertex
+restrictions (`hypergraph.restriction_class_counts`: a table read up to 5
+vertices, orbit minima at 6, a scan at 7 and 8), and compare both moments
+with their expected values by integer cross-multiplication.
 The telescoping terms that do not depend on the host (the slack constant,
 the multiplier vector, each row's x(m) and the right side's coefficients)
 are solved once per (k, g, r, n, mode); the left side is summed from the
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -55,9 +57,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
-    """Result of one three-term inequality evaluation.
+class InequalityCheck(NamedTuple):
+    """Result of one three-term inequality evaluation, an immutable record.
 
     slack is the negated combination, so holds is slack >= 0.
     """
@@ -75,17 +76,17 @@ def _row(G: Hypergraph, m: int, p: int, q: int, s: int, t: int) -> tuple[int, in
         -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - s/t) d(K_m, G)
         - x d(K_{m-1}, G)
 
-    With d(K_j, G) = c_j / C(n, j), the row times the denominator
-    m p q t C(n, m+1) C(n, m) C(n, m-1) is an integer, also for unreduced
-    p/q and s/t.  The denominator is positive when p, q and t are.
+    With d(K_j, G) = c_j / C(n, j), C(n, m+1) = C(n, m) (n-m)/(m+1) and
+    C(n, m-1) = C(n, m) m/(n-m+1), the row times the denominator
+    m p q t (n-m) C(n, m) is an integer, also for unreduced p/q and s/t.
+    The denominator is positive when p, q and t are and m < n.
     """
     k, n = G.k, G.n
     c = clique_counts(G)
-    b_up, b_mid, b_low = math.comb(n, m + 1), math.comb(n, m), math.comb(n, m - 1)
-    up = (m - k + 1) * q * q * t * c[m + 1] * b_mid * b_low
-    mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * c[m] * b_up * b_low
-    low = m * p * p * t * c[m - 1] * b_up * b_mid
-    return mid - up - low, m * p * q * t * b_up * b_mid * b_low
+    up = (m - k + 1) * (m + 1) * q * q * t * c[m + 1]
+    mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * (n - m) * c[m]
+    low = (n - m + 1) * (n - m) * p * p * t * c[m - 1]
+    return mid - up - low, m * p * q * t * (n - m) * math.comb(n, m)
 
 
 def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> InequalityCheck:
@@ -101,7 +102,7 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    p, q = x.numerator, x.denominator
+    p, q = x.as_integer_ratio()
     if p <= 0:
         raise ValueError("check_three_term_inequality: need x > 0")
     if not G.k <= m < G.n:

@@ -136,6 +136,14 @@ def test_square_expansion_unit_law():
         assert vec.coefficient(rep.edges) == Fraction(4, 25)
 
 
+def test_square_expansion_on_the_empty_type():
+    # the empty type on 0 vertices: the one 0-vertex class carries c^2 = 1/4,
+    # and the placement's Lehmer rank must stay an int64 index
+    for k in (2, 3):
+        vec = square_expansion(Hypergraph(0, k), (), Fraction(1, 2), 0)
+        assert vec == ExpansionVector(k, 0, {0: 1}, 4)
+
+
 def test_squared_complete_flag_coefficients(h4_classes, h5_classes):
     # coefficients of the squared complete flag equal C(core,2)/C(m+1,2)
     for m, classes in ((3, h4_classes), (4, h5_classes)):

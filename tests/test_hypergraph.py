@@ -548,6 +548,38 @@ def test_canonical_mask_matches_oracle():
         assert got == oracle_canonical_masks(n, k, masks), (n, k)
 
 
+def test_canonical_codes_table_tier_matches_oracle():
+    # up to 5 vertices a code is one read of the untyped classifier table;
+    # it must agree with the explicit oracle and with the orbit minima
+    for n in range(6):
+        for k in range(1, n + 2):
+            masks = list(range(1 << math.comb(n, k)))
+            got = hypergraph._canonical_codes(masks, n, k)
+            assert all(type(c) is int for c in got)
+            assert got == oracle_canonical_masks(n, k, masks), (n, k)
+            assert got == _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist(), (n, k)
+
+
+def test_small_restrictions_read_tables_only(monkeypatch):
+    from turankit.relations import check_square_intermediate
+
+    rng = random.Random(2718)
+    hosts = [Hypergraph(6, 3, rng.getrandbits(20)), Hypergraph(6, 2, rng.getrandbits(15))]
+    counts = [[restriction_class_counts(G, size) for size in range(6)] for G in hosts]
+    squares = [[check_square_intermediate(G, m) for m in range(G.k, 5)] for G in hosts]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("_orbit_minima called on a warm table tier")
+
+    monkeypatch.setattr(hypergraph, "_orbit_minima", refuse)
+    for G, sizes, moments in zip(hosts, counts, squares):
+        assert [restriction_class_counts(G, size) for size in range(6)] == sizes
+        assert [check_square_intermediate(G, m) for m in range(G.k, 5)] == moments
+        assert all(moments)
+    with pytest.raises(RuntimeError, match="warm table tier"):
+        restriction_class_counts(hosts[0], 6)
+
+
 def oracle_restriction_counts(G, size):
     """Per-subset reference: restrict to each size-subset, then the oracle's
     canonical form of the induced graph."""

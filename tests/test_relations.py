@@ -297,6 +297,20 @@ def test_three_term_accepts_any_rational_x():
             assert type(res.x) is Fraction and res.x == exact
 
 
+def test_inequality_check_is_an_immutable_hashable_record():
+    G = Hypergraph(6, 3, 0x5A5A5)
+    res = check_three_term_inequality(G, 4, Fraction(3, 8))
+    assert res._fields == ("m", "x", "slack", "holds")
+    for field in res._fields:
+        with pytest.raises(AttributeError):
+            setattr(res, field, 0)
+    again = check_three_term_inequality(G, 4, Fraction(3, 8))
+    assert hash(res) == hash(again) and len({res, again}) == 1
+    # results build positionally, as callers that stand in for the check do
+    built = relations.InequalityCheck(res.m, res.x, res.slack, res.holds)
+    assert built == res and built.holds is res.holds
+
+
 def test_relaxed_rows_requires_larger_host():
     with pytest.raises(ValueError):
         check_relaxed_rows(Hypergraph.complete(5, 3), 5)
