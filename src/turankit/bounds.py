@@ -25,6 +25,16 @@ Every multiplier vector is checked against the integer equations M N =
 det(M) q R_g e_g, row by row; with a nonzero determinant that solution is
 unique, so the check is independent of the minor formula and costs
 O(dimension).
+
+The reports are integer arithmetic as well, with one reduced `Fraction` per
+reported value.  The limit prod_m x(m) is one quotient of integer products
+(`combinat._x_parts`); `upper_bound`'s geometric factor is an integer pair,
+its LITERAL closed form is checked against that pair by one
+cross-multiplication, and the finite bound is built from the two pairs at
+once.  `sandwich_table` doubles the series length, orders its three values
+and takes the midpoint on the integer bracket of `combinat._exp_bracket`,
+and `partite_lower_bound` compares its corrected sum with `direct` by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -39,10 +49,10 @@ from typing import NamedTuple, Optional
 
 from .combinat import (
     EpsilonMode,
+    _exp_bracket,
+    _x_parts,
     binomial,
     decimal_string,
-    epsilon_value,
-    exp_bounds,
     multinomial,
     vertex_threshold,
     x_ratio,
@@ -293,7 +303,14 @@ def asymptotic_product(k: int, g: int, r: int) -> Fraction:
     """The limiting upper bound: product of x_ratio(k, m, r) over m = k..g."""
     if not (2 <= k <= g < r):
         raise ValueError(f"asymptotic_product: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    return math.prod((x_ratio(k, m, r) for m in range(k, g + 1)), start=Fraction(1))
+    return Fraction(*_product_parts(k, g, r))
+
+
+def _product_parts(k: int, g: int, r: int) -> tuple[int, int]:
+    """`asymptotic_product(k, g, r)` as the unreduced integer pair
+    (prod_m (C(r-1,k-1) - C(m-1,k-1)), C(r-1,k-1)^(g-k+1))."""
+    parts = [_x_parts(k, m, r) for m in range(k, g + 1)]
+    return math.prod(p for p, _ in parts), parts[0][1] ** len(parts)
 
 
 def de_caen_bound(k: int, r: int, n: int) -> Fraction:
@@ -301,7 +318,9 @@ def de_caen_bound(k: int, r: int, n: int) -> Fraction:
     edge density of k-graphs on n vertices with no complete r-set."""
     if not (2 <= k <= r <= n):
         raise ValueError(f"de_caen_bound: need 2 <= k <= r <= n, got ({k}, {r}, {n})")
-    return 1 - (1 + Fraction(r - k, n - r + 1)) * Fraction(1, binomial(r - 1, k - 1))
+    # over (n-r+1) C(r-1, k-1), the subtracted term is (n-r+1) + (r-k)
+    den = (n - r + 1) * binomial(r - 1, k - 1)
+    return Fraction(den - (n - k + 1), den)
 
 
 @dataclass(frozen=True)
@@ -332,37 +351,38 @@ def upper_bound(
     1/(1 - eps (r-1)(r-k)/(k-1)); CORRECTED mode uses the geometric form
     with its own eps.  Below the mode's vertex threshold the factor would
     be negative or blow up, so such n are rejected.
+
+    With eps = top/((n-r+1)(k-1)) (`combinat.epsilon_value`), the geometric
+    factor is the integer quotient D/(D - top (r-1)(r-k)) for
+    D = (n-r+1)(k-1)^2, whose denominator is positive above the threshold.
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"upper_bound: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    thr = max(vertex_threshold(k, r, mode), Fraction(r))  # eps needs n > r too
-    if n <= thr:
+    thr = vertex_threshold(k, r, mode)
+    if n <= thr or n <= r:  # eps needs n > r too
         raise ValueError(
-            f"upper_bound: need n > {thr} (threshold for k={k}, r={r}, "
-            f"mode={mode.value}), got n={n}"
+            f"upper_bound: need n > {max(thr, Fraction(r))} (threshold for k={k}, "
+            f"r={r}, mode={mode.value}), got n={n}"
         )
-    eps = epsilon_value(k, r, n, mode)
-    geometric = 1 / (1 - eps * Fraction((r - 1) * (r - k), k - 1))
+    top = r - k if mode is EpsilonMode.LITERAL else r - 1
+    geo_num = (n - r + 1) * (k - 1) ** 2
+    geo_den = geo_num - top * (r - 1) * (r - k)
     if mode is EpsilonMode.LITERAL:
         denom = (k - 1) ** 2 * n - (r - 1) * (2 * k * k - 2 * k * (r + 1) + r * r + 1)
-        factor = 1 + Fraction((r - 1) * (r - k) ** 2, denom)
-        if factor != geometric:
+        if (denom + (r - 1) * (r - k) ** 2) * geo_den != geo_num * denom:
             raise ArithmeticError("closed-form factor disagrees with geometric form")
-    else:
-        factor = geometric
-    asym = asymptotic_product(k, g, r)
-    lower = _partite_direct(k, g, (r - 1) // (k - 1))
+    asym_num, asym_den = _product_parts(k, g, r)
     return BoundReport(
         k=k,
         g=g,
         r=r,
         n=n,
         mode=mode,
-        finite_factor=factor,
-        asymptotic=asym,
-        finite_bound=factor * asym,
+        finite_factor=Fraction(geo_num, geo_den),
+        asymptotic=Fraction(asym_num, asym_den),
+        finite_bound=Fraction(geo_num * asym_num, geo_den * asym_den),
         de_caen=de_caen_bound(k, r, n) if g == k else None,
-        lower_bound=lower,
+        lower_bound=_partite_direct(k, g, (r - 1) // (k - 1)),
     )
 
 
@@ -399,10 +419,10 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
     direct = _partite_direct(k, g, l)
-    formula, corrected = _inclusion_exclusion(k, g, l)
-    if corrected != direct:
+    printed, corrected = _inclusion_exclusion(k, g, l)
+    if corrected * direct.denominator != direct.numerator * l**g:
         raise ArithmeticError("partite_lower_bound: corrected sum disagrees with direct")
-    return PartiteBound(direct, formula)
+    return PartiteBound(direct, Fraction(printed, l**g))
 
 
 @lru_cache(maxsize=256)
@@ -423,26 +443,36 @@ def _partite_direct(k: int, g: int, l: int) -> Fraction:
     return Fraction(dp[g], l**g)
 
 
-def _inclusion_exclusion(k: int, g: int, l: int) -> tuple[Fraction, Fraction]:
-    """(`partite_lower_bound(k, g, l).formula`, the corrected sum): the
-    multinomials of the s-tuples with sum T add up to C(g, T) c_s(T), where
-    c_s(T) counts the ordered s-tuples of disjoint labeled blocks, each of
-    size >= k, covering T labeled items; so the printed sum is
-    sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g, and the corrected
-    one has (l-s)^(g-T) in place of l^(g-T).  DP over s:
-    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), c_0 = [1, 0, ..]."""
+def _inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
+    """Numerators over l^g of (`partite_lower_bound(k, g, l).formula`, the
+    corrected sum): the multinomials of the s-tuples with sum T add up to
+    C(g, T) c_s(T), where c_s(T) counts the ordered s-tuples of disjoint
+    labeled blocks, each of size >= k, covering T labeled items; so the
+    printed sum is sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g,
+    and the corrected one has (l-s)^(g-T) in place of l^(g-T).  DP over s:
+    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), c_0 = [1, 0, ..], and
+    c_s(T) = 0 for T < s k.  The terms with s > l vanish with C(l, s)."""
+    binoms = [math.comb(g, t) for t in range(g + 1)]
+    powers = [l ** (g - t) for t in range(g + 1)]
     blocks = [1] + [0] * g
     printed = corrected = 0
-    for s in range(g // k + 1):
-        if s:
-            blocks = [
-                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t + 1))
-                for t in range(g + 1)
+    for s in range(min(g // k, l) + 1):
+        if s:  # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
+            low = s * k
+            blocks = [0] * low + [
+                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t - low + k + 1))
+                for t in range(low, g + 1)
             ]
-        terms = [(-1) ** s * math.comb(l, s) * math.comb(g, t) * c for t, c in enumerate(blocks)]
-        printed += sum(a * l ** (g - t) for t, a in enumerate(terms))
-        corrected += sum(a * (l - s) ** (g - t) for t, a in enumerate(terms))
-    return Fraction(printed, l**g), Fraction(corrected, l**g)
+        left = l - s
+        row_printed = row_corrected = 0
+        for t in range(s * k, g + 1):
+            a = binoms[t] * blocks[t]
+            row_printed += a * powers[t]
+            row_corrected += a * left ** (g - t)
+        weight = (-1) ** s * math.comb(l, s)
+        printed += weight * row_printed
+        corrected += weight * row_corrected
+    return printed, corrected
 
 
 @dataclass(frozen=True)
@@ -471,25 +501,28 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
             f"sandwich_table: (k-1) = {k - 1} must divide (r-1) = {r - 1}"
         )
     l = (r - 1) // (k - 1)
-    lower = Fraction(multinomial(r - 1, (k - 1,) * l), l ** (r - 1))
-    product = asymptotic_product(k, r - 1, r)
+    low_num, low_den = multinomial(r - 1, (k - 1,) * l), l ** (r - 1)
+    prod_num, prod_den = _product_parts(k, r - 1, r)
     # 64 series terms bracket e^x tightly for |x| up to about 10; beyond
     # that the tail bound can exceed e^x itself, so double until the bracket
     # is narrow against its (then positive) lower end.  r >= 2|x| + 2 terms
-    # keep the tail bound valid.
-    x, terms = Fraction(k - r, k), max(64, r)
-    exp_lo, exp_hi = exp_bounds(x, terms)
-    while exp_hi - exp_lo >= exp_lo / 10**20:
+    # keep the tail bound valid.  The bracket is lo/den .. hi/den, den > 0.
+    common = math.gcd(r - k, k)
+    a, b, terms = (k - r) // common, k // common, max(64, r)
+    exp_lo, exp_hi, den = _exp_bracket(a, b, terms)
+    while (exp_hi - exp_lo) * 10**20 >= exp_lo:
         terms *= 2
-        exp_lo, exp_hi = exp_bounds(x, terms)
-    if not lower <= product <= exp_lo:
+        exp_lo, exp_hi, den = _exp_bracket(a, b, terms)
+    if not (
+        low_num * prod_den <= prod_num * low_den and prod_num * den <= exp_lo * prod_den
+    ):
         raise ArithmeticError("sandwich_table: ordering check failed")
-    approx = decimal_string((exp_lo + exp_hi) / 2, 12)
+    approx = decimal_string(Fraction(exp_lo + exp_hi, 2 * den), 12)
     return SandwichTable(
         k=k,
         r=r,
         groups=l,
-        multinomial_lower=lower,
-        product=product,
+        multinomial_lower=Fraction(low_num, low_den),
+        product=Fraction(prod_num, prod_den),
         exp_limit_approx=f"~{approx}",
     )

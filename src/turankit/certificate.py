@@ -12,7 +12,8 @@ expands them at size 6 as integer numerators over one denominator each,
 lifts the empty-4-set density to size 6 the same way, and checks the slack
 of all 2102 admissible classes in integers, with one `Fraction` per class.
 The matching construction (two disjoint complete halves) is evaluated for
-the lower bound.
+the lower bound, and its limit profile is checked to be an optimality
+witness: over it d(E4) averages 3/8 and every square averages 0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 TARGET = Fraction(3, 8)
+# Six random vertices of two disjoint complete halves split 6+0, 5+1, 4+2 and
+# 3+3 with probabilities (1, 6, 15, 10)/32; the 6-vertex classes they span,
+# by canonical mask, with those weights.
+TWO_CLIQUES_PROFILE = {0xFFFFF: 1, 0x3FF: 6, 0xF: 15, 0x600: 10}
 
 
 @dataclass(frozen=True)
@@ -187,11 +192,28 @@ def verify_certificate() -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class, as
     enumerated by `e5free_six_classes`: integer slack numerators over the
     common denominator D of 3/8 and seven weighted vectors, d(E4) (the
-    empty 4-set lifted to size 6, weight 1) and the six term vectors."""
+    empty 4-set lifted to size 6, weight 1) and the six term vectors.
+
+    The two-cliques profile must be an optimality witness: d(E4) averages
+    3/8 over it and each term vector 0, so the squares are tight on the
+    construction and no weighting of them proves less than 3/8
+    (ArithmeticError otherwise)."""
     classes = e5free_six_classes()
     empty4 = chain_lift(ExpansionVector(3, 4, {0: 1}, 1), 6)  # d(E4) per class
-    weights = [Fraction(1)] + [t.weight for t in certificate_terms()]
+    terms = certificate_terms()
+    weights = [Fraction(1)] + [t.weight for t in terms]
     vecs = (empty4,) + _term_vectors()
+    labels = ["d(E4)"] + [t.label for t in terms]
+    averages = [TARGET] + [Fraction(0)] * len(terms)
+    total = sum(TWO_CLIQUES_PROFILE.values())
+    for label, want, v in zip(labels, averages, vecs):
+        # the profile average is num / (total v.den)
+        num = sum(w * v.nums.get(code, 0) for code, w in TWO_CLIQUES_PROFILE.items())
+        if num * want.denominator != want.numerator * total * v.den:
+            raise ArithmeticError(
+                f"verify_certificate: {label} does not average to {want} "
+                "over the two-cliques profile"
+            )
     dens = [w.denominator * v.den for w, v in zip(weights, vecs)]
     D = math.lcm(TARGET.denominator, *dens)
     scales = [w.numerator * (D // d) for w, d in zip(weights, dens)]

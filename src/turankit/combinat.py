@@ -1,10 +1,14 @@
 """Exact rational scalars shared by every bound computation.
 
-All quantities are `fractions.Fraction`; no floating point enters any bound
-or certificate path.  The only irrational number anywhere downstream is the
-e^{(k-r)/k} comparison value of `bounds.sandwich_table`, which is handled
-through exact rational brackets (`exp_bounds`) plus an explicitly labeled
-decimal rendering.
+Every reported quantity is a `fractions.Fraction`; no floating point enters
+any bound or certificate path.  Each is computed from Python integers and
+built as one reduced `Fraction` at the end: x(m) has the integer pair
+`_x_parts`, which `bounds` and `relations` multiply out themselves, and
+`vertex_threshold` is one quotient.  The only irrational number anywhere
+downstream is the e^{(k-r)/k} comparison value of `bounds.sandwich_table`,
+which is handled through exact rational brackets (`_exp_bracket`, integer
+numerators over one denominator, which `exp_bounds` wraps) plus an
+explicitly labeled decimal rendering.
 """
 
 from __future__ import annotations
@@ -61,7 +65,15 @@ def x_ratio(k: int, m: int, r: int) -> Fraction:
         raise ValueError(f"x_ratio: need 2 <= k <= r, got k={k}, r={r}")
     if m < k - 1 or m > r:
         raise ValueError(f"x_ratio: m must lie in [{k - 1}, {r}], got m={m}")
-    return 1 - Fraction(binomial(m - 1, k - 1), binomial(r - 1, k - 1))
+    return Fraction(*_x_parts(k, m, r))
+
+
+def _x_parts(k: int, m: int, r: int) -> tuple[int, int]:
+    """x(m) = `x_ratio(k, m, r)` as the unreduced integer pair
+    (C(r-1,k-1) - C(m-1,k-1), C(r-1,k-1)); unchecked, needs
+    k-1 <= m <= r."""
+    top = math.comb(r - 1, k - 1)
+    return top - math.comb(m - 1, k - 1), top
 
 
 class EpsilonMode(Enum):
@@ -115,9 +127,10 @@ def vertex_threshold(k: int, r: int, mode: EpsilonMode = EpsilonMode.LITERAL) ->
     """
     if k < 2 or r <= k:
         raise ValueError(f"vertex_threshold: need 2 <= k < r, got k={k}, r={r}")
-    if mode is EpsilonMode.LITERAL:
-        return (r - 1) * (1 + Fraction((r - k) ** 2, (k - 1) ** 2))
-    return (r - 1) * (1 + Fraction((r - 1) * (r - k), (k - 1) ** 2))
+    # (r-1) (1 + top (r-k) / (k-1)^2), top as in `epsilon_value`
+    top = r - k if mode is EpsilonMode.LITERAL else r - 1
+    square = (k - 1) ** 2
+    return Fraction((r - 1) * (square + top * (r - k)), square)
 
 
 def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
@@ -128,11 +141,17 @@ def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
     (|x| <= 6, N = 64 gives width < 1e-35).
     """
     x = Fraction(x)
-    if terms < 2 * abs(x) + 2:
+    lo, hi, denom = _exp_bracket(x.numerator, x.denominator, terms)
+    return Fraction(lo, denom), Fraction(hi, denom)
+
+
+def _exp_bracket(a: int, b: int, terms: int) -> tuple[int, int, int]:
+    """`exp_bounds(a/b, terms)` as integers (lo, hi, denom) with
+    lo/denom <= exp(a/b) <= hi/denom and denom > 0; needs b > 0."""
+    if terms * b < 2 * abs(a) + 2 * b:
         raise ValueError("exp_bounds: too few series terms for a valid tail bound")
-    # with x = a/b, term j of the series is t_j / (b^(N-1) (N-1)!) for the
-    # integer t_j = a^j b^(N-1-j) (N-1)!/j!; t_j = t_{j-1} a / (b j) exactly
-    a, b = x.numerator, x.denominator
+    # term j of the series is t_j / (b^(N-1) (N-1)!) for the integer
+    # t_j = a^j b^(N-1-j) (N-1)!/j!; t_j = t_{j-1} a / (b j) exactly
     term = b ** (terms - 1) * math.factorial(terms - 1)
     denom = term
     total = term
@@ -143,7 +162,7 @@ def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
     total *= b * terms
     denom *= b * terms
     tail = 2 * abs(a) ** terms
-    return Fraction(total - tail, denom), Fraction(total + tail, denom)
+    return total - tail, total + tail, denom
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bounds import solve_delta
-from .combinat import EpsilonMode, binomial, epsilon_value, x_ratio
+from .combinat import EpsilonMode, _x_parts, binomial, epsilon_value, x_ratio
 from .hypergraph import (
     Hypergraph,
     _extension_masks,
@@ -164,13 +164,6 @@ def check_square_intermediate(G: Hypergraph, m: int) -> bool:
         pairs * math.comb(m + 1, 2) * math.comb(n, m + 1)
         == weighted_hits * math.comb(o, 2) * count
     )
-
-
-def _x_parts(k: int, m: int, r: int) -> tuple[int, int]:
-    """x(m) = `x_ratio(k, m, r)` as the unreduced pair
-    (C(r-1,k-1) - C(m-1,k-1), C(r-1,k-1)); needs k <= m <= r."""
-    top = math.comb(r - 1, k - 1)
-    return top - math.comb(m - 1, k - 1), top
 
 
 def check_relaxed_rows(

@@ -13,13 +13,20 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from turankit import (
+    EpsilonMode,
     Hypergraph,
     TridiagonalSystem,
+    binomial,
     clique_counts,
     colex_subsets,
+    decimal_string,
+    epsilon_value,
+    exp_bounds,
     flag_code,
+    multinomial,
     subset_rank,
     typed_code,
+    x_ratio,
 )
 from turankit.certificate import _term_vectors, certificate_terms
 from turankit.flags import ExpansionVector, Flag, _typed_mask
@@ -229,3 +236,65 @@ def combined_square_vector() -> ExpansionVector:
         for code, num in v.nums.items():
             nums[code] = nums.get(code, 0) + scale * num
     return ExpansionVector(vecs[0].k, vecs[0].n, nums, den)
+
+
+def vertex_threshold_fractions(k: int, r: int, mode: EpsilonMode) -> Fraction:
+    """`vertex_threshold` as (r-1)(1 + a/b), three `Fraction`s."""
+    if mode is EpsilonMode.LITERAL:
+        return (r - 1) * (1 + Fraction((r - k) ** 2, (k - 1) ** 2))
+    return (r - 1) * (1 + Fraction((r - 1) * (r - k), (k - 1) ** 2))
+
+
+def product_fractions(k: int, g: int, r: int) -> Fraction:
+    """`asymptotic_product` as the running product of `x_ratio` factors."""
+    return math.prod((x_ratio(k, m, r) for m in range(k, g + 1)), start=Fraction(1))
+
+
+class BoundFractions(NamedTuple):
+    threshold: Fraction
+    finite_factor: Fraction
+    asymptotic: Fraction
+    finite_bound: Fraction
+    de_caen: Fraction
+
+
+def upper_bound_fractions(k: int, g: int, r: int, n: int, mode: EpsilonMode) -> BoundFractions:
+    """The values of `upper_bound` in `Fraction` arithmetic: the threshold
+    from `vertex_threshold_fractions`, the geometric factor
+    1/(1 - eps (r-1)(r-k)/(k-1)) from `epsilon_value`, the finite bound as
+    factor times limit, and de Caen's expression term by term.  No range
+    check: the caller passes n above the threshold."""
+    threshold = max(vertex_threshold_fractions(k, r, mode), Fraction(r))
+    eps = epsilon_value(k, r, n, mode)
+    factor = 1 / (1 - eps * Fraction((r - 1) * (r - k), k - 1))
+    asym = product_fractions(k, g, r)
+    de_caen = 1 - (1 + Fraction(r - k, n - r + 1)) * Fraction(1, binomial(r - 1, k - 1))
+    return BoundFractions(threshold, factor, asym, factor * asym, de_caen)
+
+
+def sandwich_fractions(k: int, r: int) -> tuple[Fraction, Fraction, str]:
+    """(multinomial lower, product, approximation) of `sandwich_table`, with
+    the series length doubled, the values ordered and the midpoint taken on
+    the `Fraction` brackets of `exp_bounds`."""
+    l = (r - 1) // (k - 1)
+    lower = Fraction(multinomial(r - 1, (k - 1,) * l), l ** (r - 1))
+    product = product_fractions(k, r - 1, r)
+    x, terms = Fraction(k - r, k), max(64, r)
+    exp_lo, exp_hi = exp_bounds(x, terms)
+    while exp_hi - exp_lo >= exp_lo / 10**20:
+        terms *= 2
+        exp_lo, exp_hi = exp_bounds(x, terms)
+    if not lower <= product <= exp_lo:
+        raise ArithmeticError("sandwich_fractions: ordering check failed")
+    return lower, product, f"~{decimal_string((exp_lo + exp_hi) / 2, 12)}"
+
+
+def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """The Taylor bracket of `exp_bounds` summed term by term: the first
+    `terms` terms of the series, minus and plus 2 |x|^terms / terms!."""
+    total, term = Fraction(0), Fraction(1)
+    for j in range(terms):
+        total += term
+        term = term * x / (j + 1)
+    tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
+    return total - tail, total + tail

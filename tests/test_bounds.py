@@ -26,7 +26,7 @@ from turankit import (
     x_ratio,
 )
 
-from oracles import dense
+from oracles import dense, sandwich_fractions, upper_bound_fractions, vertex_threshold_fractions
 
 # SHA-256 of the `str()` of every inverse_matrix entry (row by row) and of
 # every solve_delta entry (g = k..r-1), one per line, over all
@@ -412,8 +412,8 @@ def test_corrected_inclusion_exclusion_equals_direct():
     for k in range(2, 7):
         for g in range(k, 17):
             for l in range(1, 12):
-                _, corrected = bounds._inclusion_exclusion(k, g, l)
-                assert corrected == partite_lower_bound(k, g, l).direct, (k, g, l)
+                _, corrected = bounds._inclusion_exclusion(k, g, l)  # over l^g
+                assert Fraction(corrected, l**g) == partite_lower_bound(k, g, l).direct, (k, g, l)
                 points += 1
     assert points == 715
 
@@ -520,3 +520,36 @@ def test_upper_bound_corrected_mode():
     assert rep.finite_factor == 1 / (1 - eps * Fraction(4 * 2, 2))
     assert rep.finite_factor > upper_bound(3, 4, 5, 100).finite_factor
     assert rep.asymptotic == Fraction(5, 12)
+
+
+def test_integer_reports_match_fraction_oracles():
+    # every report value of upper_bound, built from integers, against the
+    # same value built from Fraction products, just above each threshold
+    # and further out
+    checked = 0
+    for r in range(3, 17):
+        for k in range(2, r):
+            for mode in EpsilonMode:
+                thr = vertex_threshold(k, r, mode)
+                assert thr == vertex_threshold_fractions(k, r, mode)
+                for g in range(k, r):
+                    for extra in (1, 7, 1000):
+                        n = math.floor(max(thr, r)) + extra
+                        rep = upper_bound(k, g, r, n, mode)
+                        want = upper_bound_fractions(k, g, r, n, mode)
+                        assert n > want.threshold
+                        assert rep.finite_factor == want.finite_factor, (k, g, r, n, mode)
+                        assert rep.asymptotic == want.asymptotic, (k, g, r)
+                        assert rep.finite_bound == want.finite_bound, (k, g, r, n, mode)
+                        assert rep.de_caen == (want.de_caen if g == k else None)
+                        assert asymptotic_product(k, g, r) == want.asymptotic
+                        checked += 1
+                    with pytest.raises(ValueError):
+                        upper_bound(k, g, r, math.floor(max(thr, r)), mode)
+    assert checked == 3360
+    # (2, r >= 25): |x| = (r-2)/2 is past where 64 series terms suffice, so
+    # the bracket is doubled
+    pairs = [(k, r) for r in range(3, 17) for k in range(2, r) if (r - 1) % (k - 1) == 0]
+    for k, r in pairs + [(2, 25), (2, 33), (2, 41), (3, 41)]:
+        t = sandwich_table(k, r)
+        assert (t.multinomial_lower, t.product, t.exp_limit_approx) == sandwich_fractions(k, r)

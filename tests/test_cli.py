@@ -256,6 +256,13 @@ BOUNDS_STDOUT_SHA256 = {
         "b440beb3d8b6544a8bbd00c761f19c9d491b7acf8399d480d758d6ea4395bec5",
     "lower --k 2 --g 15 --r 16":
         "aca43721d3d92281fc1fa47d630d5cb0a06f0fa50612c6c383869cf795bb7f3d",
+    "bound --k 3 --g 4 --r 5 --n 100 --mode corrected":
+        "e5e096eec68b9f85543a41b74d26cae32c753166d774d733615dd347fbd6feae",
+    "table --k 3 --r 9 --n 500 --mode corrected":
+        "a690989ae8e5ef5c32a60d0dd4a33497624cb4d17a3bf42ac3288dbf64acca39",
+    # the sandwich's e^x bracket needs more than 64 series terms here
+    "lower --k 2 --g 40 --r 41":
+        "f20c8f8cf9f2f01372a7998745f8b740a22edc8d5c4faa4f4265247780318819",
 }
 
 
@@ -455,6 +462,26 @@ def test_failed_cross_check_exit_5(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: internal cross-check failed: ")
     assert captured.err.count("\n") == 1
+
+
+def test_certificate_optimality_witness_exit_5(capsys, monkeypatch, tmp_path):
+    from turankit import certificate
+    from turankit.flags import ExpansionVector
+
+    vecs = certificate._term_vectors()
+    v = vecs[2]  # the m-sum square; one more on the 3+3 class moves its profile average
+    nums = dict(v.nums)
+    nums[0x600] = nums.get(0x600, 0) + 1
+    broken = vecs[:2] + (ExpansionVector(v.k, v.n, nums, v.den),) + vecs[3:]
+    monkeypatch.setattr(certificate, "_term_vectors", lambda: broken)
+    code = main(["certificate", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal cross-check failed: verify_certificate: "
+        "m-sum does not average to 0 over the two-cliques profile\n"
+    )
 
 
 def test_lower_cross_check_exit_5(capsys, monkeypatch):

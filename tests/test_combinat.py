@@ -15,6 +15,9 @@ from turankit import (
     vertex_threshold,
     x_ratio,
 )
+from turankit.combinat import _exp_bracket
+
+from oracles import exp_series
 
 
 def test_binomial_values():
@@ -126,15 +129,18 @@ def test_exp_bounds_bracket():
 
 
 def test_exp_bounds_matches_fraction_series():
-    # the integer-numerator sum against the term-by-term Fraction series
+    # the integer bracket, and exp_bounds over it, against the term-by-term
+    # Fraction series
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(-7), Fraction(13, 4), Fraction(-39, 2)):
-        for terms in (42, 64, 128):
-            total, term = Fraction(0), Fraction(1)
-            for j in range(terms):
-                total += term
-                term = term * x / (j + 1)
-            tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
-            assert exp_bounds(x, terms) == (total - tail, total + tail)
+        for terms in (41, 42, 64, 128):
+            expected = exp_series(x, terms)
+            assert exp_bounds(x, terms) == expected
+            lo, hi, den = _exp_bracket(x.numerator, x.denominator, terms)
+            assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == expected
+    # the tail bound needs terms >= 2|x| + 2, also on the integer bracket
+    for call in (lambda: exp_bounds(Fraction(-39, 2), 40), lambda: _exp_bracket(-39, 2, 40)):
+        with pytest.raises(ValueError, match="too few series terms"):
+            call()
 
 
 def test_decimal_string():
