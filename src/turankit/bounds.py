@@ -425,7 +425,9 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     return PartiteBound(direct, Fraction(printed, l**g))
 
 
-@lru_cache(maxsize=256)
+# every (k, g, (r-1)//(k-1)) with 2 <= k <= g < r <= 16 is 292 keys, so a
+# sweep over that grid keeps all of them
+@lru_cache(maxsize=512)
 def _partite_direct(k: int, g: int, l: int) -> Fraction:
     """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
     of assignments of some t of the g labeled items into the groups so far,

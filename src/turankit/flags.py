@@ -21,8 +21,8 @@ through it into a weight table, and `chain_lift` maps the untyped
 sub-masks of all classes of a larger size, up to 6 vertices, through it.
 A flag's weight at a placement depends only on the t vertices it spans, so
 both read the sub-masks of all classes on vertex subsets off
-`hypergraph._ordered_masks`, the low bits of one relabeling-table image per
-class and subset: the flag-size restrictions and the lifted sub-masks.
+`hypergraph._ordered_masks`, two reads per class and subset in tables built
+from `tuple_bits`: the flag-size restrictions and the lifted sub-masks.
 Counts per class are int64, and numerators integers over one denominator,
 which the lift keeps.
 """
@@ -210,12 +210,11 @@ def square_expansion(
     classes = enumerate_all(base, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
     # placements: an s-subset isomorphic to the type gives it in |Aut| = s!/|orbit| orderings
-    on_s = _ordered_masks(masks, base, k, list(itertools.combinations(range(base), s)))
+    on_s = _ordered_masks(masks, base, k, itertools.combinations(range(base), s))
     iso = _typed_canon(s, 0, k) == _typed_canon(s, 0, k)[sigma.edges]
-    placed = iso[on_s & (len(iso) - 1)].sum(axis=1) * (math.factorial(s) // int(iso.sum()))
+    placed = iso[on_s].sum(axis=1) * (math.factorial(s) // int(iso.sum()))
     subsets = list(itertools.combinations(range(base), t))
-    restricted = _ordered_masks(masks, base, k, subsets) & ((1 << math.comb(t, k)) - 1)
-    rows = np.ascontiguousarray(restricted.T)  # (subsets, classes)
+    rows = np.ascontiguousarray(_ordered_masks(masks, base, k, subsets).T)  # (subsets, classes)
     subset_of = {U: i for i, U in enumerate(subsets)}
     row_of = {q: i * len(canon) for i, q in enumerate(itertools.permutations(range(t)))}
     cols, offsets = [], []  # each placement theta = o[:s], then each extension set o[s:]
@@ -248,7 +247,7 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     """Re-express a coefficient vector over larger hosts: the new coefficient
     of H is the density-weighted sum of the old coefficients over the
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
-    are read as table images and mapped through the untyped `_typed_canon` table,
+    are read off `_ordered_masks` and mapped through the untyped `_typed_canon` table,
     and the numerators are summed per class as Python ints over
     vec.den * C(size, vec.n)."""
     if not vec.n < size <= _LIFT_LIMIT:
@@ -256,8 +255,7 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
-    subsets = list(itertools.combinations(range(size), b))
-    sub_masks = _ordered_masks(masks, size, k, subsets) & ((1 << math.comb(b, k)) - 1)
+    sub_masks = _ordered_masks(masks, size, k, itertools.combinations(range(size), b))
     by_code = np.zeros(1 << math.comb(b, k), dtype=object)
     by_code[list(vec.nums)] = list(vec.nums.values())
     sums = by_code[_typed_canon(b, 0, k)][sub_masks].sum(axis=1)

@@ -14,26 +14,30 @@ of vertex n-1 shifted above it, one link per orbit of the representative's
 automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
 34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)`, built
 in numpy from one colex rank table, maps the low and high halves of a mask
-to their images under each relabeling; `_orbit_minima` reads it to take
-the candidates' orbit minima over all n! relabelings at once, gathering
-every image of a small batch and folding a large one relabeling by
-relabeling.  `_typed_canon(t, s, k)` builds the classification table with
-it, each ordered t-vertex mask's minimum over the relabelings that fix the
-first s vertices, which `turankit.flags` reads for typed flags.
+to their images under each relabeling.  `_orbit_minima` splits every
+relabeling the same way: the vertex it places last, then a relabeling of
+the other n-1.  It moves each movable vertex last in turn and folds the
+rest and the link through the (n-1)-vertex tables, so no n-vertex table is
+built: at 6 vertices it reads 120-row tables, not 720-row ones.
+`_typed_canon(t, s, k)` builds the classification table with it, each
+ordered t-vertex mask's minimum over the relabelings that fix the first s
+vertices, which `turankit.flags` reads for typed flags.
 `_canonical_codes` canonicalizes a batch of masks for `canonical_mask`,
 `restriction_class_counts` and `read_hgr` in three tiers by vertex count: up
 to 5 vertices it reads the untyped table `_typed_canon(n, 0, k)`, of at most
 2^10 entries; at 6 it takes `_orbit_minima` of the batch; at 7 and 8, past
-the tables, it scans every relabeling and ranks each image edge through the
-colex index of `tuple_bits`.
+the tables, it scans every relabeling and ranks each image edge through a
+colex index.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
-each of its colex k-subsets, looked up in one colex index per k keyed by
-vertex bitmask (`subset_rank` is the definition).  Restriction and the
-per-host typed masks gather a sub-mask through it instead of re-ranking
-every subset.  Over a whole array of masks, `_ordered_masks` reads the same
-sub-masks as the low bits of table images: the restrictions and lifts of
-`turankit.flags`, which work on all classes, take theirs from it.
+each of its colex k-subsets.  Restriction and the per-host typed masks
+gather a sub-mask through it instead of re-ranking every subset.
+`_order_tables` turns the bit positions of a tuple of ordered tuples into
+half tables, built by doubling like the relabeling tables, and
+`_ordered_masks` reads the sub-mask of every mask of an array on every
+tuple from them: the restrictions and lifts of `turankit.flags`, which work
+on all classes, the vertex-last masks of `_orbit_minima`, and the subset
+sub-masks of `restriction_class_counts`, two reads per subset.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
@@ -74,14 +78,15 @@ __all__ = [
 ]
 
 MAX_VERTICES = 8
-# Permutation tables (int64 arrays) are cached up to 6 vertices, 720 relabelings;
-# canonical forms at 7 and 8 vertices use a direct scan, for occasional use.
+# `_orbit_minima` canonicalizes up to 6 vertices, through the 5-vertex
+# relabeling tables; canonical forms at 7 and 8 vertices use a direct scan,
+# for occasional use.
 _TABLE_VERTEX_LIMIT = 6
 # canonical codes up to this many vertices are one read of a 2^C(n,k) table
 _CANON_TABLE_LIMIT = 5
 _MAX_ENUM_BITS = 20
 # `_orbit_minima` gathers every image at once up to this many (mask,
-# relabeling) entries and folds one relabeling at a time above it;
+# relabeling) entries and folds them one (vertex, relabeling) pair at a time above it;
 # `flags.square_expansion` reads its placement weights in batches of this size.
 _GATHER_ENTRIES = 1 << 16
 # clique_counts remembers this many hosts: the relation checks on one host
@@ -106,21 +111,13 @@ def subset_rank(subset: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _colex_index(k: int) -> dict[int, int]:
-    """Colex rank of every k-subset of {0..MAX_VERTICES-1}, keyed by its
-    vertex bitmask; a colex rank does not depend on n."""
-    return {
-        sum(1 << v for v in s): rank for rank, s in enumerate(colex_subsets(MAX_VERTICES, k))
-    }
-
-
-@lru_cache(maxsize=None)
 def tuple_bits(k: int, vertices: tuple[int, ...]) -> tuple[int, ...]:
     """Host bit position of each colex k-subset of the ordered tuple
-    `vertices` (each below MAX_VERTICES): entry i is the rank of
-    {vertices[j] : j in the i-th k-subset of range(len(vertices))}."""
-    index, bit = _colex_index(k), [1 << v for v in vertices]
-    return tuple(index[sum(bit[j] for j in sub)] for sub in colex_subsets(len(vertices), k))
+    `vertices`: entry i is the rank of {vertices[j] : j in the i-th k-subset
+    of range(len(vertices))}."""
+    return tuple(
+        subset_rank(vertices[j] for j in sub) for sub in colex_subsets(len(vertices), k)
+    )
 
 
 def _gather(edges: int, bits: tuple[int, ...]) -> int:
@@ -194,63 +191,103 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     return Hypergraph(a.n + b.n, a.k, mask)
 
 
-@lru_cache(maxsize=None)
-def _perm_tables(n: int, k: int, fixed: int):
-    """Lookup tables mapping the low/high halves of an edge mask to their
-    images under each relabeling of {0..n-1} that fixes 0..fixed-1: int64
-    arrays of shape (perms, 2^split) and (perms, 2^(C(n,k) - split)) in C
-    order, row 0 the identity, split = ceil(C(n,k) / 2) <= 10.  Bit b moves
-    to the colex rank of its subset's image, and each half-table doubles:
-    the entries with bit b set are those below 2^b OR'd with b's image."""
-    nbits = math.comb(n, k)
-    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
-    perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-    subsets = np.array(colex_subsets(n, k), dtype=np.int64).reshape(nbits, k)
-    rank = np.zeros(1 << n, dtype=np.int64)
-    rank[(1 << subsets).sum(axis=1)] = np.arange(nbits)
-    img = 1 << rank[(1 << perms[:, subsets]).sum(axis=2)]  # (perms, nbits)
-    split = (nbits + 1) // 2
+def _half_tables(img: np.ndarray):
+    """Lookup tables of one bit map per row of img, an integer array whose
+    entry (row, b) is the value bit b of a mask takes in that row's image (a
+    power of two, or 0 where the bit is dropped): arrays of img's dtype and
+    shape (rows, 2^split) and (rows, 2^(bits - split)) in C order for the
+    low and high halves of a mask, split = ceil(bits / 2).  Each half-table
+    doubles: the entries with bit b set are those below 2^b OR'd with b's
+    value."""
+    split = (img.shape[1] + 1) // 2
     tabs = []
     for bits in (img[:, :split], img[:, split:]):
-        tab = np.zeros((len(perms), 1 << bits.shape[1]), dtype=np.int64)
+        tab = np.zeros((len(img), 1 << bits.shape[1]), dtype=img.dtype)
         for b in range(bits.shape[1]):
             np.bitwise_or(tab[:, : 1 << b], bits[:, b, None], out=tab[:, 1 << b : 2 << b])
         tabs.append(tab)
     return split, tabs[0], tabs[1]
 
 
-def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
-    """Minimum of each mask over the relabelings that fix 0..fixed-1.  An
-    image is two table lookups; up to _GATHER_ENTRIES images are gathered
-    at once and reduced by one numpy minimum, above that they are folded
-    into a running minimum one relabeling at a time."""
-    split, lo_tab, hi_tab = _perm_tables(n, k, fixed)
-    lo, hi = masks & ((1 << split) - 1), masks >> split
-    if masks.size * len(lo_tab) <= _GATHER_ENTRIES:
-        return (lo_tab[:, lo] | hi_tab[:, hi]).min(axis=0)
-    best = masks.copy()
-    for pi in range(1, len(lo_tab)):  # permutation 0 is the identity
-        np.minimum(best, lo_tab[pi][lo] | hi_tab[pi][hi], out=best)
-    return best
+@lru_cache(maxsize=None)
+def _perm_tables(n: int, k: int, fixed: int):
+    """`_half_tables` of each relabeling of {0..n-1} that fixes 0..fixed-1,
+    row 0 the identity: bit b moves to the colex rank of its subset's image.
+    `_orbit_minima` on n vertices reads the (n-1)-vertex ones, so canonical
+    forms up to 6 vertices never build a 720-row table;
+    `flags.square_expansion` reads the t-vertex ones of its flags."""
+    nbits = math.comb(n, k)
+    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
+    perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    subsets = np.array(colex_subsets(n, k), dtype=np.int64).reshape(nbits, k)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    rank[(1 << subsets).sum(axis=1)] = np.arange(nbits)
+    return _half_tables(1 << rank[(1 << perms[:, subsets]).sum(axis=2)])
+
+
+@lru_cache(maxsize=None)
+def _order_tables(n: int, k: int, orders: tuple[tuple[int, ...], ...]):
+    """`_half_tables` of the sub-mask of each ordered tuple o in orders,
+    for masks on n vertices: host bit `tuple_bits(k, o)[i]` goes to bit i,
+    every other bit is dropped.  The tables are int16 when every sub-mask
+    has at most 15 bits, as the restrictions of a host to 5 or fewer
+    vertices do, and int32 otherwise (at most 20 bits within the guard)."""
+    widest = max((math.comb(len(o), k) for o in orders), default=0)
+    img = np.zeros((len(orders), math.comb(n, k)), dtype=np.int16 if widest <= 15 else np.int32)
+    for row, o in zip(img, orders):
+        row[list(tuple_bits(k, o))] = 1 << np.arange(math.comb(len(o), k))
+    return _half_tables(img)
 
 
 def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
-    """Image of each mask on n vertices under the relabeling o[i] -> i, for
-    each tuple o of distinct vertices in orders (the other vertices follow
-    in increasing order), with shape masks.shape + (len(orders),).  The low
-    C(t,k) bits of an image are the mask of the ordered tuple o[:t], as
-    `_gather` with `tuple_bits(k, o[:t])` reads it.  Each image is two
-    lookups into the `_perm_tables(n, k, 0)` row of the inverse of o, whose
-    lexicographic rank is its Lehmer code."""
-    split, lo_tab, hi_tab = _perm_tables(n, k, 0)
-    full = np.array([tuple(o) + tuple(v for v in range(n) if v not in o) for o in orders])
-    pos = np.argsort(full, axis=1)  # the inverse of each order
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
-    lehmer = ((pos[:, None, :] < pos[:, :, None]) & later).sum(axis=2)
-    rows = lehmer @ np.array([math.factorial(n - 1 - j) for j in range(n)], dtype=np.int64)
+    """Sub-mask of each mask on n vertices on each ordered tuple o in
+    orders, as `_gather` with `tuple_bits(k, o)` reads it, with shape
+    masks.shape + (len(orders),): two lookups into the `_order_tables` row
+    of o."""
+    orders = tuple(orders)
+    split, lo_tab, hi_tab = _order_tables(n, k, orders)
+    rows = np.arange(len(orders))
     lo = rows * lo_tab.shape[1] + (masks[..., None] & ((1 << split) - 1))
     hi = rows * hi_tab.shape[1] + (masks[..., None] >> split)
     return np.take(lo_tab, lo) | np.take(hi_tab, hi)  # flat reads beat two-axis indexing
+
+
+def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
+    """Minimum of each mask in a 1-d array over the relabelings that fix
+    0..fixed-1.  Each of them places some vertex v >= fixed last and then
+    relabels the other n-1 vertices, fixing 0..fixed-1.  With v moved last
+    and the others kept in order (`_ordered_masks`), the low C(n-1,k) bits of
+    a mask are an (n-1)-vertex k-graph and the bits above are v's link, an
+    (n-1)-vertex (k-1)-graph, and a row of `_perm_tables(n-1, k, fixed)`
+    moves the first as the same row of `_perm_tables(n-1, k-1, fixed)` moves
+    the second.  Up to _GATHER_ENTRIES images are gathered at once and
+    reduced by one numpy minimum; above that they are folded into a running
+    minimum one vertex and one row at a time, over int32 tables of whole
+    (n-1)-vertex masks and links."""
+    if fixed >= n:
+        return masks.copy()
+    low = math.comb(n - 1, k)
+    split, lo_tab, hi_tab = _perm_tables(n - 1, k, fixed)
+    link_split, link_lo, link_hi = _perm_tables(n - 1, k - 1, fixed)
+
+    def images(rest, link):  # every row's image of rest | link << low
+        rest_image = lo_tab[:, rest & ((1 << split) - 1)] | hi_tab[:, rest >> split]
+        link_image = link_lo[:, link & ((1 << link_split) - 1)] | link_hi[:, link >> link_split]
+        return rest_image | link_image << low
+
+    orders = tuple(tuple(u for u in range(n) if u != v) + (v,) for v in range(fixed, n))
+    last = _ordered_masks(masks, n, k, orders)
+    if last.size * len(lo_tab) <= _GATHER_ENTRIES:
+        return images(last & ((1 << low) - 1), last >> low).min(axis=(0, 2))
+    empty = np.zeros(1, dtype=np.int64)  # its image is 0 under every row
+    rest_rows = images(np.arange(1 << low), empty).astype(np.int32)
+    link_rows = images(empty, np.arange(1 << math.comb(n - 1, k - 1))).astype(np.int32)
+    best = np.full(len(masks), np.iinfo(np.int32).max, dtype=np.int32)
+    for v_last in last.T.astype(np.intp):
+        rest, link = v_last & ((1 << low) - 1), v_last >> low
+        for rest_row, link_row in zip(rest_rows, link_rows):
+            np.minimum(best, rest_row[rest] | link_row[link], out=best)
+    return best.astype(np.int64)
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
@@ -289,9 +326,10 @@ def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
         return _typed_canon(n, 0, k)[masks].tolist()
     if n <= _TABLE_VERTEX_LIMIT:
         return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
-    index, codes = _colex_index(k), []
+    index = {sum(1 << v for v in e): rank for rank, e in enumerate(colex_subsets(n, k))}
+    codes = []
     for m in masks:
-        edges, perms = Hypergraph(n, k, m).edge_list(), itertools.permutations(range(n))
+        edges, perms = Hypergraph(n, k, int(m)).edge_list(), itertools.permutations(range(n))
         codes.append(min(sum(1 << index[sum(1 << p[v] for v in e)] for e in edges) for p in perms))
     return codes
 
@@ -349,11 +387,16 @@ def enumerate_all(
 
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
     """Counts of canonical masks over all induced size-subsets of G: every
-    subset's sub-mask is gathered, then all are canonicalized in one call."""
+    subset's sub-mask is read off its `_order_tables` row (gathered bit by
+    bit past C(n,k) = 20), then all are canonicalized in one call."""
     if not 0 <= size <= G.n:
         raise ValueError("restriction_class_counts: size out of range")
-    subsets = itertools.combinations(range(G.n), size)
-    sub_masks = [_gather(G.edges, tuple_bits(G.k, S)) for S in subsets]
+    subsets = tuple(itertools.combinations(range(G.n), size))
+    if G.nbits > _MAX_ENUM_BITS:  # past the tables: one bit at a time, as Python ints
+        sub_masks = [_gather(G.edges, tuple_bits(G.k, S)) for S in subsets]
+    else:
+        split, lo_tab, hi_tab = _order_tables(G.n, G.k, subsets)
+        sub_masks = lo_tab[:, G.edges & ((1 << split) - 1)] | hi_tab[:, G.edges >> split]
     return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
 
 

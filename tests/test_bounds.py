@@ -514,6 +514,41 @@ def test_sandwich_3_7_and_divisibility_guard():
         sandwich_table(3, 6)
 
 
+def test_sandwich_bracket_ends_agree_to_twelve_digits(monkeypatch):
+    # the reported e^x is the exact midpoint of the last bracket the doubling
+    # loop keeps, and both ends of that bracket agree in their first 12
+    # significant digits; at (2, 30) and (3, 41) a loop that stopped at a
+    # relative width of 10^-8 would keep a bracket whose ends do not
+    from turankit import bounds
+    from turankit.combinat import _exp_bracket, decimal_string
+
+    brackets, shown = [], []
+
+    def bracket(a, b, terms):
+        brackets.append(_exp_bracket(a, b, terms))
+        return brackets[-1]
+
+    def show(value, digits=12):
+        shown.append(value)
+        return decimal_string(value, digits)
+
+    def leading_digits(num, den):
+        return decimal_string(Fraction(num, den) * 10 ** (len(str(den // num)) - 1), 12)
+
+    monkeypatch.setattr(bounds, "_exp_bracket", bracket)
+    monkeypatch.setattr(bounds, "decimal_string", show)
+    pairs = [(k, r) for r in range(3, 17) for k in range(2, r) if (r - 1) % (k - 1) == 0]
+    for k, r in pairs + [(2, 25), (2, 30), (2, 41), (3, 41)]:
+        brackets.clear()
+        shown.clear()
+        approx = sandwich_table(k, r).exp_limit_approx
+        lo, hi, den = brackets[-1]
+        assert 0 < lo < hi, (k, r)
+        assert shown == [Fraction(lo + hi, 2 * den)], (k, r)
+        assert approx == f"~{decimal_string(shown[0], 12)}", (k, r)
+        assert leading_digits(lo, den) == leading_digits(hi, den), (k, r)
+
+
 def test_upper_bound_corrected_mode():
     rep = upper_bound(3, 4, 5, 100, EpsilonMode.CORRECTED)
     eps = epsilon_value(3, 5, 100, EpsilonMode.CORRECTED)

@@ -370,6 +370,38 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
     assert code2 == 0 and out2 == out
 
 
+def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path, monkeypatch):
+    # orbit minima at 6 vertices fold over the 5-vertex tables, and the flag
+    # restrictions and lifts read tables of vertex tuples, so a cold run
+    # never builds the 720-row tables of _perm_tables(6, k, 0)
+    from turankit import certificate, flags, hypergraph
+
+    cached = (
+        hypergraph._perm_tables,
+        hypergraph._order_tables,
+        hypergraph._typed_canon,
+        hypergraph._all_classes,
+        certificate.e5free_six_classes,
+        certificate._term_vectors,
+    )
+    for fn in cached:
+        fn.cache_clear()
+    built, tables = [], hypergraph._perm_tables
+
+    def spy(n, k, fixed):
+        built.append(n)
+        return tables(n, k, fixed)
+
+    monkeypatch.setattr(hypergraph, "_perm_tables", spy)
+    monkeypatch.setattr(flags, "_perm_tables", spy)
+    code, out = run_cli(capsys, "certificate", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert built and max(built) < 6
+    assert _stdout_digest(out) == CERTIFICATE_STDOUT_SHA256
+    with open(tmp_path / "k3-n6-no-empty-5.hgr", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == CLASS_FILE_SHA256
+
+
 # SHA-256 of the class files written by `enumerate`, the same digests the CI
 # console-script step checks: (6,2) folds its orbit minima one relabeling at
 # a time, (5,3) gathers them at once, (6,3) is every class the

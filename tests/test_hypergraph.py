@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -623,6 +624,68 @@ def test_orbit_minima_gather_agrees_with_fold():
     gathered = np.concatenate([_orbit_minima(masks[i : i + 512], 5, 3) for i in (0, 512)])
     assert folded.tolist() == gathered.tolist()
     assert folded.tolist() == oracle_canonical_masks(5, 3, range(1 << 10))
+
+
+def typed_minima(n, k, fixed, masks):
+    """Brute-force typed minimum of each mask: its least image under the
+    relabelings of {0..n-1} that fix 0..fixed-1, edge bit by edge bit
+    through subset_rank."""
+    subs = colex_subsets(n, k)
+    perms = (tuple(range(fixed)) + q for q in itertools.permutations(range(fixed, n)))
+    images = [[1 << subset_rank(p[v] for v in s) for s in subs] for p in perms]
+    bits = [[i for i in range(len(subs)) if (mask >> i) & 1] for mask in masks]
+    return [min(sum(image[i] for i in on) for image in images) for on in bits]
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (6, 2)])
+def test_orbit_minima_match_brute_force_at_every_fixed(n, k):
+    # each relabeling places one movable vertex last and relabels the other
+    # n-1, so only (n-1)-vertex tables are read; fixed = n-1 leaves the
+    # identity alone and fixed = n has no movable vertex.  The whole batch
+    # folds where it is past _GATHER_ENTRIES, slices of 8 always gather
+    if k == 3:
+        masks = list(range(1 << math.comb(n, k)))
+    else:
+        rng = random.Random(6202)
+        masks = [rng.getrandbits(math.comb(n, k)) for _ in range(200)]
+    arr = np.array(masks, dtype=np.int64)
+    assert len(masks) * math.factorial(n) > _GATHER_ENTRIES
+    for fixed in range(n + 1):
+        want = typed_minima(n, k, fixed, masks)
+        assert _orbit_minima(arr, n, k, fixed).tolist() == want, (n, k, fixed)
+        sliced = [_orbit_minima(arr[i : i + 8], n, k, fixed) for i in range(0, len(arr), 8)]
+        assert np.concatenate(sliced).tolist() == want, (n, k, fixed)
+    assert typed_minima(n, k, 0, masks[:64]) == oracle_canonical_masks(n, k, masks[:64])
+
+
+def test_restriction_class_counts_keep_first_seen_order():
+    # the table reads give every subset the sub-mask the per-bit gather
+    # gives it, so the counts come out in the same order
+    rng = random.Random(3003)
+    for n, k in [(6, 3), (6, 2)]:
+        for _ in range(50):
+            G = Hypergraph(n, k, rng.getrandbits(math.comb(n, k)))
+            for size in range(n + 1):
+                subsets = itertools.combinations(range(n), size)
+                subs = [_gather(G.edges, tuple_bits(k, S)) for S in subsets]
+                codes = hypergraph._canonical_codes(subs, size, k)
+                got = restriction_class_counts(G, size)
+                assert list(got.items()) == list(Counter(codes).items()), (G, size)
+
+
+def test_typed_canon_tables_pinned():
+    # every classification table with C(t,k) <= 15, in (t, k, s) order, as
+    # computed by the n-vertex relabeling fold that preceded the fold over
+    # the vertex placed last
+    digest = hashlib.sha256()
+    for t in range(9):
+        for k in range(1, t + 2):
+            if math.comb(t, k) <= 15:
+                for s in range(t + 1):
+                    digest.update(hypergraph._typed_canon(t, s, k).tobytes())
+    assert digest.hexdigest() == (
+        "3318a0dd866ce612ad746a0a9b5909cb26d87180141bcb52bd667225e576fda4"
+    )
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (6, 2), (6, 3), (7, 2)])
