@@ -197,7 +197,8 @@ def verify_certificate() -> CertificateReport:
     The two-cliques profile must be an optimality witness: d(E4) averages
     3/8 over it and each term vector 0, so the squares are tight on the
     construction and no weighting of them proves less than 3/8
-    (ArithmeticError otherwise)."""
+    (ArithmeticError otherwise).  The least slack and the tight classes are
+    read off the numerators."""
     classes = e5free_six_classes()
     empty4 = chain_lift(ExpansionVector(3, 4, {0: 1}, 1), 6)  # d(E4) per class
     terms = certificate_terms()
@@ -218,12 +219,12 @@ def verify_certificate() -> CertificateReport:
     D = math.lcm(TARGET.denominator, *dens)
     scales = [w.numerator * (D // d) for w, d in zip(weights, dens)]
     target = TARGET.numerator * (D // TARGET.denominator)
-    slacks: dict[int, Fraction] = {}
+    nums: dict[int, int] = {}  # slack numerators over D
     for H in classes:
-        used = sum(s * v.nums.get(H.edges, 0) for s, v in zip(scales, vecs))
-        slacks[H.edges] = Fraction(target - used, D)
-    min_slack = min(slacks.values())
-    tight = tuple(code for code, s in slacks.items() if s == 0)
+        nums[H.edges] = target - sum(s * v.nums.get(H.edges, 0) for s, v in zip(scales, vecs))
+    slacks = {code: Fraction(num, D) for code, num in nums.items()}
+    min_slack = Fraction(min(nums.values()), D)
+    tight = tuple(code for code, num in nums.items() if num == 0)
     return CertificateReport(
         k=3,
         n=6,

@@ -39,7 +39,6 @@ import numpy as np
 
 from .hypergraph import (
     Hypergraph,
-    _GATHER_ENTRIES,
     _gather,
     _ordered_masks,
     _perm_tables,
@@ -62,6 +61,8 @@ __all__ = [
 # types are interchangeable only when their masks are literally equal.
 
 _LIFT_LIMIT = 6
+# `square_expansion` reads its placement weights in batches of this many entries
+_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
 34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)`, built
 in numpy from one colex rank table, maps the low and high halves of a mask
 to their images under each relabeling.  `_orbit_minima` splits every
-relabeling the same way: the vertex it places last, then a relabeling of
-the other n-1.  It moves each movable vertex last in turn and folds the
-rest and the link through the (n-1)-vertex tables, so no n-vertex table is
-built: at 6 vertices it reads 120-row tables, not 720-row ones.
+relabeling into the vertex v it places last and a relabeling of the other
+n-1, reading (n-1)-vertex tables only.  v's link lands above all other
+edges, so only the vertices whose link has the least code, through the
+relabelings that carry it to that code (`_link_cosets`), can reach the
+minimum: a (6,3) mask reads about 6 images instead of 720.
 `_typed_canon(t, s, k)` builds the classification table with it, each
 ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
@@ -85,10 +86,8 @@ _TABLE_VERTEX_LIMIT = 6
 # canonical codes up to this many vertices are one read of a 2^C(n,k) table
 _CANON_TABLE_LIMIT = 5
 _MAX_ENUM_BITS = 20
-# `_orbit_minima` gathers every image at once up to this many (mask,
-# relabeling) entries and folds them one (vertex, relabeling) pair at a time above it;
-# `flags.square_expansion` reads its placement weights in batches of this size.
-_GATHER_ENTRIES = 1 << 16
+# `_orbit_minima` reads this many masks at a time, bounding its transients
+_ORBIT_CHUNK = 512
 # clique_counts remembers this many hosts: the relation checks on one host
 # reuse its counts, and a long run over many hosts does not grow.
 _CLIQUE_CACHE_HOSTS = 8
@@ -252,42 +251,56 @@ def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
     return np.take(lo_tab, lo) | np.take(hi_tab, hi)  # flat reads beat two-axis indexing
 
 
+@lru_cache(maxsize=None)
+def _link_cosets(m: int, k: int, fixed: int):
+    """For every k-graph mask L on m vertices: its least image code[L] under
+    the relabelings that fix 0..fixed-1, and the rows of `_perm_tables(m, k,
+    fixed)` that carry L there, rows[start[L] : start[L] + count[L]], a coset
+    of the stabilizer of code[L]."""
+    split, lo_tab, hi_tab = _perm_tables(m, k, fixed)
+    links = np.arange(1 << math.comb(m, k))
+    images = lo_tab[:, links & ((1 << split) - 1)] | hi_tab[:, links >> split]
+    code = images.min(axis=0)
+    owner, rows = np.nonzero((images == code).T)
+    count = np.bincount(owner, minlength=len(links))
+    return code, rows, np.cumsum(count) - count, count
+
+
 def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
     """Minimum of each mask in a 1-d array over the relabelings that fix
     0..fixed-1.  Each of them places some vertex v >= fixed last and then
     relabels the other n-1 vertices, fixing 0..fixed-1.  With v moved last
     and the others kept in order (`_ordered_masks`), the low C(n-1,k) bits of
-    a mask are an (n-1)-vertex k-graph and the bits above are v's link, an
-    (n-1)-vertex (k-1)-graph, and a row of `_perm_tables(n-1, k, fixed)`
-    moves the first as the same row of `_perm_tables(n-1, k-1, fixed)` moves
-    the second.  Up to _GATHER_ENTRIES images are gathered at once and
-    reduced by one numpy minimum; above that they are folded into a running
-    minimum one vertex and one row at a time, over int32 tables of whole
-    (n-1)-vertex masks and links."""
+    a mask, the rest, are an (n-1)-vertex k-graph and the bits above are v's
+    link, an (n-1)-vertex (k-1)-graph; a row of `_perm_tables(n-1, k, fixed)`
+    moves the rest as the same row of `_perm_tables(n-1, k-1, fixed)` moves
+    the link.  The link bits dominate, so only the vertices whose link has
+    the least code C, and only the rows that carry that link to C
+    (`_link_cosets`), can reach the minimum: the rests are read there alone."""
     if fixed >= n:
         return masks.copy()
     low = math.comb(n - 1, k)
     split, lo_tab, hi_tab = _perm_tables(n - 1, k, fixed)
-    link_split, link_lo, link_hi = _perm_tables(n - 1, k - 1, fixed)
-
-    def images(rest, link):  # every row's image of rest | link << low
-        rest_image = lo_tab[:, rest & ((1 << split) - 1)] | hi_tab[:, rest >> split]
-        link_image = link_lo[:, link & ((1 << link_split) - 1)] | link_hi[:, link >> link_split]
-        return rest_image | link_image << low
-
-    orders = tuple(tuple(u for u in range(n) if u != v) + (v,) for v in range(fixed, n))
-    last = _ordered_masks(masks, n, k, orders)
-    if last.size * len(lo_tab) <= _GATHER_ENTRIES:
-        return images(last & ((1 << low) - 1), last >> low).min(axis=(0, 2))
-    empty = np.zeros(1, dtype=np.int64)  # its image is 0 under every row
-    rest_rows = images(np.arange(1 << low), empty).astype(np.int32)
-    link_rows = images(empty, np.arange(1 << math.comb(n - 1, k - 1))).astype(np.int32)
-    best = np.full(len(masks), np.iinfo(np.int32).max, dtype=np.int32)
-    for v_last in last.T.astype(np.intp):
-        rest, link = v_last & ((1 << low) - 1), v_last >> low
-        for rest_row, link_row in zip(rest_rows, link_rows):
-            np.minimum(best, rest_row[rest] | link_row[link], out=best)
-    return best.astype(np.int64)
+    code, rows, start, count = _link_cosets(n - 1, k - 1, fixed)
+    orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
+    out = np.empty(len(masks), dtype=np.int64)
+    for at in range(0, len(masks), _ORBIT_CHUNK):
+        last = _ordered_masks(masks[at : at + _ORBIT_CHUNK], n, k, orders)
+        link_code = code[last >> low]
+        best = link_code.min(axis=1)
+        hit = link_code == best[:, None]
+        picked = last[hit]  # row-major: each mask's picks are contiguous
+        link = picked >> low
+        reads = count[link]
+        ends = np.cumsum(reads)
+        firsts = ends - reads  # where each pick's images start
+        row = rows[np.repeat(start[link] - firsts, reads) + np.arange(ends[-1])]
+        rest = np.repeat(picked & ((1 << low) - 1), reads)
+        image = lo_tab[row, rest & ((1 << split) - 1)] | hi_tab[row, rest >> split]
+        picks = hit.sum(axis=1)
+        image = np.minimum.reduceat(image, firsts[np.cumsum(picks) - picks])  # per mask
+        out[at : at + _ORBIT_CHUNK] = image | best << low
+    return out
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
@@ -411,15 +424,16 @@ def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(hits, math.comb(G.n, F.n))
 
 
-@lru_cache(maxsize=_CLIQUE_CACHE_HOSTS)
 def clique_counts(G: Hypergraph) -> tuple[int, ...]:
     """Entry m (m = 0..n) is the number of complete m-sets of G: the
     m-subsets S whose k-subset mask M_S satisfies edges & M_S == M_S.  For
     m < k every mask is empty, so the entry is C(n, m)."""
-    return tuple(
-        sum(G.edges & M == M for M in _subset_edge_masks(G.n, m, G.k))
-        for m in range(G.n + 1)
-    )
+    return _clique_counts(G.n, G.k, G.edges)
+
+
+@lru_cache(maxsize=_CLIQUE_CACHE_HOSTS)  # keyed on ints: a Hypergraph hashes slowly
+def _clique_counts(n: int, k: int, edges: int) -> tuple[int, ...]:
+    return tuple(sum(edges & M == M for M in _subset_edge_masks(n, m, k)) for m in range(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -371,13 +371,15 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
 
 
 def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path, monkeypatch):
-    # orbit minima at 6 vertices fold over the 5-vertex tables, and the flag
-    # restrictions and lifts read tables of vertex tuples, so a cold run
-    # never builds the 720-row tables of _perm_tables(6, k, 0)
+    # orbit minima at 6 vertices read the 5-vertex tables and their link
+    # cosets, and the flag restrictions and lifts read tables of vertex
+    # tuples, so a cold run never builds the 720-row tables of
+    # _perm_tables(6, k, 0)
     from turankit import certificate, flags, hypergraph
 
     cached = (
         hypergraph._perm_tables,
+        hypergraph._link_cosets,
         hypergraph._order_tables,
         hypergraph._typed_canon,
         hypergraph._all_classes,
@@ -403,10 +405,10 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
 
 
 # SHA-256 of the class files written by `enumerate`, the same digests the CI
-# console-script step checks: (6,2) folds its orbit minima one relabeling at
-# a time, (5,3) gathers them at once, (6,3) is every class the
-# certificate's admissible set is filtered from, and (6,4) is the first
-# k = 4 pin, 156 classes.
+# console-script step checks: (6,3) is every class the certificate's
+# admissible set is filtered from, (6,4) is the first k = 4 pin, 156
+# classes, and the orbit minima of (8,1) and (8,7) read links that are
+# 0-graphs and 6-graphs on 7 vertices.
 @pytest.mark.parametrize(
     "k, n, digest",
     [
@@ -414,6 +416,8 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
         ("3", "5", "a9aa5feb0c0299e2a7003a5a00ec7e047f7b07e103f5ee681f5ed3b5e0282d98"),
         ("3", "6", "d3b5ccc24c4fee50860ac7dc6f4bd25e9f6d89bc4835914ceba25ec5a6e93ce9"),
         ("4", "6", "964255a24eb31ef8528bf79bbcd1cd7711f4e9cf4727f3db8165ccdc941b97fa"),
+        ("1", "8", "0269501961fcf9adefc12407c49ef754a311f5815fcb8fa3fda6d605a1d74b6f"),
+        ("7", "8", "2f50207e24f2bd8e3410c74df5209800860a7375488d2a9ac89e1c7ec4c74046"),
     ],
 )
 def test_enumerate_class_file_digest(capsys, tmp_path, k, n, digest):

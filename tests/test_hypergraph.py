@@ -29,7 +29,7 @@ from turankit import (
 )
 from turankit import hypergraph
 from turankit.hypergraph import (
-    _GATHER_ENTRIES,
+    _ORBIT_CHUNK,
     MAX_VERTICES,
     _all_classes,
     _check_bits,
@@ -198,8 +198,7 @@ def full_space_classes(n, k):
 def test_perm_tables_match_tuple_bits_oracle():
     # every table the guards admit up to 6 vertices; (0, 0) and (2, 3) are
     # the link tables of _all_classes(1, 1) and _all_classes(3, 3).  dtype
-    # and C order are checked too: `_orbit_minima` and `_ordered_masks` read
-    # the tables flat
+    # and C order are checked too: `_ordered_masks` reads its tables flat
     cases = [
         (n, k, fixed)
         for n in range(7)
@@ -336,10 +335,11 @@ def test_clique_density_matches_brute_force():
 
 
 def test_clique_counts_cache_is_bounded():
-    # a run over many hosts keeps the counts of the last few only
+    # a run over many hosts keeps the counts of the last few only, keyed on
+    # (n, k, edges)
     for mask in range(300):
         clique_counts(Hypergraph(6, 3, mask))
-    info = clique_counts.cache_info()
+    info = hypergraph._clique_counts.cache_info()
     assert info.maxsize is not None and info.maxsize < 300
     assert info.currsize <= info.maxsize
 
@@ -616,14 +616,60 @@ def test_restriction_class_counts_below_k():
         restriction_class_counts(G, 7)
 
 
-def test_orbit_minima_gather_agrees_with_fold():
-    masks = np.arange(1 << 10, dtype=np.int64)  # every (5,3) mask
-    perms = math.factorial(5)
-    assert len(masks) * perms > _GATHER_ENTRIES >= 512 * perms  # fold, then gathers
-    folded = _orbit_minima(masks, 5, 3)
-    gathered = np.concatenate([_orbit_minima(masks[i : i + 512], 5, 3) for i in (0, 512)])
-    assert folded.tolist() == gathered.tolist()
-    assert folded.tolist() == oracle_canonical_masks(5, 3, range(1 << 10))
+def test_orbit_minima_agree_across_chunk_boundaries():
+    # every (5,3) mask five times over spans several chunks of _ORBIT_CHUNK
+    # masks, and slices cut off the chunk boundaries agree with the whole
+    masks = np.tile(np.arange(1 << 10, dtype=np.int64), 5)
+    assert len(masks) > 2 * _ORBIT_CHUNK
+    whole = _orbit_minima(masks, 5, 3)
+    cuts = [0, 1, _ORBIT_CHUNK - 1, _ORBIT_CHUNK + 1, 2 * _ORBIT_CHUNK, len(masks)]
+    pieces = [_orbit_minima(masks[a:b], 5, 3) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(pieces).tolist() == whole.tolist()
+    assert whole.tolist() == oracle_canonical_masks(5, 3, range(1 << 10)) * 5
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (2, "7cba3c71f5bb57e8a025767e7c657de0b4d1d9d3bf29c21a74ec4100f4ed2813"),
+        (3, "83e27e881d6ce60509026fb7be6c647976d426a1390717604ffc8dd576e79b95"),
+        (4, "1ecf2f0b47bbfddff13f6a40809aa2d8f85d8f914d4361733094473f233057a7"),
+    ],
+)
+def test_orbit_minima_full_tables_pinned(k, digest):
+    # the minimum of every 6-vertex k-graph mask, as computed by a fold
+    # over all 720 relabelings, split at the vertex placed last
+    masks = np.arange(1 << math.comb(6, k), dtype=np.int64)
+    got = _orbit_minima(masks, 6, k).astype("<i8").tobytes()
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+def test_link_cosets_carry_each_link_to_its_code():
+    # every (m, k, fixed) whose table `_orbit_minima` reads within the
+    # guards: the links on m = n-1 vertices of an n-vertex (k+1)-graph
+    cases = sorted(
+        {
+            (n - 1, k - 1, fixed)
+            for n in range(1, MAX_VERTICES + 1)
+            for k in range(1, n + 2)
+            if math.comb(n, k) <= 20
+            for fixed in range(n)
+        }
+    )
+    assert (0, 0, 0) in cases and (7, 6, 0) in cases and len(cases) == 172
+    for m, k, fixed in cases:
+        code, rows, start, count = hypergraph._link_cosets(m, k, fixed)
+        split, lo, hi = perm_tables(m, k, fixed)  # one row per relabeling
+        links = np.arange(1 << math.comb(m, k))
+        images = lo[:, links & ((1 << split) - 1)] | hi[:, links >> split]
+        assert code.tolist() == images.min(axis=0).tolist(), (m, k, fixed)
+        assert start.tolist() == (np.cumsum(count) - count).tolist(), (m, k, fixed)
+        assert count.sum() == len(rows), (m, k, fixed)
+        for L in links:
+            listed = rows[start[L] : start[L] + count[L]].tolist()
+            assert listed == np.flatnonzero(images[:, L] == code[L]).tolist(), (m, k, fixed, L)
+            # orbit-stabilizer: the rows carrying L to its code are a coset
+            assert count[L] * len(set(images[:, L].tolist())) == len(images), (m, k, fixed, L)
 
 
 def typed_minima(n, k, fixed, masks):
@@ -641,18 +687,20 @@ def typed_minima(n, k, fixed, masks):
 def test_orbit_minima_match_brute_force_at_every_fixed(n, k):
     # each relabeling places one movable vertex last and relabels the other
     # n-1, so only (n-1)-vertex tables are read; fixed = n-1 leaves the
-    # identity alone and fixed = n has no movable vertex.  The whole batch
-    # folds where it is past _GATHER_ENTRIES, slices of 8 always gather
+    # identity alone and fixed = n has no movable vertex.  The masks repeated
+    # span more than one chunk of _ORBIT_CHUNK, slices of 8 lie within one
     if k == 3:
         masks = list(range(1 << math.comb(n, k)))
     else:
         rng = random.Random(6202)
         masks = [rng.getrandbits(math.comb(n, k)) for _ in range(200)]
     arr = np.array(masks, dtype=np.int64)
-    assert len(masks) * math.factorial(n) > _GATHER_ENTRIES
+    reps = _ORBIT_CHUNK // len(masks) + 1
+    assert len(masks) * reps > _ORBIT_CHUNK
     for fixed in range(n + 1):
         want = typed_minima(n, k, fixed, masks)
-        assert _orbit_minima(arr, n, k, fixed).tolist() == want, (n, k, fixed)
+        got = _orbit_minima(np.tile(arr, reps), n, k, fixed).tolist()
+        assert got == want * reps, (n, k, fixed)
         sliced = [_orbit_minima(arr[i : i + 8], n, k, fixed) for i in range(0, len(arr), 8)]
         assert np.concatenate(sliced).tolist() == want, (n, k, fixed)
     assert typed_minima(n, k, 0, masks[:64]) == oracle_canonical_masks(n, k, masks[:64])
