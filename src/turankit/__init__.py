@@ -6,7 +6,8 @@ no complete r-set (via a tridiagonal multiplier system), comparison and
 lower-bound values, isomorphism-free enumeration of small hypergraphs, an
 exact typed-flag expansion engine, and an exhaustively checked
 sum-of-squares certificate pinning the limiting empty-4-set density of
-3-graphs without empty 5-sets at 3/8.
+3-graphs without empty 5-sets at 3/8.  A flag is a plain `Hypergraph` whose
+first s vertices carry its type, a `Hypergraph` on s vertices.
 """
 
 from .bounds import (
@@ -28,8 +29,6 @@ from .bounds import (
 from .certificate import (
     CertificateReport,
     CertificateTerm,
-    FlagCatalog,
-    catalog_flags,
     certificate_terms,
     e5free_six_classes,
     two_clique_density,
@@ -48,11 +47,8 @@ from .combinat import (
 )
 from .flags import (
     ExpansionVector,
-    Flag,
     chain_lift,
-    flag_code,
     square_expansion,
-    typed_code,
 )
 from .hypergraph import (
     Hypergraph,

@@ -193,7 +193,7 @@ class RecurrenceTables:
         return self.theta[-1]
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
-        """Flag (table, m) pairs with nonpositive values; nonempty tables
+        """The (table, m) pairs with nonpositive values; nonempty tables
         signal that epsilon sits at or beyond the positivity threshold."""
         bad = []
         for j, v in enumerate(self.theta):
@@ -314,8 +314,14 @@ def _product_parts(k: int, g: int, r: int) -> tuple[int, int]:
 
 
 def de_caen_bound(k: int, r: int, n: int) -> Fraction:
-    """Classical upper bound 1 - (1 + (r-k)/(n-r+1)) / C(r-1, k-1) for the
-    edge density of k-graphs on n vertices with no complete r-set."""
+    """The value 1 - (1 + (r-k)/(n-r+1)) / C(r-1, k-1), printed as `deCaen`.
+
+    It is not de Caen's bound and not an upper bound.  de Caen (1983) proves
+    edge density at most 1 - (n-r+1)/((n-k+1) C(r-1, k-1)); this expression
+    uses the reciprocal of that factor, so it lies below the limit
+    1 - 1/C(r-1, k-1).  At (k, r, n) = (2, 3, 5) it gives 1/3, against the
+    exhaustive maximum 3/5.  It is kept as is because the bounds digest
+    pinned in benchmarks/gates.py records it; the fix moves that digest."""
     if not (2 <= k <= r <= n):
         raise ValueError(f"de_caen_bound: need 2 <= k <= r <= n, got ({k}, {r}, {n})")
     # over (n-r+1) C(r-1, k-1), the subtracted term is (n-r+1) + (r-k)

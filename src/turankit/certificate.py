@@ -8,9 +8,11 @@ expanded over the isomorphism classes of admissible 6-vertex hosts, must
 not exceed 3/8 minus the empty-4-set coefficient on any single class.
 
 This module pins the six squares and their weights as exact rationals,
-expands them at size 6 as integer numerators over one denominator each,
-lifts the empty-4-set density to size 6 the same way, and checks the slack
-of all 2102 admissible classes in integers, with one `Fraction` per class.
+each flag as an edge list on t vertices whose first s carry the type (see
+`turankit.flags`).  It expands them at size 6 as integer numerators over
+one denominator each, lifts the empty-4-set density to size 6 the same way,
+and checks the slack of all 2102 admissible classes in integers, with one
+`Fraction` per class.
 The matching construction (two disjoint complete halves) is evaluated for
 the lower bound, and its limit profile is checked to be an optimality
 witness: over it d(E4) averages 3/8 and every square averages 0.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .flags import ExpansionVector, Flag, chain_lift, square_expansion
+from .flags import ExpansionVector, chain_lift, square_expansion
 from .hypergraph import (
     Hypergraph,
     disjoint_union,
@@ -35,8 +37,6 @@ from .hypergraph import (
 __all__ = [
     "CertificateReport",
     "CertificateTerm",
-    "FlagCatalog",
-    "catalog_flags",
     "certificate_terms",
     "e5free_six_classes",
     "two_clique_density",
@@ -51,105 +51,54 @@ TWO_CLIQUES_PROFILE = {0xFFFFF: 1, 0x3FF: 6, 0xF: 15, 0x600: 10}
 
 
 @dataclass(frozen=True)
-class FlagCatalog:
-    """The types and typed flags used by the certificate.
-
-    Types (labels significant): p1/p2/p3/p4 are edgeless on 1..4 vertices
-    and q4 has the single edge (0,1,2).  Each flag comment lists the host's
-    full edge set.
-    """
-
-    p1: Hypergraph
-    p2: Hypergraph
-    p3: Hypergraph
-    p4: Hypergraph
-    q4: Hypergraph
-    e3_p1: Flag  # empty 3-set over a single typed vertex
-    l_a: Flag  # 4 vertices, edge (0,2,3), type (0,1)
-    l_b: Flag  # 4 vertices, edge (1,2,3), type (0,1)
-    m_a: Flag  # 4 vertices, edge (1,2,3), type (0,1,2)
-    m_b: Flag  # 4 vertices, edge (0,2,3), type (0,1,2)
-    m_c: Flag  # 4 vertices, edge (0,1,3), type (0,1,2)
-    e4_p3: Flag  # empty 4-set over an edgeless typed triple
-    n_q4: Flag  # 5 vertices, edge (0,1,2) only, type (0,1,2,3)
-    o_a: Flag  # 5 vertices, edge (0,1,4) only, edgeless type (0,1,2,3)
-    o_b: Flag  # 5 vertices, edge (2,3,4) only, edgeless type (0,1,2,3)
-
-
-def catalog_flags() -> FlagCatalog:
-    """Build and validate the certificate's flag catalog.
-
-    Every Flag constructor re-checks that the host restricted to the typed
-    vertices equals the type, so an inconsistent catalog cannot load.
-    """
-    p1 = Hypergraph.empty(1, 3)
-    p2 = Hypergraph.empty(2, 3)
-    p3 = Hypergraph.empty(3, 3)
-    p4 = Hypergraph.empty(4, 3)
-    q4 = Hypergraph.from_edges(4, 3, [(0, 1, 2)])
-    return FlagCatalog(
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p4=p4,
-        q4=q4,
-        e3_p1=Flag(Hypergraph.empty(3, 3), (0,), p1),
-        l_a=Flag(Hypergraph.from_edges(4, 3, [(0, 2, 3)]), (0, 1), p2),
-        l_b=Flag(Hypergraph.from_edges(4, 3, [(1, 2, 3)]), (0, 1), p2),
-        m_a=Flag(Hypergraph.from_edges(4, 3, [(1, 2, 3)]), (0, 1, 2), p3),
-        m_b=Flag(Hypergraph.from_edges(4, 3, [(0, 2, 3)]), (0, 1, 2), p3),
-        m_c=Flag(Hypergraph.from_edges(4, 3, [(0, 1, 3)]), (0, 1, 2), p3),
-        e4_p3=Flag(Hypergraph.empty(4, 3), (0, 1, 2), p3),
-        n_q4=Flag(Hypergraph.from_edges(5, 3, [(0, 1, 2)]), (0, 1, 2, 3), q4),
-        o_a=Flag(Hypergraph.from_edges(5, 3, [(0, 1, 4)]), (0, 1, 2, 3), p4),
-        o_b=Flag(Hypergraph.from_edges(5, 3, [(2, 3, 4)]), (0, 1, 2, 3), p4),
-    )
-
-
-@dataclass(frozen=True)
 class CertificateTerm:
-    """One weighted square: weight * avg((sum a_i F_i - constant * sigma)^2)."""
+    """One weighted square: weight * avg((sum a_i F_i - constant * sigma)^2),
+    with terms (a_i, F_i) and each flag F_i typed on its first sigma.n vertices."""
 
     label: str
     weight: Fraction
     sigma: Hypergraph
-    terms: tuple[tuple[Fraction, Flag], ...]
+    terms: tuple[tuple[Fraction, Hypergraph], ...]
     constant: Fraction
+
+
+# label, weight, type size s and edges, flag size t, (coefficient, flag
+# edges) per flag, constant.  Every type is edgeless but the single-edge one.
+_SQUARES = (
+    ("empty-triple", Fraction(2, 3), 1, [], 3, [(1, [])], Fraction(3, 4)),
+    ("l-asymmetry", Fraction(1, 6), 2, [], 4, [(1, [(0, 2, 3)]), (-1, [(1, 2, 3)])], 0),
+    (
+        "m-sum",
+        Fraction(13, 12),
+        3,
+        [],
+        4,
+        [(1, [(1, 2, 3)]), (1, [(0, 2, 3)]), (1, [(0, 1, 3)])],
+        Fraction(1, 2),
+    ),
+    ("empty-quadruple", Fraction(11, 12), 3, [], 4, [(1, [])], Fraction(1, 2)),
+    ("single-edge-type", 2, 4, [(0, 1, 2)], 5, [(1, [(0, 1, 2)])], Fraction(1, 2)),
+    ("o-asymmetry", Fraction(1, 2), 4, [], 5, [(1, [(0, 1, 4)]), (-1, [(2, 3, 4)])], 0),
+)
 
 
 def certificate_terms() -> tuple[CertificateTerm, ...]:
     """The six weighted squares, weights {2/3, 1/6, 13/12, 11/12, 2, 1/2}.
 
-    The O-square is averaged over the edgeless quadruple type: o_a/o_b keep
-    exactly one edge meeting the typed vertices in a pair, and placing the
-    type on independent quadruples is what makes the two-disjoint-halves
-    construction tight.
+    The O-square is averaged over the edgeless quadruple type: its two
+    flags keep exactly one edge meeting the typed vertices in a pair, and
+    placing the type on independent quadruples is what makes the
+    two-disjoint-halves construction tight.
     """
-    c = catalog_flags()
-    one = Fraction(1)
-    return (
+    return tuple(
         CertificateTerm(
-            "empty-triple", Fraction(2, 3), c.p1, ((one, c.e3_p1),), Fraction(3, 4)
-        ),
-        CertificateTerm(
-            "l-asymmetry", Fraction(1, 6), c.p2, ((one, c.l_a), (-one, c.l_b)), Fraction(0)
-        ),
-        CertificateTerm(
-            "m-sum",
-            Fraction(13, 12),
-            c.p3,
-            ((one, c.m_a), (one, c.m_b), (one, c.m_c)),
-            Fraction(1, 2),
-        ),
-        CertificateTerm(
-            "empty-quadruple", Fraction(11, 12), c.p3, ((one, c.e4_p3),), Fraction(1, 2)
-        ),
-        CertificateTerm(
-            "single-edge-type", Fraction(2), c.q4, ((one, c.n_q4),), Fraction(1, 2)
-        ),
-        CertificateTerm(
-            "o-asymmetry", Fraction(1, 2), c.p4, ((one, c.o_a), (-one, c.o_b)), Fraction(0)
-        ),
+            label,
+            Fraction(weight),
+            Hypergraph.from_edges(s, 3, type_edges),
+            tuple((Fraction(a), Hypergraph.from_edges(t, 3, edges)) for a, edges in flags),
+            Fraction(constant),
+        )
+        for label, weight, s, type_edges, t, flags, constant in _SQUARES
     )
 
 

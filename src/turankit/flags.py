@@ -1,9 +1,14 @@
 """Typed flags and exact finite-size density expansions.
 
-A flag is a host hypergraph with an ordered tuple of distinguished (typed)
-vertices; the induced subgraph on the typed vertices must equal the type
-exactly, labels included.  Flag isomorphism fixes typed vertices pointwise
-and only permutes the untyped ones.
+A type sigma is a k-graph on s labelled vertices, and a flag of type sigma
+is a k-graph on t >= s vertices whose first s vertices carry sigma: colex
+order puts the k-subsets of {0..s-1} first, so the flag's low C(s, k) mask
+bits equal sigma's mask.  An isomorphism of flags fixes the typed vertices
+pointwise and only permutes the untyped ones s..t-1, so a flag's code is its
+entry in `_typed_canon(t, s, k)` of `turankit.hypergraph`: an int64 array of
+every t-vertex mask's minimum over those permutations.  At s = 0 that is the
+untyped canonical code, which `hypergraph._canonical_codes` also reads up
+to 5 vertices.
 
 Products of flags sharing a type placement are evaluated over ordered pairs
 of disjoint extension sets, so every expansion computed here is an exact
@@ -11,13 +16,8 @@ identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
 
-Every sub-mask is classified through one table, `_typed_canon(t, s, k)` of
-`turankit.hypergraph`: an int64 array of every ordered t-vertex mask's
-minimum over the permutations of the untyped positions s..t-1; at s = 0
-that is the untyped canonical code, which `hypergraph._canonical_codes`
-also reads up to 5 vertices.  The per-host `typed_code` (and so `flag_code`) reads one
-entry of it, `square_expansion` maps every ordering of every t-vertex mask
-through it into a weight table, and `chain_lift` maps the untyped
+`square_expansion` maps every ordering of every t-vertex mask through the
+`_typed_canon` table into a weight table, and `chain_lift` maps the untyped
 sub-masks of all classes of a larger size, up to 6 vertices, through it.
 A flag's weight at a placement depends only on the t vertices it spans, so
 both read the sub-masks of all classes on vertex subsets off
@@ -39,82 +39,22 @@ import numpy as np
 
 from .hypergraph import (
     Hypergraph,
-    _gather,
     _ordered_masks,
     _perm_tables,
     _typed_canon,
     enumerate_all,
     restriction_class_counts,
-    tuple_bits,
 )
 
 __all__ = [
     "ExpansionVector",
-    "Flag",
     "chain_lift",
-    "flag_code",
     "square_expansion",
-    "typed_code",
 ]
-
-# A type is a plain Hypergraph whose vertex labels are significant: two
-# types are interchangeable only when their masks are literally equal.
 
 _LIFT_LIMIT = 6
 # `square_expansion` reads its placement weights in batches of this many entries
 _GATHER_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class Flag:
-    """Host graph with typed vertices type_map[i] carrying type label i."""
-
-    host: Hypergraph
-    type_map: tuple[int, ...]
-    sigma: Hypergraph
-
-    def __post_init__(self) -> None:
-        if self.sigma.k != self.host.k:
-            raise ValueError("Flag: type and host uniformities differ")
-        if len(self.type_map) != self.sigma.n:
-            raise ValueError("Flag: type_map length must match the type size")
-        if len(set(self.type_map)) != len(self.type_map) or not all(
-            0 <= v < self.host.n for v in self.type_map
-        ):
-            raise ValueError("Flag: type_map must be an injection into the host")
-        if _typed_mask(self.host, self.type_map) != self.sigma.edges:
-            raise ValueError(
-                "Flag: host restricted to the typed vertices does not equal the type"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.host.n
-
-    @property
-    def type_size(self) -> int:
-        return self.sigma.n
-
-    def untyped(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.host.n) if v not in self.type_map)
-
-
-def _typed_mask(H: Hypergraph, vertices: tuple[int, ...]) -> int:
-    """Edge mask of H on `vertices` relabeled so vertices[i] becomes i."""
-    return _gather(H.edges, tuple_bits(H.k, vertices))
-
-
-def typed_code(H: Hypergraph, theta: tuple[int, ...], extras) -> int:
-    """Canonical mask of the flag induced by typed vertices theta and
-    extension set extras: typed labels are pinned, untyped labels are
-    minimized over their permutations."""
-    ordered = tuple(theta) + tuple(sorted(extras))
-    return int(_typed_canon(len(ordered), len(theta), H.k)[_typed_mask(H, ordered)])
-
-
-def flag_code(F: Flag) -> int:
-    """Canonical mask of a flag under untyped-vertex relabeling."""
-    return typed_code(F.host, F.type_map, F.untyped())
 
 
 @dataclass(frozen=True)
@@ -146,30 +86,15 @@ class ExpansionVector:
         return Fraction(num, self.den * math.comb(G.n, self.n))
 
 
-def _term_layout(
-    sigma: Hypergraph, terms: Sequence[tuple[Fraction, Flag]]
-) -> tuple[int, dict[int, Fraction]]:
-    """Validate a term list and return (flag size t, summed coeff per code)."""
-    sizes = {f.size for _, f in terms} or {sigma.n}
-    if len(sizes) != 1:
-        raise ValueError("terms must all have the same flag size")
-    if any(f.sigma != sigma for _, f in terms):
-        raise ValueError("terms must all carry the given type")
-    weight: dict[int, Fraction] = {}
-    for a, f in terms:
-        code = flag_code(f)
-        weight[code] = weight.get(code, Fraction(0)) + Fraction(a)
-    return sizes.pop(), weight
-
-
 def square_expansion(
     sigma: Hypergraph,
-    terms: Sequence[tuple[Fraction, Flag]],
+    terms: Sequence[tuple[Fraction, Hypergraph]],
     constant: Fraction,
     size: int,
 ) -> ExpansionVector:
     """Coefficients of the averaged square (sum a_i F_i - c sigma)^2 over
-    the classes of size-vertex hosts.
+    the classes of size-vertex hosts, for terms (a_i, F_i) whose flags F_i
+    all have t vertices and carry sigma on their first s.
 
     Per host the value is the average, over all injective type placements
     (non-embedding placements contribute 0), of the exact pair-density
@@ -188,20 +113,33 @@ def square_expansion(
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
-    t, weight = _term_layout(sigma, terms)
-    s = sigma.n
+    s, k = sigma.n, sigma.k
+    sizes = {F.n for _, F in terms} or {s}
+    if len(sizes) != 1:
+        raise ValueError("square_expansion: flags must all have the same size")
+    t = sizes.pop()
+    if t < s:
+        raise ValueError("square_expansion: a flag is smaller than its type")
+    if any(F.k != k for _, F in terms):
+        raise ValueError("square_expansion: flag and type uniformities differ")
+    type_bits = (1 << math.comb(s, k)) - 1
+    if any(F.edges & type_bits != sigma.edges for _, F in terms):
+        raise ValueError("square_expansion: a flag does not carry the type on its first vertices")
+    canon = _typed_canon(t, s, k)
+    weight: dict[int, Fraction] = {}  # summed coefficient per flag code
+    for a, F in terms:
+        code = int(canon[F.edges])
+        weight[code] = weight.get(code, Fraction(0)) + Fraction(a)
     base = 2 * t - s
     if base > size:
         raise ValueError(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
         )
-    k = sigma.k
     scale = math.lcm(*(w.denominator for w in weight.values()))
     n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
     top = max(map(abs, ints.values()), default=0) ** 2
     fits = top * n1 * math.perm(base, s) < 1 << 63  # else exact Python ints
-    canon = _typed_canon(t, s, k)
     by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
     by_code[list(ints)] = list(ints.values())
     # the weight of every t-vertex mask under every relabeling; a flag code

@@ -22,14 +22,12 @@ from turankit import (
     decimal_string,
     epsilon_value,
     exp_bounds,
-    flag_code,
     multinomial,
     subset_rank,
-    typed_code,
     x_ratio,
 )
 from turankit.certificate import _term_vectors, certificate_terms
-from turankit.flags import ExpansionVector, Flag, _typed_mask
+from turankit.flags import ExpansionVector
 from turankit.hypergraph import tuple_bits
 
 
@@ -138,6 +136,29 @@ def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[F
     return out
 
 
+def typed_mask(H: Hypergraph, verts: Sequence[int]) -> int:
+    """Edge mask of H on the ordered tuple verts, relabeled so verts[i]
+    becomes i, rebuilt bit by bit through subset_rank."""
+    mask = 0
+    for i, sub in enumerate(colex_subsets(len(verts), H.k)):
+        if (H.edges >> subset_rank(verts[j] for j in sub)) & 1:
+            mask |= 1 << i
+    return mask
+
+
+def brute_typed_code(H: Hypergraph, theta: Sequence[int], extras: Sequence[int]) -> int:
+    """Reference classifier: the least typed mask over every ordering of the
+    extension vertices, with the placement theta first and fixed."""
+    return min(typed_mask(H, tuple(theta) + p) for p in itertools.permutations(extras))
+
+
+def flag_class(sigma: Hypergraph, F: Hypergraph) -> int:
+    """The brute-force code of a flag typed on its first sigma.n vertices."""
+    if F.k != sigma.k or F.n < sigma.n or typed_mask(F, range(sigma.n)) != sigma.edges:
+        raise ValueError("flag_class: the flag does not carry the type on its first vertices")
+    return brute_typed_code(F, range(sigma.n), range(sigma.n, F.n))
+
+
 def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
     """All ordered injections of the type's labels into H whose induced,
     relabeled subgraph equals the type exactly (non-edges included)."""
@@ -148,33 +169,37 @@ def type_embeddings(sigma: Hypergraph, H: Hypergraph) -> list[tuple[int, ...]]:
     return [
         theta
         for theta in itertools.permutations(range(H.n), sigma.n)
-        if _typed_mask(H, theta) == sigma.edges
+        if typed_mask(H, theta) == sigma.edges
     ]
 
 
 def _require_embedding(sigma: Hypergraph, H: Hypergraph, theta: tuple[int, ...]) -> None:
     if len(theta) != sigma.n or len(set(theta)) != sigma.n:
         raise ValueError("theta must be an injective placement of the type")
-    if _typed_mask(H, theta) != sigma.edges:
+    if typed_mask(H, theta) != sigma.edges:
         raise ValueError("theta does not embed the type")
 
 
-def extension_density(F: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
+def extension_density(
+    sigma: Hypergraph, F: Hypergraph, H: Hypergraph, theta: tuple[int, ...]
+) -> Fraction:
     """Probability that a uniform (|F|-s)-subset of the free vertices,
     together with the placement theta, induces a flag isomorphic to F."""
-    _require_embedding(F.sigma, H, theta)
-    e = F.size - F.type_size
+    _require_embedding(sigma, H, theta)
+    e = F.n - sigma.n
     free = [v for v in range(H.n) if v not in theta]
     if len(free) < e:
         raise ValueError("extension_density: not enough free vertices")
-    target = flag_code(F)
+    target = flag_class(sigma, F)
     hits = sum(
-        1 for S in itertools.combinations(free, e) if typed_code(H, theta, S) == target
+        1 for S in itertools.combinations(free, e) if brute_typed_code(H, theta, S) == target
     )
     return Fraction(hits, math.comb(len(free), e))
 
 
-def pair_density(Fa: Flag, Fb: Flag, H: Hypergraph, theta: tuple[int, ...]) -> Fraction:
+def pair_density(
+    sigma: Hypergraph, Fa: Hypergraph, Fb: Hypergraph, H: Hypergraph, theta: tuple[int, ...]
+) -> Fraction:
     """Probability that an ordered pair of disjoint extension sets realizes
     (Fa, Fb) simultaneously at the placement theta.
 
@@ -182,23 +207,22 @@ def pair_density(Fa: Flag, Fb: Flag, H: Hypergraph, theta: tuple[int, ...]) -> F
     with |Sa| = |Fa|-s and |Sb| = |Fb|-s.  This is the exact finite-size
     product of the two flags.
     """
-    if Fa.sigma != Fb.sigma:
-        raise ValueError("pair_density: flags carry different types")
-    _require_embedding(Fa.sigma, H, theta)
-    ea = Fa.size - Fa.type_size
-    eb = Fb.size - Fb.type_size
+    _require_embedding(sigma, H, theta)
+    ea, eb = Fa.n - sigma.n, Fb.n - sigma.n
     free = [v for v in range(H.n) if v not in theta]
     f = len(free)
     if f < ea + eb:
         raise ValueError("pair_density: not enough free vertices")
-    ca, cb = flag_code(Fa), flag_code(Fb)
+    ca, cb = flag_class(sigma, Fa), flag_class(sigma, Fb)
     hits = 0
     for Sa in itertools.combinations(free, ea):
-        if typed_code(H, theta, Sa) != ca:
+        if brute_typed_code(H, theta, Sa) != ca:
             continue
         rest = [v for v in free if v not in Sa]
         hits += sum(
-            1 for Sb in itertools.combinations(rest, eb) if typed_code(H, theta, Sb) == cb
+            1
+            for Sb in itertools.combinations(rest, eb)
+            if brute_typed_code(H, theta, Sb) == cb
         )
     return Fraction(hits, math.comb(f, ea) * math.comb(f - ea, eb))
 
@@ -207,15 +231,20 @@ def square_oracle(sigma, terms, constant, H):
     """Average over every injective type placement in H of the square
     (sum a_i F_i - c sigma)^2, one placement at a time through
     type_embeddings / pair_density / extension_density: no class tables,
-    no whole-class arrays and no chain lift."""
+    no whole-class arrays and no chain lift, and every extension set is
+    classified by brute_typed_code, not by the package's code table."""
     total = Fraction(0)
     for theta in type_embeddings(sigma, H):
         pair_part = sum(
-            (a * b * pair_density(Fa, Fb, H, theta) for a, Fa in terms for b, Fb in terms),
+            (
+                a * b * pair_density(sigma, Fa, Fb, H, theta)
+                for a, Fa in terms
+                for b, Fb in terms
+            ),
             Fraction(0),
         )
         single_part = sum(
-            (a * extension_density(F, H, theta) for a, F in terms), Fraction(0)
+            (a * extension_density(sigma, F, H, theta) for a, F in terms), Fraction(0)
         )
         total += pair_part - 2 * constant * single_part + constant * constant
     return total / math.perm(H.n, sigma.n)

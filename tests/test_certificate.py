@@ -11,17 +11,17 @@ import pytest
 from turankit import (
     Hypergraph,
     canonical_mask,
-    catalog_flags,
     certificate,
     certificate_terms,
     disjoint_union,
-    flag_code,
     has_no_empty_set,
     induced_density,
+    square_expansion,
     two_clique_density,
     verify_certificate,
 )
 from turankit.certificate import _term_vectors
+from turankit.hypergraph import _typed_canon
 
 from oracles import combined_square_vector
 
@@ -50,23 +50,50 @@ def table_digest(table):
     return hashlib.sha256(lines.encode("ascii")).hexdigest()
 
 
-def test_catalog_hosts_and_types():
-    cat = catalog_flags()
-    assert cat.l_a.host.edge_list() == ((0, 2, 3),)
-    assert cat.l_b.host.edge_list() == ((1, 2, 3),)
-    assert cat.o_a.host.edge_list() == ((0, 1, 4),)
-    assert cat.o_b.host.edge_list() == ((2, 3, 4),)
-    assert cat.n_q4.host.edge_list() == ((0, 1, 2),)
-    assert cat.q4.edge_list() == ((0, 1, 2),)
-    # every flag's host restricted to its typed vertices equals its type
-    for f in (flag for t in certificate_terms() for _, flag in t.terms):
-        restricted = f.host.restrict(f.type_map)
-        relabel = {v: i for i, v in enumerate(sorted(f.type_map))}
-        # type_map is sorted for all catalog flags, so restrict() preserves labels
-        assert sorted(f.type_map) == list(f.type_map)
-        assert restricted == f.sigma, f
+def test_term_hosts_and_types():
+    terms = {t.label: t for t in certificate_terms()}
+    flag_edges = {
+        label: [F.edge_list() for _, F in t.terms] for label, t in terms.items()
+    }
+    assert flag_edges == {
+        "empty-triple": [()],
+        "l-asymmetry": [((0, 2, 3),), ((1, 2, 3),)],
+        "m-sum": [((1, 2, 3),), ((0, 2, 3),), ((0, 1, 3),)],
+        "empty-quadruple": [()],
+        "single-edge-type": [((0, 1, 2),)],
+        "o-asymmetry": [((0, 1, 4),), ((2, 3, 4),)],
+    }
+    assert [(t.sigma.n, t.sigma.edge_list()) for t in terms.values()] == [
+        (1, ()), (2, ()), (3, ()), (3, ()), (4, ((0, 1, 2),)), (4, ()),
+    ]
+    for t in terms.values():
+        s = t.sigma.n
+        for _, F in t.terms:
+            # each flag carries its type on its first s vertices
+            assert F.restrict(range(s)) == t.sigma, (t.label, F)
+            # and is written as its own typed code
+            assert _typed_canon(F.n, s, 3)[F.edges] == F.edges, (t.label, F)
     # the two O flags are genuinely different typed flags
-    assert flag_code(cat.o_a) != flag_code(cat.o_b)
+    (_, o_a), (_, o_b) = terms["o-asymmetry"].terms
+    canon = _typed_canon(5, 4, 3)
+    assert canon[o_a.edges] != canon[o_b.edges]
+
+
+def test_term_vectors_match_the_span_labels(monkeypatch):
+    # a benchmark trace names each square expansion after the certificate
+    # term whose (sigma, terms, constant) equal its first three arguments
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return square_expansion(*args)
+
+    monkeypatch.setattr(certificate, "square_expansion", recording)
+    certificate._term_vectors.__wrapped__()
+    keys = {(t.sigma, t.terms, t.constant): t.label for t in certificate_terms()}
+    labels = [keys.get((sigma, tuple(terms), constant)) for sigma, terms, constant, _ in calls]
+    assert len(calls) == 6 and None not in labels
+    assert len(set(labels)) == 6
 
 
 def test_pinned_result_digests(certificate_run):
