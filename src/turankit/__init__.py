@@ -8,7 +8,13 @@ exact typed-flag expansion engine, and an exhaustively checked
 sum-of-squares certificate pinning the limiting empty-4-set density of
 3-graphs without empty 5-sets at 3/8.  A flag is a plain `Hypergraph` whose
 first s vertices carry its type, a `Hypergraph` on s vertices.
+
+Import loads only `bounds` and `combinat` (no numpy); `hypergraph`, `flags`,
+`certificate` and `relations` load, with numpy, on the first use of a name.
 """
+
+import importlib.util
+import sys
 
 from .bounds import (
     BoundReport,
@@ -26,14 +32,6 @@ from .bounds import (
     solve_delta,
     upper_bound,
 )
-from .certificate import (
-    CertificateReport,
-    CertificateTerm,
-    certificate_terms,
-    e5free_six_classes,
-    two_clique_density,
-    verify_certificate,
-)
 from .combinat import (
     EpsilonMode,
     binomial,
@@ -45,31 +43,30 @@ from .combinat import (
     vertex_threshold,
     x_ratio,
 )
-from .flags import (
-    ExpansionVector,
-    chain_lift,
-    square_expansion,
-)
-from .hypergraph import (
-    Hypergraph,
-    canonical_mask,
-    clique_counts,
-    colex_subsets,
-    disjoint_union,
-    enumerate_all,
-    has_no_empty_set,
-    induced_density,
-    read_hgr,
-    restriction_class_counts,
-    subset_rank,
-    write_hgr,
-)
-from .relations import (
-    InequalityCheck,
-    check_relaxed_rows,
-    check_square_intermediate,
-    check_three_term_inequality,
-    telescoped_combination,
-)
+
+# the public names of the submodules that load numpy, read on first use
+_NAMES = {
+    "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "
+    "two_clique_density verify_certificate",
+    "flags": "ExpansionVector chain_lift square_expansion",
+    "hypergraph": "Hypergraph canonical_mask clique_counts colex_subsets disjoint_union "
+    "enumerate_all has_no_empty_set induced_density read_hgr restriction_class_counts "
+    "subset_rank write_hgr",
+    "relations": "InequalityCheck check_relaxed_rows check_square_intermediate "
+    "check_three_term_inequality telescoped_combination",
+}
+_LAZY = {name: module for module, names in _NAMES.items() for name in names.split()}
+for _module in _NAMES:  # in sys.modules now, for tools that look there; run on first use
+    _spec = importlib.util.find_spec(f".{_module}", __name__)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_LAZY[name]], name)
+
 
 __version__ = "0.1.0"

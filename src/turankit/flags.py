@@ -33,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -152,26 +153,20 @@ def square_expansion(
     on_s = _ordered_masks(masks, base, k, itertools.combinations(range(base), s))
     iso = _typed_canon(s, 0, k) == _typed_canon(s, 0, k)[sigma.edges]
     placed = iso[on_s].sum(axis=1) * (math.factorial(s) // int(iso.sum()))
-    subsets = list(itertools.combinations(range(base), t))
+    subsets, cols, perms = _placements(base, t, s)
     rows = np.ascontiguousarray(_ordered_masks(masks, base, k, subsets).T)  # (subsets, classes)
-    subset_of = {U: i for i, U in enumerate(subsets)}
-    row_of = {q: i * len(canon) for i, q in enumerate(itertools.permutations(range(t)))}
-    cols, offsets = [], []  # each placement theta = o[:s], then each extension set o[s:]
-    for o in itertools.permutations(range(base), t):
-        if list(o[s:]) == sorted(o[s:]):
-            U = tuple(sorted(o))
-            cols.append(subset_of[U])
-            offsets.append(row_of[tuple(map(o.index, U))])  # relabels o[j] as j
-    cols, offsets = np.array(cols), np.array(offsets)[:, None]
+    offsets = (perms * len(canon))[:, None]
     single, pair = np.zeros((2, len(classes)), dtype=by_code.dtype)
     step = max(1, _GATHER_ENTRIES // (len(classes) * n1)) * n1
+    # a placement's extension sets run in lex order over its 2(t-s) free vertices, so the one
+    # disjoint from the j-th is the (n1-1-j)-th; n1 = C(2(t-s), t-s) is even past n1 = 1, so
+    # each pair is summed once and doubled, but the one set of n1 = 1 pairs with itself
+    half, twice = (n1 // 2, 2) if n1 > 1 else (1, 1)
     for i in range(0, len(cols), step):
         w = np.take(table, rows[cols[i : i + step]] + offsets[i : i + step])
         w = w.reshape(-1, n1, len(classes))  # (placements, extension sets, classes)
         single += w.sum(axis=(0, 1))
-        # a placement's extension sets run in lex order over its 2(t-s) free
-        # vertices, so the one disjoint from the j-th is its complement, the (n1-1-j)-th
-        pair += (w * w[:, ::-1]).sum(axis=(0, 1))
+        pair += twice * (w[:, :half] * w[:, ::-1][:, :half]).sum(axis=(0, 1))
     # common denominator of pairs / (scale^2 n1), singles / (scale n1), c = cs/(cd scale)
     cs, cd = constant.numerator * scale, constant.denominator
     denom = scale * scale * n1 * n1 * cd * cd * math.perm(base, s)
@@ -180,6 +175,18 @@ def square_expansion(
         nums[rep.edges] = (two * n1 * cd - 2 * cs * one * n1) * cd + p * cs * cs * n1 * n1
     vec = ExpansionVector(k, base, nums, denom)
     return chain_lift(vec, size) if size > base else vec
+
+
+@lru_cache(maxsize=None)
+def _placements(base: int, t: int, s: int):
+    """The t-subsets of {0..base-1}; per ordered t-tuple o (a type on o[:s], then an
+    extension set o[s:], increasing) the index of its subset and of the relabeling o[j] -> j."""
+    subsets = tuple(itertools.combinations(range(base), t))
+    subset_of = {U: i for i, U in enumerate(subsets)}
+    perm_of = {q: i for i, q in enumerate(itertools.permutations(range(t)))}
+    placed = [o for o in itertools.permutations(range(base), t) if list(o[s:]) == sorted(o[s:])]
+    cols = np.array([subset_of[tuple(sorted(o))] for o in placed])
+    return subsets, cols, np.array([perm_of[tuple(map(o.index, sorted(o)))] for o in placed])
 
 
 def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:

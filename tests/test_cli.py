@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -595,3 +598,68 @@ def test_class_file_path_is_directory_exit_4(capsys, tmp_path, argv, name):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not list(cache.glob("*.tmp.*"))
+
+
+def test_bounds_commands_start_without_numpy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "import turankit\n"
+        "assert 'numpy' not in sys.modules, 'import turankit'\n"
+        "from turankit import cli\n"
+        "assert 'numpy' not in sys.modules, 'import turankit.cli'\n"
+        "for argv in (\n"
+        "    ['bound', '--k', '3', '--g', '4', '--r', '5', '--n', '100'],\n"
+        "    ['table', '--k', '3', '--r', '9', '--n', '500'],\n"
+        "    ['lower', '--k', '3', '--g', '7', '--r', '9'],\n"
+        "    ['solve', '--k', '3', '--r', '5', '--g', '4', '--eps', '1/100'],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules, argv[0]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+# the public names of the package namespace, each with the submodule that defines it
+PUBLIC_NAMES = {
+    "bounds": "BoundReport PartiteBound RecurrenceTables SandwichTable TridiagonalSystem "
+    "asymptotic_product build_system de_caen_bound inverse_matrix partite_lower_bound "
+    "recurrences sandwich_table solve_delta upper_bound",
+    "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "
+    "two_clique_density verify_certificate",
+    "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
+    "exp_bounds multinomial vertex_threshold x_ratio",
+    "flags": "ExpansionVector chain_lift square_expansion",
+    "hypergraph": "Hypergraph canonical_mask clique_counts colex_subsets disjoint_union "
+    "enumerate_all has_no_empty_set induced_density read_hgr restriction_class_counts "
+    "subset_rank write_hgr",
+    "relations": "InequalityCheck check_relaxed_rows check_square_intermediate "
+    "check_three_term_inequality telescoped_combination",
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_package_names_resolve_to_their_submodule(module):
+    import importlib
+
+    import turankit
+
+    sub = importlib.import_module(f"turankit.{module}")
+    assert getattr(turankit, module) is sub
+    for name in PUBLIC_NAMES[module].split():
+        assert getattr(turankit, name) is getattr(sub, name), name
+    with pytest.raises(AttributeError):
+        turankit.no_such_name
+
+
+def test_verify_suite_choices_are_the_relation_suites():
+    from turankit import cli, relations
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == tuple(relations.SUITES)
