@@ -12,8 +12,12 @@ Every relation is integer arithmetic on the host's clique counts plus one
 one integer numerator over m p q t (n-m) C(n, m); x and the shift enter as
 integer pairs, so each three-term check and each relaxed row builds one
 `Fraction`, and a check reads its sign off the numerator and returns an
-`InequalityCheck` tuple record.  The square moments tally, for each complete
-(m-1)-set, the integer number l of vertices extending it (through
+`InequalityCheck` tuple record.  The three-term check, the relaxed rows and
+the telescoping sides read a host only through n, k and its clique counts (a
+three-term check only c_{m-1..m+1}), so each is built once per such profile,
+in a bounded cache, and shared by every host with it.  The square moments
+read restriction classes and are computed per host: they tally, for each
+complete (m-1)-set, the integer number l of vertices extending it (through
 `hypergraph._extension_masks`), weigh the classes of the (m+1)-vertex
 restrictions (`hypergraph.restriction_class_counts`: a table read up to 5
 vertices, orbit minima at 6, a scan at 7 and 8), and compare both moments
@@ -69,9 +73,16 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
-def _row(G: Hypergraph, m: int, p: int, q: int, s: int, t: int) -> tuple[int, int]:
-    """The three-term row at m and parameter x = p/q with diagonal shift
-    s/t, as (numerator, denominator) in integers:
+# Entries per profile cache; a 1000-host verify batch reads 3,600-4,400 three-term keys.
+_PROFILE_CACHE_SIZE = 8192
+
+
+def _row(
+    n: int, k: int, m: int, low: int, mid: int, up: int, p: int, q: int, s: int, t: int
+) -> tuple[int, int]:
+    """The three-term row at m and x = p/q with diagonal shift s/t on an
+    n-vertex k-graph with clique counts c_{m-1}, c_m, c_{m+1} = low, mid, up,
+    as (numerator, denominator) in integers:
 
         -((1 - (k-1)/m)/x) d(K_{m+1}, G) + (2 - (k-1)/(m x) - s/t) d(K_m, G)
         - x d(K_{m-1}, G)
@@ -81,11 +92,9 @@ def _row(G: Hypergraph, m: int, p: int, q: int, s: int, t: int) -> tuple[int, in
     m p q t (n-m) C(n, m) is an integer, also for unreduced p/q and s/t.
     The denominator is positive when p, q and t are and m < n.
     """
-    k, n = G.k, G.n
-    c = clique_counts(G)
-    up = (m - k + 1) * (m + 1) * q * q * t * c[m + 1]
-    mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * (n - m) * c[m]
-    low = (n - m + 1) * (n - m) * p * p * t * c[m - 1]
+    up = (m - k + 1) * (m + 1) * q * q * t * up
+    mid = (2 * m * p * t - (k - 1) * q * t - m * p * s) * q * (n - m) * mid
+    low = (n - m + 1) * (n - m) * p * p * t * low
     return mid - up - low, m * p * q * t * (n - m) * math.comb(n, m)
 
 
@@ -107,9 +116,16 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
         raise ValueError("check_three_term_inequality: need x > 0")
     if not G.k <= m < G.n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
+    return _three_term(G.n, G.k, m, *clique_counts(G)[m - 1 : m + 2], p, q)
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _three_term(
+    n: int, k: int, m: int, low: int, mid: int, up: int, p: int, q: int
+) -> InequalityCheck:
     # shift 1/((n-m) x) = q/((n-m) p); den > 0, so slack >= 0 iff num <= 0
-    num, den = _row(G, m, p, q, q, (G.n - m) * p)
-    return InequalityCheck(m, x, Fraction(-num, den), num <= 0)
+    num, den = _row(n, k, m, low, mid, up, p, q, q, (n - m) * p)
+    return InequalityCheck(m, Fraction(p, q), Fraction(-num, den), num <= 0)
 
 
 @lru_cache(maxsize=None)
@@ -177,12 +193,19 @@ def check_relaxed_rows(
     rows must come out <= 0 on any host; LITERAL-mode rows may go positive
     and are reported as values for the caller to log.
     """
-    k, n = G.k, G.n
-    if n <= r:
-        raise ValueError(f"check_relaxed_rows: need |G| > r, got |G|={n}, r={r}")
+    if G.n <= r:
+        raise ValueError(f"check_relaxed_rows: need |G| > r, got |G|={G.n}, r={r}")
+    return list(_relaxed_rows(G.n, G.k, r, mode, clique_counts(G)))
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _relaxed_rows(
+    n: int, k: int, r: int, mode: EpsilonMode, c: tuple[int, ...]
+) -> tuple[Fraction, ...]:
     eps = epsilon_value(k, r, n, mode)
     s, t = eps.numerator, eps.denominator
-    return [Fraction(*_row(G, m, *_x_parts(k, m, r), s, t)) for m in range(k, r)]
+    rows = (_row(n, k, m, *c[m - 1 : m + 2], *_x_parts(k, m, r), s, t) for m in range(k, r))
+    return tuple(Fraction(*row) for row in rows)
 
 
 class _Telescoping(NamedTuple):
@@ -240,13 +263,19 @@ def telescoped_combination(
     k, n = G.k, G.n
     if not (2 <= k <= g < r < n):
         raise ValueError("telescoped_combination: need 2 <= k <= g < r < |G|")
+    return _telescoped(n, k, g, r, mode, clique_counts(G))
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _telescoped(
+    n: int, k: int, g: int, r: int, mode: EpsilonMode, c: tuple[int, ...]
+) -> tuple[Fraction, Fraction]:
     tel = _telescoping(k, g, r, n, mode)
     num, den = 0, 1
     for m, p, q, dn, dd in tel.rows:
-        row_num, row_den = _row(G, m, p, q, tel.s, tel.t)
+        row_num, row_den = _row(n, k, m, *c[m - 1 : m + 2], p, q, tel.s, tel.t)
         num = num * dd * row_den + dn * row_num * den
         den *= dd * row_den
-    c = clique_counts(G)
     rhs = tel.low * c[k - 1] + tel.mid * c[g] + tel.high * c[r]
     return Fraction(num, den), Fraction(rhs, tel.den)
 

@@ -256,36 +256,118 @@ def _oracle_hosts():
     return hosts
 
 
-def test_relations_match_fraction_oracle():
+ORACLE_XS = [Fraction(1, 8), Fraction(3, 7), Fraction(1), Fraction(5, 3), Fraction(2)]
+
+
+def _assert_matches_fraction_oracle(G, rs=(5,)):
     # the integer numerators against the docstring formulas evaluated on
     # clique densities, with shift 1/((n-m) x), eps, and the telescoping sides
     from turankit import solve_delta
 
-    xs = [Fraction(1, 8), Fraction(3, 7), Fraction(1), Fraction(5, 3), Fraction(2)]
-    r = 5
+    k, n = G.k, G.n
+    for m in range(k, n):
+        for x in ORACLE_XS:
+            res = check_three_term_inequality(G, m, x)
+            assert res.slack == -_oracle_row(G, m, x, 1 / ((n - m) * x))
+            assert res.holds == (res.slack >= 0)
+    for r, mode in itertools.product(rs, EpsilonMode):
+        eps = epsilon_value(k, r, n, mode)
+        rows = [_oracle_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
+        assert check_relaxed_rows(G, r, mode) == rows
+        for g in range(k, r):
+            delta = solve_delta(k, g, r, eps)
+            lhs = sum((dm * row for dm, row in zip(delta, rows)), Fraction(0))
+            rhs = (
+                -delta[0] * x_ratio(k, k, r) * clique_density(G, k - 1)
+                + clique_density(G, g)
+                - delta[-1]
+                * (1 - Fraction(k - 1, r - 1))
+                / x_ratio(k, r - 1, r)
+                * clique_density(G, r)
+            )
+            assert telescoped_combination(G, g, r, mode) == (lhs, rhs)
+
+
+def test_relations_match_fraction_oracle():
     for G in _oracle_hosts():
-        k, n = G.k, G.n
-        for m in range(k, n):
-            for x in xs:
-                res = check_three_term_inequality(G, m, x)
-                assert res.slack == -_oracle_row(G, m, x, 1 / ((n - m) * x))
-                assert res.holds == (res.slack >= 0)
-        for mode in EpsilonMode:
-            eps = epsilon_value(k, r, n, mode)
-            rows = [_oracle_row(G, m, x_ratio(k, m, r), eps) for m in range(k, r)]
-            assert check_relaxed_rows(G, r, mode) == rows
-            for g in range(k, r):
-                delta = solve_delta(k, g, r, eps)
-                lhs = sum((dm * row for dm, row in zip(delta, rows)), Fraction(0))
-                rhs = (
-                    -delta[0] * x_ratio(k, k, r) * clique_density(G, k - 1)
-                    + clique_density(G, g)
-                    - delta[-1]
-                    * (1 - Fraction(k - 1, r - 1))
-                    / x_ratio(k, r - 1, r)
-                    * clique_density(G, r)
-                )
-                assert telescoped_combination(G, g, r, mode) == (lhs, rhs)
+        _assert_matches_fraction_oracle(G)
+
+
+PROFILE_CACHES = (relations._three_term, relations._relaxed_rows, relations._telescoped)
+
+
+def _clear_profile_caches():
+    for cache in PROFILE_CACHES:
+        cache.cache_clear()
+
+
+def test_profile_records_shared_across_n_k_r_g_and_mode():
+    # pairs of hosts with one c_3, c_4, c_5: K_6 as a 2-graph and as a
+    # 3-graph (one whole profile), a 2-graph and a 3-graph found by search,
+    # and 3-graphs without and with an isolated vertex.  Every record built
+    # for one host of a pair is looked up for the other, keyed also on n, k,
+    # r, g and mode, and each host still matches the oracle.
+    rng = random.Random(5151)
+    pairs = [
+        (Hypergraph.complete(6, 2), Hypergraph.complete(6, 3)),
+        (Hypergraph(6, 2, 8187), Hypergraph(6, 3, 889508)),
+    ]
+    for _ in range(4):
+        G = Hypergraph(6, 3, rng.getrandbits(20))
+        pairs.append((G, Hypergraph(7, 3, G.edges)))  # colex: vertex 6 isolated
+    _clear_profile_caches()
+    for first, second in pairs:
+        assert relations.clique_counts(first)[3:6] == relations.clique_counts(second)[3:6]
+        for G in (first, second):
+            _assert_matches_fraction_oracle(G, rs=range(G.k + 1, G.n))
+    assert all(cache.cache_info().hits for cache in PROFILE_CACHES)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_profile_caches_see_one_count_off(monkeypatch, m):
+    # warm records must not answer for a host whose counts differ: c_m moves
+    # the three-term slack at m, relaxed row m and the left side at g = m
+    # (on 6 vertices the corrected eps is 1, which zeroes c_4 in row 4)
+    G = Hypergraph(6, 3, 0x5A5A5)
+    x, r, mode = Fraction(3, 8), 5, EpsilonMode.LITERAL
+    warm = (
+        check_three_term_inequality(G, m, x).slack,
+        check_relaxed_rows(G, r, mode)[m - 3],
+        telescoped_combination(G, m, r, mode),
+    )
+    real = relations.clique_counts
+
+    def bumped(G):
+        return tuple(c + (j == m) for j, c in enumerate(real(G)))
+
+    monkeypatch.setattr(relations, "clique_counts", bumped)
+    lhs, rhs = telescoped_combination(G, m, r, mode)
+    assert check_three_term_inequality(G, m, x).slack != warm[0]
+    assert check_relaxed_rows(G, r, mode)[m - 3] != warm[1]
+    assert lhs != warm[2][0] and rhs != warm[2][1]
+    assert lhs == rhs  # the identity holds for any counts
+
+
+def test_profile_caches_are_bounded():
+    rng = random.Random(300)
+    for _ in range(300):
+        G = Hypergraph(6, 3, rng.getrandbits(20))
+        check_three_term_inequality(G, 4, Fraction(3, 8))
+        check_relaxed_rows(G, 5)
+        telescoped_combination(G, 4, 5)
+    for cache in PROFILE_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == relations._PROFILE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+
+
+def test_relaxed_rows_returns_a_fresh_list():
+    G = Hypergraph(6, 3, 0x5A5A5)
+    rows = check_relaxed_rows(G, 5)
+    expected = list(rows)
+    rows[0] = Fraction(99)
+    rows.append(Fraction(0))
+    assert check_relaxed_rows(G, 5) == expected
 
 
 def test_three_term_accepts_any_rational_x():
@@ -360,3 +442,19 @@ def test_pinned_relation_values_digest(h4_classes, h5_classes):
     hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(60)]
     hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(30)]
     assert _relation_value_digest(hosts, x_grid()) == LEMMA_GRID_VALUES_SHA256
+
+
+def test_relation_values_digest_independent_of_call_order(h5_classes):
+    # shared records must not depend on which host built them: the pinned
+    # values come out with the caches cleared, warm, and filled in reverse
+    rng = random.Random(8128)
+    hosts = list(h5_classes)
+    hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(40)]
+    hosts += [Hypergraph(6, 2, rng.getrandbits(15)) for _ in range(20)]
+    xs = [Fraction(j, 8) for j in range(1, 17)]
+    _clear_profile_caches()
+    assert _relation_value_digest(hosts, xs) == RELATION_VALUES_SHA256
+    assert _relation_value_digest(hosts, xs) == RELATION_VALUES_SHA256
+    _clear_profile_caches()
+    _relation_value_digest(hosts[::-1], xs)
+    assert _relation_value_digest(hosts, xs) == RELATION_VALUES_SHA256
