@@ -16,15 +16,15 @@ identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
 evaluation on that host coefficient for coefficient.
 
-`square_expansion` maps every ordering of every t-vertex mask through the
-`_typed_canon` table into a weight table, and `chain_lift` maps the untyped
-sub-masks of all classes of a larger size, up to 6 vertices, through it.
-A flag's weight at a placement depends only on the t vertices it spans, so
-both read the sub-masks of all classes on vertex subsets off
-`hypergraph._ordered_masks`, two reads per class and subset in tables built
-from `tuple_bits`: the flag-size restrictions and the lifted sub-masks.
-Counts per class are int64, and numerators integers over one denominator,
-which the lift keeps.
+`square_expansion` sums each square's pair term over the s! orders of a
+type subset in one read of a Gram table, the inner products of the rows of
+a weight table over (t-vertex mask, order of its first s vertices): the
+moment-matrix entry of two extension sets.  `chain_lift` maps the untyped
+sub-masks of all classes of a larger size, up to 6 vertices, through the
+`_typed_canon` table.  Both read sub-masks of all classes on vertex subsets
+off `hypergraph._ordered_masks`.  Counts per class are int64 where no sum
+can overflow it, and numerators integers over one denominator, which the
+lift keeps.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 from .hypergraph import (
     Hypergraph,
     _ordered_masks,
-    _perm_tables,
     _typed_canon,
     enumerate_all,
     restriction_class_counts,
@@ -54,8 +53,6 @@ __all__ = [
 ]
 
 _LIFT_LIMIT = 6
-# `square_expansion` reads its placement weights in batches of this many entries
-_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,16 +98,16 @@ def square_expansion(
     (non-embedding placements contribute 0), of the exact pair-density
     square at that placement.  The square is expanded on all classes of
     2t - s vertices at once (flag size t, type size s).  The weight of a
-    placement theta and an extension set a depends only on the t vertices
-    U = theta + a, so it is one lookup of the class's restriction to U in a
-    table over (ordering of U, t-vertex mask): the weight a_i that
-    `_typed_canon` gives the mask ordered as theta then a, scaled to an
-    integer by the lcm of the denominators, and 0 where the type does not
-    embed.  Per class, int64 sums (or Python ints, where int64 could
-    overflow) collect the placements, the extension-set weights and, a
-    batch of placements at a time, the weight products over ordered
-    disjoint pairs of extension sets; each class gets one numerator over a
-    common denominator.
+    placement theta and an extension set a is the weight a_i that
+    `_typed_canon` gives the t-vertex sub-mask ordered as theta then a,
+    scaled to an integer by the lcm of the denominators, 0 where the type
+    does not embed.  The Gram table gram[b, a, tau] sums over the s! orders
+    of the type bits tau the weight products of tau | a << C(s,k) and
+    tau | b << C(s,k), so per class the pair term over ordered disjoint
+    extension sets is one Gram entry per type subset T and split {A, B} of
+    the other vertices (`_extension_pairs`), keyed by the sub-masks on T + A
+    and T + B.  Sums are int64, or Python ints where int64 could overflow,
+    and each class gets one numerator over a common denominator.
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
@@ -136,6 +133,8 @@ def square_expansion(
         raise ValueError(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
         )
+    classes = enumerate_all(base, k)  # within its guards before any table is built
+    masks = np.array([g.edges for g in classes], dtype=np.int64)
     scale = math.lcm(*(w.denominator for w in weight.values()))
     n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
@@ -143,30 +142,36 @@ def square_expansion(
     fits = top * n1 * math.perm(base, s) < 1 << 63  # else exact Python ints
     by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
     by_code[list(ints)] = list(ints.values())
-    # the weight of every t-vertex mask under every relabeling; a flag code
-    # keeps its type bits, so the weight is 0 where the type does not embed
-    _, lo_tab, hi_tab = _perm_tables(t, k, 0)
-    table = by_code[canon][hi_tab[:, :, None] | lo_tab[:, None, :]]  # (relabelings, masks)
-    classes = enumerate_all(base, k)
-    masks = np.array([g.edges for g in classes], dtype=np.int64)
-    # placements: an s-subset isomorphic to the type gives it in |Aut| = s!/|orbit| orderings
-    on_s = _ordered_masks(masks, base, k, itertools.combinations(range(base), s))
+    # the weight of every t-vertex mask with its first s vertices in each of their s! orders;
+    # a flag code keeps its type bits, so it is 0 where the type does not embed
+    orders = [(*p, *range(s, t)) for p in itertools.permutations(range(s))]
+    table = by_code[canon[_ordered_masks(np.arange(len(canon)), t, k, orders)]]
+    # gram[b, a, tau], in integer matmuls over the type bits tau, read flat at
+    # b << C(t,k) | a << C(s,k) | tau; only the tau that sigma's relabelings reach are nonzero
+    low, high = math.comb(s, k), math.comb(t, k)
     iso = _typed_canon(s, 0, k) == _typed_canon(s, 0, k)[sigma.edges]
-    placed = iso[on_s].sum(axis=1) * (math.factorial(s) // int(iso.sum()))
-    subsets, cols, perms = _placements(base, t, s)
-    rows = np.ascontiguousarray(_ordered_masks(masks, base, k, subsets).T)  # (subsets, classes)
-    offsets = (perms * len(canon))[:, None]
-    single, pair = np.zeros((2, len(classes)), dtype=by_code.dtype)
-    step = max(1, _GATHER_ENTRIES // (len(classes) * n1)) * n1
-    # a placement's extension sets run in lex order over its 2(t-s) free vertices, so the one
-    # disjoint from the j-th is the (n1-1-j)-th; n1 = C(2(t-s), t-s) is even past n1 = 1, so
-    # each pair is summed once and doubled, but the one set of n1 = 1 pairs with itself
-    half, twice = (n1 // 2, 2) if n1 > 1 else (1, 1)
-    for i in range(0, len(cols), step):
-        w = np.take(table, rows[cols[i : i + step]] + offsets[i : i + step])
-        w = w.reshape(-1, n1, len(classes))  # (placements, extension sets, classes)
-        single += w.sum(axis=(0, 1))
-        pair += twice * (w[:, :half] * w[:, ::-1][:, :half]).sum(axis=(0, 1))
+    rows = table.reshape(1 << (high - low), 1 << low, len(orders)).transpose(1, 0, 2)[iso]
+    gram = np.zeros((1 << (high - low), 1 << (high - low), 1 << low), dtype=by_code.dtype)
+    gram[..., iso] = np.matmul(rows, rows.transpose(0, 2, 1)).transpose(1, 2, 0)
+    # each t-subset's sub-mask per class, and the relabelings of a t-vertex mask that put
+    # an s-subset P first: a placement in a t-set is one of them, then an order of P
+    on_t = _ordered_masks(masks, base, k, itertools.combinations(range(base), t))
+    firsts = [(*P, *sorted({*range(t)} - {*P})) for P in itertools.combinations(range(t), s)]
+    relabel = _ordered_masks(np.arange(len(canon)), t, k, firsts)
+    on_t, relabel = (np.ascontiguousarray(a.T, dtype=np.intp) for a in (on_t, relabel))
+    single = table.sum(axis=1)[relabel].sum(axis=0)[on_t].sum(axis=0)
+    # placements: an s-subset isomorphic to the type gives it in |Aut| = s!/|orbit|
+    # orderings, and each s-subset lies in n1 t-subsets
+    typed = iso[relabel & ((1 << low) - 1)].sum(axis=0)[on_t].sum(axis=0) // n1
+    placed = typed * (math.factorial(s) // int(iso.sum()))
+    # the Gram key of T + A and T + B from their t-subsets' sub-masks, T put first, one
+    # pass per split (arrays of one entry per class); ordered pairs of extension sets
+    # count each split twice, but the one set of n1 = 1 pairs with itself
+    shifted = (relabel >> low) << high
+    pair = np.zeros(len(classes), dtype=gram.dtype)
+    for (u, p), (v, q) in _extension_pairs(base, t, s):
+        pair += gram.take(relabel[p].take(on_t[u]) | shifted[q].take(on_t[v]))
+    pair *= 2 if n1 > 1 else 1
     # common denominator of pairs / (scale^2 n1), singles / (scale n1), c = cs/(cd scale)
     cs, cd = constant.numerator * scale, constant.denominator
     denom = scale * scale * n1 * n1 * cd * cd * math.perm(base, s)
@@ -178,15 +183,21 @@ def square_expansion(
 
 
 @lru_cache(maxsize=None)
-def _placements(base: int, t: int, s: int):
-    """The t-subsets of {0..base-1}; per ordered t-tuple o (a type on o[:s], then an
-    extension set o[s:], increasing) the index of its subset and of the relabeling o[j] -> j."""
-    subsets = tuple(itertools.combinations(range(base), t))
-    subset_of = {U: i for i, U in enumerate(subsets)}
-    perm_of = {q: i for i, q in enumerate(itertools.permutations(range(t)))}
-    placed = [o for o in itertools.permutations(range(base), t) if list(o[s:]) == sorted(o[s:])]
-    cols = np.array([subset_of[tuple(sorted(o))] for o in placed])
-    return subsets, cols, np.array([perm_of[tuple(map(o.index, sorted(o)))] for o in placed])
+def _extension_pairs(base: int, t: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per sorted s-subset T of {0..base-1}, base = 2t - s, and split of the other
+    vertices into A, holding the least of them, and B: for T + A and for T + B, the
+    index of the vertex set among the t-subsets and that of T's positions in it among
+    the s-subsets of range(t).  C(base, s) * max(1, C(2(t-s), t-s) / 2) pairs."""
+    subset_of = {U: i for i, U in enumerate(itertools.combinations(range(base), t))}
+    first_of = {P: i for i, P in enumerate(itertools.combinations(range(t), s))}
+    pairs = []
+    for T in itertools.combinations(range(base), s):
+        free = [v for v in range(base) if v not in T]
+        for rest in itertools.combinations(free[1:], max(0, t - s - 1)):
+            A = {*free[:1], *rest}  # empty at t = s, where the one split is ({}, {})
+            sets = (sorted({*T, *A}), sorted(set(range(base)) - A))  # T + A, T + B
+            pairs.append(tuple((subset_of[(*U,)], first_of[(*map(U.index, T),)]) for U in sets))
+    return tuple(pairs)
 
 
 def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
@@ -194,15 +205,16 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     of H is the density-weighted sum of the old coefficients over the
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
     are read off `_ordered_masks` and mapped through the untyped `_typed_canon` table,
-    and the numerators are summed per class as Python ints over
-    vec.den * C(size, vec.n)."""
+    and the numerators are summed per class over vec.den * C(size, vec.n), in int64
+    where no sum can overflow it and as Python ints otherwise."""
     if not vec.n < size <= _LIFT_LIMIT:
         raise ValueError(f"chain_lift: need {vec.n} < size <= {_LIFT_LIMIT}")
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)
     sub_masks = _ordered_masks(masks, size, k, itertools.combinations(range(size), b))
-    by_code = np.zeros(1 << math.comb(b, k), dtype=object)
+    fits = max(map(abs, vec.nums.values()), default=0) * math.comb(size, b) < 1 << 63
+    by_code = np.zeros(1 << math.comb(b, k), dtype=np.int64 if fits else object)
     by_code[list(vec.nums)] = list(vec.nums.values())
     sums = by_code[_typed_canon(b, 0, k)][sub_masks].sum(axis=1)
     nums = dict(zip((rep.edges for rep in classes), sums.tolist()))

@@ -36,9 +36,10 @@ gather a sub-mask through it instead of re-ranking every subset.
 `_order_tables` turns the bit positions of a tuple of ordered tuples into
 half tables, built by doubling like the relabeling tables, and
 `_ordered_masks` reads the sub-mask of every mask of an array on every
-tuple from them: the restrictions and lifts of `turankit.flags`, which work
-on all classes, the vertex-last masks of `_orbit_minima`, and the subset
-sub-masks of `restriction_class_counts`, two reads per subset.
+tuple from them: the restrictions, relabelings and lifts of
+`turankit.flags`, which work on all classes or all masks, the vertex-last
+masks of `_orbit_minima`, and the subset sub-masks of
+`restriction_class_counts`, two reads per subset.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
@@ -86,8 +87,9 @@ _TABLE_VERTEX_LIMIT = 6
 # canonical codes up to this many vertices are one read of a 2^C(n,k) table
 _CANON_TABLE_LIMIT = 5
 _MAX_ENUM_BITS = 20
-# `_orbit_minima` reads this many masks at a time, bounding its transients
-_ORBIT_CHUNK = 512
+# `_orbit_minima` reads at most this many images at a time (or one mask's
+# images, if more), bounding its transients
+_ORBIT_READS = 1 << 14
 # clique_counts remembers this many hosts: the relation checks on one host
 # reuse its counts, and a long run over many hosts does not grow.
 _CLIQUE_CACHE_HOSTS = 8
@@ -213,8 +215,7 @@ def _perm_tables(n: int, k: int, fixed: int):
     """`_half_tables` of each relabeling of {0..n-1} that fixes 0..fixed-1,
     row 0 the identity: bit b moves to the colex rank of its subset's image.
     `_orbit_minima` on n vertices reads the (n-1)-vertex ones, so canonical
-    forms up to 6 vertices never build a 720-row table;
-    `flags.square_expansion` reads the t-vertex ones of its flags."""
+    forms up to 6 vertices never build a 720-row table."""
     nbits = math.comb(n, k)
     perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
     perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
@@ -257,12 +258,12 @@ def _link_cosets(m: int, k: int, fixed: int):
     the relabelings that fix 0..fixed-1, and the rows of `_perm_tables(m, k,
     fixed)` that carry L there, rows[start[L] : start[L] + count[L]], a coset
     of the stabilizer of code[L]."""
-    split, lo_tab, hi_tab = _perm_tables(m, k, fixed)
-    links = np.arange(1 << math.comb(m, k))
-    images = lo_tab[:, links & ((1 << split) - 1)] | hi_tab[:, links >> split]
+    _, lo_tab, hi_tab = _perm_tables(m, k, fixed)
+    # every link's image under every row, built as one array: L = hi << split | lo
+    images = (hi_tab[:, :, None] | lo_tab[:, None, :]).reshape(len(lo_tab), -1)
     code = images.min(axis=0)
     owner, rows = np.nonzero((images == code).T)
-    count = np.bincount(owner, minlength=len(links))
+    count = np.bincount(owner, minlength=images.shape[1])
     return code, rows, np.cumsum(count) - count, count
 
 
@@ -284,22 +285,29 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
     code, rows, start, count = _link_cosets(n - 1, k - 1, fixed)
     orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
     out = np.empty(len(masks), dtype=np.int64)
-    for at in range(0, len(masks), _ORBIT_CHUNK):
-        last = _ordered_masks(masks[at : at + _ORBIT_CHUNK], n, k, orders)
+    for at in range(0, len(masks), _ORBIT_READS):  # a mask reads at least one image
+        last = _ordered_masks(masks[at : at + _ORBIT_READS], n, k, orders)
         link_code = code[last >> low]
         best = link_code.min(axis=1)
         hit = link_code == best[:, None]
-        picked = last[hit]  # row-major: each mask's picks are contiguous
-        link = picked >> low
-        reads = count[link]
-        ends = np.cumsum(reads)
-        firsts = ends - reads  # where each pick's images start
-        row = rows[np.repeat(start[link] - firsts, reads) + np.arange(ends[-1])]
-        rest = np.repeat(picked & ((1 << low) - 1), reads)
-        image = lo_tab[row, rest & ((1 << split) - 1)] | hi_tab[row, rest >> split]
-        picks = hit.sum(axis=1)
-        image = np.minimum.reduceat(image, firsts[np.cumsum(picks) - picks])  # per mask
-        out[at : at + _ORBIT_CHUNK] = image | best << low
+        # chunks of whole masks, cut as the images read pass multiples of the budget
+        cuts = [0, len(last)]
+        if len(last) * math.factorial(n - fixed) > _ORBIT_READS:  # else all fit in one
+            through = np.cumsum((count[last >> low] * hit).sum(axis=1))
+            steps = range(_ORBIT_READS, through[-1], _ORBIT_READS)
+            cuts = sorted({*cuts, *np.searchsorted(through, steps, side="right").tolist()})
+        for lo, hi in zip(cuts, cuts[1:]):
+            picked = last[lo:hi][hit[lo:hi]]  # row-major: each mask's picks are contiguous
+            link = picked >> low
+            reads = count[link]
+            ends = np.cumsum(reads)
+            firsts = ends - reads  # where each pick's images start
+            row = rows[np.repeat(start[link] - firsts, reads) + np.arange(ends[-1])]
+            rest = np.repeat(picked & ((1 << low) - 1), reads)
+            image = lo_tab[row, rest & ((1 << split) - 1)] | hi_tab[row, rest >> split]
+            picks = hit[lo:hi].sum(axis=1)
+            image = np.minimum.reduceat(image, firsts[np.cumsum(picks) - picks])  # per mask
+            out[at + lo : at + hi] = image | best[lo:hi] << low
     return out
 
 
@@ -367,9 +375,9 @@ def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
     if math.comb(n, k) == 0:
         return (Hypergraph(n, k, 0),)
     split, lo_tab, hi_tab = _perm_tables(n - 1, k, 0)
-    link_split, link_lo, link_hi = _perm_tables(n - 1, k - 1, 0)
+    _, link_lo, link_hi = _perm_tables(n - 1, k - 1, 0)
     links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64)
-    images = link_lo[:, links & ((1 << link_split) - 1)] | link_hi[:, links >> link_split]
+    images = (link_hi[:, :, None] | link_lo[:, None, :]).reshape(len(link_lo), -1)
     cands = []
     for rep in _all_classes(n - 1, k):
         m = rep.edges

@@ -375,9 +375,9 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
 
 def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path, monkeypatch):
     # orbit minima at 6 vertices read the 5-vertex tables and their link
-    # cosets, and the flag restrictions and lifts read tables of vertex
-    # tuples, so a cold run never builds the 720-row tables of
-    # _perm_tables(6, k, 0)
+    # cosets, and the flag weights, restrictions and lifts read tables of
+    # vertex tuples of at most 5 vertices, so a cold run never builds the
+    # 720-row tables of _perm_tables(6, k, 0) or relabels 6-vertex masks
     from turankit import certificate, flags, hypergraph
 
     cached = (
@@ -391,14 +391,19 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
     )
     for fn in cached:
         fn.cache_clear()
-    built, tables = [], hypergraph._perm_tables
+    built, tables, ordered = [], hypergraph._perm_tables, flags._ordered_masks
 
     def spy(n, k, fixed):
         built.append(n)
         return tables(n, k, fixed)
 
+    def spy_ordered(masks, n, k, orders):
+        orders = tuple(orders)
+        built.extend(map(len, orders))
+        return ordered(masks, n, k, orders)
+
     monkeypatch.setattr(hypergraph, "_perm_tables", spy)
-    monkeypatch.setattr(flags, "_perm_tables", spy)
+    monkeypatch.setattr(flags, "_ordered_masks", spy_ordered)
     code, out = run_cli(capsys, "certificate", "--cache-dir", str(tmp_path))
     assert code == 0
     assert built and max(built) < 6

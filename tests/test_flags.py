@@ -18,7 +18,8 @@ from turankit import (
     induced_density,
     square_expansion,
 )
-from turankit.hypergraph import _gather, _typed_canon, tuple_bits
+from turankit import flags
+from turankit.hypergraph import _gather, _typed_canon, restriction_class_counts, tuple_bits
 
 from oracles import (
     brute_typed_code,
@@ -252,6 +253,46 @@ def test_square_expansion_exact_beyond_int64():
     assert big * big > 1 << 63  # a single pair product already overflows int64
     assert huge.den == unit.den
     assert huge.nums == {code: big * big * c for code, c in unit.nums.items()}
+
+
+def test_chain_lift_exact_beyond_int64():
+    # numerators whose sums overflow int64 are summed as Python ints: every
+    # 6-vertex class sums 15 numerators of about 10^18
+    big = 10**18
+    nums = {rep.edges: big + i for i, rep in enumerate(enumerate_all(4, 3))}
+    lifted = chain_lift(ExpansionVector(3, 4, nums, 1), 6)
+    assert 15 * big > 1 << 63
+    for rep in enumerate_all(6, 3)[::50]:
+        counts = restriction_class_counts(rep, 4)
+        assert lifted.nums[rep.edges] == sum(nums[code] * c for code, c in counts.items())
+    # just below the bound the sums stay int64 and agree with the Python-int route
+    small = ExpansionVector(3, 4, {code: (big + 1) // 16 for code in nums}, 1)
+    assert chain_lift(small, 6).nums == {code: 15 * ((big + 1) // 16) for code in lifted.nums}
+
+
+@pytest.mark.parametrize(
+    "t, s", [(t, s) for t in range(5) for s in range(t + 1) if 2 * t - s <= 6]
+)
+def test_extension_pairs_split_the_free_vertices(t, s):
+    # one entry per type subset T and unordered split {A, B} of the other
+    # 2(t - s) vertices, A holding the least of them; at t = s the one split
+    # pairs the empty set with itself
+    base = 2 * t - s
+    pairs = flags._extension_pairs(base, t, s)
+    n1 = math.comb(base - s, t - s)
+    assert len(pairs) == math.comb(base, s) * max(1, n1 // 2)
+    subsets = list(itertools.combinations(range(base), t))
+    firsts = list(itertools.combinations(range(t), s))
+    splits = set()
+    for (u, p), (v, q) in pairs:
+        T = tuple(subsets[u][i] for i in firsts[p])
+        assert T == tuple(subsets[v][i] for i in firsts[q])
+        A, B = set(subsets[u]) - set(T), set(subsets[v]) - set(T)
+        assert len(A) == len(B) == t - s and not A & B
+        assert A | B == set(range(base)) - set(T)
+        assert not A or min(A | B) in A
+        splits.add((T, frozenset(A)))
+    assert len(splits) == len(pairs)
 
 
 def test_evaluation_consistency_lift_vs_direct():

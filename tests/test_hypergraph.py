@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from turankit import (
 )
 from turankit import hypergraph
 from turankit.hypergraph import (
-    _ORBIT_CHUNK,
+    _ORBIT_READS,
     MAX_VERTICES,
     _all_classes,
     _check_bits,
@@ -616,16 +617,47 @@ def test_restriction_class_counts_below_k():
         restriction_class_counts(G, 7)
 
 
+def images_read(masks, n, k, fixed=0):
+    """Images `_orbit_minima` reads for each mask: over the vertices placed
+    last whose link has the least code, the rows carrying that link there."""
+    code, _, _, count = hypergraph._link_cosets(n - 1, k - 1, fixed)
+    orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
+    links = _ordered_masks(masks, n, k, orders) >> math.comb(n - 1, k)
+    least = code[links] == code[links].min(axis=1)[:, None]
+    return (count[links] * least).sum(axis=1)
+
+
 def test_orbit_minima_agree_across_chunk_boundaries():
-    # every (5,3) mask five times over spans several chunks of _ORBIT_CHUNK
-    # masks, and slices cut off the chunk boundaries agree with the whole
+    # every (5,3) mask five times over reads more than two budgets of
+    # _ORBIT_READS images, so it runs in several chunks, cut after the last
+    # mask whose images fit a multiple of the budget; slices cut next to
+    # those boundaries agree with the whole
     masks = np.tile(np.arange(1 << 10, dtype=np.int64), 5)
-    assert len(masks) > 2 * _ORBIT_CHUNK
+    through = np.cumsum(images_read(masks, 5, 3))
+    assert through[-1] > 2 * _ORBIT_READS
+    first, second = np.searchsorted(through, [_ORBIT_READS, 2 * _ORBIT_READS], side="right")
+    assert 0 < first < second < len(masks)
     whole = _orbit_minima(masks, 5, 3)
-    cuts = [0, 1, _ORBIT_CHUNK - 1, _ORBIT_CHUNK + 1, 2 * _ORBIT_CHUNK, len(masks)]
+    cuts = [0, 1, first - 1, first + 1, second, len(masks)]
     pieces = [_orbit_minima(masks[a:b], 5, 3) for a, b in zip(cuts, cuts[1:])]
     assert np.concatenate(pieces).tolist() == whole.tolist()
     assert whole.tolist() == oracle_canonical_masks(5, 3, range(1 << 10)) * 5
+
+
+def test_orbit_minima_memory_is_bounded_by_images_read():
+    # every relabeling fixes the empty 6-vertex mask, so each of 512 reads
+    # all 720 images: 368,640 in all, about 12 MB of transients read at once
+    masks = np.zeros(512, dtype=np.int64)
+    assert images_read(masks, 6, 3).tolist() == [720] * 512
+    _orbit_minima(masks[:1], 6, 3)  # the tables and cosets are cached
+    tracemalloc.start()
+    try:
+        got = _orbit_minima(masks, 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [0] * 512
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize(
@@ -688,15 +720,17 @@ def test_orbit_minima_match_brute_force_at_every_fixed(n, k):
     # each relabeling places one movable vertex last and relabels the other
     # n-1, so only (n-1)-vertex tables are read; fixed = n-1 leaves the
     # identity alone and fixed = n has no movable vertex.  The masks repeated
-    # span more than one chunk of _ORBIT_CHUNK, slices of 8 lie within one
+    # are more than _ORBIT_READS, so they span two windows of masks and, as a
+    # mask reads at least one image, more than one budget of images; slices
+    # of 8 lie within one
     if k == 3:
         masks = list(range(1 << math.comb(n, k)))
     else:
         rng = random.Random(6202)
         masks = [rng.getrandbits(math.comb(n, k)) for _ in range(200)]
     arr = np.array(masks, dtype=np.int64)
-    reps = _ORBIT_CHUNK // len(masks) + 1
-    assert len(masks) * reps > _ORBIT_CHUNK
+    reps = _ORBIT_READS // len(masks) + 1
+    assert len(masks) * reps > _ORBIT_READS
     for fixed in range(n + 1):
         want = typed_minima(n, k, fixed, masks)
         got = _orbit_minima(np.tile(arr, reps), n, k, fixed).tolist()
