@@ -14,7 +14,10 @@ Products of flags sharing a type placement are evaluated over ordered pairs
 of disjoint extension sets, so every expansion computed here is an exact
 identity at its finite size, not an asymptotic one: averaging a square
 expansion over a larger host through the chain rule reproduces the direct
-evaluation on that host coefficient for coefficient.
+evaluation on that host coefficient for coefficient.  The sigma-flags of
+one size t sum to sigma, since each extension set of a placement spans
+exactly one of them, so a constant c sigma in a square is the weight c on
+every sigma-flag.
 
 `square_expansion` sums each square's pair term over the s! orders of a
 type subset in one read of a Gram table, the inner products of the rows of
@@ -69,7 +72,7 @@ class ExpansionVector:
     def __post_init__(self) -> None:
         if type(self.den) is not int or self.den <= 0:
             raise ValueError("ExpansionVector: den must be a positive int")
-        if not all(type(v) is int for v in self.nums.values()):
+        if not set(map(type, self.nums.values())) <= {int}:
             raise ValueError("ExpansionVector: numerators must be ints")
 
     def coefficient(self, code: int) -> Fraction:
@@ -97,17 +100,20 @@ def square_expansion(
     Per host the value is the average, over all injective type placements
     (non-embedding placements contribute 0), of the exact pair-density
     square at that placement.  The square is expanded on all classes of
-    2t - s vertices at once (flag size t, type size s).  The weight of a
-    placement theta and an extension set a is the weight a_i that
-    `_typed_canon` gives the t-vertex sub-mask ordered as theta then a,
-    scaled to an integer by the lcm of the denominators, 0 where the type
-    does not embed.  The Gram table gram[b, a, tau] sums over the s! orders
-    of the type bits tau the weight products of tau | a << C(s,k) and
-    tau | b << C(s,k), so per class the pair term over ordered disjoint
-    extension sets is one Gram entry per type subset T and split {A, B} of
-    the other vertices (`_extension_pairs`), keyed by the sub-masks on T + A
-    and T + B.  Sums are int64, or Python ints where int64 could overflow,
-    and each class gets one numerator over a common denominator.
+    2t - s vertices at once (flag size t, type size s).  The constant is
+    folded into the flags: c sigma is -c on every sigma-flag, so the weight
+    of a placement theta and an extension set a is a_i - c for the flag
+    F_i that `_typed_canon` gives the t-vertex sub-mask ordered as theta
+    then a (-c for a sigma-flag in no term), scaled to an integer by the
+    lcm of the denominators, and 0 where the type does not embed.  The
+    square is then its pair term alone.  The Gram table gram[b, a, tau]
+    sums over the s! orders of the type bits tau the weight products of
+    tau | a << C(s,k) and tau | b << C(s,k), so per class the pair term
+    over ordered disjoint extension sets is one Gram entry per type subset
+    T and split {A, B} of the other vertices (`_extension_pairs`), keyed by
+    the sub-masks on T + A and T + B.  Sums are int64, or Python ints where
+    int64 could overflow, and each class gets one numerator over
+    scale^2 n1 P(2t - s, s), for n1 extension sets per placement.
     Larger targets are lifted through the chain rule, which is loss-free.
     """
     constant = Fraction(constant)
@@ -124,10 +130,10 @@ def square_expansion(
     if any(F.edges & type_bits != sigma.edges for _, F in terms):
         raise ValueError("square_expansion: a flag does not carry the type on its first vertices")
     canon = _typed_canon(t, s, k)
-    weight: dict[int, Fraction] = {}  # summed coefficient per flag code
+    # -c on every sigma-flag: the codes of the masks whose low C(s,k) bits are sigma's
+    weight = dict.fromkeys(set(canon[sigma.edges :: type_bits + 1].tolist()), -constant)
     for a, F in terms:
-        code = int(canon[F.edges])
-        weight[code] = weight.get(code, Fraction(0)) + Fraction(a)
+        weight[int(canon[F.edges])] += Fraction(a)
     base = 2 * t - s
     if base > size:
         raise ValueError(
@@ -138,7 +144,7 @@ def square_expansion(
     scale = math.lcm(*(w.denominator for w in weight.values()))
     n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
-    top = max(map(abs, ints.values()), default=0) ** 2
+    top = max(map(abs, ints.values())) ** 2
     fits = top * n1 * math.perm(base, s) < 1 << 63  # else exact Python ints
     by_code = np.zeros(len(canon), dtype=np.int64 if fits else object)
     by_code[list(ints)] = list(ints.values())
@@ -159,11 +165,6 @@ def square_expansion(
     firsts = [(*P, *sorted({*range(t)} - {*P})) for P in itertools.combinations(range(t), s)]
     relabel = _ordered_masks(np.arange(len(canon)), t, k, firsts)
     on_t, relabel = (np.ascontiguousarray(a.T, dtype=np.intp) for a in (on_t, relabel))
-    single = table.sum(axis=1)[relabel].sum(axis=0)[on_t].sum(axis=0)
-    # placements: an s-subset isomorphic to the type gives it in |Aut| = s!/|orbit|
-    # orderings, and each s-subset lies in n1 t-subsets
-    typed = iso[relabel & ((1 << low) - 1)].sum(axis=0)[on_t].sum(axis=0) // n1
-    placed = typed * (math.factorial(s) // int(iso.sum()))
     # the Gram key of T + A and T + B from their t-subsets' sub-masks, T put first, one
     # pass per split (arrays of one entry per class); ordered pairs of extension sets
     # count each split twice, but the one set of n1 = 1 pairs with itself
@@ -172,13 +173,8 @@ def square_expansion(
     for (u, p), (v, q) in _extension_pairs(base, t, s):
         pair += gram.take(relabel[p].take(on_t[u]) | shifted[q].take(on_t[v]))
     pair *= 2 if n1 > 1 else 1
-    # common denominator of pairs / (scale^2 n1), singles / (scale n1), c = cs/(cd scale)
-    cs, cd = constant.numerator * scale, constant.denominator
-    denom = scale * scale * n1 * n1 * cd * cd * math.perm(base, s)
-    nums: dict[int, int] = {}
-    for rep, p, one, two in zip(classes, placed.tolist(), single.tolist(), pair.tolist()):
-        nums[rep.edges] = (two * n1 * cd - 2 * cs * one * n1) * cd + p * cs * cs * n1 * n1
-    vec = ExpansionVector(k, base, nums, denom)
+    nums = dict(zip((rep.edges for rep in classes), pair.tolist()))
+    vec = ExpansionVector(k, base, nums, scale * scale * n1 * math.perm(base, s))
     return chain_lift(vec, size) if size > base else vec
 
 

@@ -253,6 +253,13 @@ def test_square_expansion_exact_beyond_int64():
     assert big * big > 1 << 63  # a single pair product already overflows int64
     assert huge.den == unit.den
     assert huge.nums == {code: big * big * c for code, c in unit.nums.items()}
+    # the constant is a weight too: here only its share passes the int64 bound,
+    # with no flags (every coefficient 10^24) and beside one flag
+    for terms, constant in (((), ONE), (((ONE, E3),), Fraction(3, 4))):
+        huge = square_expansion(P1, tuple((big * a, F) for a, F in terms), big * constant, 6)
+        unit = square_expansion(P1, terms, constant, 6)
+        assert huge.nums.keys() == unit.nums.keys()
+        assert all(huge.coefficient(c) == big * big * unit.coefficient(c) for c in unit.nums)
 
 
 def test_chain_lift_exact_beyond_int64():
