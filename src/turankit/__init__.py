@@ -9,29 +9,14 @@ sum-of-squares certificate pinning the limiting empty-4-set density of
 3-graphs without empty 5-sets at 3/8.  A flag is a plain `Hypergraph` whose
 first s vertices carry its type, a `Hypergraph` on s vertices.
 
-Import loads only `bounds` and `combinat` (no numpy); `hypergraph`, `flags`,
-`certificate` and `relations` load, with numpy, on the first use of a name.
+Import runs only `combinat`.  The other submodules run on the first use of
+one of their names: `bounds` needs no numpy, while `hypergraph`, `flags`,
+`certificate` and `relations` load it.
 """
 
 import importlib.util
 import sys
 
-from .bounds import (
-    BoundReport,
-    PartiteBound,
-    RecurrenceTables,
-    SandwichTable,
-    TridiagonalSystem,
-    asymptotic_product,
-    build_system,
-    de_caen_bound,
-    inverse_matrix,
-    partite_lower_bound,
-    recurrences,
-    sandwich_table,
-    solve_delta,
-    upper_bound,
-)
 from .combinat import (
     EpsilonMode,
     binomial,
@@ -44,8 +29,11 @@ from .combinat import (
     x_ratio,
 )
 
-# the public names of the submodules that load numpy, read on first use
+# the public names of the submodules that run on first use
 _NAMES = {
+    "bounds": "BoundReport PartiteBound RecurrenceTables SandwichTable TridiagonalSystem "
+    "asymptotic_product build_system de_caen_bound inverse_matrix partite_lower_bound "
+    "recurrences sandwich_table solve_delta upper_bound",
     "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "
     "two_clique_density verify_certificate",
     "flags": "ExpansionVector chain_lift square_expansion",

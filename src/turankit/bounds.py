@@ -7,24 +7,24 @@ against a tridiagonal matrix indexed by m in [k, r-1]; its determinant
 recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
-Everything here is exact, and the solve runs in Python integers.  Each
-`TridiagonalSystem` carries its integer rows, computed once: row i scaled by
-the lcm R_i of its entry denominators (`build_system` caches the system, so
-the rows are kept per (k, r)).  `recurrences(sys, eps)` is the one record of
-the shift: at eps = p/q the system becomes the integer matrix M = q (scaled
-rows) - p diag(R), one integer recursion gives M's leading minors, the
-trailing minors are the same recursion on the reversed system, and the two
-must agree on the determinant.  `inverse_matrix` and `solve_delta` build it
-once per call (`turankit solve`, which prints the tables as well, reads its
-column from the same record) and build each column of the inverse as
-integer numerators over det(M), in one pass outward from the diagonal
-carrying the off-diagonal product, so every entry is one `Fraction`.  The
-`Fraction` tables theta, phi and zeta are computed only when read: the
-integer minors divided by the prefix and suffix products of the row scales.
-Every multiplier vector is checked against the integer equations M N =
-det(M) q R_g e_g, row by row; with a nonzero determinant that solution is
-unique, so the check is independent of the minor formula and costs
-O(dimension).
+Everything here is exact, and the solve runs in Python integers.  The
+records are NamedTuples, and a `TridiagonalSystem` computes its integer rows
+when it is built: row i scaled by the lcm R_i of its entry denominators
+(`build_system` caches the system, so the rows are kept per (k, r)).
+`recurrences(sys, eps)` is the one record of the shift: at eps = p/q the
+system becomes the integer matrix M = q (scaled rows) - p diag(R), one
+integer recursion gives M's leading minors, the trailing minors are the same
+recursion on the reversed system, and the two must agree on the determinant.
+`inverse_matrix` and `solve_delta` build it once per call (`turankit solve`,
+which prints the tables as well, reads its column from the same record) and
+build each column of the inverse as integer numerators over det(M), in one
+pass outward from the diagonal carrying the off-diagonal product, so every
+entry is one `Fraction`.  The `Fraction` tables theta, phi and zeta are
+computed only when read: the integer minors divided by the prefix and suffix
+products of the row scales.  Every multiplier vector is checked against
+the integer equations M N = det(M) q R_g e_g, row by row; with a nonzero
+determinant that solution is unique, so the check is independent of the
+minor formula and costs O(dimension).
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
@@ -42,9 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .combinat import (
@@ -76,7 +75,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TridiagonalSystem:
     """The bound system for parameters (k, r), indexed by m in [k, r-1].
 
@@ -86,14 +84,26 @@ class TridiagonalSystem:
 
     Off-diagonal entries are strictly negative on the whole range, which is
     what forces the inverse to be entrywise positive.  The solvers read the
-    entries of the system they are given through its cached integer rows.
+    entries of the system they are given through its integer rows, built
+    with it: rows = (scale, diag, up, down), row i multiplied by scale[i],
+    the lcm of that row's entry denominators, so every entry is an integer;
+    diag[i] = scale[i] diag[i], up[i] = -scale[i] upper[i] and down[i] =
+    -scale[i+1] lower[i].
     """
 
-    k: int
-    r: int
-    diag: tuple[Fraction, ...]
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
+    __slots__ = ("k", "r", "diag", "upper", "lower", "rows")
+
+    def __init__(self, k: int, r: int, diag, upper, lower) -> None:
+        self.k, self.r, self.diag, self.upper, self.lower = k, r, diag, upper, lower
+        d = r - k
+        rows = []
+        for i in range(d):
+            left, mid = lower[i - 1] if i else 0, diag[i]
+            right = upper[i] if i + 1 < d else 0
+            scale = math.lcm(left.denominator, mid.denominator, right.denominator)
+            rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
+        scale, left, mid, right = zip(*rows)
+        self.rows = scale, mid, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
 
     @property
     def dim(self) -> int:
@@ -102,22 +112,6 @@ class TridiagonalSystem:
     @property
     def ms(self) -> tuple[int, ...]:
         return tuple(range(self.k, self.r))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """(scale, diag, up, down): row i multiplied by scale[i], the lcm of
-        that row's entry denominators, so every entry is an integer; diag[i]
-        = scale[i] diag[i], up[i] = -scale[i] upper[i] and down[i] =
-        -scale[i+1] lower[i]."""
-        d = self.dim
-        rows = []
-        for i in range(d):
-            left, mid = self.lower[i - 1] if i else 0, self.diag[i]
-            right = self.upper[i] if i + 1 < d else 0
-            scale = math.lcm(left.denominator, mid.denominator, right.denominator)
-            rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
-        scale, left, diag, right = zip(*rows)
-        return scale, diag, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
 
 
 @lru_cache(maxsize=256)
@@ -144,8 +138,7 @@ def _minors(diag: list[int], offs: list[int]) -> list[int]:
     return out[1:]
 
 
-@dataclass(frozen=True)
-class RecurrenceTables:
+class RecurrenceTables(NamedTuple):
     """The shifted system A - eps I at eps = p/q as the integer matrix
     M = diag(scale) (A - eps I) = q (R A) - p diag(R), where R holds the row
     scales of `TridiagonalSystem.rows` and scale = q R, with M's minors:
@@ -153,7 +146,7 @@ class RecurrenceTables:
     (trail[d] = 1), so det(M) = lead[d] = trail[0].  up and down hold M's
     off-diagonals negated.
 
-    The `Fraction` tables, computed on first read, are the shifted system's
+    The `Fraction` tables, computed on each read, are the shifted system's
     own minors: M's divided by the prefix (suffix) products of the scales.
     theta[j] = theta(k-1+j), the leading principal minor over rows/columns
     {k..k-1+j}; theta[0] is the seed theta(k-1) = 1.  phi[j] = phi(k+j), the
@@ -172,25 +165,25 @@ class RecurrenceTables:
     lead: list[int]
     trail: list[int]
 
-    @cached_property
+    @property
     def theta(self) -> tuple[Fraction, ...]:  # m = k-1 .. r-1
         prefix = itertools.accumulate(self.scale, operator.mul, initial=1)
         return tuple(Fraction(t, p) for t, p in zip(self.lead, prefix))
 
-    @cached_property
+    @property
     def phi(self) -> tuple[Fraction, ...]:  # m = k .. r+1
         suffix = itertools.accumulate(reversed(self.scale), operator.mul, initial=1)
         phi = [Fraction(f, s) for f, s in zip(reversed(self.trail), suffix)]
         return tuple(phi[::-1]) + (Fraction(0),)
 
-    @cached_property
+    @property
     def zeta(self) -> tuple[Fraction, ...]:  # m = k .. r
         phi = self.phi
         return tuple(phi[j + 1] - phi[j] for j in range(len(self.diag))) + (Fraction(0),)
 
     @property
-    def determinant(self) -> Fraction:
-        return self.theta[-1]
+    def determinant(self) -> Fraction:  # theta(r-1)
+        return Fraction(self.lead[-1], math.prod(self.scale))
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
         """The (table, m) pairs with nonpositive values; nonempty tables
@@ -329,8 +322,7 @@ def de_caen_bound(k: int, r: int, n: int) -> Fraction:
     return Fraction(den - (n - k + 1), den)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluation of the finite-n upper bound and its companions."""
 
     k: int
@@ -483,8 +475,7 @@ def _inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
     return printed, corrected
 
 
-@dataclass(frozen=True)
-class SandwichTable:
+class SandwichTable(NamedTuple):
     """The g = r-1 comparison: blowup value <= product bound <= e^{(k-r)/k}.
 
     exp_limit_approx is the only non-rational quantity in the package; it is

@@ -14,15 +14,16 @@ approximations.  Output for identical inputs is byte-identical.
 class file, an output only: a file already at that path is replaced
 atomically (exclusive-create, then rename), never read.
 
-`bound`, `table`, `lower` and `solve` load only `bounds` and `combinat`, not
-numpy; `enumerate` loads `hypergraph`, `certificate` also `flags` and
-`certificate`, and `verify` `relations`, each as it runs.
+Importing this module runs only `combinat`; every other submodule loads as
+a command first uses it.  `bound`, `table`, `lower` and `solve` load
+`bounds`, which needs neither numpy nor `dataclasses`; `enumerate` loads
+`hypergraph`, `certificate` also `flags` and `certificate`, and `verify`
+`relations` (and through it `bounds`), all with numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -92,6 +93,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    import csv
     mode = _mode(args)
     buffer = io.StringIO()
     writer = csv.DictWriter(

@@ -608,11 +608,16 @@ def test_class_file_path_is_directory_exit_4(capsys, tmp_path, argv, name):
 def test_bounds_commands_start_without_numpy():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     code = (
-        "import sys\n"
+        "import sys, types\n"
+        "def unrun(where):\n"
+        "    assert 'numpy' not in sys.modules, where\n"
+        "    assert 'dataclasses' not in sys.modules, where\n"
+        "    # LazyLoader sets the class back to ModuleType once the module runs\n"
+        "    assert type(sys.modules['turankit.bounds']) is not types.ModuleType, where\n"
         "import turankit\n"
-        "assert 'numpy' not in sys.modules, 'import turankit'\n"
+        "unrun('import turankit')\n"
         "from turankit import cli\n"
-        "assert 'numpy' not in sys.modules, 'import turankit.cli'\n"
+        "unrun('import turankit.cli')\n"
         "for argv in (\n"
         "    ['bound', '--k', '3', '--g', '4', '--r', '5', '--n', '100'],\n"
         "    ['table', '--k', '3', '--r', '9', '--n', '500'],\n"
@@ -621,6 +626,7 @@ def test_bounds_commands_start_without_numpy():
         "):\n"
         "    assert cli.main(argv) == 0\n"
         "    assert 'numpy' not in sys.modules, argv[0]\n"
+        "    assert 'dataclasses' not in sys.modules, argv[0]\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
