@@ -15,16 +15,18 @@ when it is built: row i scaled by the lcm R_i of its entry denominators
 system becomes the integer matrix M = q (scaled rows) - p diag(R), one
 integer recursion gives M's leading minors, the trailing minors are the same
 recursion on the reversed system, and the two must agree on the determinant.
-`inverse_matrix` and `solve_delta` build it once per call (`turankit solve`,
-which prints the tables as well, reads its column from the same record) and
-build each column of the inverse as integer numerators over det(M), in one
-pass outward from the diagonal carrying the off-diagonal product, so every
-entry is one `Fraction`.  The `Fraction` tables theta, phi and zeta are
-computed only when read: the integer minors divided by the prefix and suffix
-products of the row scales.  Every multiplier vector is checked against
-the integer equations M N = det(M) q R_g e_g, row by row; with a nonzero
-determinant that solution is unique, so the check is independent of the
-minor formula and costs O(dimension).
+`recurrences` keeps its last few records per (system, eps), with tuple
+fields, so `solve_delta` and `inverse_matrix` at one eps share one record
+(`turankit solve`, which prints the tables as well, reads its column from
+the same record).  Both build each column of the inverse as integer
+numerators over det(M), in one pass outward from the diagonal carrying the
+off-diagonal product, so every entry is one `Fraction`.  The `Fraction`
+tables theta, phi and zeta are computed only when read: the integer minors
+divided by the prefix and suffix products of the row scales.  Every
+multiplier vector is checked against the integer equations M N = det(M) q
+R_g e_g, row by row, on every call; with a nonzero determinant that solution
+is unique, so the check is independent of the minor formula and costs
+O(dimension).
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
@@ -34,7 +36,9 @@ cross-multiplication, and the finite bound is built from the two pairs at
 once.  `sandwich_table` doubles the series length, orders its three values
 and takes the midpoint on the integer bracket of `combinat._exp_bracket`,
 and `partite_lower_bound` compares its corrected sum with `direct` by
-cross-multiplication.
+cross-multiplication.  Neither depends on a host, so each is kept per key,
+(k, r) and (k, g, l), and its cross-check runs once per key; a check that
+raises caches nothing.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def build_system(k: int, r: int) -> TridiagonalSystem:
     return TridiagonalSystem(k, r, diag, upper, lower)
 
 
-def _minors(diag: list[int], offs: list[int]) -> list[int]:
+def _minors(diag: tuple[int, ...], offs: list[int]) -> list[int]:
     """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
     with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
     lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
@@ -158,12 +162,12 @@ class RecurrenceTables(NamedTuple):
     k: int
     r: int
     epsilon: Fraction
-    scale: list[int]
-    diag: list[int]
-    up: list[int]
-    down: list[int]
-    lead: list[int]
-    trail: list[int]
+    scale: tuple[int, ...]
+    diag: tuple[int, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    lead: tuple[int, ...]
+    trail: tuple[int, ...]
 
     @property
     def theta(self) -> tuple[Fraction, ...]:  # m = k-1 .. r-1
@@ -198,26 +202,31 @@ class RecurrenceTables(NamedTuple):
         return bad
 
 
+# a query reads one shift twice (`solve_delta`, then `inverse_matrix` at the
+# same eps); the systems are `build_system`'s, so their identity is stable
+@lru_cache(maxsize=8)
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
     """Shift the integer rows of `sys` by eps in O(dimension), run the minor
     recursion forward and on the reversed system, and cross-check the
     determinant.  Large eps may drive minors nonpositive; that is reported
-    through `nonpositive_entries`, not an error."""
+    through `nonpositive_entries`, not an error.  Kept per (sys, eps): the
+    record's fields are tuples, so the callers that share it cannot change
+    it."""
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("recurrences: eps must be nonnegative")
     scale, diag, up, down = sys.rows
     p, q = eps.numerator, eps.denominator
-    diag = [q * b - p * s for b, s in zip(diag, scale)]
-    up = [q * u for u in up]
-    down = [q * l for l in down]
+    diag = tuple(q * b - p * s for b, s in zip(diag, scale))
+    up = tuple(q * u for u in up)
+    down = tuple(q * l for l in down)
     offs = [u * l for u, l in zip(up, down)]
-    lead = _minors(diag, offs)
+    lead = tuple(_minors(diag, offs))
     # the trailing minors are the leading minors of the reversed system
-    trail = _minors(diag[::-1], offs[::-1])[::-1]
+    trail = tuple(_minors(diag[::-1], offs[::-1])[::-1])
     if lead[-1] != trail[0]:
         raise ArithmeticError("minor recursions disagree on the determinant")
-    scale = [q * s for s in scale]
+    scale = tuple(q * s for s in scale)
     return RecurrenceTables(sys.k, sys.r, eps, scale, diag, up, down, lead, trail)
 
 
@@ -392,6 +401,9 @@ class PartiteBound(NamedTuple):
     formula: Fraction
 
 
+# host-independent: kept per (k, g, l) like `_partite_direct`, so the
+# inclusion-exclusion sum and its cross-check run once per key
+@lru_cache(maxsize=512)
 def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     """Lower-bound construction: l equal groups, edges = k-sets meeting at
     least two groups.
@@ -424,7 +436,7 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
 
 
 # every (k, g, (r-1)//(k-1)) with 2 <= k <= g < r <= 16 is 292 keys, so a
-# sweep over that grid keeps all of them
+# sweep over that grid keeps all of them, here and in `partite_lower_bound`
 @lru_cache(maxsize=512)
 def _partite_direct(k: int, g: int, l: int) -> Fraction:
     """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
@@ -491,6 +503,9 @@ class SandwichTable(NamedTuple):
     exp_limit_approx: str
 
 
+# the 2 <= k < r <= 16 grid has 30 pairs with (k-1) | (r-1); kept per (k, r),
+# so the bracket doubling and the ordering check run once per pair
+@lru_cache(maxsize=64)
 def sandwich_table(k: int, r: int) -> SandwichTable:
     """Evaluate the three-way comparison at g = r-1; requires (k-1) | (r-1)."""
     if k < 2 or r <= k:

@@ -318,6 +318,44 @@ def sandwich_fractions(k: int, r: int) -> tuple[Fraction, Fraction, str]:
     return lower, product, f"~{decimal_string((exp_lo + exp_hi) / 2, 12)}"
 
 
+def tuples_at_least(k: int, s: int, g: int) -> Iterable[tuple[int, ...]]:
+    """Ordered s-tuples with every entry >= k and sum <= g."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(k, g - k * (s - 1) + 1):
+        for rest in tuples_at_least(k, s - 1, g - first):
+            yield (first,) + rest
+
+
+def enumerated_inclusion_exclusion(k: int, g: int, l: int) -> Fraction:
+    """`partite_lower_bound(k, g, l).formula`, the printed sum, term by term
+    over the tuples."""
+    total = Fraction(0)
+    for s in range(g // k + 1):
+        inner = sum(
+            (
+                Fraction(multinomial(g, parts + (g - sum(parts),)), l ** sum(parts))
+                for parts in tuples_at_least(k, s, g)
+            ),
+            Fraction(0),
+        )
+        total += (-1) ** s * binomial(l, s) * inner
+    return total
+
+
+def partite_fractions(k: int, g: int, l: int) -> tuple[Fraction, Fraction]:
+    """(direct, formula) of `partite_lower_bound`: direct sums the
+    multinomials of the group sizes (c_1, .., c_l), each at most k-1 and
+    adding up to g, over l^g, one size vector at a time."""
+    hits = sum(
+        multinomial(g, sizes)
+        for sizes in itertools.product(range(min(k - 1, g) + 1), repeat=l)
+        if sum(sizes) == g
+    )
+    return Fraction(hits, l**g), enumerated_inclusion_exclusion(k, g, l)
+
+
 def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     """The Taylor bracket of `exp_bounds` summed term by term: the first
     `terms` terms of the series, minus and plus 2 |x|^terms / terms!."""

@@ -16,7 +16,6 @@ from turankit import (
     epsilon_threshold,
     epsilon_value,
     inverse_matrix,
-    multinomial,
     partite_lower_bound,
     recurrences,
     sandwich_table,
@@ -26,7 +25,14 @@ from turankit import (
     x_ratio,
 )
 
-from oracles import dense, sandwich_fractions, upper_bound_fractions, vertex_threshold_fractions
+from oracles import (
+    dense,
+    enumerated_inclusion_exclusion,
+    partite_fractions,
+    sandwich_fractions,
+    upper_bound_fractions,
+    vertex_threshold_fractions,
+)
 
 # SHA-256 of the `str()` of every inverse_matrix entry (row by row) and of
 # every solve_delta entry (g = k..r-1), one per line, over all
@@ -389,6 +395,7 @@ def test_upper_bound_skips_the_inclusion_exclusion_sum(monkeypatch):
     def unexpected(*args):
         raise AssertionError("upper_bound evaluated the inclusion-exclusion sum")
 
+    bounds.partite_lower_bound.cache_clear()  # so the sum is really asked for
     monkeypatch.setattr(bounds, "_inclusion_exclusion", unexpected)
     rep = upper_bound(2, 26, 27, 10**6)
     assert rep.lower_bound == Fraction(math.factorial(26), 26**26)  # 26 groups, k = 2
@@ -416,31 +423,6 @@ def test_corrected_inclusion_exclusion_equals_direct():
                 assert Fraction(corrected, l**g) == partite_lower_bound(k, g, l).direct, (k, g, l)
                 points += 1
     assert points == 715
-
-
-def tuples_at_least(k, s, g):
-    """Ordered s-tuples with every entry >= k and sum <= g."""
-    if s == 0:
-        yield ()
-        return
-    for first in range(k, g - k * (s - 1) + 1):
-        for rest in tuples_at_least(k, s - 1, g - first):
-            yield (first,) + rest
-
-
-def enumerated_inclusion_exclusion(k, g, l):
-    """The printed sum, term by term over the tuples."""
-    total = Fraction(0)
-    for s in range(g // k + 1):
-        inner = sum(
-            (
-                Fraction(multinomial(g, parts + (g - sum(parts),)), l ** sum(parts))
-                for parts in tuples_at_least(k, s, g)
-            ),
-            Fraction(0),
-        )
-        total += (-1) ** s * binomial(l, s) * inner
-    return total
 
 
 def test_partite_formula_matches_tuple_enumeration():
@@ -535,6 +517,7 @@ def test_sandwich_bracket_ends_agree_to_twelve_digits(monkeypatch):
     def leading_digits(num, den):
         return decimal_string(Fraction(num, den) * 10 ** (len(str(den // num)) - 1), 12)
 
+    bounds.sandwich_table.cache_clear()  # a kept table would skip the bracket
     monkeypatch.setattr(bounds, "_exp_bracket", bracket)
     monkeypatch.setattr(bounds, "decimal_string", show)
     pairs = [(k, r) for r in range(3, 17) for k in range(2, r) if (r - 1) % (k - 1) == 0]
@@ -547,6 +530,71 @@ def test_sandwich_bracket_ends_agree_to_twelve_digits(monkeypatch):
         assert shown == [Fraction(lo + hi, 2 * den)], (k, r)
         assert approx == f"~{decimal_string(shown[0], 12)}", (k, r)
         assert leading_digits(lo, den) == leading_digits(hi, den), (k, r)
+
+
+def test_host_independent_caches_hold_the_uncached_values():
+    # every key of the 2 <= k < r <= 16 grid, compared with the function
+    # behind the cache; the grid fits, so a sweep over it never evicts
+    grid = [(k, r) for r in range(3, 17) for k in range(2, r)]
+    partite = {(k, g, (r - 1) // (k - 1)) for k, r in grid for g in range(k, r)}
+    pairs = {(k, r) for k, r in grid if (r - 1) % (k - 1) == 0}
+    for fn, keys in [(partite_lower_bound, partite), (sandwich_table, pairs)]:
+        fn.cache_clear()
+        for key in sorted(keys):
+            assert fn(*key) == fn.__wrapped__(*key), key
+        assert fn.cache_info().currsize == len(keys) <= fn.cache_info().maxsize
+        assert fn.cache_info().misses == len(keys)
+    assert (len(partite), len(pairs)) == (292, 30)
+
+
+def test_failed_cross_check_is_not_cached(monkeypatch):
+    from turankit import bounds
+
+    inclusion_exclusion = bounds._inclusion_exclusion
+    partite_lower_bound.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            bounds, "_inclusion_exclusion", lambda k, g, l: (0, inclusion_exclusion(k, g, l)[1] + 1)
+        )
+        with pytest.raises(ArithmeticError, match="corrected sum disagrees"):
+            partite_lower_bound(3, 4, 2)
+    assert partite_lower_bound.cache_info().currsize == 0
+    assert tuple(partite_lower_bound(3, 4, 2)) == partite_fractions(3, 4, 2)
+
+    sandwich_table.cache_clear()
+    with monkeypatch.context() as patch:
+        # a narrow bracket around 10^-6, below the product: ordering fails
+        patch.setattr(bounds, "_exp_bracket", lambda a, b, terms: (1, 1, 10**6))
+        with pytest.raises(ArithmeticError, match="ordering check failed"):
+            sandwich_table(3, 5)
+    assert sandwich_table.cache_info().currsize == 0
+    t = sandwich_table(3, 5)
+    assert (t.multinomial_lower, t.product, t.exp_limit_approx) == sandwich_fractions(3, 5)
+
+
+def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
+    # a query's solve_delta and inverse_matrix at one eps run the two minor
+    # recursions of one record, and that record cannot be changed in place
+    from turankit import bounds
+
+    calls = []
+    minors = bounds._minors
+
+    def counted(diag, offs):
+        calls.append(len(diag))
+        return minors(diag, offs)
+
+    bounds.recurrences.cache_clear()
+    monkeypatch.setattr(bounds, "_minors", counted)
+    eps = epsilon_threshold(4, 9) / 3
+    delta = solve_delta(4, 6, 9, eps)
+    inverse = inverse_matrix(build_system(4, 9), eps)
+    assert calls == [5, 5]
+    assert delta == [row[2] for row in inverse]
+    mat = recurrences(build_system(4, 9), eps)
+    assert len(calls) == 2
+    for field in ("scale", "diag", "up", "down", "lead", "trail"):
+        assert type(getattr(mat, field)) is tuple, field
 
 
 def test_upper_bound_corrected_mode():

@@ -531,6 +531,7 @@ def test_certificate_optimality_witness_exit_5(capsys, monkeypatch, tmp_path):
 def test_lower_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
+    bounds.partite_lower_bound.cache_clear()  # a kept bound would skip the check
     monkeypatch.setattr(bounds, "_partite_direct", lambda k, g, l: Fraction(1, 2))
     code = main(["lower", "--k", "3", "--g", "4", "--r", "5"])
     captured = capsys.readouterr()
