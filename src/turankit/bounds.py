@@ -17,12 +17,12 @@ integer recursion gives M's leading minors, the trailing minors are the same
 recursion on the reversed system, and the two must agree on the determinant.
 `recurrences` keeps its last few records per (system, eps), with tuple
 fields, so `solve_delta` and `inverse_matrix` at one eps share one record
-(`turankit solve`, which prints the tables as well, reads its column from
-the same record).  Both build each column of the inverse as integer
-numerators over det(M), in one pass outward from the diagonal carrying the
-off-diagonal product, so every entry is one `Fraction`.  The `Fraction`
-tables theta, phi and zeta are computed only when read: the integer minors
-divided by the prefix and suffix products of the row scales.  Every
+(`turankit solve` reads its tables from `recurrences` and its column through
+`solve_delta`, both from one record).  Both build each column of the inverse
+as integer numerators over det(M), in one pass outward from the diagonal
+carrying the off-diagonal product, so every entry is one `Fraction`.  The
+`Fraction` tables theta, phi and zeta are computed only when read: the
+integer minors divided by the prefix and suffix products of the row scales.  Every
 multiplier vector is checked against the integer equations M N = det(M) q
 R_g e_g, row by row, on every call; with a nonzero determinant that solution
 is unique, so the check is independent of the minor formula and costs
@@ -38,7 +38,7 @@ and takes the midpoint on the integer bracket of `combinat._exp_bracket`,
 and `partite_lower_bound` compares its corrected sum with `direct` by
 cross-multiplication.  Neither depends on a host, so each is kept per key,
 (k, r) and (k, g, l), and its cross-check runs once per key; a check that
-raises caches nothing.
+raises caches nothing.  `upper_bound` reads the partite record's `direct`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from typing import NamedTuple, Optional
 
 from .combinat import (
     EpsilonMode,
+    _eps_top,
     _exp_bracket,
     _x_parts,
     binomial,
@@ -272,15 +273,9 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     The integer matrix M applied to the numerators is checked to be
     det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
     is nonzero, so this accepts only the true column.  `build_system`
-    checks k and r, and `_solve_column` checks g.
+    checks k and r before g is checked here.
     """
-    return _solve_column(recurrences(build_system(k, r), eps), g)
-
-
-def _solve_column(mat: RecurrenceTables, g: int) -> list[Fraction]:
-    """`solve_delta` on shifted tables, for a caller that also reports
-    them (`turankit solve`)."""
-    k, r = mat.k, mat.r
+    mat = recurrences(build_system(k, r), eps)
     if not k <= g < r:
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     det = mat.lead[-1]
@@ -371,9 +366,8 @@ def upper_bound(
             f"upper_bound: need n > {max(thr, Fraction(r))} (threshold for k={k}, "
             f"r={r}, mode={mode.value}), got n={n}"
         )
-    top = r - k if mode is EpsilonMode.LITERAL else r - 1
     geo_num = (n - r + 1) * (k - 1) ** 2
-    geo_den = geo_num - top * (r - 1) * (r - k)
+    geo_den = geo_num - _eps_top(k, r, mode) * (r - 1) * (r - k)
     if mode is EpsilonMode.LITERAL:
         denom = (k - 1) ** 2 * n - (r - 1) * (2 * k * k - 2 * k * (r + 1) + r * r + 1)
         if (denom + (r - 1) * (r - k) ** 2) * geo_den != geo_num * denom:
@@ -389,7 +383,7 @@ def upper_bound(
         asymptotic=Fraction(asym_num, asym_den),
         finite_bound=Fraction(geo_num * asym_num, geo_den * asym_den),
         de_caen=de_caen_bound(k, r, n) if g == k else None,
-        lower_bound=_partite_direct(k, g, (r - 1) // (k - 1)),
+        lower_bound=partite_lower_bound(k, g, (r - 1) // (k - 1)).direct,
     )
 
 
@@ -401,8 +395,9 @@ class PartiteBound(NamedTuple):
     formula: Fraction
 
 
-# host-independent: kept per (k, g, l) like `_partite_direct`, so the
-# inclusion-exclusion sum and its cross-check run once per key
+# host-independent: kept per (k, g, l), so the inclusion-exclusion sum and its
+# cross-check run once per key; every (k, g, (r-1)//(k-1)) with
+# 2 <= k <= g < r <= 16 is 292 keys, so a sweep over that grid keeps them all
 @lru_cache(maxsize=512)
 def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     """Lower-bound construction: l equal groups, edges = k-sets meeting at
@@ -421,8 +416,7 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                equals `direct`, which is checked (ArithmeticError if not).
 
     Both are polynomial in g (`_inclusion_exclusion` groups the sum's terms
-    by s and by the total covered); `upper_bound` reports `direct` alone
-    and computes only that.
+    by s and by the total covered); `upper_bound` reports `direct`.
     """
     if k < 2 or g < k or l < 1:
         raise ValueError(
@@ -435,14 +429,10 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     return PartiteBound(direct, Fraction(printed, l**g))
 
 
-# every (k, g, (r-1)//(k-1)) with 2 <= k <= g < r <= 16 is 292 keys, so a
-# sweep over that grid keeps all of them, here and in `partite_lower_bound`
-@lru_cache(maxsize=512)
 def _partite_direct(k: int, g: int, l: int) -> Fraction:
     """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
     of assignments of some t of the g labeled items into the groups so far,
-    each group holding at most k-1.  Host-independent, so kept per (k, g, l):
-    `upper_bound` and `partite_lower_bound` share it."""
+    each group holding at most k-1."""
     dp = [1] + [0] * g
     for _ in range(l):
         new = [0] * (g + 1)

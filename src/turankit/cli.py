@@ -185,9 +185,8 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_solve(args) -> int:
     eps = Fraction(args.eps)
-    sys_ = bounds.build_system(args.k, args.r)
-    tables = bounds.recurrences(sys_, eps)
-    delta = bounds._solve_column(tables, args.g)
+    tables = bounds.recurrences(bounds.build_system(args.k, args.r), eps)
+    delta = bounds.solve_delta(args.k, args.g, args.r, eps)
     payload = {
         "k": args.k,
         "r": args.r,

@@ -99,14 +99,19 @@ class EpsilonMode(Enum):
     CORRECTED = "corrected"
 
 
+def _eps_top(k: int, r: int, mode: EpsilonMode) -> int:
+    """The mode's slack constant times (n-r+1)(k-1): r-k in LITERAL mode,
+    r-1 in CORRECTED mode; unchecked."""
+    return r - k if mode is EpsilonMode.LITERAL else r - 1
+
+
 def epsilon_value(k: int, r: int, n: int, mode: EpsilonMode = EpsilonMode.LITERAL) -> Fraction:
     """The slack constant of the selected mode; requires n > r."""
     if k < 2 or r <= k:
         raise ValueError(f"epsilon_value: need 2 <= k < r, got k={k}, r={r}")
     if n <= r:
         raise ValueError(f"epsilon_value: need n > r, got n={n}, r={r}")
-    top = r - k if mode is EpsilonMode.LITERAL else r - 1
-    return Fraction(top, (n - r + 1) * (k - 1))
+    return Fraction(_eps_top(k, r, mode), (n - r + 1) * (k - 1))
 
 
 def epsilon_threshold(k: int, r: int) -> Fraction:
@@ -127,10 +132,9 @@ def vertex_threshold(k: int, r: int, mode: EpsilonMode = EpsilonMode.LITERAL) ->
     """
     if k < 2 or r <= k:
         raise ValueError(f"vertex_threshold: need 2 <= k < r, got k={k}, r={r}")
-    # (r-1) (1 + top (r-k) / (k-1)^2), top as in `epsilon_value`
-    top = r - k if mode is EpsilonMode.LITERAL else r - 1
+    # (r-1) (1 + top (r-k) / (k-1)^2) with top = `_eps_top`
     square = (k - 1) ** 2
-    return Fraction((r - 1) * (square + top * (r - k)), square)
+    return Fraction((r - 1) * (square + _eps_top(k, r, mode) * (r - k)), square)
 
 
 def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:

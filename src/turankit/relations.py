@@ -22,11 +22,11 @@ complete (m-1)-set, the integer number l of vertices extending it (through
 restrictions (`hypergraph.restriction_class_counts`: a table read up to 5
 vertices, orbit minima at 6, a scan at 7 and 8), and compare both moments
 with their expected values by integer cross-multiplication.
-The telescoping terms that do not depend on the host (the slack constant,
-the multiplier vector, each row's x(m) and the right side's coefficients)
-are solved once per (k, g, r, n, mode); the left side is summed from the
-host's own rows over one integer denominator and the right side is one
-integer combination of its clique counts, so the two sides stay independent.
+The multiplier vector and the right side's coefficients of the telescoping
+identity are solved once per (k, g, r, n, mode).  The left side sums delta_m
+times the host's relaxed rows, the record `check_relaxed_rows` reads, over
+one integer denominator; the right side is one integer combination of its
+clique counts, so the two sides stay independent.
 
 `SUITES` holds the batteries behind `turankit verify`: each entry runs its
 checks over a fixed host set and returns (checks, failures, warnings), the
@@ -208,35 +208,17 @@ def _relaxed_rows(
     return tuple(Fraction(*row) for row in rows)
 
 
-class _Telescoping(NamedTuple):
-    """The host-independent terms of the telescoping identity at one
-    (k, g, r, n, mode).  eps = s/t; rows[i] = (m, p, q, dn, dd) for
-    m = k..r-1 with x(m) = p/q and delta_m = dn/dd; the right side is
-    (low c_{k-1} + mid c_g + high c_r) / den over the clique counts c."""
-
-    s: int
-    t: int
-    rows: tuple[tuple[int, int, int, int, int], ...]
-    low: int
-    mid: int
-    high: int
-    den: int
-
-
 @lru_cache(maxsize=256)
-def _telescoping(k: int, g: int, r: int, n: int, mode: EpsilonMode) -> _Telescoping:
+def _telescoping(
+    k: int, g: int, r: int, n: int, mode: EpsilonMode
+) -> tuple[tuple[tuple[int, int], ...], int, int, int, int]:
     """Solved once per (k, g, r, n, mode): the multiplier vector delta at the
-    mode's slack constant, each row's x(m), and the right side's coefficients
-    -delta_k x(k)/C(n,k-1), 1/C(n,g) and
-    -delta_{r-1} (1-(k-1)/(r-1))/x(r-1)/C(n,r) over one denominator."""
-    eps = epsilon_value(k, r, n, mode)
-    delta = solve_delta(k, g, r, eps)
-    xs = [_x_parts(k, m, r) for m in range(k, r)]
-    rows = tuple(
-        (m, p, q, d.numerator, d.denominator)
-        for m, (p, q), d in zip(range(k, r), xs, delta)
-    )
-    (p_low, q_low), (p_high, q_high) = xs[0], xs[-1]
+    mode's slack constant, as integer pairs for m = k..r-1, and the right
+    side's coefficients -delta_k x(k)/C(n,k-1), 1/C(n,g) and
+    -delta_{r-1} (1-(k-1)/(r-1))/x(r-1)/C(n,r) as integers low, mid and
+    high over one denominator."""
+    delta = solve_delta(k, g, r, epsilon_value(k, r, n, mode))
+    (p_low, q_low), (p_high, q_high) = _x_parts(k, k, r), _x_parts(k, r - 1, r)
     coeffs = (
         -delta[0] * Fraction(p_low, q_low * math.comb(n, k - 1)),
         Fraction(1, math.comb(n, g)),
@@ -244,7 +226,7 @@ def _telescoping(k: int, g: int, r: int, n: int, mode: EpsilonMode) -> _Telescop
     )
     den = math.lcm(*(c.denominator for c in coeffs))
     low, mid, high = (c.numerator * (den // c.denominator) for c in coeffs)
-    return _Telescoping(eps.numerator, eps.denominator, rows, low, mid, high, den)
+    return tuple(d.as_integer_ratio() for d in delta), low, mid, high, den
 
 
 def telescoped_combination(
@@ -270,14 +252,13 @@ def telescoped_combination(
 def _telescoped(
     n: int, k: int, g: int, r: int, mode: EpsilonMode, c: tuple[int, ...]
 ) -> tuple[Fraction, Fraction]:
-    tel = _telescoping(k, g, r, n, mode)
-    num, den = 0, 1
-    for m, p, q, dn, dd in tel.rows:
-        row_num, row_den = _row(n, k, m, *c[m - 1 : m + 2], p, q, tel.s, tel.t)
-        num = num * dd * row_den + dn * row_num * den
-        den *= dd * row_den
-    rhs = tel.low * c[k - 1] + tel.mid * c[g] + tel.high * c[r]
-    return Fraction(num, den), Fraction(rhs, tel.den)
+    delta, low, mid, high, den = _telescoping(k, g, r, n, mode)
+    num, lhs_den = 0, 1
+    for (dn, dd), row in zip(delta, _relaxed_rows(n, k, r, mode, c)):
+        row_num, row_den = row.as_integer_ratio()
+        num = num * dd * row_den + dn * row_num * lhs_den
+        lhs_den *= dd * row_den
+    return Fraction(num, lhs_den), Fraction(low * c[k - 1] + mid * c[g] + high * c[r], den)
 
 
 def _lemma_suite() -> tuple[int, list, list]:

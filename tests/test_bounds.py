@@ -389,20 +389,6 @@ def test_de_caen_values():
         de_caen_bound(3, 5, 4)
 
 
-def test_upper_bound_skips_the_inclusion_exclusion_sum(monkeypatch):
-    import turankit.bounds as bounds
-
-    def unexpected(*args):
-        raise AssertionError("upper_bound evaluated the inclusion-exclusion sum")
-
-    bounds.partite_lower_bound.cache_clear()  # so the sum is really asked for
-    monkeypatch.setattr(bounds, "_inclusion_exclusion", unexpected)
-    rep = upper_bound(2, 26, 27, 10**6)
-    assert rep.lower_bound == Fraction(math.factorial(26), 26**26)  # 26 groups, k = 2
-    with pytest.raises(AssertionError):
-        partite_lower_bound(2, 26, 26)
-
-
 def test_partite_lower_bound_small_cases():
     assert partite_lower_bound(3, 3, 2) == (Fraction(3, 4), Fraction(3, 4))
     direct, formula = partite_lower_bound(3, 4, 2)

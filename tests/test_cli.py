@@ -543,6 +543,23 @@ def test_lower_cross_check_exit_5(capsys, monkeypatch):
     )
 
 
+def test_bound_runs_the_partite_cross_check_exit_5(capsys, monkeypatch):
+    # `bound` reads its lower bound from `partite_lower_bound`'s record, so a
+    # wrong direct value fails the cross-check there as it does for `lower`
+    from turankit import bounds
+
+    bounds.partite_lower_bound.cache_clear()  # a kept bound would skip the check
+    monkeypatch.setattr(bounds, "_partite_direct", lambda k, g, l: Fraction(1, 2))
+    code = main(["bound", "--k", "3", "--g", "4", "--r", "5", "--n", "100"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal cross-check failed: "
+        "partite_lower_bound: corrected sum disagrees with direct\n"
+    )
+
+
 def test_solve_g_out_of_range_exit_2(capsys):
     code = main(["solve", "--k", "3", "--r", "5", "--g", "7"])
     captured = capsys.readouterr()
@@ -563,19 +580,22 @@ def test_solve_zero_leading_minor_nonsingular(capsys):
 
 
 def test_solve_runs_the_minor_recursions_once(capsys, monkeypatch):
+    # the tables and the column come from one `recurrences` record, so one
+    # solve runs the minor recursion once forward and once reversed
     from turankit import bounds
 
     calls = []
-    recurrences = bounds.recurrences
+    minors = bounds._minors
 
-    def counted(*args):
-        calls.append(args)
-        return recurrences(*args)
+    def counted(diag, offs):
+        calls.append(diag)
+        return minors(diag, offs)
 
-    monkeypatch.setattr(bounds, "recurrences", counted)
+    bounds.recurrences.cache_clear()
+    monkeypatch.setattr(bounds, "_minors", counted)
     code, out = run_cli(capsys, "solve", "--k", "3", "--r", "6", "--g", "4", "--eps", "1/100")
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[1] == calls[0][::-1]
     expected = bounds.solve_delta(3, 4, 6, Fraction(1, 100))
     assert json.loads(out)["delta"] == [str(d) for d in expected]
 

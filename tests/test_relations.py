@@ -348,6 +348,28 @@ def test_profile_caches_see_one_count_off(monkeypatch, m):
     assert lhs == rhs  # the identity holds for any counts
 
 
+def test_telescoping_left_side_reads_the_relaxed_rows(monkeypatch):
+    # one route for the rows: moving every relaxed row by 1 moves the left
+    # side by the sum of the multipliers, and leaves the right side alone
+    from turankit import solve_delta
+
+    G = Hypergraph(6, 3, 0x5A5A5)
+    g, r, mode = 4, 5, EpsilonMode.LITERAL
+    lhs, rhs = telescoped_combination(G, g, r, mode)
+    real = relations._relaxed_rows
+    for cache in (relations._relaxed_rows, relations._telescoped):
+        cache.cache_clear()
+    monkeypatch.setattr(
+        relations, "_relaxed_rows", lambda *key: tuple(row + 1 for row in real(*key))
+    )
+    try:
+        moved, same = telescoped_combination(G, g, r, mode)
+    finally:
+        relations._telescoped.cache_clear()  # drop the record built from moved rows
+    assert moved == lhs + sum(solve_delta(3, g, r, epsilon_value(3, r, G.n, mode)))
+    assert moved != lhs and same == rhs
+
+
 def test_profile_caches_are_bounded():
     rng = random.Random(300)
     for _ in range(300):
