@@ -37,10 +37,10 @@ _NAMES = {
     "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "
     "two_clique_density verify_certificate",
     "flags": "ExpansionVector chain_lift square_expansion",
-    "hypergraph": "Hypergraph canonical_mask clique_counts colex_subsets disjoint_union "
-    "enumerate_all has_no_empty_set induced_density read_hgr restriction_class_counts "
-    "subset_rank write_hgr",
-    "relations": "InequalityCheck check_relaxed_rows check_square_intermediate "
+    "hypergraph": "MAX_VERTICES Hypergraph canonical_mask clique_counts colex_subsets "
+    "disjoint_union enumerate_all has_no_empty_set induced_density read_hgr "
+    "restriction_class_counts subset_rank tuple_bits write_hgr",
+    "relations": "SUITES InequalityCheck check_relaxed_rows check_square_intermediate "
     "check_three_term_inequality telescoped_combination",
 }
 _LAZY = {name: module for module, names in _NAMES.items() for name in names.split()}

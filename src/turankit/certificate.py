@@ -113,7 +113,6 @@ def e5free_six_classes() -> tuple[Hypergraph, ...]:
     return enumerate_all(6, 3, lambda G: has_no_empty_set(G, 5))
 
 
-@lru_cache(maxsize=1)
 def _term_vectors() -> tuple[ExpansionVector, ...]:
     return tuple(
         square_expansion(t.sigma, t.terms, t.constant, 6) for t in certificate_terms()

@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 a checked mathematical statement failed (negative
 certificate slack, refuted inequality), 2 usage or parameter-range error
 (including a singular shifted system), 4 an operating-system error (e.g.
 `--cache-dir` naming a regular file), 5 an internal cross-check failed (a
-result disagrees with an independent route or check).  Code 3, once an
-invalid class file, is retired: no command reads a file.  A command that
-fails prints one `error:` line to stderr.  All rationals are serialized as
-exact "p/q" strings; decimal renderings are always marked as
-approximations.  Output for identical inputs is byte-identical.
+result disagrees with an independent route or check).  Code 3 is unused:
+no command reads a file.  A command that fails prints one `error:` line to
+stderr.  All rationals are serialized as exact "p/q" strings; decimal
+renderings are always marked as approximations.  Output for identical
+inputs is byte-identical.
 
 `enumerate` and `certificate` write the classes they enumerated to an HGR1
 class file, an output only: a file already at that path is replaced
@@ -221,66 +221,46 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+# the options of every command by flag, one spec each: a flag means the same on every command
+_OPTIONS = {
+    **dict.fromkeys(("--k", "--g", "--r", "--n"), {"type": int, "required": True}),
+    "--mode": {"choices": [m.value for m in EpsilonMode], "default": "literal"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+    "--cache-dir": {"default": None},
+    "--filter": {"default": None, "help": "no-empty-<size>"},
+    # relations.SUITES, spelled out: building the parser does not load relations
+    "--suite": {"choices": ("lemma", "claims", "rows"), "required": True},
+    "--eps": {"default": "0", "help": "rational, e.g. 1/100"},
+}
+
+# (command, handler, help line, options in --help order)
+_COMMANDS = (
+    ("bound", _cmd_bound, "finite-n upper bound report", "--k --g --r --n --mode --format"),
+    ("table", _cmd_table, "CSV of bounds over g for fixed (k, r, n)", "--k --r --n --mode"),
+    ("lower", _cmd_lower, "partite lower bound and sandwich values", "--k --g --r --format"),
+    (
+        "enumerate",
+        _cmd_enumerate,
+        "enumerate classes and write an HGR1 cache",
+        "--k --n --filter --cache-dir --format",
+    ),
+    ("certificate", _cmd_certificate, "run the 3/8 certificate check", "--cache-dir --format"),
+    ("verify", _cmd_verify, "run a relation-verification suite", "--suite --format"),
+    ("solve", _cmd_solve, "multiplier vector and recurrence tables", "--k --r --g --eps --format"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turankit",
         description="Exact clique-density bounds and certificates for uniform hypergraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, default="json", choices=("json", "text")):
-        p.add_argument("--format", choices=choices, default=default)
-
-    p = sub.add_parser("bound", help="finite-n upper bound report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in EpsilonMode], default="literal")
-    add_format(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("table", help="CSV of bounds over g for fixed (k, r, n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in EpsilonMode], default="literal")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("lower", help="partite lower bound and sandwich values")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_lower)
-
-    p = sub.add_parser("enumerate", help="enumerate classes and write an HGR1 cache")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--filter", default=None, help="no-empty-<size>")
-    p.add_argument("--cache-dir", default=None)
-    add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("certificate", help="run the 3/8 certificate check")
-    p.add_argument("--cache-dir", default=None)
-    add_format(p)
-    p.set_defaults(func=_cmd_certificate)
-
-    p = sub.add_parser("verify", help="run a relation-verification suite")
-    # relations.SUITES, spelled out: building the parser does not load relations
-    p.add_argument("--suite", choices=("lemma", "claims", "rows"), required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve", help="multiplier vector and recurrence tables")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--eps", default="0", help="rational, e.g. 1/100")
-    add_format(p)
-    p.set_defaults(func=_cmd_solve)
-
+    for name, func, help_line, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

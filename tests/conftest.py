@@ -22,6 +22,12 @@ def e5free_classes():
 
 
 @pytest.fixture(scope="session")
+def term_vectors():
+    """The size-6 expansion of each of the six certificate squares."""
+    return certificate._term_vectors()
+
+
+@pytest.fixture(scope="session")
 def certificate_run():
     """(report, wall seconds) for the default certificate verification."""
     t0 = time.monotonic()

@@ -20,7 +20,6 @@ from turankit import (
     two_clique_density,
     verify_certificate,
 )
-from turankit.certificate import _term_vectors
 from turankit.hypergraph import _typed_canon
 
 from oracles import combined_square_vector
@@ -39,9 +38,9 @@ TERM_DIGESTS = [
 ]
 
 
-def weighted_squares(code):
+def weighted_squares(vecs, code):
     """The six weighted square coefficients weight_i * coeff_i of one class."""
-    pairs = zip(certificate_terms(), _term_vectors())
+    pairs = zip(certificate_terms(), vecs)
     return tuple(t.weight * v.coefficient(code) for t, v in pairs)
 
 
@@ -89,20 +88,20 @@ def test_term_vectors_match_the_span_labels(monkeypatch):
         return square_expansion(*args)
 
     monkeypatch.setattr(certificate, "square_expansion", recording)
-    certificate._term_vectors.__wrapped__()
+    certificate._term_vectors()
     keys = {(t.sigma, t.terms, t.constant): t.label for t in certificate_terms()}
     labels = [keys.get((sigma, tuple(terms), constant)) for sigma, terms, constant, _ in calls]
     assert len(calls) == 6 and None not in labels
     assert len(set(labels)) == 6
 
 
-def test_pinned_result_digests(certificate_run):
+def test_pinned_result_digests(certificate_run, term_vectors):
     report, _ = certificate_run
     assert len(report.slacks) == 2102
     assert table_digest(report.slacks) == SLACK_DIGEST
-    vecs = _term_vectors()
-    assert all(len(v.nums) == 2136 for v in vecs)
-    assert [table_digest({c: v.coefficient(c) for c in v.nums}) for v in vecs] == TERM_DIGESTS
+    assert all(len(v.nums) == 2136 for v in term_vectors)
+    digests = [table_digest({c: v.coefficient(c) for c in v.nums}) for v in term_vectors]
+    assert digests == TERM_DIGESTS
 
 
 def test_certificate_weights():
@@ -149,14 +148,14 @@ def test_certificate_passes(certificate_run):
     assert all(s >= 0 for s in report.slacks.values())
 
 
-def test_complete_graph_tight(certificate_run):
+def test_complete_graph_tight(certificate_run, term_vectors):
     report, _ = certificate_run
     k6 = Hypergraph.complete(6, 3)
     assert k6.edges in report.tight_graphs
     assert report.slacks[k6.edges] == 0
     # at the complete host only the first square survives, through its
     # constant: weight 2/3 times (3/4)^2 equals the full 3/8 budget
-    contribs = weighted_squares(k6.edges)
+    contribs = weighted_squares(term_vectors, k6.edges)
     assert contribs[0] == Fraction(2, 3) * Fraction(9, 16) == Fraction(3, 8)
     assert all(c == 0 for c in contribs[1:])
 
@@ -167,11 +166,11 @@ def test_two_clique_split_tight(certificate_run):
     assert report.slacks[canonical_mask(two)] == 0
 
 
-def test_per_graph_squares_can_be_negative(certificate_run):
+def test_per_graph_squares_can_be_negative(certificate_run, term_vectors):
     # finite-size square coefficients need not be nonnegative per class;
     # the verdict gates on the combined slack only
     report, _ = certificate_run
-    assert any(min(weighted_squares(code)) < 0 for code in report.slacks)
+    assert any(min(weighted_squares(term_vectors, code)) < 0 for code in report.slacks)
 
 
 def test_combined_vector_nonnegative_on_sampled_hosts():
@@ -240,13 +239,13 @@ def test_certificate_fails_outside_admissible_family(monkeypatch):
     assert report.slacks[Hypergraph.empty(6, 3).edges] < Fraction(3, 8) - 1
 
 
-def test_slack_oracle_from_public_flag_ops(certificate_run, square_oracle):
+def test_slack_oracle_from_public_flag_ops(certificate_run, square_oracle, term_vectors):
     # independent recomputation of every term coefficient and of the slack
     # through type_embeddings / pair_density / extension_density on labeled
     # admissible hosts, bypassing the expansion engine's whole-class arrays,
     # its lifting and the class enumeration
     report, _ = certificate_run
-    vecs = _term_vectors()
+    vecs = term_vectors
     e4 = Hypergraph.empty(4, 3)
     rng = random.Random(2102)
     hosts = [
@@ -263,19 +262,19 @@ def test_slack_oracle_from_public_flag_ops(certificate_run, square_oracle):
             coeff = square_oracle(t.sigma, t.terms, t.constant, H)
             assert coeff == vecs[i].coefficient(code), (t.label, H)
             contribs.append(t.weight * coeff)
-        assert tuple(contribs) == weighted_squares(code)
+        assert tuple(contribs) == weighted_squares(vecs, code)
         oracle_slack = Fraction(3, 8) - induced_density(e4, H) - sum(contribs, Fraction(0))
         assert oracle_slack == report.slacks[code]
 
 
-def test_empty_density_column(certificate_run, e5free_classes):
+def test_empty_density_column(certificate_run, e5free_classes, term_vectors):
     # slack + squares + d(E4) reassemble to exactly 3/8 on every class
     report, _ = certificate_run
     e4 = Hypergraph.empty(4, 3)
     for H in e5free_classes:
         total = (
             report.slacks[H.edges]
-            + sum(weighted_squares(H.edges), Fraction(0))
+            + sum(weighted_squares(term_vectors, H.edges), Fraction(0))
             + induced_density(e4, H)
         )
         assert total == Fraction(3, 8)

@@ -387,7 +387,6 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
         hypergraph._typed_canon,
         hypergraph._all_classes,
         certificate.e5free_six_classes,
-        certificate._term_vectors,
     )
     for fn in cached:
         fn.cache_clear()
@@ -666,10 +665,10 @@ PUBLIC_NAMES = {
     "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
     "exp_bounds multinomial vertex_threshold x_ratio",
     "flags": "ExpansionVector chain_lift square_expansion",
-    "hypergraph": "Hypergraph canonical_mask clique_counts colex_subsets disjoint_union "
-    "enumerate_all has_no_empty_set induced_density read_hgr restriction_class_counts "
-    "subset_rank write_hgr",
-    "relations": "InequalityCheck check_relaxed_rows check_square_intermediate "
+    "hypergraph": "MAX_VERTICES Hypergraph canonical_mask clique_counts colex_subsets "
+    "disjoint_union enumerate_all has_no_empty_set induced_density read_hgr "
+    "restriction_class_counts subset_rank tuple_bits write_hgr",
+    "relations": "SUITES InequalityCheck check_relaxed_rows check_square_intermediate "
     "check_three_term_inequality telescoped_combination",
 }
 
@@ -688,6 +687,16 @@ def test_package_names_resolve_to_their_submodule(module):
         turankit.no_such_name
 
 
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES.keys() - {"combinat"}))
+def test_lazy_names_are_each_module_all(module):
+    import importlib
+
+    import turankit
+
+    sub = importlib.import_module(f"turankit.{module}")
+    assert sorted(turankit._NAMES[module].split()) == sorted(sub.__all__)
+
+
 def test_verify_suite_choices_are_the_relation_suites():
     from turankit import cli, relations
 
@@ -695,3 +704,82 @@ def test_verify_suite_choices_are_the_relation_suites():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
     assert tuple(suite.choices) == tuple(relations.SUITES)
+
+
+# each command's help line, handler and options in --help order, as
+# (option strings, dest, type, required, choices, default, help)
+_FORMAT = (("--format",), "format", None, False, ("json", "text"), "json", None)
+_MODE = (("--mode",), "mode", None, False, ("literal", "corrected"), "literal", None)
+_CACHE_DIR = (("--cache-dir",), "cache_dir", None, False, None, None, None)
+PARSER_STRUCTURE = {
+    "bound": ("finite-n upper bound report", "_cmd_bound", "kgrn", [_MODE, _FORMAT]),
+    "table": ("CSV of bounds over g for fixed (k, r, n)", "_cmd_table", "krn", [_MODE]),
+    "lower": ("partite lower bound and sandwich values", "_cmd_lower", "kgr", [_FORMAT]),
+    "enumerate": (
+        "enumerate classes and write an HGR1 cache",
+        "_cmd_enumerate",
+        "kn",
+        [
+            (("--filter",), "filter", None, False, None, None, "no-empty-<size>"),
+            _CACHE_DIR,
+            _FORMAT,
+        ],
+    ),
+    "certificate": (
+        "run the 3/8 certificate check",
+        "_cmd_certificate",
+        "",
+        [_CACHE_DIR, _FORMAT],
+    ),
+    "verify": (
+        "run a relation-verification suite",
+        "_cmd_verify",
+        "",
+        [(("--suite",), "suite", None, True, ("lemma", "claims", "rows"), None, None), _FORMAT],
+    ),
+    "solve": (
+        "multiplier vector and recurrence tables",
+        "_cmd_solve",
+        "krg",
+        [(("--eps",), "eps", None, False, None, "0", "rational, e.g. 1/100"), _FORMAT],
+    ),
+}
+
+
+def test_parser_structure_is_pinned():
+    # the required integer parameters come first, each (("--x",), "x", int, True, ...)
+    from turankit import cli
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(PARSER_STRUCTURE)
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    for name, (help_line, handler, ints, options) in PARSER_STRUCTURE.items():
+        sub = commands.choices[name]
+        want = [((f"--{x}",), x, int, True, None, None, None) for x in ints] + options
+        got = [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.type,
+                a.required,
+                None if a.choices is None else tuple(a.choices),
+                a.default,
+                a.help,
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert (helps[name], sub.get_default("func").__name__, got) == (
+            help_line,
+            handler,
+            want,
+        ), name
+
+
+@pytest.mark.parametrize("command", list(PARSER_STRUCTURE))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: turankit {command} ")
