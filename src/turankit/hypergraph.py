@@ -25,10 +25,10 @@ ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
 `_canonical_codes` canonicalizes a batch of masks for `canonical_mask`,
 `restriction_class_counts` and `read_hgr` in three tiers by vertex count: up
-to 5 vertices it reads the untyped table `_typed_canon(n, 0, k)`, of at most
-2^10 entries; at 6 it takes `_orbit_minima` of the batch; at 7 and 8, past
-the tables, it scans every relabeling and ranks each image edge through a
-colex index.
+to 5 vertices it reads a list copy of the untyped table `_typed_canon(n, 0,
+k)`, of at most 2^10 entries; at 6 it takes `_orbit_minima` of the batch; at
+7 and 8, past the tables, it scans every relabeling and ranks each image
+edge through a colex index.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets.  Restriction and the per-host typed masks
@@ -37,16 +37,16 @@ gather a sub-mask through it instead of re-ranking every subset.
 half tables, built by doubling like the relabeling tables, and
 `_ordered_masks` reads the sub-mask of every mask of an array on every
 tuple from them: the restrictions, relabelings and lifts of
-`turankit.flags`, which work on all classes or all masks, the vertex-last
-masks of `_orbit_minima`, and the subset sub-masks of
-`restriction_class_counts`, two reads per subset.
+`turankit.flags`, which work on all classes or all masks, and the
+vertex-last masks of `_orbit_minima`.  `restriction_class_counts`, which
+works on one host, reads Python-list copies of its subsets' rows instead.
 
 Complete sets are found without canonical forms: `_subset_edge_masks` holds,
 for each vertex subset, the mask of the k-subsets inside it, and a subset is
-complete exactly when the host's edges contain that mask.  `clique_counts`
-counts the complete m-sets of a host once for every m, as integers;
-`_extension_masks` adds, for each subset, the masks of its one-vertex
-extensions.
+complete exactly when the host's edges contain that mask.  `_complete_sets`
+keeps, for the last few hosts, the bitmap of complete m-sets for every m;
+`clique_counts` returns their popcounts, and with `_superset_masks` the
+complete one-vertex extensions of a set are one AND and one popcount.
 """
 
 from __future__ import annotations
@@ -335,16 +335,23 @@ def _typed_canon(t: int, s: int, k: int) -> np.ndarray:
     return _orbit_minima(np.arange(1 << math.comb(t, k), dtype=np.int64), t, k, s)
 
 
+@lru_cache(maxsize=None)
+def _canon_list(n: int, k: int) -> list[int]:
+    """`_typed_canon(n, 0, k)` as a Python list.  Read-only."""
+    return _typed_canon(n, 0, k).tolist()
+
+
 def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
     """Canonical mask of each k-graph edge mask on n vertices, as Python
-    ints: up to _CANON_TABLE_LIMIT vertices a read of the untyped
-    `_typed_canon` table that `turankit.flags` classifies with, at 6
+    ints: up to _CANON_TABLE_LIMIT vertices a read of a list copy of the
+    untyped `_typed_canon` table that `turankit.flags` classifies with, at 6
     `_orbit_minima`, at 7 and 8 a direct scan over all relabelings (an
     8-vertex 4-graph mask has 70 bits, past int64).  The scan is the only
     route for `canonical_mask` on hosts of 7 or more vertices and for
     `restriction_class_counts` at sizes 7 and 8."""
     if n <= _CANON_TABLE_LIMIT:
-        return _typed_canon(n, 0, k)[masks].tolist()
+        codes = _canon_list(n, k)
+        return [codes[m] for m in masks]
     if n <= _TABLE_VERTEX_LIMIT:
         return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
     index = {sum(1 << v for v in e): rank for rank, e in enumerate(colex_subsets(n, k))}
@@ -408,17 +415,26 @@ def enumerate_all(
 
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
     """Counts of canonical masks over all induced size-subsets of G: every
-    subset's sub-mask is read off its `_order_tables` row (gathered bit by
-    bit past C(n,k) = 20), then all are canonicalized in one call."""
+    subset's sub-mask is read off a list copy of its `_order_tables` row
+    (gathered bit by bit past C(n,k) = 20), then all are canonicalized."""
     if not 0 <= size <= G.n:
         raise ValueError("restriction_class_counts: size out of range")
-    subsets = tuple(itertools.combinations(range(G.n), size))
     if G.nbits > _MAX_ENUM_BITS:  # past the tables: one bit at a time, as Python ints
+        subsets = itertools.combinations(range(G.n), size)
         sub_masks = [_gather(G.edges, tuple_bits(G.k, S)) for S in subsets]
     else:
-        split, lo_tab, hi_tab = _order_tables(G.n, G.k, subsets)
-        sub_masks = lo_tab[:, G.edges & ((1 << split) - 1)] | hi_tab[:, G.edges >> split]
+        split, rows = _restriction_rows(G.n, G.k, size)
+        lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
+        sub_masks = [lo_row[lo] | hi_row[hi] for lo_row, hi_row in rows]
     return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
+
+
+@lru_cache(maxsize=None)
+def _restriction_rows(n: int, k: int, size: int):
+    """`_order_tables` of the size-subsets of {0..n-1} in combinations order,
+    as split and one (low, high) pair of Python lists per subset."""
+    split, lo_tab, hi_tab = _order_tables(n, k, tuple(itertools.combinations(range(n), size)))
+    return split, tuple(zip(lo_tab.tolist(), hi_tab.tolist()))
 
 
 def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
@@ -436,32 +452,37 @@ def clique_counts(G: Hypergraph) -> tuple[int, ...]:
     """Entry m (m = 0..n) is the number of complete m-sets of G: the
     m-subsets S whose k-subset mask M_S satisfies edges & M_S == M_S.  For
     m < k every mask is empty, so the entry is C(n, m)."""
-    return _clique_counts(G.n, G.k, G.edges)
+    return _complete_sets(G.n, G.k, G.edges)[0]
 
 
 @lru_cache(maxsize=_CLIQUE_CACHE_HOSTS)  # keyed on ints: a Hypergraph hashes slowly
-def _clique_counts(n: int, k: int, edges: int) -> tuple[int, ...]:
-    return tuple(sum(edges & M == M for M in _subset_edge_masks(n, m, k)) for m in range(n + 1))
+def _complete_sets(n: int, k: int, edges: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A host's clique counts and, for every m, the bitmap of its complete
+    m-sets: bit i for the i-th m-subset in `itertools.combinations` order."""
+    sets = tuple(
+        sum(bit for bit, M in _subset_edge_masks(n, m, k) if edges & M == M) for m in range(n + 1)
+    )
+    return tuple(s.bit_count() for s in sets), sets
 
 
 @lru_cache(maxsize=None)
-def _subset_edge_masks(n: int, size: int, k: int) -> tuple[int, ...]:
-    """For each size-subset of {0..n-1}: mask of the k-subset bits inside it."""
+def _subset_edge_masks(n: int, size: int, k: int) -> tuple[tuple[int, int], ...]:
+    """For the i-th size-subset of {0..n-1} in combinations order: 1 << i and
+    the mask of the k-subset bits inside it."""
     return tuple(
-        sum(1 << b for b in tuple_bits(k, S)) for S in itertools.combinations(range(n), size)
+        (1 << i, sum(1 << b for b in tuple_bits(k, S)))
+        for i, S in enumerate(itertools.combinations(range(n), size))
     )
 
 
 @lru_cache(maxsize=None)
-def _extension_masks(n: int, size: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """For each size-subset S of {0..n-1}, in `itertools.combinations` order:
-    the k-subset mask of S and, for each vertex v outside S in increasing
-    order, the k-subset mask of S + v."""
-    supersets = itertools.combinations(range(n), size + 1)
-    inside = dict(zip(supersets, _subset_edge_masks(n, size + 1, k)))
+def _superset_masks(n: int, size: int) -> tuple[int, ...]:
+    """For each size-subset S of {0..n-1}, in combinations order: the mask
+    with bit j set when the j-th (size+1)-subset is S plus one vertex."""
+    index = {T: i for i, T in enumerate(itertools.combinations(range(n), size + 1))}
     return tuple(
-        (M, tuple(inside[tuple(sorted(S + (v,)))] for v in range(n) if v not in S))
-        for S, M in zip(itertools.combinations(range(n), size), _subset_edge_masks(n, size, k))
+        sum(1 << index[tuple(sorted((*S, v)))] for v in range(n) if v not in S)
+        for S in itertools.combinations(range(n), size)
     )
 
 
@@ -471,7 +492,7 @@ def has_no_empty_set(G: Hypergraph, size: int) -> bool:
         raise ValueError("has_no_empty_set: size exceeds the vertex count")
     if size < G.k:
         return False  # a set smaller than k can never induce an edge
-    return all(G.edges & m for m in _subset_edge_masks(G.n, size, G.k))
+    return all(G.edges & M for _, M in _subset_edge_masks(G.n, size, G.k))
 
 
 def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:

@@ -17,8 +17,9 @@ the telescoping sides read a host only through n, k and its clique counts (a
 three-term check only c_{m-1..m+1}), so each is built once per such profile,
 in a bounded cache, and shared by every host with it.  The square moments
 read restriction classes and are computed per host: they tally, for each
-complete (m-1)-set, the integer number l of vertices extending it (through
-`hypergraph._extension_masks`), weigh the classes of the (m+1)-vertex
+complete (m-1)-set, the number l of vertices extending it (one popcount of
+the host's complete m-set bitmap from `hypergraph._complete_sets` masked to
+the set's one-vertex supersets), weigh the classes of the (m+1)-vertex
 restrictions (`hypergraph.restriction_class_counts`: a table read up to 5
 vertices, orbit minima at 6, a scan at 7 and 8), and compare both moments
 with their expected values by integer cross-multiplication.
@@ -45,7 +46,8 @@ from .bounds import solve_delta
 from .combinat import EpsilonMode, _x_parts, binomial, epsilon_value, x_ratio
 from .hypergraph import (
     Hypergraph,
-    _extension_masks,
+    _complete_sets,
+    _superset_masks,
     clique_counts,
     enumerate_all,
     restriction_class_counts,
@@ -116,7 +118,8 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
         raise ValueError("check_three_term_inequality: need x > 0")
     if not G.k <= m < G.n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    return _three_term(G.n, G.k, m, *clique_counts(G)[m - 1 : m + 2], p, q)
+    c = clique_counts(G)
+    return _three_term(G.n, G.k, m, c[m - 1], c[m], c[m + 1], p, q)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -138,13 +141,12 @@ def _core_pair_weights(size: int, k: int) -> dict[int, int]:
 
 def _extension_tallies(G: Hypergraph, size: int) -> list[int]:
     """For each complete size-subset S of G, in `itertools.combinations`
-    order: l, the number of vertices v outside S with S + v complete."""
-    e = G.edges
-    return [
-        sum(e & M == M for M in ext)
-        for inside, ext in _extension_masks(G.n, size, G.k)
-        if e & inside == inside
-    ]
+    order: l, the number of vertices v outside S with S + v complete, one
+    popcount of the complete (size+1)-sets among S's one-vertex supersets."""
+    sets = _complete_sets(G.n, G.k, G.edges)[1]
+    inside, up = sets[size], sets[size + 1]
+    exts = enumerate(_superset_masks(G.n, size))
+    return [(up & ext).bit_count() for i, ext in exts if inside >> i & 1]
 
 
 def check_square_intermediate(G: Hypergraph, m: int) -> bool:

@@ -365,3 +365,60 @@ def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
         term = term * x / (j + 1)
     tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
     return total - tail, total + tail
+
+
+# Orbit counting for the admissible 6-vertex classes.  These helpers build
+# their own colex order and relabelings and call no package code, so a check
+# built on them is independent of enumeration and canonical forms.
+
+
+def _colex_order(n: int, k: int) -> list[tuple[int, ...]]:
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def spanned_masks(n: int, k: int, size: int) -> list[int]:
+    """For each size-subset of range(n): the mask, over the colex k-subsets,
+    of the k-subsets inside it.  A k-graph mask has an empty size-set
+    exactly when it misses one of these masks."""
+    order = _colex_order(n, k)
+    return [
+        sum(1 << i for i, e in enumerate(order) if set(e) <= set(S))
+        for S in itertools.combinations(range(n), size)
+    ]
+
+
+def count_without_empty_set(n: int, k: int, size: int) -> int:
+    """Number of labelled k-graphs on range(n) in which every size-subset
+    spans an edge, scanned over all 2^C(n,k) masks as pairs of a low and a
+    high half.  For each half value, the set of size-subsets whose masks it
+    misses is a bitmask; a whole mask has an empty size-set exactly when
+    both of its halves miss a common one."""
+    bits = math.comb(n, k)
+    split = bits // 2
+    masks = spanned_masks(n, k, size)
+
+    def missed(shift: int, width: int) -> list[int]:
+        return [
+            sum(1 << j for j, M in enumerate(masks) if not (v << shift) & M)
+            for v in range(1 << width)
+        ]
+
+    low, high = missed(0, split), missed(split, bits - split)
+    return sum(not a & b for a in low for b in high)
+
+
+def automorphism_counts(n: int, k: int, masks: Iterable[int]) -> list[tuple[int, bool]]:
+    """For each k-graph mask on range(n): the number of the n! relabelings
+    that fix it, and whether no relabeling gives a smaller mask."""
+    order = _colex_order(n, k)
+    rank = {e: i for i, e in enumerate(order)}
+    moved = [
+        [1 << rank[tuple(sorted(p[v] for v in e))] for e in order]
+        for p in itertools.permutations(range(n))
+    ]
+    out = []
+    for mask in masks:
+        bits = [i for i in range(len(order)) if mask >> i & 1]
+        images = [sum(map(row.__getitem__, bits)) for row in moved]
+        out.append((images.count(mask), min(images) == mask))
+    return out

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from turankit import (
     binomial,
     build_system,
     de_caen_bound,
+    enumerate_all,
     epsilon_threshold,
     epsilon_value,
     inverse_matrix,
@@ -27,7 +29,9 @@ from turankit import (
 
 from oracles import (
     dense,
+    edge_count,
     enumerated_inclusion_exclusion,
+    is_edge,
     partite_fractions,
     sandwich_fractions,
     upper_bound_fractions,
@@ -387,6 +391,43 @@ def test_de_caen_values():
         assert de_caen_bound(2, 3, n) == 1 - (1 + Fraction(1, n - 2)) / 2
     with pytest.raises(ValueError):
         de_caen_bound(3, 5, 4)
+
+
+def exhaustive_turan_density(n, k, r):
+    """Largest edge density of a K_r-free k-graph on n vertices, over all
+    isomorphism classes."""
+    classes = enumerate_all(n, k)
+    return max(
+        Fraction(edge_count(G), math.comb(n, k))
+        for G in classes
+        if not any(
+            all(is_edge(G, e) for e in itertools.combinations(S, k))
+            for S in itertools.combinations(range(n), r)
+        )
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: de_caen_bound inverts de Caen's factor, so it "
+    "lies below the exhaustive maximum (1/3 < 3/5 at n, k, r = 5, 2, 3)",
+)
+def test_de_caen_bound_dominates_exhaustive_turan_density():
+    # de Caen (1983) bounds the edge density of every K_r-free k-graph; at
+    # k = 2 with (r-1) | n his bound is the Turan graph's density, attained
+    cases = [
+        (n, k, r)
+        for n in range(3, 9)
+        for k in range(2, n)
+        if math.comb(n, k) <= 20
+        for r in range(k + 1, n + 1)
+    ]
+    assert len(cases) == 22
+    for n, k, r in cases:
+        best, bound = exhaustive_turan_density(n, k, r), de_caen_bound(k, r, n)
+        assert bound >= best, (n, k, r, bound, best)
+        if k == 2 and n % (r - 1) == 0:
+            assert bound == best == (1 - Fraction(1, r - 1)) * Fraction(n, n - 1), (n, r)
 
 
 def test_partite_lower_bound_small_cases():

@@ -22,7 +22,12 @@ from turankit import (
 )
 from turankit.hypergraph import _typed_canon
 
-from oracles import combined_square_vector
+from oracles import (
+    automorphism_counts,
+    combined_square_vector,
+    count_without_empty_set,
+    spanned_masks,
+)
 
 # SHA-256 of `<hex code> <p/q>` lines sorted by code: the slack of every
 # admissible class, then the size-6 coefficients of each of the six squares
@@ -121,6 +126,25 @@ def test_e5free_count(e5free_classes):
     codes = [g.edges for g in e5free_classes]
     assert codes == sorted(codes)
     assert all(has_no_empty_set(g, 5) for g in e5free_classes)
+
+
+def test_e5free_classes_complete_by_orbit_counting(e5free_classes):
+    # Independent of enumeration: the labelled 3-graphs on 6 vertices with no
+    # empty 5-set are counted by a scan of all 2^20 masks, and each class's
+    # orbit has 720/|Aut| of them.  Distinct least images are distinct
+    # orbits, so the orbit sizes reach the count only if no class is missing.
+    codes = [G.edges for G in e5free_classes]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    labelled = count_without_empty_set(6, 3, 5)
+    assert labelled == 1_042_642
+    fives = spanned_masks(6, 3, 5)
+    assert all(code & M for code in codes for M in fives)
+    orbits = 0
+    for code, (aut, least) in zip(codes, automorphism_counts(6, 3, codes)):
+        assert least, f"{code:x} is not its own least image"
+        assert 720 % aut == 0
+        orbits += 720 // aut
+    assert orbits == labelled
 
 
 def test_cold_certificate_leaves_numpy_ma_unimported():

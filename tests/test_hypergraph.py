@@ -336,13 +336,20 @@ def test_clique_density_matches_brute_force():
 
 
 def test_clique_counts_cache_is_bounded():
-    # a run over many hosts keeps the counts of the last few only, keyed on
-    # (n, k, edges)
+    # a run over many hosts keeps the counts and complete-set bitmaps of the
+    # last few only, keyed on (n, k, edges); the extension tallies of the
+    # square moments read the same per-host record
+    from turankit.relations import _extension_tallies
+
+    hypergraph._complete_sets.cache_clear()
     for mask in range(300):
-        clique_counts(Hypergraph(6, 3, mask))
-    info = hypergraph._clique_counts.cache_info()
+        G = Hypergraph(6, 3, mask)
+        clique_counts(G)
+        _extension_tallies(G, 3)
+    info = hypergraph._complete_sets.cache_info()
     assert info.maxsize is not None and info.maxsize < 300
     assert info.currsize <= info.maxsize
+    assert (info.misses, info.hits) == (300, 300)
 
 
 @st.composite

@@ -91,21 +91,32 @@ def test_square_intermediate_random_six_vertex():
 
 
 def test_extension_tallies_match_local_stats():
-    # local_stats restricts the host once per subset and extension: the oracle
+    # local_stats restricts the host once per subset and extension: the
+    # oracle.  The tallies read the host's complete-set bitmaps, which serve
+    # hosts past the 20-bit table guard as well (an 8-vertex 3-graph has 56
+    # bits, an 8-vertex 4-graph 70).
     rng = random.Random(61)
-    for k, bits in ((3, 20), (2, 15)):
-        for _ in range(20):
-            G = Hypergraph(6, k, rng.getrandbits(bits))
-            for m in range(k, 6):
-                o = 6 - m + 1
-                subsets = itertools.combinations(range(6), m - 1)
-                stats = [s for S in subsets if (s := local_stats(G, S)).q]
-                tallies = relations._extension_tallies(G, m - 1)
-                assert tallies == [s.l for s in stats]
-                assert sum((s.r for s in stats), Fraction(0)) == Fraction(sum(tallies), o)
-                pairs = sum(math.comb(l, 2) for l in tallies)
-                rr_total = sum((s.rr for s in stats), Fraction(0))
-                assert rr_total == Fraction(pairs, math.comb(o, 2))
+    for n in range(4, 9):
+        for k in (2, 3, 4):
+            bits = math.comb(n, k)
+            hosts = [Hypergraph.complete(n, k)]
+            # sparse and dense random hosts, so that large complete sets occur
+            hosts += [Hypergraph(n, k, rng.getrandbits(bits)) for _ in range(2)]
+            dense = (rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(2))
+            hosts += [Hypergraph(n, k, edges) for edges in dense]
+            for G in hosts:
+                for m in range(k, n):
+                    o = n - m + 1
+                    subsets = itertools.combinations(range(n), m - 1)
+                    stats = [s for S in subsets if (s := local_stats(G, S)).q]
+                    tallies = relations._extension_tallies(G, m - 1)
+                    assert tallies == [s.l for s in stats], (n, k, m, G.edges)
+                    assert sum((s.r for s in stats), Fraction(0)) == Fraction(sum(tallies), o)
+                    pairs = sum(math.comb(l, 2) for l in tallies)
+                    rr_total = sum((s.rr for s in stats), Fraction(0))
+                    assert rr_total == Fraction(pairs, math.comb(o, 2))
+                    if m <= 4:
+                        assert check_square_intermediate(G, m), (n, k, m, G.edges)
 
 
 @pytest.mark.parametrize("m", [3, 4])
