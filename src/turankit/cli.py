@@ -27,6 +27,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -137,14 +138,15 @@ def _cmd_lower(args) -> int:
 
 
 def _parse_filter(value: Optional[str]):
-    """Filter string `no-empty-M`: keep classes where every M-subset spans
-    an edge.  Returns (tag, predicate)."""
+    """Filter string `no-empty-M`, M in ASCII digits: keep classes where
+    every M-subset spans an edge.  Returns (tag, predicate)."""
     from .hypergraph import has_no_empty_set
     if value is None:
         return "none", None
-    parts = value.split("-")
-    if len(parts) == 3 and parts[0] == "no" and parts[1] == "empty" and parts[2].isdigit():
-        size = int(parts[2])
+    # [0-9], not str.isdigit, which also takes other scripts' digits and superscripts
+    match = re.fullmatch(r"no-empty-([0-9]+)", value)
+    if match:
+        size = int(match[1])
         return value, lambda G: has_no_empty_set(G, size)
     raise ValueError(f"unknown filter {value!r}; expected no-empty-<size>")
 

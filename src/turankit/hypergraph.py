@@ -41,9 +41,15 @@ tuple from them: the restrictions, relabelings and lifts of
 vertex-last masks of `_orbit_minima`.  `restriction_class_counts`, which
 works on one host, reads Python-list copies of its subsets' rows instead.
 
-Complete sets are found without canonical forms: `_subset_edge_masks` holds,
-for each vertex subset, the mask of the k-subsets inside it, and a subset is
-complete exactly when the host's edges contain that mask.  `_complete_sets`
+Complete and empty sets are found without canonical forms.  A subset is
+complete exactly when no non-edge of the host meets its k-subset mask, and
+spans an edge exactly when an edge meets it.  `_meet_tables(n, k)` maps the
+low and the high half of a mask to the bitmap of the m-subsets it meets, for
+every m, in lists built by doubling like the relabeling tables but of Python
+ints, as an 8-vertex bitmap of 4-sets has 70 bits.  So within the 20-bit
+guard the complete m-sets are all m-sets less two reads on the non-edges,
+and `has_no_empty_set` is two reads on the edges; past it, both scan the
+k-subset mask of every subset (`_subset_edge_masks`).  `_complete_sets`
 keeps, for the last few hosts, the bitmap of complete m-sets for every m;
 `clique_counts` returns their popcounts, and with `_superset_masks` the
 complete one-vertex extensions of a set are one AND and one popcount.
@@ -54,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -426,7 +431,10 @@ def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
         split, rows = _restriction_rows(G.n, G.k, size)
         lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
         sub_masks = [lo_row[lo] | hi_row[hi] for lo_row, hi_row in rows]
-    return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
+    counts: dict[int, int] = {}
+    for code in _canonical_codes(sub_masks, size, G.k):  # a plain tally beats building a Counter
+        counts[code] = counts.get(code, 0) + 1
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -458,11 +466,22 @@ def clique_counts(G: Hypergraph) -> tuple[int, ...]:
 @lru_cache(maxsize=_CLIQUE_CACHE_HOSTS)  # keyed on ints: a Hypergraph hashes slowly
 def _complete_sets(n: int, k: int, edges: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A host's clique counts and, for every m, the bitmap of its complete
-    m-sets: bit i for the i-th m-subset in `itertools.combinations` order."""
-    sets = tuple(
-        sum(bit for bit, M in _subset_edge_masks(n, m, k) if edges & M == M) for m in range(n + 1)
-    )
-    return tuple(s.bit_count() for s in sets), sets
+    m-sets: bit i for the i-th m-subset in `itertools.combinations` order.
+    An m-set is complete when its k-subset mask meets none of the non-edges,
+    so the bitmap is all m-sets less the ones the non-edges meet: two reads
+    of the m-row of `_meet_tables` within the 20-bit guard, a scan of every
+    m-subset past it."""
+    nbits = math.comb(n, k)
+    miss = edges ^ ((1 << nbits) - 1)
+    if nbits > _MAX_ENUM_BITS:
+        sets = tuple(
+            ((1 << math.comb(n, m)) - 1) ^ _scanned_meets(n, k, miss, m) for m in range(n + 1)
+        )
+    else:
+        split, tables = _meet_tables(n, k)
+        lo, hi = miss & ((1 << split) - 1), miss >> split
+        sets = tuple(full & ~(lo_m[lo] | hi_m[hi]) for full, lo_m, hi_m in tables)
+    return tuple(map(int.bit_count, sets)), sets
 
 
 @lru_cache(maxsize=None)
@@ -473,6 +492,45 @@ def _subset_edge_masks(n: int, size: int, k: int) -> tuple[tuple[int, int], ...]
         (1 << i, sum(1 << b for b in tuple_bits(k, S)))
         for i, S in enumerate(itertools.combinations(range(n), size))
     )
+
+
+def _scanned_meets(n: int, k: int, mask: int, m: int) -> int:
+    """Bitmap of the m-subsets of {0..n-1} whose k-subset mask meets mask,
+    one subset at a time: the route for masks past the 20-bit guard."""
+    return sum(bit for bit, M in _subset_edge_masks(n, m, k) if mask & M)
+
+
+@lru_cache(maxsize=None)
+def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[int]], ...]]:
+    """`_scanned_meets` as two table reads, for masks on n vertices within
+    the guard: split = ceil(C(n,k)/2) and, for each m = 0..n, the bitmap of
+    all m-subsets and `_half_lists` of the m-subsets meeting each host bit.
+    Python lists, not `_half_tables`: an m-set bitmap has up to C(8,4) = 70
+    bits, past int64."""
+    nbits = math.comb(n, k)
+    split = (nbits + 1) // 2
+    tables = []
+    for m in range(n + 1):
+        meets = [0] * nbits  # entry b: the m-subsets whose k-subset mask holds bit b
+        for i, S in enumerate(itertools.combinations(range(n), m)):
+            for b in tuple_bits(k, S):
+                meets[b] |= 1 << i
+        tables.append(((1 << math.comb(n, m)) - 1, *_half_lists(meets, split)))
+    return split, tuple(tables)
+
+
+def _half_lists(values: list[int], split: int) -> tuple[list[int], list[int]]:
+    """Lookup lists for the low split bits and the other bits of a mask:
+    entry x ORs values[b] over the set bits b of x (of x << split for the
+    high list).  Each doubles like `_half_tables`: the entries with bit b set
+    are those below 2^b OR'd with values[b]."""
+    tabs = []
+    for part in (values[:split], values[split:]):
+        tab = [0]
+        for v in part:
+            tab += [x | v for x in tab]
+        tabs.append(tab)
+    return tabs[0], tabs[1]
 
 
 @lru_cache(maxsize=None)
@@ -487,12 +545,17 @@ def _superset_masks(n: int, size: int) -> tuple[int, ...]:
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
-    """True when every size-subset of the vertices induces at least one edge."""
+    """True when every size-subset of the vertices induces at least one edge:
+    the edges meet every size-subset's k-subset mask."""
     if size > G.n:
         raise ValueError("has_no_empty_set: size exceeds the vertex count")
     if size < G.k:
         return False  # a set smaller than k can never induce an edge
-    return all(G.edges & M for _, M in _subset_edge_masks(G.n, size, G.k))
+    if G.nbits > _MAX_ENUM_BITS:
+        return _scanned_meets(G.n, G.k, G.edges, size) == (1 << math.comb(G.n, size)) - 1
+    split, tables = _meet_tables(G.n, G.k)
+    full, lo, hi = tables[size]
+    return lo[G.edges & ((1 << split) - 1)] | hi[G.edges >> split] == full
 
 
 def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:

@@ -7,8 +7,10 @@ relaxed rows obtained by substituting a uniform slack constant, and the
 telescoping identity that ties the multiplier vector to the final bound.
 
 Every relation is integer arithmetic on the host's clique counts plus one
-`Fraction` at the end.  A host's complete m-sets are counted once, for every m
-(`hypergraph.clique_counts`).  A three-term row at x = p/q with shift s/t is
+`Fraction` at the end.  A host's complete m-sets are counted once, for every m,
+in the per-host record `hypergraph._complete_sets`: two table reads per m up
+to 20 edge slots.  The three-term check reads it directly, the others through
+`hypergraph.clique_counts`.  A three-term row at x = p/q with shift s/t is
 one integer numerator over m p q t (n-m) C(n, m); x and the shift enter as
 integer pairs, so each three-term check and each relaxed row builds one
 `Fraction`, and a check reads its sign off the numerator and returns an
@@ -114,12 +116,13 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
     if type(x) is not Fraction:
         x = Fraction(x)
     p, q = x.as_integer_ratio()
+    n, k = G.n, G.k
     if p <= 0:
         raise ValueError("check_three_term_inequality: need x > 0")
-    if not G.k <= m < G.n:
+    if not k <= m < n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    c = clique_counts(G)
-    return _three_term(G.n, G.k, m, c[m - 1], c[m], c[m + 1], p, q)
+    c = _complete_sets(n, k, G.edges)[0]  # clique_counts without its frame
+    return _three_term(n, k, m, c[m - 1], c[m], c[m + 1], p, q)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)

@@ -422,3 +422,40 @@ def automorphism_counts(n: int, k: int, masks: Iterable[int]) -> list[tuple[int,
         images = [sum(map(row.__getitem__, bits)) for row in moved]
         out.append((images.count(mask), min(images) == mask))
     return out
+
+
+def k4_free_extremal(n: int) -> tuple[int, int]:
+    """ex(n, K_4^(3)), the most edges of an n-vertex 3-graph with no complete
+    4-set, and the colex edge mask of one such graph, by integer search.
+
+    The non-edges of a K_4-free graph form a set of triples meeting every
+    4-set, so ex is C(n, 3) less the least such set.  A depth-first branch
+    and bound finds it: branch on the allowed triples of the uncovered 4-set
+    with the fewest, banning each in the later sibling branches; bound by
+    ceil(uncovered / (n - 3)), since a triple lies in n - 3 4-sets.  All
+    triples are alike, so the first 4-set is covered by {0, 1, 2}."""
+    rank = {t: i for i, t in enumerate(_colex_order(n, 3))}
+    quads = [[rank[t] for t in itertools.combinations(q, 3)] for q in _colex_order(n, 4)]
+    meets = [0] * len(rank)  # triple t: the 4-sets holding it
+    for j, triples in enumerate(quads):
+        for t in triples:
+            meets[t] |= 1 << j
+    best = [len(meets) + 1, 0]  # size and mask of the least cover found
+
+    def search(uncovered: int, cover: int, size: int, banned: int) -> None:
+        if not uncovered:
+            best[:] = [size, cover]  # the bound below admits only smaller covers
+            return
+        if size + -(-uncovered.bit_count() // (n - 3)) >= best[0]:
+            return
+        left = [j for j in range(len(quads)) if uncovered >> j & 1]
+        allowed = min(([t for t in quads[j] if not banned >> t & 1] for j in left), key=len)
+        for t in allowed:
+            search(uncovered & ~meets[t], cover | 1 << t, size + 1, banned)
+            banned |= 1 << t
+
+    everything = (1 << len(meets)) - 1
+    if not quads:
+        return len(meets), everything
+    search(((1 << len(quads)) - 1) & ~meets[0], 1, 1, 0)
+    return len(meets) - best[0], everything ^ best[1]

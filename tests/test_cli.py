@@ -105,6 +105,19 @@ def test_enumerate_bad_filter(capsys):
     assert code == 2
 
 
+def test_enumerate_filter_size_takes_ascii_digits_only(capsys, tmp_path):
+    # str.isdigit accepts an Arabic-Indic three and a superscript two; both
+    # are refused up front, before the cache directory is made
+    cache = tmp_path / "cache"
+    for value in ("no-empty-\u0663", "no-empty-\u00b2"):
+        argv = ["enumerate", "--k", "3", "--n", "5", "--filter", value, "--cache-dir", str(cache)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: unknown filter {value!r}; expected no-empty-<size>\n"
+    assert not cache.exists()
+
+
 def test_solve_output(capsys):
     code, out = run_cli(capsys, "solve", "--k", "3", "--r", "5", "--g", "4")
     assert code == 0

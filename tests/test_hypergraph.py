@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turankit import (
@@ -47,6 +47,7 @@ from oracles import (
     edge_count,
     is_complete,
     is_edge,
+    k4_free_extremal,
     local_stats,
     nonedge_core_size,
     perm_tables,
@@ -361,16 +362,100 @@ def small_hosts(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(small_hosts())
+@example(Hypergraph(8, 1, 0b10110101))  # 4-set bitmaps of 70 bits, past int64
+@example(Hypergraph(8, 7, 0b01101111))
 def test_clique_counts_match_brute_force(G):
     # The route through canonical forms scans 5040 or 40320 relabelings per
-    # 7- or 8-vertex subset, so it is compared for m <= 6 only.
-    counts = clique_counts(G)
-    assert len(counts) == G.n + 1
+    # 7- or 8-vertex subset, so it is compared for m <= 6 only.  The
+    # complete-set bitmaps behind the counts (table reads within the 20-bit
+    # guard, a scan past it) are compared bit by bit.
+    counts, sets = hypergraph._complete_sets(G.n, G.k, G.edges)
+    assert counts == clique_counts(G)
+    assert len(counts) == len(sets) == G.n + 1
     for m in range(G.n + 1):
         subsets = itertools.combinations(range(G.n), m)
-        assert counts[m] == sum(is_complete(G.restrict(S)) for S in subsets)
+        complete = [i for i, S in enumerate(subsets) if is_complete(G.restrict(S))]
+        assert counts[m] == len(complete)
+        assert sets[m] == sum(1 << i for i in complete)
         if m <= 6:
             assert clique_density(G, m) == induced_density(Hypergraph.complete(m, G.k), G)
+
+
+def guard_pairs():
+    """Every (n, k) within the 20-bit guard, k = n + 1 (no k-subsets) included."""
+    return [
+        (n, k) for n in range(MAX_VERTICES + 1) for k in range(1, n + 2) if math.comb(n, k) <= 20
+    ]
+
+
+def guard_masks(n, k):
+    """Every edge mask on (n, k) where C(n, k) <= 10, else 200 seeded ones."""
+    nbits = math.comb(n, k)
+    if nbits <= 10:
+        return range(1 << nbits)
+    rng = random.Random(f"guard-masks:{n}:{k}")
+    return [rng.getrandbits(nbits) for _ in range(200)]
+
+
+def table_mismatches(n, k, split, tables, masks):
+    """The (mask, m) at which two reads of the m-row of `_meet_tables`-shaped
+    tables differ from the per-subset scan that serves hosts past the guard."""
+    return [
+        (x, m)
+        for x in masks
+        for m, (_, lo, hi) in enumerate(tables)
+        if lo[x & ((1 << split) - 1)] | hi[x >> split] != hypergraph._scanned_meets(n, k, x, m)
+    ]
+
+
+def test_table_reads_match_the_scan():
+    # (8,1) and (8,7) are in the guard, and their 4-set bitmaps have 70 bits
+    assert {(8, 1), (8, 7)} <= set(guard_pairs())
+    for n, k in guard_pairs():
+        split, tables = hypergraph._meet_tables(n, k)
+        masks = guard_masks(n, k)
+        assert table_mismatches(n, k, split, tables, masks) == []
+        everything = (1 << math.comb(n, k)) - 1
+        for x in masks:
+            sets = tuple(
+                full ^ hypergraph._scanned_meets(n, k, x ^ everything, m)
+                for m, (full, _, _) in enumerate(tables)
+            )
+            assert hypergraph._complete_sets(n, k, x) == (tuple(s.bit_count() for s in sets), sets)
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (8, 1)])
+def test_table_with_a_dropped_meets_bit_fails(n, k):
+    # meets lists rebuilt from the scan's subset masks give back the cached
+    # half lists; with one m-subset dropped from host bit 0's entry, the
+    # comparison with the scan finds the masks on which the reads go wrong
+    split, tables = hypergraph._meet_tables(n, k)
+    masks = guard_masks(n, k)
+    for m in range(k, n + 1):
+        meets = [0] * math.comb(n, k)
+        for bit, M in hypergraph._subset_edge_masks(n, m, k):
+            for b in range(len(meets)):
+                if M >> b & 1:
+                    meets[b] |= bit
+        assert hypergraph._half_lists(meets, split) == tables[m][1:]
+        meets[0] &= meets[0] - 1
+        lo, hi = hypergraph._half_lists(meets, split)
+        broken = tables[:m] + ((tables[m][0], lo, hi),) + tables[m + 1 :]
+        assert 1 in {x for x, _ in table_mismatches(n, k, split, broken, masks)}
+
+
+def test_k4_free_extremal_numbers():
+    # ground truth past the 20-bit guard: the branch and bound agrees with
+    # enumeration at n = 5, 6 and gives ex(n, K_4^(3)) = 7, 14, 23 at
+    # n = 5, 6, 7 (Sidorenko 1995); the n = 7 witness, 35 bits, is counted
+    # by the per-subset scan
+    for n in (5, 6):
+        free = [G for G in enumerate_all(n, 3) if clique_counts(G)[4] == 0]
+        assert k4_free_extremal(n)[0] == max(edge_count(G) for G in free)
+    assert [k4_free_extremal(n)[0] for n in (5, 6, 7)] == [7, 14, 23]
+    G = Hypergraph(7, 3, k4_free_extremal(7)[1])
+    assert G.nbits > hypergraph._MAX_ENUM_BITS
+    assert edge_count(G) == 23 and clique_counts(G)[4] == 0
 
 
 def test_densities_partition_probability(h5_classes):
@@ -450,6 +535,17 @@ def test_has_no_empty_set():
     assert not has_no_empty_set(Hypergraph.complete(6, 3), 2)
     with pytest.raises(ValueError, match="exceeds the vertex count"):
         has_no_empty_set(two, 7)
+    # past the 20-bit guard, the scan: every 5-set of two disjoint K_4s
+    # holds 3 vertices of one, and {0, 1, 4, 5} holds no edge
+    four = disjoint_union(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3))
+    assert has_no_empty_set(four, 5) and not has_no_empty_set(four, 4)
+    # within it, two table reads, which agree with the scan at every size
+    for n, k in guard_pairs():
+        for x in guard_masks(n, k):
+            G = Hypergraph(n, k, x)
+            for size in range(n + 1):
+                covered = hypergraph._scanned_meets(n, k, x, size) == (1 << math.comb(n, size)) - 1
+                assert has_no_empty_set(G, size) == (size >= k and covered)
 
 
 def test_hgr_round_trip(tmp_path, h4_classes):

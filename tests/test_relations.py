@@ -18,7 +18,7 @@ from turankit import (
     telescoped_combination,
     x_ratio,
 )
-from turankit import relations
+from turankit import hypergraph, relations
 
 from oracles import clique_density, is_complete, local_stats, nonedge_core_size
 
@@ -338,7 +338,9 @@ def test_profile_records_shared_across_n_k_r_g_and_mode():
 def test_profile_caches_see_one_count_off(monkeypatch, m):
     # warm records must not answer for a host whose counts differ: c_m moves
     # the three-term slack at m, relaxed row m and the left side at g = m
-    # (on 6 vertices the corrected eps is 1, which zeroes c_4 in row 4)
+    # (on 6 vertices the corrected eps is 1, which zeroes c_4 in row 4).  The
+    # counts are bumped in the per-host complete-set record, which the
+    # three-term check reads directly and the others through clique_counts.
     G = Hypergraph(6, 3, 0x5A5A5)
     x, r, mode = Fraction(3, 8), 5, EpsilonMode.LITERAL
     warm = (
@@ -346,12 +348,14 @@ def test_profile_caches_see_one_count_off(monkeypatch, m):
         check_relaxed_rows(G, r, mode)[m - 3],
         telescoped_combination(G, m, r, mode),
     )
-    real = relations.clique_counts
+    real = hypergraph._complete_sets
 
-    def bumped(G):
-        return tuple(c + (j == m) for j, c in enumerate(real(G)))
+    def bumped(n, k, edges):
+        counts, sets = real(n, k, edges)
+        return tuple(c + (j == m) for j, c in enumerate(counts)), sets
 
-    monkeypatch.setattr(relations, "clique_counts", bumped)
+    monkeypatch.setattr(hypergraph, "_complete_sets", bumped)
+    monkeypatch.setattr(relations, "_complete_sets", bumped)
     lhs, rhs = telescoped_combination(G, m, r, mode)
     assert check_three_term_inequality(G, m, x).slack != warm[0]
     assert check_relaxed_rows(G, r, mode)[m - 3] != warm[1]
