@@ -41,18 +41,18 @@ tuple from them: the restrictions, relabelings and lifts of
 vertex-last masks of `_orbit_minima`.  `restriction_class_counts`, which
 works on one host, reads Python-list copies of its subsets' rows instead.
 
-Complete and empty sets are found without canonical forms.  A subset is
-complete exactly when no non-edge of the host meets its k-subset mask, and
-spans an edge exactly when an edge meets it.  `_meet_tables(n, k)` maps the
-low and the high half of a mask to the bitmap of the m-subsets it meets, for
-every m, in lists built by doubling like the relabeling tables but of Python
-ints, as an 8-vertex bitmap of 4-sets has 70 bits.  So within the 20-bit
-guard the complete m-sets are all m-sets less two reads on the non-edges,
-and `has_no_empty_set` is two reads on the edges; past it, both scan the
-k-subset mask of every subset (`_subset_edge_masks`).  `_complete_sets`
-keeps, for the last few hosts, the bitmap of complete m-sets for every m;
-`clique_counts` returns their popcounts, and with `_superset_masks` the
-complete one-vertex extensions of a set are one AND and one popcount.
+Complete sets are found without canonical forms.  A subset is complete
+exactly when no non-edge of the host meets its k-subset mask.
+`_meet_tables(n, k)` maps the low and the high half of a mask to the bitmap
+of the m-subsets it meets, for every m, in lists built by doubling like the
+relabeling tables but of Python ints, as an 8-vertex bitmap of 4-sets has 70
+bits.  So within the 20-bit guard the complete m-sets are all m-sets less
+two reads on the non-edges; past it, the k-subset mask of every subset
+(`_subset_edge_masks`) is tested against them.  `has_no_empty_set` scans the
+same masks for one that no edge meets.  `_complete_sets` keeps, for the
+last few hosts, the bitmap of complete m-sets for every m; `clique_counts`
+returns their popcounts, and with `_superset_masks` the complete one-vertex
+extensions of a set are one AND and one popcount.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -431,10 +432,7 @@ def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
         split, rows = _restriction_rows(G.n, G.k, size)
         lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
         sub_masks = [lo_row[lo] | hi_row[hi] for lo_row, hi_row in rows]
-    counts: dict[int, int] = {}
-    for code in _canonical_codes(sub_masks, size, G.k):  # a plain tally beats building a Counter
-        counts[code] = counts.get(code, 0) + 1
-    return counts
+    return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
 
 
 @lru_cache(maxsize=None)
@@ -545,17 +543,12 @@ def _superset_masks(n: int, size: int) -> tuple[int, ...]:
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
-    """True when every size-subset of the vertices induces at least one edge:
-    the edges meet every size-subset's k-subset mask."""
+    """True when every size-subset of the vertices induces at least one edge."""
     if size > G.n:
         raise ValueError("has_no_empty_set: size exceeds the vertex count")
     if size < G.k:
         return False  # a set smaller than k can never induce an edge
-    if G.nbits > _MAX_ENUM_BITS:
-        return _scanned_meets(G.n, G.k, G.edges, size) == (1 << math.comb(G.n, size)) - 1
-    split, tables = _meet_tables(G.n, G.k)
-    full, lo, hi = tables[size]
-    return lo[G.edges & ((1 << split) - 1)] | hi[G.edges >> split] == full
+    return all(G.edges & M for _, M in _subset_edge_masks(G.n, size, G.k))
 
 
 def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:

@@ -7,17 +7,17 @@ relaxed rows obtained by substituting a uniform slack constant, and the
 telescoping identity that ties the multiplier vector to the final bound.
 
 Every relation is integer arithmetic on the host's clique counts plus one
-`Fraction` at the end.  A host's complete m-sets are counted once, for every m,
-in the per-host record `hypergraph._complete_sets`: two table reads per m up
-to 20 edge slots.  The three-term check reads it directly, the others through
-`hypergraph.clique_counts`.  A three-term row at x = p/q with shift s/t is
-one integer numerator over m p q t (n-m) C(n, m); x and the shift enter as
-integer pairs, so each three-term check and each relaxed row builds one
-`Fraction`, and a check reads its sign off the numerator and returns an
-`InequalityCheck` tuple record.  The three-term check, the relaxed rows and
-the telescoping sides read a host only through n, k and its clique counts (a
-three-term check only c_{m-1..m+1}), so each is built once per such profile,
-in a bounded cache, and shared by every host with it.  The square moments
+`Fraction` at the end.  A host's complete m-sets are found once, for every m,
+in the per-host record `hypergraph._complete_sets` (two table reads per m up
+to 20 edge slots), and every check reads its clique counts and bitmaps
+there.  A three-term row at x = p/q with shift s/t is one integer numerator
+over m p q t (n-m) C(n, m); x and the shift enter as integer pairs, so each
+three-term check and each relaxed row builds one `Fraction`, and a check
+reads its sign off the numerator and returns an `InequalityCheck` tuple
+record.  The three-term check, the relaxed rows and the telescoping sides
+read a host only through n, k and its clique counts (a three-term check
+only c_{m-1..m+1}), so each is built once per such profile, in a bounded
+cache, and shared by every host with it.  The square moments
 read restriction classes and are computed per host: they tally, for each
 complete (m-1)-set, the number l of vertices extending it (one popcount of
 the host's complete m-set bitmap from `hypergraph._complete_sets` masked to
@@ -50,7 +50,6 @@ from .hypergraph import (
     Hypergraph,
     _complete_sets,
     _superset_masks,
-    clique_counts,
     enumerate_all,
     restriction_class_counts,
 )
@@ -116,12 +115,12 @@ def check_three_term_inequality(G: Hypergraph, m: int, x: Fraction) -> Inequalit
     if type(x) is not Fraction:
         x = Fraction(x)
     p, q = x.as_integer_ratio()
-    n, k = G.n, G.k
     if p <= 0:
         raise ValueError("check_three_term_inequality: need x > 0")
+    n, k = G.n, G.k
     if not k <= m < n:
         raise ValueError(f"check_three_term_inequality: need k <= m < n, got m={m}")
-    c = _complete_sets(n, k, G.edges)[0]  # clique_counts without its frame
+    c = _complete_sets(n, k, G.edges)[0]
     return _three_term(n, k, m, c[m - 1], c[m], c[m + 1], p, q)
 
 
@@ -139,7 +138,10 @@ def _core_pair_weights(size: int, k: int) -> dict[int, int]:
     """C(core, 2) for every size-vertex class, keyed by canonical mask, where
     core is the class's common-nonedge-vertex count, which is also its
     number of complete (size-1)-sets.  Read-only."""
-    return {H.edges: binomial(clique_counts(H)[size - 1], 2) for H in enumerate_all(size, k)}
+    return {
+        H.edges: binomial(_complete_sets(size, k, H.edges)[0][size - 1], 2)
+        for H in enumerate_all(size, k)
+    }
 
 
 def _extension_tallies(G: Hypergraph, size: int) -> list[int]:
@@ -174,7 +176,7 @@ def check_square_intermediate(G: Hypergraph, m: int) -> bool:
     o = n - m + 1
     tallies = _extension_tallies(G, m - 1)
     count = math.comb(n, m - 1)
-    if sum(tallies) * math.comb(n, m) != clique_counts(G)[m] * o * count:
+    if sum(tallies) * math.comb(n, m) != _complete_sets(n, k, G.edges)[0][m] * o * count:
         return False
     weights = _core_pair_weights(m + 1, k)
     weighted_hits = sum(
@@ -200,7 +202,7 @@ def check_relaxed_rows(
     """
     if G.n <= r:
         raise ValueError(f"check_relaxed_rows: need |G| > r, got |G|={G.n}, r={r}")
-    return list(_relaxed_rows(G.n, G.k, r, mode, clique_counts(G)))
+    return list(_relaxed_rows(G.n, G.k, r, mode, _complete_sets(G.n, G.k, G.edges)[0]))
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -250,7 +252,7 @@ def telescoped_combination(
     k, n = G.k, G.n
     if not (2 <= k <= g < r < n):
         raise ValueError("telescoped_combination: need 2 <= k <= g < r < |G|")
-    return _telescoped(n, k, g, r, mode, clique_counts(G))
+    return _telescoped(n, k, g, r, mode, _complete_sets(n, k, G.edges)[0])
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)

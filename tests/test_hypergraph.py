@@ -535,16 +535,18 @@ def test_has_no_empty_set():
     assert not has_no_empty_set(Hypergraph.complete(6, 3), 2)
     with pytest.raises(ValueError, match="exceeds the vertex count"):
         has_no_empty_set(two, 7)
-    # past the 20-bit guard, the scan: every 5-set of two disjoint K_4s
-    # holds 3 vertices of one, and {0, 1, 4, 5} holds no edge
+    # 8 vertices (56 edge slots): every 5-set of two disjoint K_4s holds 3
+    # vertices of one, and {0, 1, 4, 5} holds no edge
     four = disjoint_union(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3))
     assert has_no_empty_set(four, 5) and not has_no_empty_set(four, 4)
-    # within it, two table reads, which agree with the scan at every size
+    # the subset scan agrees at every size with two reads of the meet tables
+    # of `_complete_sets`: the edges meet every size-subset
     for n, k in guard_pairs():
+        split, tables = hypergraph._meet_tables(n, k)
         for x in guard_masks(n, k):
             G = Hypergraph(n, k, x)
-            for size in range(n + 1):
-                covered = hypergraph._scanned_meets(n, k, x, size) == (1 << math.comb(n, size)) - 1
+            for size, (full, lo, hi) in enumerate(tables):
+                covered = lo[x & ((1 << split) - 1)] | hi[x >> split] == full
                 assert has_no_empty_set(G, size) == (size >= k and covered)
 
 

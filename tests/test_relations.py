@@ -12,13 +12,14 @@ from turankit import (
     check_relaxed_rows,
     check_square_intermediate,
     check_three_term_inequality,
+    clique_counts,
     disjoint_union,
     enumerate_all,
     epsilon_value,
     telescoped_combination,
     x_ratio,
 )
-from turankit import hypergraph, relations
+from turankit import relations
 
 from oracles import clique_density, is_complete, local_stats, nonedge_core_size
 
@@ -137,12 +138,13 @@ def test_square_intermediate_detects_one_count_off(monkeypatch, entry, m):
 
         monkeypatch.setattr(relations, "restriction_class_counts", bumped)
     else:
-        real = relations.clique_counts
+        real = relations._complete_sets
 
-        def bumped(G):
-            return tuple(c + (j == m) for j, c in enumerate(real(G)))
+        def bumped(n, k, edges):
+            counts, sets = real(n, k, edges)
+            return tuple(c + (j == m) for j, c in enumerate(counts)), sets
 
-        monkeypatch.setattr(relations, "clique_counts", bumped)
+        monkeypatch.setattr(relations, "_complete_sets", bumped)
     assert not any(check_square_intermediate(G, m) for G in hosts)
 
 
@@ -328,7 +330,7 @@ def test_profile_records_shared_across_n_k_r_g_and_mode():
         pairs.append((G, Hypergraph(7, 3, G.edges)))  # colex: vertex 6 isolated
     _clear_profile_caches()
     for first, second in pairs:
-        assert relations.clique_counts(first)[3:6] == relations.clique_counts(second)[3:6]
+        assert clique_counts(first)[3:6] == clique_counts(second)[3:6]
         for G in (first, second):
             _assert_matches_fraction_oracle(G, rs=range(G.k + 1, G.n))
     assert all(cache.cache_info().hits for cache in PROFILE_CACHES)
@@ -338,9 +340,7 @@ def test_profile_records_shared_across_n_k_r_g_and_mode():
 def test_profile_caches_see_one_count_off(monkeypatch, m):
     # warm records must not answer for a host whose counts differ: c_m moves
     # the three-term slack at m, relaxed row m and the left side at g = m
-    # (on 6 vertices the corrected eps is 1, which zeroes c_4 in row 4).  The
-    # counts are bumped in the per-host complete-set record, which the
-    # three-term check reads directly and the others through clique_counts.
+    # (on 6 vertices the corrected eps is 1, which zeroes c_4 in row 4)
     G = Hypergraph(6, 3, 0x5A5A5)
     x, r, mode = Fraction(3, 8), 5, EpsilonMode.LITERAL
     warm = (
@@ -348,13 +348,12 @@ def test_profile_caches_see_one_count_off(monkeypatch, m):
         check_relaxed_rows(G, r, mode)[m - 3],
         telescoped_combination(G, m, r, mode),
     )
-    real = hypergraph._complete_sets
+    real = relations._complete_sets
 
     def bumped(n, k, edges):
         counts, sets = real(n, k, edges)
         return tuple(c + (j == m) for j, c in enumerate(counts)), sets
 
-    monkeypatch.setattr(hypergraph, "_complete_sets", bumped)
     monkeypatch.setattr(relations, "_complete_sets", bumped)
     lhs, rhs = telescoped_combination(G, m, r, mode)
     assert check_three_term_inequality(G, m, x).slack != warm[0]
