@@ -7,8 +7,8 @@ bits equal sigma's mask.  An isomorphism of flags fixes the typed vertices
 pointwise and only permutes the untyped ones s..t-1, so a flag's code is its
 entry in `_typed_canon(t, s, k)` of `turankit.hypergraph`: an int64 array of
 every t-vertex mask's minimum over those permutations.  At s = 0 that is the
-untyped canonical code, which `hypergraph._canonical_codes` also reads up
-to 5 vertices.
+untyped canonical code, which `hypergraph._canonical_codes` also reads for
+masks of up to 10 bits.
 
 Products of flags sharing a type placement are evaluated over ordered pairs
 of disjoint extension sets, so every expansion computed here is an exact
@@ -23,11 +23,11 @@ every sigma-flag.
 type subset in one read of a Gram table, the inner products of the rows of
 a weight table over (t-vertex mask, order of its first s vertices): the
 moment-matrix entry of two extension sets.  `chain_lift` maps the untyped
-sub-masks of all classes of a larger size, up to 6 vertices, through the
-`_typed_canon` table.  Both read sub-masks of all classes on vertex subsets
-off `hypergraph._ordered_masks`.  Counts per class are int64 where no sum
-can overflow it, and numerators integers over one denominator, which the
-lift keeps.
+sub-masks of all classes of any larger size that `enumerate_all` lists
+through the `_typed_canon` table.  Both read sub-masks of all classes on
+vertex subsets off `hypergraph._ordered_masks`.  Counts per class are int64
+where no sum can overflow it, and numerators integers over one denominator,
+which the lift keeps.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ __all__ = [
     "chain_lift",
     "square_expansion",
 ]
-
-_LIFT_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -202,9 +200,10 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     induced restrictions of H.  The vec.n-subset sub-masks of all classes
     are read off `_ordered_masks` and mapped through the untyped `_typed_canon` table,
     and the numerators are summed per class over vec.den * C(size, vec.n), in int64
-    where no sum can overflow it and as Python ints otherwise."""
-    if not vec.n < size <= _LIFT_LIMIT:
-        raise ValueError(f"chain_lift: need {vec.n} < size <= {_LIFT_LIMIT}")
+    where no sum can overflow it and as Python ints otherwise.  The lift must
+    grow the vector, and `enumerate_all` refuses sizes past its guards."""
+    if size <= vec.n:
+        raise ValueError(f"chain_lift: need size > {vec.n}, got {size}")
     b, k = vec.n, vec.k
     classes = enumerate_all(size, k)
     masks = np.array([g.edges for g in classes], dtype=np.int64)

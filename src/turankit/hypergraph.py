@@ -24,11 +24,12 @@ minimum: a (6,3) mask reads about 6 images instead of 720.
 ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
 `_canonical_codes` canonicalizes a batch of masks for `canonical_mask`,
-`restriction_class_counts` and `read_hgr` in three tiers by vertex count: up
-to 5 vertices it reads a list copy of the untyped table `_typed_canon(n, 0,
-k)`, of at most 2^10 entries; at 6 it takes `_orbit_minima` of the batch; at
-7 and 8, past the tables, it scans every relabeling and ranks each image
-edge through a colex index.
+`restriction_class_counts` and `read_hgr` in three tiers by bit count, the
+one rule every route here follows: up to C(n,k) = 10 it reads a list copy
+of the untyped table `_typed_canon(n, 0, k)`; within the 20-bit guard of
+`_check_bits` it takes `_orbit_minima` of the batch, at any n up to 8; past
+the guard it scans every relabeling and ranks each image edge through a
+colex index.
 
 `tuple_bits` caches, for an ordered vertex tuple, the host bit position of
 each of its colex k-subsets.  Restriction and the per-host typed masks
@@ -43,16 +44,18 @@ works on one host, reads Python-list copies of its subsets' rows instead.
 
 Complete sets are found without canonical forms.  A subset is complete
 exactly when no non-edge of the host meets its k-subset mask.
+`_subset_masks(n, m, k)` is the one record of the m-subsets: each one's
+k-subset mask and the bitmap of its one-vertex supersets.
 `_meet_tables(n, k)` maps the low and the high half of a mask to the bitmap
-of the m-subsets it meets, for every m, in lists built by doubling like the
-relabeling tables but of Python ints, as an 8-vertex bitmap of 4-sets has 70
-bits.  So within the 20-bit guard the complete m-sets are all m-sets less
-two reads on the non-edges; past it, the k-subset mask of every subset
-(`_subset_edge_masks`) is tested against them.  `has_no_empty_set` scans the
-same masks for one that no edge meets.  `_complete_sets` keeps, for the
-last few hosts, the bitmap of complete m-sets for every m; `clique_counts`
-returns their popcounts, and with `_superset_masks` the complete one-vertex
-extensions of a set are one AND and one popcount.
+of the m-subsets it meets, for every m: `_half_tables` of one row of Python
+ints, as an 8-vertex bitmap of 4-sets has 70 bits, read back as lists.  So
+within the 20-bit guard the complete m-sets are all m-sets less two reads
+on the non-edges; past it, the k-subset mask of every subset is tested
+against them.  `has_no_empty_set` scans the same masks for one that no edge
+meets.  `_complete_sets` keeps, for the last few hosts, the bitmap of
+complete m-sets for every m; `clique_counts` returns their popcounts, and
+with the superset bitmaps the complete one-vertex extensions of a set are
+one AND and one popcount.
 """
 
 from __future__ import annotations
@@ -86,12 +89,8 @@ __all__ = [
 ]
 
 MAX_VERTICES = 8
-# `_orbit_minima` canonicalizes up to 6 vertices, through the 5-vertex
-# relabeling tables; canonical forms at 7 and 8 vertices use a direct scan,
-# for occasional use.
-_TABLE_VERTEX_LIMIT = 6
-# canonical codes up to this many vertices are one read of a 2^C(n,k) table
-_CANON_TABLE_LIMIT = 5
+# canonical codes of masks of at most this many bits are one read of a 2^bits table
+_CANON_TABLE_BITS = 10
 _MAX_ENUM_BITS = 20
 # `_orbit_minima` reads at most this many images at a time (or one mask's
 # images, if more), bounding its transients
@@ -199,9 +198,10 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
 
 
 def _half_tables(img: np.ndarray):
-    """Lookup tables of one bit map per row of img, an integer array whose
-    entry (row, b) is the value bit b of a mask takes in that row's image (a
-    power of two, or 0 where the bit is dropped): arrays of img's dtype and
+    """Lookup tables of one bit map per row of img, an integer array (or an
+    object array of Python ints) whose entry (row, b) is the value bit b of a
+    mask takes in that row's image (a power of two, or 0 where the bit is
+    dropped, for the relabeling and order tables): arrays of img's dtype and
     shape (rows, 2^split) and (rows, 2^(bits - split)) in C order for the
     low and high halves of a mask, split = ceil(bits / 2).  Each half-table
     doubles: the entries with bit b set are those below 2^b OR'd with b's
@@ -349,16 +349,17 @@ def _canon_list(n: int, k: int) -> list[int]:
 
 def _canonical_codes(masks: list[int], n: int, k: int) -> list[int]:
     """Canonical mask of each k-graph edge mask on n vertices, as Python
-    ints: up to _CANON_TABLE_LIMIT vertices a read of a list copy of the
-    untyped `_typed_canon` table that `turankit.flags` classifies with, at 6
-    `_orbit_minima`, at 7 and 8 a direct scan over all relabelings (an
-    8-vertex 4-graph mask has 70 bits, past int64).  The scan is the only
-    route for `canonical_mask` on hosts of 7 or more vertices and for
-    `restriction_class_counts` at sizes 7 and 8."""
-    if n <= _CANON_TABLE_LIMIT:
+    ints, in three tiers by C(n, k): up to _CANON_TABLE_BITS bits a read of a
+    list copy of the untyped `_typed_canon` table that `turankit.flags`
+    classifies with, within the 20-bit guard `_orbit_minima` of the batch,
+    past it a direct scan over all relabelings (an 8-vertex 4-graph mask has
+    70 bits, past int64).  The scan is the only route for `canonical_mask` on
+    hosts past the guard and for `restriction_class_counts` at such sizes."""
+    nbits = math.comb(n, k)
+    if nbits <= _CANON_TABLE_BITS:
         codes = _canon_list(n, k)
         return [codes[m] for m in masks]
-    if n <= _TABLE_VERTEX_LIMIT:
+    if nbits <= _MAX_ENUM_BITS:
         return _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist()
     index = {sum(1 << v for v in e): rank for rank, e in enumerate(colex_subsets(n, k))}
     codes = []
@@ -483,63 +484,42 @@ def _complete_sets(n: int, k: int, edges: int) -> tuple[tuple[int, ...], tuple[i
 
 
 @lru_cache(maxsize=None)
-def _subset_edge_masks(n: int, size: int, k: int) -> tuple[tuple[int, int], ...]:
-    """For the i-th size-subset of {0..n-1} in combinations order: 1 << i and
-    the mask of the k-subset bits inside it."""
-    return tuple(
-        (1 << i, sum(1 << b for b in tuple_bits(k, S)))
-        for i, S in enumerate(itertools.combinations(range(n), size))
+def _subset_masks(n: int, size: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For the size-subsets S of {0..n-1}, in combinations order: the mask of
+    the k-subset bits inside S, and the bitmap of S's one-vertex supersets,
+    bit j for the j-th (size+1)-subset."""
+    subsets = tuple(itertools.combinations(range(n), size))
+    index = {T: j for j, T in enumerate(itertools.combinations(range(n), size + 1))}
+    masks = tuple(sum(1 << b for b in tuple_bits(k, S)) for S in subsets)
+    ups = tuple(
+        sum(1 << index[tuple(sorted((*S, v)))] for v in range(n) if v not in S) for S in subsets
     )
+    return masks, ups
 
 
 def _scanned_meets(n: int, k: int, mask: int, m: int) -> int:
     """Bitmap of the m-subsets of {0..n-1} whose k-subset mask meets mask,
     one subset at a time: the route for masks past the 20-bit guard."""
-    return sum(bit for bit, M in _subset_edge_masks(n, m, k) if mask & M)
+    return sum(1 << i for i, M in enumerate(_subset_masks(n, m, k)[0]) if mask & M)
 
 
 @lru_cache(maxsize=None)
 def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[int]], ...]]:
     """`_scanned_meets` as two table reads, for masks on n vertices within
     the guard: split = ceil(C(n,k)/2) and, for each m = 0..n, the bitmap of
-    all m-subsets and `_half_lists` of the m-subsets meeting each host bit.
-    Python lists, not `_half_tables`: an m-set bitmap has up to C(8,4) = 70
-    bits, past int64."""
-    nbits = math.comb(n, k)
-    split = (nbits + 1) // 2
+    all m-subsets and the `_half_tables` of the m-subsets meeting each host
+    bit, built on one object row and read back as Python lists: an m-set
+    bitmap has up to C(8,4) = 70 bits, past int64."""
     tables = []
     for m in range(n + 1):
-        meets = [0] * nbits  # entry b: the m-subsets whose k-subset mask holds bit b
-        for i, S in enumerate(itertools.combinations(range(n), m)):
-            for b in tuple_bits(k, S):
-                meets[b] |= 1 << i
-        tables.append(((1 << math.comb(n, m)) - 1, *_half_lists(meets, split)))
+        masks = _subset_masks(n, m, k)[0]
+        # entry b: the m-subsets whose k-subset mask holds bit b
+        meets = [
+            sum(1 << i for i, M in enumerate(masks) if M >> b & 1) for b in range(math.comb(n, k))
+        ]
+        split, lo, hi = _half_tables(np.array([meets], dtype=object))
+        tables.append(((1 << len(masks)) - 1, lo[0].tolist(), hi[0].tolist()))
     return split, tuple(tables)
-
-
-def _half_lists(values: list[int], split: int) -> tuple[list[int], list[int]]:
-    """Lookup lists for the low split bits and the other bits of a mask:
-    entry x ORs values[b] over the set bits b of x (of x << split for the
-    high list).  Each doubles like `_half_tables`: the entries with bit b set
-    are those below 2^b OR'd with values[b]."""
-    tabs = []
-    for part in (values[:split], values[split:]):
-        tab = [0]
-        for v in part:
-            tab += [x | v for x in tab]
-        tabs.append(tab)
-    return tabs[0], tabs[1]
-
-
-@lru_cache(maxsize=None)
-def _superset_masks(n: int, size: int) -> tuple[int, ...]:
-    """For each size-subset S of {0..n-1}, in combinations order: the mask
-    with bit j set when the j-th (size+1)-subset is S plus one vertex."""
-    index = {T: i for i, T in enumerate(itertools.combinations(range(n), size + 1))}
-    return tuple(
-        sum(1 << index[tuple(sorted((*S, v)))] for v in range(n) if v not in S)
-        for S in itertools.combinations(range(n), size)
-    )
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
@@ -548,7 +528,7 @@ def has_no_empty_set(G: Hypergraph, size: int) -> bool:
         raise ValueError("has_no_empty_set: size exceeds the vertex count")
     if size < G.k:
         return False  # a set smaller than k can never induce an edge
-    return all(G.edges & M for _, M in _subset_edge_masks(G.n, size, G.k))
+    return all(G.edges & M for M in _subset_masks(G.n, size, G.k)[0])
 
 
 def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:
@@ -580,8 +560,8 @@ def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str)
 def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
     """Read an HGR1 class file; returns (k, n, tag, graphs).  Codes must be
     strictly ascending and each the canonical mask of its graph; (n, k) must
-    lie within the enumeration guard C(n,k) <= 20, checked before any code
-    is canonicalized."""
+    pass the enumeration guard `_check_bits`, checked before any code is
+    canonicalized."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != HGR_MAGIC:
@@ -593,8 +573,7 @@ def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
         raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)}")
     if any(a >= b for a, b in zip(codes, codes[1:])):
         raise ValueError("read_hgr: codes are not strictly ascending")
-    if math.comb(n, k) > _MAX_ENUM_BITS:
-        raise ValueError(f"read_hgr: C({n},{k}) exceeds the {_MAX_ENUM_BITS}-bit guard")
+    _check_bits("read_hgr", n, k)
     graphs = tuple(Hypergraph(n, k, c) for c in codes)
     for code, canon in zip(codes, _canonical_codes(codes, n, k)):
         if canon != code:

@@ -21,10 +21,11 @@ cache, and shared by every host with it.  The square moments
 read restriction classes and are computed per host: they tally, for each
 complete (m-1)-set, the number l of vertices extending it (one popcount of
 the host's complete m-set bitmap from `hypergraph._complete_sets` masked to
-the set's one-vertex supersets), weigh the classes of the (m+1)-vertex
-restrictions (`hypergraph.restriction_class_counts`: a table read up to 5
-vertices, orbit minima at 6, a scan at 7 and 8), and compare both moments
-with their expected values by integer cross-multiplication.
+the set's one-vertex supersets from `hypergraph._subset_masks`), weigh the
+classes of the (m+1)-vertex restrictions
+(`hypergraph.restriction_class_counts`: a table read up to 10 edge slots,
+orbit minima up to 20, a scan past them), and compare both moments with
+their expected values by integer cross-multiplication.
 The multiplier vector and the right side's coefficients of the telescoping
 identity are solved once per (k, g, r, n, mode).  The left side sums delta_m
 times the host's relaxed rows, the record `check_relaxed_rows` reads, over
@@ -49,7 +50,7 @@ from .combinat import EpsilonMode, _x_parts, binomial, epsilon_value, x_ratio
 from .hypergraph import (
     Hypergraph,
     _complete_sets,
-    _superset_masks,
+    _subset_masks,
     enumerate_all,
     restriction_class_counts,
 )
@@ -150,7 +151,7 @@ def _extension_tallies(G: Hypergraph, size: int) -> list[int]:
     popcount of the complete (size+1)-sets among S's one-vertex supersets."""
     sets = _complete_sets(G.n, G.k, G.edges)[1]
     inside, up = sets[size], sets[size + 1]
-    exts = enumerate(_superset_masks(G.n, size))
+    exts = enumerate(_subset_masks(G.n, size, G.k)[1])
     return [(up & ext).bit_count() for i, ext in exts if inside >> i & 1]
 
 

@@ -190,10 +190,41 @@ def test_chain_lift_preserves_all_ones():
 
 @pytest.mark.parametrize("size", [4, 7])
 def test_chain_lift_rejects_sizes_outside_its_range(size):
-    # a lift must grow the vector and stay within the 6-vertex tables
+    # a lift must grow the vector, and 7-vertex 3-graphs are past the
+    # enumeration guard
     vec = ExpansionVector(3, 4, {0: 1}, 1)
-    with pytest.raises(ValueError, match="chain_lift: need 4 < size <= 6"):
+    message = {
+        4: "chain_lift: need size > 4, got 4",
+        7: r"enumerate_all: C\(7,3\) = 35 exceeds the 20-bit guard",
+    }[size]
+    with pytest.raises(ValueError, match=message):
         chain_lift(vec, size)
+
+
+@pytest.mark.parametrize("k", [1, 6, 7])
+def test_chain_lift_past_six_vertices_matches_value_at(k):
+    # the 7- and 8-vertex hosts at these k lie within the 20-bit guard, but
+    # for (8,6): every lifted coefficient is the vector's average over that
+    # class, and a lift in two steps gives the lift in one
+    rng = random.Random(78 + k)
+    for b in (5, 6, 7):
+        vec = ExpansionVector(
+            k, b, {rep.edges: rng.randint(-9, 9) for rep in enumerate_all(b, k)}, 6
+        )
+        for size in range(b + 1, 9):
+            if binomial(size, k) > 20:
+                with pytest.raises(ValueError, match="exceeds the 20-bit guard"):
+                    chain_lift(vec, size)
+                continue
+            lifted = chain_lift(vec, size)
+            classes = enumerate_all(size, k)
+            assert set(lifted.nums) == {rep.edges for rep in classes}
+            for rep in classes:
+                assert lifted.coefficient(rep.edges) == vec.value_at(rep), (k, b, size)
+        if b < 7 and k != 6:
+            twice = chain_lift(chain_lift(vec, 7), 8)
+            once = chain_lift(vec, 8)
+            assert all(twice.coefficient(c) == once.coefficient(c) for c in once.nums)
 
 
 def test_lift_then_evaluate_agrees_on_larger_hosts():

@@ -408,10 +408,27 @@ def table_mismatches(n, k, split, tables, masks):
     ]
 
 
+def half_lists(values):
+    """`_half_tables` of one row of Python ints, read back as split and two
+    Python lists, the form each m-row of `_meet_tables` keeps."""
+    split, lo, hi = hypergraph._half_tables(np.array([values], dtype=object))
+    return split, lo[0].tolist(), hi[0].tolist()
+
+
 def test_table_reads_match_the_scan():
     # (8,1) and (8,7) are in the guard, and their 4-set bitmaps have 70 bits
     assert {(8, 1), (8, 7)} <= set(guard_pairs())
     for n, k in guard_pairs():
+        # the subset record both routes read: each m-subset's k-subset mask
+        # and the bitmap of the (m+1)-subsets that hold it
+        for m in range(n + 1):
+            subsets = list(itertools.combinations(range(n), m))
+            bigger = list(itertools.combinations(range(n), m + 1))
+            inside = (Hypergraph.from_edges(n, k, itertools.combinations(S, k)) for S in subsets)
+            assert hypergraph._subset_masks(n, m, k) == (
+                tuple(G.edges for G in inside),
+                tuple(sum(1 << j for j, T in enumerate(bigger) if {*S} <= {*T}) for S in subsets),
+            )
         split, tables = hypergraph._meet_tables(n, k)
         masks = guard_masks(n, k)
         assert table_mismatches(n, k, split, tables, masks) == []
@@ -426,20 +443,20 @@ def test_table_reads_match_the_scan():
 
 @pytest.mark.parametrize("n, k", [(5, 3), (8, 1)])
 def test_table_with_a_dropped_meets_bit_fails(n, k):
-    # meets lists rebuilt from the scan's subset masks give back the cached
-    # half lists; with one m-subset dropped from host bit 0's entry, the
-    # comparison with the scan finds the masks on which the reads go wrong
+    # meets lists rebuilt from the subset masks give back the cached half
+    # lists; with one m-subset dropped from host bit 0's entry, the comparison
+    # with the scan finds the masks on which the reads go wrong
     split, tables = hypergraph._meet_tables(n, k)
     masks = guard_masks(n, k)
     for m in range(k, n + 1):
         meets = [0] * math.comb(n, k)
-        for bit, M in hypergraph._subset_edge_masks(n, m, k):
+        for i, M in enumerate(hypergraph._subset_masks(n, m, k)[0]):
             for b in range(len(meets)):
                 if M >> b & 1:
-                    meets[b] |= bit
-        assert hypergraph._half_lists(meets, split) == tables[m][1:]
+                    meets[b] |= 1 << i
+        assert half_lists(meets) == (split, *tables[m][1:])
         meets[0] &= meets[0] - 1
-        lo, hi = hypergraph._half_lists(meets, split)
+        _, lo, hi = half_lists(meets)
         broken = tables[:m] + ((tables[m][0], lo, hi),) + tables[m + 1 :]
         assert 1 in {x for x, _ in table_mismatches(n, k, split, broken, masks)}
 
@@ -597,7 +614,7 @@ _DENSE_84 = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
         ("HGR1 3 6 1 none\nzz\n", "invalid literal"),
         (
             f"HGR1 4 8 2 none\n{_DENSE_84:x}\n{_DENSE_84 + 1:x}\n",
-            r"C\(8,4\) exceeds the 20-bit guard",
+            r"read_hgr: C\(8,4\) = 70 exceeds the 20-bit guard",
         ),
         ("HGR1 3 4 3 none\n0\n1\n", "expected 3 lines, found 2"),
     ],
@@ -618,23 +635,18 @@ def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
 
 def oracle_canonical_masks(n, k, masks):
     """Independent canonical forms: the minimum relabeled mask of each mask,
-    with explicit loops over permutations and edge bits."""
+    with an explicit loop over permutations; a permutation's image of a mask
+    is the sum of its edge bits' images, one matrix product for all masks."""
     subs = colex_subsets(n, k)
-    images = [
-        [1 << subset_rank(tuple(p[v] for v in s)) for s in subs]
-        for p in itertools.permutations(range(n))
-    ]
-    out = []
-    for mask in masks:
-        best = mask
-        for image in images:
-            m = 0
-            for i, bit in enumerate(image):
-                if (mask >> i) & 1:
-                    m |= bit
-            best = min(best, m)
-        out.append(best)
-    return out
+    dtype = np.int64 if len(subs) < 63 else object  # exact Python ints past int64
+    masks = list(masks)
+    bits = np.array([[(m >> i) & 1 for i in range(len(subs))] for m in masks], dtype=dtype)
+    bits = bits.reshape(len(masks), len(subs))
+    best = np.array(masks, dtype=dtype)
+    for p in itertools.permutations(range(n)):
+        image = np.array([1 << subset_rank(tuple(p[v] for v in s)) for s in subs], dtype=dtype)
+        best = np.minimum(best, bits @ image)
+    return [int(m) for m in best]
 
 
 def test_canonical_mask_matches_oracle():
@@ -665,6 +677,24 @@ def test_canonical_codes_table_tier_matches_oracle():
             assert all(type(c) is int for c in got)
             assert got == oracle_canonical_masks(n, k, masks), (n, k)
             assert got == _orbit_minima(np.array(masks, dtype=np.int64), n, k).tolist(), (n, k)
+
+
+def test_in_guard_codes_past_six_vertices_skip_the_scan(monkeypatch, tmp_path):
+    # within the 20-bit guard, 7- and 8-vertex masks are canonicalized through
+    # the tables, as are the class files of such graphs when read back; the
+    # relabeling scan, which lists each mask's edges, never runs
+    def refuse(self):
+        raise AssertionError("the relabeling scan ran inside the guard")
+
+    for n, k in [(7, 1), (7, 6), (8, 1), (8, 7)]:
+        masks = list(range(1 << math.comb(n, k)))
+        path = str(tmp_path / f"k{k}-n{n}-none.hgr")
+        write_hgr(path, k, n, enumerate_all(n, k), "none")
+        with monkeypatch.context() as patched:
+            patched.setattr(Hypergraph, "edge_list", refuse)
+            got = hypergraph._canonical_codes(masks, n, k)
+            assert read_hgr(path)[3] == enumerate_all(n, k)
+        assert got == oracle_canonical_masks(n, k, masks), (n, k)
 
 
 def test_small_restrictions_read_tables_only(monkeypatch):
