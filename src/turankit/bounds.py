@@ -15,22 +15,28 @@ when it is built: row i scaled by the lcm R_i of its entry denominators
 system becomes the integer matrix M = q (scaled rows) - p diag(R), one
 integer recursion gives M's leading minors, the trailing minors are the same
 recursion on the reversed system, and the two must agree on the determinant.
-`recurrences` keeps its last few records per (system, eps), with tuple
-fields, so `solve_delta` and `inverse_matrix` at one eps share one record
-(`turankit solve` reads its tables from `recurrences` and its column through
-`solve_delta`, both from one record).  Both build each column of the inverse
-as integer numerators over det(M), in one pass outward from the diagonal
-carrying the off-diagonal product, so every entry is one `Fraction`.  The
-`Fraction` tables theta, phi and zeta are computed only when read: the
-integer minors divided by the prefix and suffix products of the row scales.  Every
-multiplier vector is checked against the integer equations M N = det(M) q
-R_g e_g, row by row, on every call; with a nonzero determinant that solution
-is unique, so the check is independent of the minor formula and costs
-O(dimension).
+Two records are kept per (system, eps), each keyed on the system's identity
+and eps's integers (p, q), so no lookup hashes a `Fraction`: the shift
+(`_shifted`, with tuple fields) and the shifted inverse (`_inverse_rows`, one
+reduced `Fraction` per entry).  Each column of the inverse is integer
+numerators over det(M), built in one pass outward from the diagonal carrying
+the off-diagonal product, and each entry is built once per (system, eps):
+`solve_delta` reads its column from the inverse record and `inverse_matrix`
+copies its rows into fresh lists, so `turankit solve`, a bounds query and
+`relations` pay for the entries once per key.  The `Fraction` tables theta,
+phi and zeta are computed only when read: the integer minors divided by the
+prefix and suffix products of the row scales.  Every multiplier vector is
+checked against the integer equations M N = det(M) q R_g e_g, row by row,
+on every call, before the inverse record is read; with a nonzero
+determinant that solution is unique, so the check is independent of the
+minor formula and costs O(dimension), and a column that fails it leaves no
+record behind.
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
-(`combinat._x_parts`); `upper_bound`'s geometric factor is an integer pair,
+(`combinat._x_parts`); `upper_bound` tests n against the vertex threshold
+multiplied out, builds that threshold only for its error message, and its
+geometric factor is an integer pair,
 its LITERAL closed form is checked against that pair by one
 cross-multiplication, and the finite bound is built from the two pairs at
 once.  `sandwich_table` doubles the series length, orders its three values
@@ -203,21 +209,34 @@ class RecurrenceTables(NamedTuple):
         return bad
 
 
-# a query reads one shift twice (`solve_delta`, then `inverse_matrix` at the
-# same eps); the systems are `build_system`'s, so their identity is stable
-@lru_cache(maxsize=8)
+def _eps_parts(eps) -> tuple[int, int]:
+    """The integers (p, q) of eps = p/q in lowest terms, q > 0; eps is
+    converted as `Fraction(eps)` converts it and must be nonnegative."""
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
+    if eps.numerator < 0:
+        raise ValueError("recurrences: eps must be nonnegative")
+    return eps.numerator, eps.denominator
+
+
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
     """Shift the integer rows of `sys` by eps in O(dimension), run the minor
     recursion forward and on the reversed system, and cross-check the
     determinant.  Large eps may drive minors nonpositive; that is reported
-    through `nonpositive_entries`, not an error.  Kept per (sys, eps): the
-    record's fields are tuples, so the callers that share it cannot change
-    it."""
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("recurrences: eps must be nonnegative")
+    through `nonpositive_entries`, not an error.  The record is `_shifted`'s,
+    kept per (sys, p, q); its fields are tuples, so the callers that share it
+    cannot change it."""
+    return _shifted(sys, *_eps_parts(eps))
+
+
+# a query reads one shift twice (`solve_delta`, then `inverse_matrix` at the
+# same eps); keyed on the system's identity (the systems are `build_system`'s,
+# and a hand-built one with the same (k, r) is another system) and on eps's
+# integers, so no lookup hashes a `Fraction`
+@lru_cache(maxsize=8)
+def _shifted(sys: TridiagonalSystem, p: int, q: int) -> RecurrenceTables:
+    """`recurrences(sys, p/q)`, built once per (sys, p, q)."""
     scale, diag, up, down = sys.rows
-    p, q = eps.numerator, eps.denominator
     diag = tuple(q * b - p * s for b, s in zip(diag, scale))
     up = tuple(q * u for u in up)
     down = tuple(q * l for l in down)
@@ -228,7 +247,7 @@ def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> Recurren
     if lead[-1] != trail[0]:
         raise ArithmeticError("minor recursions disagree on the determinant")
     scale = tuple(q * s for s in scale)
-    return RecurrenceTables(sys.k, sys.r, eps, scale, diag, up, down, lead, trail)
+    return RecurrenceTables(sys.k, sys.r, Fraction(p, q), scale, diag, up, down, lead, trail)
 
 
 def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
@@ -253,17 +272,29 @@ def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
     return col
 
 
+# the shifted inverse of one (sys, p, q), one reduced `Fraction` per entry;
+# `solve_delta` reads its column g and `inverse_matrix` copies its rows, so a
+# query that calls both builds each entry once.  Callers check det(M) != 0
+# first, and `solve_delta` checks column g's fresh numerators before its first
+# read, so a failed check leaves nothing here.
+@lru_cache(maxsize=8)
+def _inverse_rows(sys: TridiagonalSystem, p: int, q: int) -> tuple[tuple[Fraction, ...], ...]:
+    mat = _shifted(sys, p, q)
+    det = mat.lead[-1]
+    columns = [_inverse_column(mat, g) for g in sys.ms]
+    return tuple(tuple(Fraction(v, det) for v in row) for row in zip(*columns))
+
+
 def inverse_matrix(
     sys: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
-    one pair of minor recursions serves every column."""
-    mat = recurrences(sys, eps)
-    det = mat.lead[-1]
-    if det == 0:
+    one pair of minor recursions serves every column.  The lists are fresh;
+    their entries are `_inverse_rows`'s, built once per (sys, eps)."""
+    p, q = _eps_parts(eps)
+    if _shifted(sys, p, q).lead[-1] == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
-    columns = [_inverse_column(mat, g) for g in sys.ms]
-    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
+    return [list(row) for row in _inverse_rows(sys, p, q)]
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
@@ -272,10 +303,14 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
 
     The integer matrix M applied to the numerators is checked to be
     det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
-    is nonzero, so this accepts only the true column.  `build_system`
-    checks k and r before g is checked here.
+    is nonzero, so this accepts only the true column.  The numerators are
+    built and checked on every call; only then are the entries read from
+    `_inverse_rows`.  `build_system` checks k and r before g is checked
+    here.
     """
-    mat = recurrences(build_system(k, r), eps)
+    sys = build_system(k, r)
+    p, q = _eps_parts(eps)
+    mat = _shifted(sys, p, q)
     if not k <= g < r:
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     det = mat.lead[-1]
@@ -293,7 +328,7 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
             raise ArithmeticError(
                 "solve_delta: minor formula does not solve the tridiagonal system"
             )
-    return [Fraction(v, det) for v in num]
+    return [row[j] for row in _inverse_rows(sys, p, q)]
 
 
 def asymptotic_product(k: int, g: int, r: int) -> Fraction:
@@ -360,16 +395,18 @@ def upper_bound(
     """
     if not (2 <= k <= g < r):
         raise ValueError(f"upper_bound: need 2 <= k <= g < r, got ({k}, {g}, {r})")
-    thr = vertex_threshold(k, r, mode)
-    if n <= thr or n <= r:  # eps needs n > r too
+    square, top = (k - 1) ** 2, _eps_top(k, r, mode)
+    # n <= vertex_threshold(k, r, mode), times (k-1)^2; eps needs n > r too
+    if n * square <= (r - 1) * (square + top * (r - k)) or n <= r:
+        thr = vertex_threshold(k, r, mode)
         raise ValueError(
             f"upper_bound: need n > {max(thr, Fraction(r))} (threshold for k={k}, "
             f"r={r}, mode={mode.value}), got n={n}"
         )
-    geo_num = (n - r + 1) * (k - 1) ** 2
-    geo_den = geo_num - _eps_top(k, r, mode) * (r - 1) * (r - k)
+    geo_num = (n - r + 1) * square
+    geo_den = geo_num - top * (r - 1) * (r - k)
     if mode is EpsilonMode.LITERAL:
-        denom = (k - 1) ** 2 * n - (r - 1) * (2 * k * k - 2 * k * (r + 1) + r * r + 1)
+        denom = square * n - (r - 1) * (2 * k * k - 2 * k * (r + 1) + r * r + 1)
         if (denom + (r - 1) * (r - k) ** 2) * geo_den != geo_num * denom:
             raise ArithmeticError("closed-form factor disagrees with geometric form")
     asym_num, asym_den = _product_parts(k, g, r)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -611,7 +612,8 @@ def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
         calls.append(len(diag))
         return minors(diag, offs)
 
-    bounds.recurrences.cache_clear()
+    bounds._shifted.cache_clear()
+    bounds._inverse_rows.cache_clear()
     monkeypatch.setattr(bounds, "_minors", counted)
     eps = epsilon_threshold(4, 9) / 3
     delta = solve_delta(4, 6, 9, eps)
@@ -622,6 +624,111 @@ def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
     assert len(calls) == 2
     for field in ("scale", "diag", "up", "down", "lead", "trail"):
         assert type(getattr(mat, field)) is tuple, field
+
+
+def test_solve_and_inverse_read_one_inverse_record():
+    # a seeded sample of (k, g, r, eps), each run in both call orders from
+    # empty caches: the column of solve_delta is column g of inverse_matrix,
+    # and a caller that changes a returned list changes no later result
+    from turankit import bounds
+
+    rng = random.Random(39)
+    pairs = [(k, r) for r in range(3, 17) for k in range(2, r)]
+    cases = []
+    for k, r in rng.sample(pairs, 24):
+        thr = epsilon_threshold(k, r)
+        for eps in (Fraction(0), thr * Fraction(rng.randrange(30, 68), 97), thr * Fraction(96, 97)):
+            cases.append((k, rng.randrange(k, r), r, eps))
+    for k, g, r, eps in cases:
+        s = build_system(k, r)
+        for solve_first in (True, False):
+            bounds._shifted.cache_clear()
+            bounds._inverse_rows.cache_clear()
+            if solve_first:
+                delta, inverse = solve_delta(k, g, r, eps), inverse_matrix(s, eps)
+            else:
+                inverse, delta = inverse_matrix(s, eps), solve_delta(k, g, r, eps)
+            assert delta == [row[g - k] for row in inverse], (k, g, r, eps, solve_first)
+            assert bounds._inverse_rows.cache_info().misses == 1
+            want_delta, want_inverse = list(delta), [list(row) for row in inverse]
+            delta[0] += 1
+            delta.append(Fraction(0))
+            inverse[0][g - k] = Fraction(-1)
+            inverse[-1].clear()
+            inverse.append([])
+            assert solve_delta(k, g, r, eps) == want_delta
+            assert inverse_matrix(s, eps) == want_inverse
+            assert solve_delta(k, g, r, eps) == want_delta
+    assert len(cases) == 72
+
+
+def test_eps_forms_share_results_and_negative_eps_is_rejected():
+    s = build_system(3, 6)
+    for plain, exact in ((0, Fraction(0)), ("1/100", Fraction(1, 100))):
+        assert recurrences(s, plain) == recurrences(s, exact)
+        assert recurrences(s, plain).epsilon == exact
+        assert type(recurrences(s, plain).epsilon) is Fraction
+        assert solve_delta(3, 4, 6, plain) == solve_delta(3, 4, 6, exact)
+        assert inverse_matrix(s, plain) == inverse_matrix(s, exact)
+    assert recurrences(s) == recurrences(s, 0)
+    for eps in (-1, "-1/100", Fraction(-1, 100)):
+        for call in (
+            lambda: recurrences(s, eps),
+            lambda: solve_delta(3, 4, 6, eps),
+            lambda: inverse_matrix(s, eps),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "recurrences: eps must be nonnegative"
+
+
+def test_failed_solve_check_caches_no_inverse(monkeypatch):
+    # the solve whose column check fails (as in the CLI's exit-5 test) leaves
+    # no inverse record behind: afterwards the unpatched solve_delta and
+    # inverse_matrix at the same eps read the Gauss-Jordan inverse
+    from turankit import bounds
+    from turankit.cli import main
+
+    column = bounds._inverse_column
+    bounds._shifted.cache_clear()
+    bounds._inverse_rows.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_inverse_column", lambda m, g: [column(m, g)[0] + 1] + column(m, g)[1:])
+        assert main(["solve", "--k", "3", "--r", "5", "--g", "4"]) == 5
+    assert bounds._inverse_rows.cache_info().currsize == 0
+    s = build_system(3, 5)
+    oracle = gauss_jordan_inverse(dense(s, Fraction(0)))
+    assert solve_delta(3, 4, 5, Fraction(0)) == [row[1] for row in oracle]
+    assert inverse_matrix(s, Fraction(0)) == oracle
+
+
+def test_upper_bound_threshold_in_integers():
+    # every n from r-1 to floor(threshold)+2 is refused exactly when the
+    # Fraction test n <= threshold or n <= r refuses it, with its message
+    refused = 0
+    for r in range(3, 17):
+        for k in range(2, r):
+            for mode in EpsilonMode:
+                thr = vertex_threshold_fractions(k, r, mode)
+                assert vertex_threshold(k, r, mode) == thr
+                assert epsilon_threshold(k, r) == Fraction(k - 1, (r - 1) * (r - k))
+                for n in range(r - 1, math.floor(thr) + 3):
+                    if n <= thr or n <= r:
+                        with pytest.raises(ValueError) as err:
+                            upper_bound(k, k, r, n, mode)
+                        assert str(err.value) == (
+                            f"upper_bound: need n > {max(thr, Fraction(r))} (threshold "
+                            f"for k={k}, r={r}, mode={mode.value}), got n={n}"
+                        )
+                        refused += 1
+                    else:
+                        upper_bound(k, k, r, n, mode)
+    assert refused > 0
+    with pytest.raises(ValueError) as err:
+        upper_bound(4, 4, 6, 7)
+    assert str(err.value) == (
+        "upper_bound: need n > 65/9 (threshold for k=4, r=6, mode=literal), got n=7"
+    )
 
 
 def test_upper_bound_corrected_mode():
