@@ -15,31 +15,27 @@ when it is built: row i scaled by the lcm R_i of its entry denominators
 system becomes the integer matrix M = q (scaled rows) - p diag(R), one
 integer recursion gives M's leading minors, the trailing minors are the same
 recursion on the reversed system, and the two must agree on the determinant.
-Two records are kept per (system, eps), each keyed on the system's identity
-and eps's integers (p, q), so no lookup hashes a `Fraction`: the shift
-(`_shifted`, with tuple fields) and the shifted inverse (`_inverse_rows`, one
-reduced `Fraction` per entry).  Each column of the inverse is integer
-numerators over det(M), built in one pass outward from the diagonal carrying
-the off-diagonal product, and each entry is built once per (system, eps):
-`solve_delta` reads its column from the inverse record and `inverse_matrix`
-copies its rows into fresh lists, so `turankit solve`, a bounds query and
-`relations` pay for the entries once per key.  The `Fraction` tables theta,
-phi and zeta are computed only when read: the integer minors divided by the
-prefix and suffix products of the row scales.  Every multiplier vector is
-checked against the integer equations M N = det(M) q R_g e_g, row by row,
-on every call, before the inverse record is read; with a nonzero
-determinant that solution is unique, so the check is independent of the
-minor formula and costs O(dimension), and a column that fails it leaves no
-record behind.
+`recurrences` keeps its last few records (`_shifted`, with tuple fields) per
+system and per eps's integers (p, q), so no lookup hashes a `Fraction`, and
+`solve_delta` and `inverse_matrix` at one eps share one record (`turankit
+solve` reads its tables from `recurrences` and its column through
+`solve_delta`, both from one record).  Both build each column of the inverse
+as integer numerators over det(M), in one pass outward from the diagonal
+carrying the off-diagonal product, so every entry is one `Fraction`.  The
+`Fraction` tables theta, phi and zeta are computed only when read: the
+integer minors divided by the prefix and suffix products of the row scales.  Every
+multiplier vector is checked against the integer equations M N = det(M) q
+R_g e_g, row by row, on every call; with a nonzero determinant that solution
+is unique, so the check is independent of the minor formula and costs
+O(dimension).
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
 (`combinat._x_parts`); `upper_bound` tests n against the vertex threshold
-multiplied out, builds that threshold only for its error message, and its
-geometric factor is an integer pair,
-its LITERAL closed form is checked against that pair by one
-cross-multiplication, and the finite bound is built from the two pairs at
-once.  `sandwich_table` doubles the series length, orders its three values
+multiplied out in integers (the threshold `Fraction` is built only for the
+error message), its geometric factor is an integer pair, its LITERAL closed
+form is checked against that pair by one cross-multiplication, and the
+finite bound is built from the two pairs at once.  `sandwich_table` doubles the series length, orders its three values
 and takes the midpoint on the integer bracket of `combinat._exp_bracket`,
 and `partite_lower_bound` compares its corrected sum with `direct` by
 cross-multiplication.  Neither depends on a host, so each is kept per key,
@@ -209,24 +205,18 @@ class RecurrenceTables(NamedTuple):
         return bad
 
 
-def _eps_parts(eps) -> tuple[int, int]:
-    """The integers (p, q) of eps = p/q in lowest terms, q > 0; eps is
-    converted as `Fraction(eps)` converts it and must be nonnegative."""
-    if type(eps) is not Fraction:
-        eps = Fraction(eps)
-    if eps.numerator < 0:
-        raise ValueError("recurrences: eps must be nonnegative")
-    return eps.numerator, eps.denominator
-
-
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
     """Shift the integer rows of `sys` by eps in O(dimension), run the minor
     recursion forward and on the reversed system, and cross-check the
     determinant.  Large eps may drive minors nonpositive; that is reported
     through `nonpositive_entries`, not an error.  The record is `_shifted`'s,
-    kept per (sys, p, q); its fields are tuples, so the callers that share it
-    cannot change it."""
-    return _shifted(sys, *_eps_parts(eps))
+    kept per (sys, p, q) for eps = p/q; its fields are tuples, so the callers
+    that share it cannot change it."""
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
+    if eps.numerator < 0:
+        raise ValueError("recurrences: eps must be nonnegative")
+    return _shifted(sys, eps.numerator, eps.denominator)
 
 
 # a query reads one shift twice (`solve_delta`, then `inverse_matrix` at the
@@ -272,29 +262,17 @@ def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
     return col
 
 
-# the shifted inverse of one (sys, p, q), one reduced `Fraction` per entry;
-# `solve_delta` reads its column g and `inverse_matrix` copies its rows, so a
-# query that calls both builds each entry once.  Callers check det(M) != 0
-# first, and `solve_delta` checks column g's fresh numerators before its first
-# read, so a failed check leaves nothing here.
-@lru_cache(maxsize=8)
-def _inverse_rows(sys: TridiagonalSystem, p: int, q: int) -> tuple[tuple[Fraction, ...], ...]:
-    mat = _shifted(sys, p, q)
-    det = mat.lead[-1]
-    columns = [_inverse_column(mat, g) for g in sys.ms]
-    return tuple(tuple(Fraction(v, det) for v in row) for row in zip(*columns))
-
-
 def inverse_matrix(
     sys: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
-    one pair of minor recursions serves every column.  The lists are fresh;
-    their entries are `_inverse_rows`'s, built once per (sys, eps)."""
-    p, q = _eps_parts(eps)
-    if _shifted(sys, p, q).lead[-1] == 0:
+    one pair of minor recursions serves every column."""
+    mat = recurrences(sys, eps)
+    det = mat.lead[-1]
+    if det == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
-    return [list(row) for row in _inverse_rows(sys, p, q)]
+    columns = [_inverse_column(mat, g) for g in sys.ms]
+    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
@@ -303,14 +281,10 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
 
     The integer matrix M applied to the numerators is checked to be
     det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
-    is nonzero, so this accepts only the true column.  The numerators are
-    built and checked on every call; only then are the entries read from
-    `_inverse_rows`.  `build_system` checks k and r before g is checked
-    here.
+    is nonzero, so this accepts only the true column.  `build_system`
+    checks k and r before g is checked here.
     """
-    sys = build_system(k, r)
-    p, q = _eps_parts(eps)
-    mat = _shifted(sys, p, q)
+    mat = recurrences(build_system(k, r), eps)
     if not k <= g < r:
         raise ValueError(f"solve_delta: need 2 <= k <= g < r, got ({k}, {g}, {r})")
     det = mat.lead[-1]
@@ -328,7 +302,7 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
             raise ArithmeticError(
                 "solve_delta: minor formula does not solve the tridiagonal system"
             )
-    return [row[j] for row in _inverse_rows(sys, p, q)]
+    return [Fraction(v, det) for v in num]
 
 
 def asymptotic_product(k: int, g: int, r: int) -> Fraction:

@@ -4,15 +4,11 @@ Every reported quantity is a `fractions.Fraction`; no floating point enters
 any bound or certificate path.  Each is computed from Python integers and
 built as one reduced `Fraction` at the end: x(m) has the integer pair
 `_x_parts`, which `bounds` and `relations` multiply out themselves, and
-`epsilon_threshold` and `vertex_threshold` are one quotient each, kept per
-(k, r) and per (k, r, mode) like the other host-independent records
-(`bounds.upper_bound` tests n against the vertex threshold in integers, and
-`bounds` keeps the shift and the shifted inverse per system and per eps's
-integer pair, so each inverse entry is built once per (system, eps)).  The
-only irrational number anywhere downstream is the e^{(k-r)/k} comparison
-value of `bounds.sandwich_table`, which is handled through exact rational
-brackets (`_exp_bracket`, integer numerators over one denominator, which
-`exp_bounds` wraps) plus an explicitly labeled decimal rendering.
+`vertex_threshold` is one quotient.  The only irrational number anywhere
+downstream is the e^{(k-r)/k} comparison value of `bounds.sandwich_table`,
+which is handled through exact rational brackets (`_exp_bracket`, integer
+numerators over one denominator, which `exp_bounds` wraps) plus an
+explicitly labeled decimal rendering.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -119,10 +114,6 @@ def epsilon_value(k: int, r: int, n: int, mode: EpsilonMode = EpsilonMode.LITERA
     return Fraction(_eps_top(k, r, mode), (n - r + 1) * (k - 1))
 
 
-# this threshold and `vertex_threshold` are host-independent, so like the other
-# such records each is kept per key, (k, r) and (k, r, mode); a sweep over
-# 2 <= k < r <= 16 has 105 and 210 keys and reads one of each per query
-@lru_cache(maxsize=128)
 def epsilon_threshold(k: int, r: int) -> Fraction:
     """Positivity threshold (k-1)/((r-1)(r-k)) for the shifted system.
 
@@ -134,7 +125,6 @@ def epsilon_threshold(k: int, r: int) -> Fraction:
     return Fraction(k - 1, (r - 1) * (r - k))
 
 
-@lru_cache(maxsize=256)
 def vertex_threshold(k: int, r: int, mode: EpsilonMode = EpsilonMode.LITERAL) -> Fraction:
     """Smallest host size bound: n must exceed this for `upper_bound`.
 

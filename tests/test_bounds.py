@@ -613,7 +613,6 @@ def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
         return minors(diag, offs)
 
     bounds._shifted.cache_clear()
-    bounds._inverse_rows.cache_clear()
     monkeypatch.setattr(bounds, "_minors", counted)
     eps = epsilon_threshold(4, 9) / 3
     delta = solve_delta(4, 6, 9, eps)
@@ -626,10 +625,11 @@ def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
         assert type(getattr(mat, field)) is tuple, field
 
 
-def test_solve_and_inverse_read_one_inverse_record():
-    # a seeded sample of (k, g, r, eps), each run in both call orders from
-    # empty caches: the column of solve_delta is column g of inverse_matrix,
-    # and a caller that changes a returned list changes no later result
+def test_solve_and_inverse_agree_in_both_orders():
+    # a seeded sample of (k, g, r, eps), each run in both call orders from an
+    # empty shift cache: the column of solve_delta is column g of
+    # inverse_matrix, and a caller that changes a returned list changes no
+    # later result
     from turankit import bounds
 
     rng = random.Random(39)
@@ -643,13 +643,12 @@ def test_solve_and_inverse_read_one_inverse_record():
         s = build_system(k, r)
         for solve_first in (True, False):
             bounds._shifted.cache_clear()
-            bounds._inverse_rows.cache_clear()
             if solve_first:
                 delta, inverse = solve_delta(k, g, r, eps), inverse_matrix(s, eps)
             else:
                 inverse, delta = inverse_matrix(s, eps), solve_delta(k, g, r, eps)
             assert delta == [row[g - k] for row in inverse], (k, g, r, eps, solve_first)
-            assert bounds._inverse_rows.cache_info().misses == 1
+            assert bounds._shifted.cache_info().misses == 1
             want_delta, want_inverse = list(delta), [list(row) for row in inverse]
             delta[0] += 1
             delta.append(Fraction(0))
@@ -682,20 +681,18 @@ def test_eps_forms_share_results_and_negative_eps_is_rejected():
             assert str(err.value) == "recurrences: eps must be nonnegative"
 
 
-def test_failed_solve_check_caches_no_inverse(monkeypatch):
-    # the solve whose column check fails (as in the CLI's exit-5 test) leaves
-    # no inverse record behind: afterwards the unpatched solve_delta and
-    # inverse_matrix at the same eps read the Gauss-Jordan inverse
+def test_failed_solve_check_leaves_no_wrong_result(monkeypatch):
+    # the solve whose column check fails (as in the CLI's exit-5 test) keeps
+    # nothing wrong: afterwards the unpatched solve_delta and inverse_matrix
+    # at the same eps read the Gauss-Jordan inverse
     from turankit import bounds
     from turankit.cli import main
 
     column = bounds._inverse_column
     bounds._shifted.cache_clear()
-    bounds._inverse_rows.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(bounds, "_inverse_column", lambda m, g: [column(m, g)[0] + 1] + column(m, g)[1:])
         assert main(["solve", "--k", "3", "--r", "5", "--g", "4"]) == 5
-    assert bounds._inverse_rows.cache_info().currsize == 0
     s = build_system(3, 5)
     oracle = gauss_jordan_inverse(dense(s, Fraction(0)))
     assert solve_delta(3, 4, 5, Fraction(0)) == [row[1] for row in oracle]

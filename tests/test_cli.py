@@ -604,7 +604,6 @@ def test_solve_runs_the_minor_recursions_once(capsys, monkeypatch):
         return minors(diag, offs)
 
     bounds._shifted.cache_clear()
-    bounds._inverse_rows.cache_clear()
     monkeypatch.setattr(bounds, "_minors", counted)
     code, out = run_cli(capsys, "solve", "--k", "3", "--r", "6", "--g", "4", "--eps", "1/100")
     assert code == 0
