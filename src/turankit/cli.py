@@ -63,7 +63,9 @@ def _write_classes(args, k: int, n: int, tag: str, classes) -> str:
     """Write `classes` to `k{k}-n{n}-{tag}.hgr` in the cache directory,
     replacing any file there; returns the path."""
     from .hypergraph import write_hgr
-    directory = args.cache_dir or os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
+    directory = args.cache_dir
+    if directory is None:  # an empty --cache-dir is used, as an empty TURANKIT_CACHE is
+        directory = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"k{k}-n{n}-{tag}.hgr")
     write_hgr(path, k, n, classes, tag)

@@ -12,14 +12,15 @@ representative, and the k-subsets containing vertex n-1 follow all others
 in colex order, so the candidates are each representative OR'd with a link
 of vertex n-1 shifted above it, one link per orbit of the representative's
 automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
-34 x 1024 or the 2^20 labeled masks.  `_perm_tables(n, k, fixed)`, built
-in numpy from one colex rank table, maps the low and high halves of a mask
-to their images under each relabeling.  `_orbit_minima` splits every
+34 x 1024 or the 2^20 labeled masks.  `_orbit_minima` splits every
 relabeling into the vertex v it places last and a relabeling of the other
 n-1, reading (n-1)-vertex tables only.  v's link lands above all other
 edges, so only the vertices whose link has the least code, through the
-relabelings that carry it to that code (`_link_cosets`), can reach the
-minimum: a (6,3) mask reads about 6 images instead of 720.
+relabelings that carry it to that code, can reach the minimum: a (6,3) mask
+reads about 6 images instead of 720.  `_vertex_last(n, k, fixed)` is the
+one record that it and the enumeration `_all_classes` read: the vertex-last
+orders, the relabeling tables of the rest, every link's image under each
+relabeling, and each link's least image and the coset carrying it there.
 `_typed_canon(t, s, k)` builds the classification table with it, each
 ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
@@ -31,14 +32,16 @@ of the untyped table `_typed_canon(n, 0, k)`; within the 20-bit guard of
 the guard it scans every relabeling and ranks each image edge through a
 colex index.
 
-`tuple_bits` caches, for an ordered vertex tuple, the host bit position of
-each of its colex k-subsets.  Restriction and the per-host typed masks
-gather a sub-mask through it instead of re-ranking every subset.
-`_order_tables` turns the bit positions of a tuple of ordered tuples into
-half tables, built by doubling like the relabeling tables, and
-`_ordered_masks` reads the sub-mask of every mask of an array on every
-tuple from them: the restrictions, relabelings and lifts of
-`turankit.flags`, which work on all classes or all masks, and the
+`tuple_bits` gives, for an ordered vertex tuple, the host bit position of
+each of its colex k-subsets, uncached: `Hypergraph.restrict`,
+`_subset_masks` and the restriction route past the guard read it.  `_order_tables(n, k,
+orders)` is the one builder of mask tables: for vertex tuples of one
+length, in numpy from one colex rank table, the half tables that map the
+low and the high half of a mask to its sub-mask on each tuple.  An order of
+all n vertices is a relabeling, so the same tables serve relabelings,
+restrictions and lifts.  `_ordered_masks` reads the sub-mask of every mask
+of an array on every tuple from them: the restrictions, relabelings and
+lifts of `turankit.flags`, which work on all classes or all masks, and the
 vertex-last masks of `_orbit_minima`.  `restriction_class_counts`, which
 works on one host, reads Python-list copies of its subsets' rows instead.
 
@@ -116,7 +119,6 @@ def subset_rank(subset: Iterable[int]) -> int:
     return sum(math.comb(v, i + 1) for i, v in enumerate(sorted(subset)))
 
 
-@lru_cache(maxsize=None)
 def tuple_bits(k: int, vertices: tuple[int, ...]) -> tuple[int, ...]:
     """Host bit position of each colex k-subset of the ordered tuple
     `vertices`: entry i is the rank of {vertices[j] : j in the i-th k-subset
@@ -201,7 +203,7 @@ def _half_tables(img: np.ndarray):
     """Lookup tables of one bit map per row of img, an integer array (or an
     object array of Python ints) whose entry (row, b) is the value bit b of a
     mask takes in that row's image (a power of two, or 0 where the bit is
-    dropped, for the relabeling and order tables): arrays of img's dtype and
+    dropped, for the order tables): arrays of img's dtype and
     shape (rows, 2^split) and (rows, 2^(bits - split)) in C order for the
     low and high halves of a mask, split = ceil(bits / 2).  Each half-table
     doubles: the entries with bit b set are those below 2^b OR'd with b's
@@ -217,39 +219,32 @@ def _half_tables(img: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int, k: int, fixed: int):
-    """`_half_tables` of each relabeling of {0..n-1} that fixes 0..fixed-1,
-    row 0 the identity: bit b moves to the colex rank of its subset's image.
-    `_orbit_minima` on n vertices reads the (n-1)-vertex ones, so canonical
-    forms up to 6 vertices never build a 720-row table."""
+def _order_tables(n: int, k: int, orders: tuple[tuple[int, ...], ...]):
+    """`_half_tables` of the sub-mask of each ordered tuple o in orders, all
+    of one length, for masks on n vertices: host bit `tuple_bits(k, o)[i]`
+    goes to bit i, every other bit is dropped, so an order of all n vertices
+    is a relabeling.  The host bit of a k-subset of o is read off one colex
+    rank table of vertex bitmaps.  The tables are int16 when the sub-masks
+    have at most 15 bits, as the restrictions of a host to 5 or fewer
+    vertices do, and int32 otherwise (at most 20 bits within the guard)."""
     nbits = math.comb(n, k)
-    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
-    perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
     subsets = np.array(colex_subsets(n, k), dtype=np.int64).reshape(nbits, k)
     rank = np.zeros(1 << n, dtype=np.int64)
     rank[(1 << subsets).sum(axis=1)] = np.arange(nbits)
-    return _half_tables(1 << rank[(1 << perms[:, subsets]).sum(axis=2)])
-
-
-@lru_cache(maxsize=None)
-def _order_tables(n: int, k: int, orders: tuple[tuple[int, ...], ...]):
-    """`_half_tables` of the sub-mask of each ordered tuple o in orders,
-    for masks on n vertices: host bit `tuple_bits(k, o)[i]` goes to bit i,
-    every other bit is dropped.  The tables are int16 when every sub-mask
-    has at most 15 bits, as the restrictions of a host to 5 or fewer
-    vertices do, and int32 otherwise (at most 20 bits within the guard)."""
-    widest = max((math.comb(len(o), k) for o in orders), default=0)
-    img = np.zeros((len(orders), math.comb(n, k)), dtype=np.int16 if widest <= 15 else np.int32)
-    for row, o in zip(img, orders):
-        row[list(tuple_bits(k, o))] = 1 << np.arange(math.comb(len(o), k))
+    o = np.array(orders, dtype=np.int64).reshape(len(orders), -1)
+    width = math.comb(o.shape[1], k)
+    img = np.zeros((len(o), nbits), dtype=np.int16 if width <= 15 else np.int32)
+    # the first `width` colex k-subsets are those of a tuple's positions
+    bits = rank[(1 << o[:, subsets[:width]]).sum(axis=2)]
+    img[np.arange(len(o))[:, None], bits] = 1 << np.arange(width)
     return _half_tables(img)
 
 
 def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
     """Sub-mask of each mask on n vertices on each ordered tuple o in
-    orders, as `_gather` with `tuple_bits(k, o)` reads it, with shape
-    masks.shape + (len(orders),): two lookups into the `_order_tables` row
-    of o."""
+    orders, all of one length, as `_gather` with `tuple_bits(k, o)` reads
+    it, with shape masks.shape + (len(orders),): two lookups into the
+    `_order_tables` row of o."""
     orders = tuple(orders)
     split, lo_tab, hi_tab = _order_tables(n, k, orders)
     rows = np.arange(len(orders))
@@ -259,18 +254,25 @@ def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _link_cosets(m: int, k: int, fixed: int):
-    """For every k-graph mask L on m vertices: its least image code[L] under
-    the relabelings that fix 0..fixed-1, and the rows of `_perm_tables(m, k,
-    fixed)` that carry L there, rows[start[L] : start[L] + count[L]], a coset
-    of the stabilizer of code[L]."""
-    _, lo_tab, hi_tab = _perm_tables(m, k, fixed)
+def _vertex_last(n: int, k: int, fixed: int):
+    """What `_orbit_minima` and `_all_classes` read on n vertices, fixing
+    0..fixed-1 (fixed < n): one order per vertex v >= fixed, v placed last
+    after the others in order; the `_order_tables` (split, lo, hi) of the
+    relabelings of the other n-1 vertices that fix 0..fixed-1, on the rest,
+    a k-graph; every link L's image under each relabeling, images[row, L],
+    the links being (n-1)-vertex (k-1)-graphs; and per link its least image
+    code[L] and the rows carrying L there, rows[start[L] : start[L] +
+    count[L]], a coset of the stabilizer of code[L]."""
+    orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
+    perms = tuple((*range(fixed), *p) for p in itertools.permutations(range(fixed, n - 1)))
+    rest = _order_tables(n - 1, k, perms)
+    _, link_lo, link_hi = _order_tables(n - 1, k - 1, perms)
     # every link's image under every row, built as one array: L = hi << split | lo
-    images = (hi_tab[:, :, None] | lo_tab[:, None, :]).reshape(len(lo_tab), -1)
-    code = images.min(axis=0)
+    images = (link_hi[:, :, None] | link_lo[:, None, :]).reshape(len(perms), -1)
+    code = images.min(axis=0).astype(np.int64)  # int64: `_orbit_minima` shifts it up
     owner, rows = np.nonzero((images == code).T)
     count = np.bincount(owner, minlength=images.shape[1])
-    return code, rows, np.cumsum(count) - count, count
+    return orders, rest, images, code, rows, np.cumsum(count) - count, count
 
 
 def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
@@ -279,17 +281,14 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
     relabels the other n-1 vertices, fixing 0..fixed-1.  With v moved last
     and the others kept in order (`_ordered_masks`), the low C(n-1,k) bits of
     a mask, the rest, are an (n-1)-vertex k-graph and the bits above are v's
-    link, an (n-1)-vertex (k-1)-graph; a row of `_perm_tables(n-1, k, fixed)`
-    moves the rest as the same row of `_perm_tables(n-1, k-1, fixed)` moves
-    the link.  The link bits dominate, so only the vertices whose link has
-    the least code C, and only the rows that carry that link to C
-    (`_link_cosets`), can reach the minimum: the rests are read there alone."""
+    link, an (n-1)-vertex (k-1)-graph, and one relabeling of the other n-1
+    moves both (`_vertex_last`).  The link bits dominate, so only the
+    vertices whose link has the least code C, and only the rows that carry
+    that link to C, can reach the minimum: the rests are read there alone."""
     if fixed >= n:
         return masks.copy()
     low = math.comb(n - 1, k)
-    split, lo_tab, hi_tab = _perm_tables(n - 1, k, fixed)
-    code, rows, start, count = _link_cosets(n - 1, k - 1, fixed)
-    orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
+    orders, (split, lo_tab, hi_tab), _, code, rows, start, count = _vertex_last(n, k, fixed)
     out = np.empty(len(masks), dtype=np.int64)
     for at in range(0, len(masks), _ORBIT_READS):  # a mask reads at least one image
         last = _ordered_masks(masks[at : at + _ORBIT_READS], n, k, orders)
@@ -323,13 +322,13 @@ def _check_bits(caller: str, n: int, k: int) -> None:
     any of them is allocated."""
     if k < 1 or n < 0:
         raise ValueError(f"{caller}: need k >= 1 and n >= 0, got k={k}, n={n}")
+    if n > MAX_VERTICES:  # first: C(n, k) of a huge n is slow to compute and to print
+        raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
     nbits = math.comb(n, k)
     if nbits > _MAX_ENUM_BITS:
         raise ValueError(
             f"{caller}: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard"
         )
-    if n > MAX_VERTICES:
-        raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
 
 
 @lru_cache(maxsize=None)
@@ -382,16 +381,13 @@ def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
 
     Extends each (n-1)-vertex representative by one link of vertex n-1 per
     orbit of its automorphism group, the relabelings of {0..n-2} that fix
-    it, and takes the orbit minima of all candidates at once.  A row of
-    `_perm_tables(n-1, k-1, 0)` moves the links as the same row of
-    `_perm_tables(n-1, k, 0)` moves the representative.
+    it, and takes the orbit minima of all candidates at once.  The
+    relabelings and link images are those of `_vertex_last(n, k, 0)`.
     """
     if math.comb(n, k) == 0:
         return (Hypergraph(n, k, 0),)
-    split, lo_tab, hi_tab = _perm_tables(n - 1, k, 0)
-    _, link_lo, link_hi = _perm_tables(n - 1, k - 1, 0)
-    links = np.arange(1 << math.comb(n - 1, k - 1), dtype=np.int64)
-    images = (link_hi[:, :, None] | link_lo[:, None, :]).reshape(len(link_lo), -1)
+    _, (split, lo_tab, hi_tab), images, *_ = _vertex_last(n, k, 0)
+    links = np.arange(images.shape[1], dtype=np.int64)
     cands = []
     for rep in _all_classes(n - 1, k):
         m = rep.edges

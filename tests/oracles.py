@@ -58,12 +58,16 @@ def permuted(G: Hypergraph, perm: Sequence[int]) -> Hypergraph:
 
 
 def perm_tables(n: int, k: int, fixed: int):
-    """`hypergraph._perm_tables` one relabeling at a time: the image bits of
-    each relabeling through `tuple_bits`, and each half-table as the int64
-    product of those bits with the bit vector of every half-mask."""
+    """`hypergraph._order_tables` of the relabelings of {0..n-1} that fix
+    0..fixed-1, one order o at a time: row o sends host bit
+    `tuple_bits(k, o)[i]` to bit i, and each half-table is the int64 product
+    of those bits with the bit vector of every half-mask."""
     nbits = math.comb(n, k)
     perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, n))]
-    img = np.array([[1 << b for b in tuple_bits(k, p)] for p in perms], dtype=np.int64)
+    img = np.zeros((len(perms), nbits), dtype=np.int64)
+    for row, p in zip(img, perms):
+        for i, b in enumerate(tuple_bits(k, p)):
+            row[b] = 1 << i
     split = (nbits + 1) // 2
     lo_bitmat = (np.arange(1 << split, dtype=np.int64)[:, None] >> np.arange(split)) & 1
     hi_width = nbits - split

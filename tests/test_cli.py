@@ -205,18 +205,31 @@ def test_enumerate_guard_exit_2(capsys):
     assert "guard" in err
 
 
-def test_enumerate_vertex_guard_builds_no_tables(capsys, monkeypatch):
+def spy_order_tables(monkeypatch):
+    """Replace `hypergraph._order_tables` by a pass-through that records the
+    orders of every table built; returns the list of them."""
     from turankit import hypergraph
 
-    def unexpected(*args):
-        raise AssertionError("permutation tables built past the vertex guard")
+    built, tables = [], hypergraph._order_tables
 
-    monkeypatch.setattr(hypergraph, "_perm_tables", unexpected)
-    code = main(["enumerate", "--k", "1", "--n", "12"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: enumerate_all: n = 12 exceeds the 8-vertex guard\n"
+    def spy(n, k, orders):
+        built.append(orders)
+        return tables(n, k, orders)
+
+    monkeypatch.setattr(hypergraph, "_order_tables", spy)
+    return built
+
+
+def test_enumerate_vertex_guard_builds_no_tables(capsys, monkeypatch):
+    # C(100000, 50000) has over 30,000 digits: the vertex guard is tested first
+    built = spy_order_tables(monkeypatch)
+    for k, n in [("1", "12"), ("50000", "100000")]:
+        code = main(["enumerate", "--k", k, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: enumerate_all: n = {n} exceeds the 8-vertex guard\n"
+    assert built == []
 
 
 @pytest.mark.parametrize("k, n", [("0", "3"), ("3", "-1")])
@@ -387,38 +400,28 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
 
 
 def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path, monkeypatch):
-    # orbit minima at 6 vertices read the 5-vertex tables and their link
-    # cosets, and the flag weights, restrictions and lifts read tables of
-    # vertex tuples of at most 5 vertices, so a cold run never builds the
-    # 720-row tables of _perm_tables(6, k, 0) or relabels 6-vertex masks
-    from turankit import certificate, flags, hypergraph
+    # orbit minima at 6 vertices read the 5-vertex relabelings of the
+    # vertex-last record, and the flag weights, restrictions and lifts read
+    # tables of vertex tuples of at most 5 vertices, so a cold run never
+    # builds a 720-row table of 6-vertex relabelings: the only 6-vertex
+    # orders are those placing one vertex last after the others in order
+    from turankit import certificate, hypergraph
 
     cached = (
-        hypergraph._perm_tables,
-        hypergraph._link_cosets,
         hypergraph._order_tables,
+        hypergraph._vertex_last,
         hypergraph._typed_canon,
         hypergraph._all_classes,
         certificate.e5free_six_classes,
     )
     for fn in cached:
         fn.cache_clear()
-    built, tables, ordered = [], hypergraph._perm_tables, flags._ordered_masks
-
-    def spy(n, k, fixed):
-        built.append(n)
-        return tables(n, k, fixed)
-
-    def spy_ordered(masks, n, k, orders):
-        orders = tuple(orders)
-        built.extend(map(len, orders))
-        return ordered(masks, n, k, orders)
-
-    monkeypatch.setattr(hypergraph, "_perm_tables", spy)
-    monkeypatch.setattr(flags, "_ordered_masks", spy_ordered)
+    built = spy_order_tables(monkeypatch)
     code, out = run_cli(capsys, "certificate", "--cache-dir", str(tmp_path))
     assert code == 0
-    assert built and max(built) < 6
+    vertex_last = {(*range(v), *range(v + 1, 6), v) for v in range(6)}
+    six = {o for orders in built for o in orders if len(o) >= 6}
+    assert built and six <= vertex_last
     assert _stdout_digest(out) == CERTIFICATE_STDOUT_SHA256
     with open(tmp_path / "k3-n6-no-empty-5.hgr", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == CLASS_FILE_SHA256
@@ -500,6 +503,19 @@ def test_os_error_exit_4(capsys, tmp_path):
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_empty_cache_dir_is_used(capsys, tmp_path, monkeypatch):
+    # an empty --cache-dir names no directory, as an empty TURANKIT_CACHE
+    # does: it is not replaced by the default
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TURANKIT_CACHE", raising=False)
+    code = main(["enumerate", "--k", "2", "--n", "3", "--cache-dir", ""])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_cross_check_exit_5(capsys, monkeypatch):

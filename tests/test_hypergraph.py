@@ -36,8 +36,9 @@ from turankit.hypergraph import (
     _check_bits,
     _gather,
     _orbit_minima,
+    _order_tables,
     _ordered_masks,
-    _perm_tables,
+    _vertex_last,
     restriction_class_counts,
     tuple_bits,
 )
@@ -181,11 +182,16 @@ def burnside_count(n, k):
     return total // math.factorial(n)
 
 
+def relabelings(n, fixed):
+    """The orders of {0..n-1} that keep 0..fixed-1 in place, the identity first."""
+    return tuple((*range(fixed), *p) for p in itertools.permutations(range(fixed, n)))
+
+
 def full_space_classes(n, k):
     """Reference enumeration: canonicalize all 2^C(n,k) labeled masks with a
     running numpy minimum over every relabeling, then deduplicate."""
     nbits = math.comb(n, k)
-    split, lo_tab, hi_tab = _perm_tables(n, k, 0)
+    split, lo_tab, hi_tab = _order_tables(n, k, relabelings(n, 0))
     lo_arr = np.asarray(lo_tab, dtype=np.int64)
     hi_arr = np.asarray(hi_tab, dtype=np.int64)
     masks = np.arange(1 << nbits, dtype=np.int64)
@@ -198,9 +204,10 @@ def full_space_classes(n, k):
 
 
 def test_perm_tables_match_tuple_bits_oracle():
-    # every table the guards admit up to 6 vertices; (0, 0) and (2, 3) are
-    # the link tables of _all_classes(1, 1) and _all_classes(3, 3).  dtype
-    # and C order are checked too: `_ordered_masks` reads its tables flat
+    # the relabeling tables of every (n, k, fixed) the guards admit up to 6
+    # vertices; (0, 0) and (2, 3) are the link tables of _all_classes(1, 1)
+    # and _all_classes(3, 3).  dtype and C order are checked too:
+    # `_ordered_masks` reads its tables flat
     cases = [
         (n, k, fixed)
         for n in range(7)
@@ -210,11 +217,12 @@ def test_perm_tables_match_tuple_bits_oracle():
     ]
     assert (0, 0, 0) in cases and (2, 3, 0) in cases and len(cases) == 168
     for n, k, fixed in cases:
-        split, *tables = _perm_tables.__wrapped__(n, k, fixed)  # bypass the cache
+        split, *tables = _order_tables.__wrapped__(n, k, relabelings(n, fixed))  # uncached
         want_split, *want = perm_tables(n, k, fixed)
+        dtype = np.int16 if math.comb(n, k) <= 15 else np.int32
         assert split == want_split, (n, k, fixed)
         for got, ref in zip(tables, want):
-            assert got.dtype == np.int64 and got.flags["C_CONTIGUOUS"], (n, k, fixed)
+            assert got.dtype == dtype and got.flags["C_CONTIGUOUS"], (n, k, fixed)
             assert np.array_equal(got, ref), (n, k, fixed)
 
 
@@ -617,8 +625,10 @@ _DENSE_84 = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
             r"read_hgr: C\(8,4\) = 70 exceeds the 20-bit guard",
         ),
         ("HGR1 3 4 3 none\n0\n1\n", "expected 3 lines, found 2"),
+        # C(100000, 50000) is never computed: the vertex guard comes first
+        ("HGR1 50000 100000 0 none\n", "read_hgr: n = 100000 exceeds the 8-vertex guard"),
     ],
-    ids=["non-hex", "oversized-header", "count-mismatch"],
+    ids=["non-hex", "oversized-header", "count-mismatch", "huge-n-header"],
 )
 def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
     from turankit import hypergraph
@@ -755,8 +765,7 @@ def test_restriction_class_counts_below_k():
 def images_read(masks, n, k, fixed=0):
     """Images `_orbit_minima` reads for each mask: over the vertices placed
     last whose link has the least code, the rows carrying that link there."""
-    code, _, _, count = hypergraph._link_cosets(n - 1, k - 1, fixed)
-    orders = tuple((*range(v), *range(v + 1, n), v) for v in range(fixed, n))
+    orders, _, _, code, _, _, count = _vertex_last(n, k, fixed)
     links = _ordered_masks(masks, n, k, orders) >> math.comb(n - 1, k)
     least = code[links] == code[links].min(axis=1)[:, None]
     return (count[links] * least).sum(axis=1)
@@ -812,23 +821,24 @@ def test_orbit_minima_full_tables_pinned(k, digest):
 
 
 def test_link_cosets_carry_each_link_to_its_code():
-    # every (m, k, fixed) whose table `_orbit_minima` reads within the
-    # guards: the links on m = n-1 vertices of an n-vertex (k+1)-graph
-    cases = sorted(
-        {
-            (n - 1, k - 1, fixed)
-            for n in range(1, MAX_VERTICES + 1)
-            for k in range(1, n + 2)
-            if math.comb(n, k) <= 20
-            for fixed in range(n)
-        }
-    )
-    assert (0, 0, 0) in cases and (7, 6, 0) in cases and len(cases) == 172
-    for m, k, fixed in cases:
-        code, rows, start, count = hypergraph._link_cosets(m, k, fixed)
+    # every (n, k, fixed) whose `_vertex_last` record `_orbit_minima` reads
+    # within the guards: its links are (k-1)-graphs on m = n-1 vertices
+    cases = [
+        (n, k, fixed)
+        for n in range(1, MAX_VERTICES + 1)
+        for k in range(1, n + 2)
+        if math.comb(n, k) <= 20
+        for fixed in range(n)
+    ]
+    assert (1, 1, 0) in cases and (8, 7, 0) in cases and len(cases) == 172
+    for n, k, fixed in cases:
+        _, _, got, code, rows, start, count = _vertex_last(n, k, fixed)
+        m, k = n - 1, k - 1
         split, lo, hi = perm_tables(m, k, fixed)  # one row per relabeling
         links = np.arange(1 << math.comb(m, k))
         images = lo[:, links & ((1 << split) - 1)] | hi[:, links >> split]
+        assert got.flags["C_CONTIGUOUS"] and np.array_equal(got, images), (m, k, fixed)
+        assert code.dtype == np.int64, (m, k, fixed)
         assert code.tolist() == images.min(axis=0).tolist(), (m, k, fixed)
         assert start.tolist() == (np.cumsum(count) - count).tolist(), (m, k, fixed)
         assert count.sum() == len(rows), (m, k, fixed)
@@ -909,13 +919,13 @@ def test_typed_canon_tables_pinned():
 def test_ordered_masks_match_gather(n, k):
     rng = random.Random(n * 10 + k)
     masks = [rng.getrandbits(math.comb(n, k)) for _ in range(40)]
-    orders = [tuple(rng.sample(range(n), rng.randint(0, n))) for _ in range(30)]
-    images = _ordered_masks(np.array(masks, dtype=np.int64), n, k, orders)
-    assert images.shape == (len(masks), len(orders))
-    for mask, row in zip(masks, images.tolist()):
-        for o, image in zip(orders, row):
-            low = image & ((1 << math.comb(len(o), k)) - 1)
-            assert low == _gather(mask, tuple_bits(k, o)), (n, k, mask, o)
+    for m in range(n + 1):  # one call per order length
+        orders = [tuple(rng.sample(range(n), m)) for _ in range(8)]
+        images = _ordered_masks(np.array(masks, dtype=np.int64), n, k, orders)
+        assert images.shape == (len(masks), len(orders))
+        for mask, row in zip(masks, images.tolist()):
+            for o, image in zip(orders, row):
+                assert image == _gather(mask, tuple_bits(k, o)), (n, k, mask, o)
 
 
 def test_canonical_mask_returns_python_int():
