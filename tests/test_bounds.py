@@ -372,17 +372,16 @@ def test_factor_identity_against_geometric_form():
 
 
 def test_asymptotic_k2_is_erdos_product():
-    for r in range(3, 13):
+    # Zykov's closed form of the K_g-density limit of K_r-free graphs
+    for r in range(3, 17):
         for g in range(2, r):
-            expected = math.prod(
-                (1 - Fraction(m - 1, r - 1) for m in range(2, g + 1)), start=Fraction(1)
-            )
+            expected = Fraction(math.factorial(g) * math.comb(r - 1, g), (r - 1) ** g)
             assert asymptotic_product(2, g, r) == expected
 
 
 def test_asymptotic_at_g_equal_k_matches_de_caen_limit():
-    for k in range(2, 12):
-        for r in range(k + 1, 13):
+    for k in range(2, 16):
+        for r in range(k + 1, 17):
             assert asymptotic_product(k, k, r) == 1 - Fraction(1, binomial(r - 1, k - 1))
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import pins
 from turankit.cli import main
 from turankit.hypergraph import Hypergraph, read_hgr, write_hgr
 from turankit.relations import InequalityCheck
@@ -253,59 +254,34 @@ def test_table_csv(capsys):
     assert second[0] == "4" and second[1] == "10/23" and second[3] == ""
 
 
-# SHA-256 of the stdout of `turankit verify --suite <name>`, the same digests
-# the CI console-script step checks.
-VERIFY_STDOUT_SHA256 = {
-    "lemma": "a6f3eebb715740260ece889c06624840e09f9ac3567047adbea7ac778a45254e",
-    "claims": "e89eb8908bcf6bf3054ed28e5d1ad3362b0818aabd756860c9897b6456a1df9c",
-    "rows": "d5165e020be8ba13c8e3cad9ca0149cedfaed504fafe1c52a4a7e3b7395d1a58",
-}
-
-
 def _stdout_digest(out):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
-# SHA-256 of the stdout of bound-side commands, the same digests the CI
-# console-script step checks.
-BOUNDS_STDOUT_SHA256 = {
-    "solve --k 3 --r 5 --g 4 --eps 1/100":
-        "25852c0a62759e99025c12cfc6d0543f04a3026b49ed35bf3bfd7793957dc591",
-    "solve --k 2 --r 16 --g 9 --eps 1/1000":
-        "39f38b474e97ff64bbf06445ce94b892e01db98994ed96bd575f993483c0d480",
-    "solve --k 3 --r 5 --g 4 --eps 6/5":
-        "c5effa4043953fe63a75330c0f9bfb03a9c4fb864d2d3af4205c00c72953eb0c",
-    "bound --k 2 --g 15 --r 16 --n 5000":
-        "1927c8a18856072a9a9d1d6f7ff6ddc0547a6f3c371e7664eb858f9b388b7d7d",
-    "table --k 2 --r 16 --n 3000":
-        "2bd5ad48725c030f3502f06058799f40b6a470c1e020cf042c08439577346eea",
-    "table --k 3 --r 9 --n 500":
-        "e17573dae1bdf94c5f98688402575c2d6d0b95e8c024d9f66bb417b7b7c1dd93",
-    "lower --k 3 --g 7 --r 9":
-        "b440beb3d8b6544a8bbd00c761f19c9d491b7acf8399d480d758d6ea4395bec5",
-    "lower --k 2 --g 15 --r 16":
-        "aca43721d3d92281fc1fa47d630d5cb0a06f0fa50612c6c383869cf795bb7f3d",
-    "bound --k 3 --g 4 --r 5 --n 100 --mode corrected":
-        "e5e096eec68b9f85543a41b74d26cae32c753166d774d733615dd347fbd6feae",
-    "table --k 3 --r 9 --n 500 --mode corrected":
-        "a690989ae8e5ef5c32a60d0dd4a33497624cb4d17a3bf42ac3288dbf64acca39",
-    # the sandwich's e^x bracket needs more than 64 series terms here
-    "lower --k 2 --g 40 --r 41":
-        "f20c8f8cf9f2f01372a7998745f8b740a22edc8d5c4faa4f4265247780318819",
-}
-
-
-@pytest.mark.parametrize("command", list(BOUNDS_STDOUT_SHA256))
-def test_bounds_stdout_digest(capsys, command):
+@pytest.mark.parametrize("command", list({**pins.STDOUT_SHA256, **pins.CLASS_FILE_SHA256}))
+def test_pinned_output(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
     code, out = run_cli(capsys, *command.split())
     assert code == 0
-    assert _stdout_digest(out) == BOUNDS_STDOUT_SHA256[command]
+    if command in pins.STDOUT_SHA256:
+        assert _stdout_digest(out) == pins.STDOUT_SHA256[command]
+    if command in pins.CLASS_FILE_SHA256:
+        (path,) = tmp_path.iterdir()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pins.CLASS_FILE_SHA256[command]
+
+
+def test_benchmark_gates_pin_the_table_certificate(monkeypatch):
+    # the certificate gate keeps its own copy of the certificate's two pins
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+    import gates
+
+    assert gates.CERT_STDOUT_SHA256 == pins.STDOUT_SHA256["certificate"]
+    assert gates.CERT_HGR_SHA256 == pins.CLASS_FILE_SHA256["certificate"]
 
 
 def test_verify_lemma_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "lemma")
     assert code == 0
-    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["lemma"]
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["failures"] == 0
@@ -315,7 +291,6 @@ def test_verify_lemma_suite(capsys):
 def test_verify_claims_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "claims")
     assert code == 0
-    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["claims"]
     payload = json.loads(out)
     assert payload["checks"] == 268
     assert payload["failures"] == 0
@@ -325,7 +300,6 @@ def test_verify_claims_suite(capsys):
 def test_verify_rows_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "rows")
     assert code == 0
-    assert _stdout_digest(out) == VERIFY_STDOUT_SHA256["rows"]
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["checks"] == 310
@@ -377,10 +351,6 @@ def test_verify_reports_failing_checks_exit_1(capsys, monkeypatch, suite, check,
         assert {c["kind"] for c in payload["counterexamples"]} == {"telescoping-mismatch"}
 
 
-CERTIFICATE_STDOUT_SHA256 = "0db83a97a49858eb2a0aaa202ddddf3b53e8428b862b679f979f3db5b7c89f48"
-CLASS_FILE_SHA256 = "dbfd8a9e29df35d774d0f6d2916a963ca91c241d368baec01806641734398624"
-
-
 def test_certificate_cli(capsys, tmp_path, certificate_run):
     cache = str(tmp_path / "cache")
     code, out = run_cli(capsys, "certificate", "--cache-dir", cache)
@@ -390,10 +360,6 @@ def test_certificate_cli(capsys, tmp_path, certificate_run):
     assert payload["minSlack"] == "0"
     assert payload["verdict"] == "pass"
     assert f"{(1 << 20) - 1:x}" in payload["tightGraphs"]
-    # stdout and class file as pinned in the CI console-script step
-    assert _stdout_digest(out) == CERTIFICATE_STDOUT_SHA256
-    with open(os.path.join(cache, "k3-n6-no-empty-5.hgr"), "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == CLASS_FILE_SHA256
     # a rerun replaces the class file and emits identical bytes
     code2, out2 = run_cli(capsys, "certificate", "--cache-dir", cache)
     assert code2 == 0 and out2 == out
@@ -422,32 +388,9 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
     vertex_last = {(*range(v), *range(v + 1, 6), v) for v in range(6)}
     six = {o for orders in built for o in orders if len(o) >= 6}
     assert built and six <= vertex_last
-    assert _stdout_digest(out) == CERTIFICATE_STDOUT_SHA256
+    assert _stdout_digest(out) == pins.STDOUT_SHA256["certificate"]
     with open(tmp_path / "k3-n6-no-empty-5.hgr", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == CLASS_FILE_SHA256
-
-
-# SHA-256 of the class files written by `enumerate`, the same digests the CI
-# console-script step checks: (6,3) is every class the certificate's
-# admissible set is filtered from, (6,4) is the first k = 4 pin, 156
-# classes, and the orbit minima of (8,1) and (8,7) read links that are
-# 0-graphs and 6-graphs on 7 vertices.
-@pytest.mark.parametrize(
-    "k, n, digest",
-    [
-        ("2", "6", "a50bb620b54e4fad46ec38551da43bb20ad6f984725fc7eafefa2cfc7c72dc1a"),
-        ("3", "5", "a9aa5feb0c0299e2a7003a5a00ec7e047f7b07e103f5ee681f5ed3b5e0282d98"),
-        ("3", "6", "d3b5ccc24c4fee50860ac7dc6f4bd25e9f6d89bc4835914ceba25ec5a6e93ce9"),
-        ("4", "6", "964255a24eb31ef8528bf79bbcd1cd7711f4e9cf4727f3db8165ccdc941b97fa"),
-        ("1", "8", "0269501961fcf9adefc12407c49ef754a311f5815fcb8fa3fda6d605a1d74b6f"),
-        ("7", "8", "2f50207e24f2bd8e3410c74df5209800860a7375488d2a9ac89e1c7ec4c74046"),
-    ],
-)
-def test_enumerate_class_file_digest(capsys, tmp_path, k, n, digest):
-    code, out = run_cli(capsys, "enumerate", "--k", k, "--n", n, "--cache-dir", str(tmp_path))
-    assert code == 0
-    with open(json.loads(out)["cache"], "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == digest
+        assert hashlib.sha256(fh.read()).hexdigest() == pins.CLASS_FILE_SHA256["certificate"]
 
 
 @pytest.mark.parametrize(
