@@ -17,20 +17,11 @@ one of their names: `bounds` needs no numpy, while `hypergraph`, `flags`,
 import importlib.util
 import sys
 
-from .combinat import (
-    EpsilonMode,
-    binomial,
-    decimal_string,
-    epsilon_threshold,
-    epsilon_value,
-    exp_bounds,
-    multinomial,
-    vertex_threshold,
-    x_ratio,
-)
-
-# the public names of the submodules that run on first use
+# the public names of each submodule, read as its `__all__`: combinat runs
+# on import, the others on first use
 _NAMES = {
+    "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
+    "exp_bounds multinomial vertex_threshold x_ratio",
     "bounds": "BoundReport PartiteBound RecurrenceTables SandwichTable TridiagonalSystem "
     "asymptotic_product build_system de_caen_bound inverse_matrix partite_lower_bound "
     "recurrences sandwich_table solve_delta upper_bound",
@@ -43,8 +34,12 @@ _NAMES = {
     "relations": "SUITES InequalityCheck check_relaxed_rows check_square_intermediate "
     "check_three_term_inequality telescoped_combination",
 }
+
+from .combinat import *  # after _NAMES, which combinat reads
+
 _LAZY = {name: module for module, names in _NAMES.items() for name in names.split()}
-for _module in _NAMES:  # in sys.modules now, for tools that look there; run on first use
+# every submodule but combinat: in sys.modules now, for tools that look there; run on first use
+for _module in list(_NAMES)[1:]:
     _spec = importlib.util.find_spec(f".{_module}", __name__)
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

@@ -52,6 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from . import _NAMES
 from .combinat import (
     EpsilonMode,
     _eps_top,
@@ -64,22 +65,7 @@ from .combinat import (
     x_ratio,
 )
 
-__all__ = [
-    "BoundReport",
-    "PartiteBound",
-    "RecurrenceTables",
-    "SandwichTable",
-    "TridiagonalSystem",
-    "asymptotic_product",
-    "build_system",
-    "de_caen_bound",
-    "inverse_matrix",
-    "partite_lower_bound",
-    "recurrences",
-    "sandwich_table",
-    "solve_delta",
-    "upper_bound",
-]
+__all__ = _NAMES["bounds"].split()
 
 
 class TridiagonalSystem:
@@ -193,16 +179,13 @@ class RecurrenceTables(NamedTuple):
         return Fraction(self.lead[-1], math.prod(self.scale))
 
     def nonpositive_entries(self) -> list[tuple[str, int]]:
-        """The (table, m) pairs with nonpositive values; nonempty tables
-        signal that epsilon sits at or beyond the positivity threshold."""
-        bad = []
-        for j, v in enumerate(self.theta):
-            if v <= 0:
-                bad.append(("theta", self.k - 1 + j))
-        for j, v in enumerate(self.phi[:-1]):  # phi(r+1) is the 0 seed
-            if v <= 0:
-                bad.append(("phi", self.k + j))
-        return bad
+        """The (table, m) pairs with nonpositive values, read off the signs of
+        lead and trail (the scale products are positive), without the phi(r+1)
+        = 0 seed; nonempty tables signal that epsilon sits at or beyond the
+        positivity threshold."""
+        return [("theta", self.k - 1 + j) for j, v in enumerate(self.lead) if v <= 0] + [
+            ("phi", self.k + j) for j, v in enumerate(self.trail) if v <= 0
+        ]
 
 
 def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _NAMES
 from .flags import ExpansionVector, chain_lift, square_expansion
 from .hypergraph import (
     Hypergraph,
@@ -38,14 +39,7 @@ from .hypergraph import (
     induced_density,
 )
 
-__all__ = [
-    "CertificateReport",
-    "CertificateTerm",
-    "certificate_terms",
-    "e5free_six_classes",
-    "two_clique_density",
-    "verify_certificate",
-]
+__all__ = _NAMES["certificate"].split()
 
 TARGET = Fraction(3, 8)
 # Six random vertices of two disjoint complete halves split 6+0, 5+1, 4+2 and

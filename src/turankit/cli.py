@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import bounds
+from . import bounds, certificate, hypergraph, relations
 from .combinat import EpsilonMode, decimal_string, epsilon_threshold
 
 CACHE_ENV = "TURANKIT_CACHE"
@@ -62,13 +62,12 @@ def _mode(args) -> EpsilonMode:
 def _write_classes(args, k: int, n: int, tag: str, classes) -> str:
     """Write `classes` to `k{k}-n{n}-{tag}.hgr` in the cache directory,
     replacing any file there; returns the path."""
-    from .hypergraph import write_hgr
     directory = args.cache_dir
     if directory is None:  # an empty --cache-dir is used, as an empty TURANKIT_CACHE is
         directory = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"k{k}-n{n}-{tag}.hgr")
-    write_hgr(path, k, n, classes, tag)
+    hypergraph.write_hgr(path, k, n, classes, tag)
     return path
 
 
@@ -97,6 +96,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_table(args) -> int:
     import csv
+    if not 2 <= args.k < args.r:  # else the g range is empty
+        raise ValueError(f"table: need 2 <= k < r, got k={args.k}, r={args.r}")
     mode = _mode(args)
     buffer = io.StringIO()
     writer = csv.DictWriter(
@@ -142,21 +143,19 @@ def _cmd_lower(args) -> int:
 def _parse_filter(value: Optional[str]):
     """Filter string `no-empty-M`, M in ASCII digits: keep classes where
     every M-subset spans an edge.  Returns (tag, predicate)."""
-    from .hypergraph import has_no_empty_set
     if value is None:
         return "none", None
     # [0-9], not str.isdigit, which also takes other scripts' digits and superscripts
     match = re.fullmatch(r"no-empty-([0-9]+)", value)
     if match:
         size = int(match[1])
-        return value, lambda G: has_no_empty_set(G, size)
+        return value, lambda G: hypergraph.has_no_empty_set(G, size)
     raise ValueError(f"unknown filter {value!r}; expected no-empty-<size>")
 
 
 def _cmd_enumerate(args) -> int:
-    from .hypergraph import enumerate_all
     tag, predicate = _parse_filter(args.filter)
-    classes = enumerate_all(args.n, args.k, predicate)
+    classes = hypergraph.enumerate_all(args.n, args.k, predicate)
     path = _write_classes(args, args.k, args.n, tag, classes)
     _emit(
         {
@@ -172,7 +171,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    from . import certificate
     _write_classes(args, 3, 6, "no-empty-5", certificate.e5free_six_classes())
     report = certificate.verify_certificate()
     payload = {
@@ -211,7 +209,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import relations
     checks, failures, warnings = relations.SUITES[args.suite]()
     payload = {
         "suite": args.suite,

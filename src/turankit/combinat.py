@@ -18,17 +18,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = [
-    "EpsilonMode",
-    "binomial",
-    "decimal_string",
-    "epsilon_threshold",
-    "epsilon_value",
-    "exp_bounds",
-    "multinomial",
-    "vertex_threshold",
-    "x_ratio",
-]
+from . import _NAMES
+
+__all__ = _NAMES["combinat"].split()
 
 
 def binomial(n: int, j: int) -> int:

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _NAMES
 from .hypergraph import (
     Hypergraph,
     _ordered_masks,
@@ -49,11 +50,7 @@ from .hypergraph import (
     restriction_class_counts,
 )
 
-__all__ = [
-    "ExpansionVector",
-    "chain_lift",
-    "square_expansion",
-]
+__all__ = _NAMES["flags"].split()
 
 
 @dataclass(frozen=True)

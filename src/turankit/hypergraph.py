@@ -74,22 +74,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "MAX_VERTICES",
-    "Hypergraph",
-    "canonical_mask",
-    "clique_counts",
-    "colex_subsets",
-    "disjoint_union",
-    "enumerate_all",
-    "has_no_empty_set",
-    "induced_density",
-    "read_hgr",
-    "restriction_class_counts",
-    "subset_rank",
-    "tuple_bits",
-    "write_hgr",
-]
+from . import _NAMES
+
+__all__ = _NAMES["hypergraph"].split()
 
 MAX_VERTICES = 8
 # canonical codes of masks of at most this many bits are one read of a 2^bits table
@@ -519,11 +506,12 @@ def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
-    """True when every size-subset of the vertices induces at least one edge."""
+    """True when every size-subset of the vertices induces at least one edge;
+    False for size < k, as such a subset's k-subset mask is 0."""
+    if size < 0:
+        raise ValueError(f"has_no_empty_set: size must be nonnegative, got {size}")
     if size > G.n:
         raise ValueError("has_no_empty_set: size exceeds the vertex count")
-    if size < G.k:
-        return False  # a set smaller than k can never induce an edge
     return all(G.edges & M for M in _subset_masks(G.n, size, G.k)[0])
 
 

@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import _NAMES
 from .bounds import solve_delta
 from .combinat import EpsilonMode, _x_parts, binomial, epsilon_value, x_ratio
 from .hypergraph import (
@@ -55,14 +56,7 @@ from .hypergraph import (
     restriction_class_counts,
 )
 
-__all__ = [
-    "SUITES",
-    "InequalityCheck",
-    "check_relaxed_rows",
-    "check_square_intermediate",
-    "check_three_term_inequality",
-    "telescoped_combination",
-]
+__all__ = _NAMES["relations"].split()
 
 
 class InequalityCheck(NamedTuple):

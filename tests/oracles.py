@@ -35,6 +35,27 @@ def edge_count(G: Hypergraph) -> int:
     return G.edges.bit_count()
 
 
+def burnside_count(n, k):
+    """Orbit count of edge subsets under the vertex symmetric group."""
+    total = 0
+    for p in itertools.permutations(range(n)):
+        seen = set()
+        cycles = 0
+        for s in itertools.combinations(range(n), k):
+            if s in seen:
+                continue
+            cycles += 1
+            cur = s
+            while True:
+                cur = tuple(sorted(p[v] for v in cur))
+                seen.add(cur)
+                if cur == s:
+                    break
+        total += 2**cycles
+    assert total % math.factorial(n) == 0
+    return total // math.factorial(n)
+
+
 def is_edge(G: Hypergraph, verts: Iterable[int]) -> bool:
     verts = tuple(sorted(verts))
     if len(verts) != G.k:

@@ -37,7 +37,7 @@ from turankit import (
     x_ratio,
 )
 
-from oracles import dense
+from oracles import burnside_count, dense
 
 
 def _report(num, text):
@@ -109,25 +109,6 @@ def test_criterion_3_k2_and_de_caen_cross_checks():
     _report(3, "k=2 product matches termwise; g=k limit matches the classical bound")
 
 
-def _burnside_count(n, k):
-    total = 0
-    for p in itertools.permutations(range(n)):
-        seen = set()
-        cycles = 0
-        for s in itertools.combinations(range(n), k):
-            if s in seen:
-                continue
-            cycles += 1
-            cur = s
-            while True:
-                cur = tuple(sorted(p[v] for v in cur))
-                seen.add(cur)
-                if cur == s:
-                    break
-        total += 2**cycles
-    return total // math.factorial(n)
-
-
 def test_criterion_4_enumeration_counts():
     t0 = time.monotonic()
     h4 = enumerate_all(4, 3)
@@ -144,12 +125,12 @@ def test_criterion_4_enumeration_counts():
             best = min(best, m)
         brute.add(best)
     assert len(h4) == len(brute) == 5
-    assert len(enumerate_all(5, 3)) == _burnside_count(5, 3)
+    assert len(enumerate_all(5, 3)) == burnside_count(5, 3)
     e5free = enumerate_all(6, 3, lambda G: has_no_empty_set(G, 5))
     assert len(e5free) == 2102
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"enumeration took {elapsed:.1f}s"
-    _report(4, f"|H(4)|=5, |H(5)|=Burnside={_burnside_count(5, 3)}, admissible |H(6)|=2102 in {elapsed:.1f}s")
+    _report(4, f"|H(4)|=5, |H(5)|=Burnside={burnside_count(5, 3)}, admissible |H(6)|=2102 in {elapsed:.1f}s")
 
 
 def test_criterion_5_certificate(certificate_run):

@@ -327,6 +327,19 @@ def test_recurrences_flag_nonpositive_tables():
         recurrences(s, Fraction(-1, 2))
 
 
+def test_nonpositive_entries_match_the_fraction_tables():
+    # the signs of the integer minors against the Fraction tables themselves,
+    # at, below and past the threshold
+    for k, r in itertools.combinations(range(2, 13), 2):
+        s = build_system(k, r)
+        thr = epsilon_threshold(k, r)
+        for eps in (Fraction(0), thr / 2, thr, thr * 2, Fraction(1), Fraction(3)):
+            tables = recurrences(s, eps)
+            theta = [("theta", k - 1 + j) for j, v in enumerate(tables.theta) if v <= 0]
+            phi = [("phi", k + j) for j, v in enumerate(tables.phi[:-1]) if v <= 0]
+            assert tables.nonpositive_entries() == theta + phi, (k, r, eps)
+
+
 def test_delta_positive_below_threshold():
     for k, r in [(3, 5), (3, 7), (4, 9), (2, 6)]:
         eps = epsilon_threshold(k, r) / 2

@@ -254,6 +254,15 @@ def test_table_csv(capsys):
     assert second[0] == "4" and second[1] == "10/23" and second[3] == ""
 
 
+@pytest.mark.parametrize("k, r", [(5, 4), (3, 3)])
+def test_table_k_at_least_r_exit_2(capsys, k, r):
+    # as `bound` refuses the same (k, r), not a bare CSV header
+    code = main(["table", "--k", str(k), "--r", str(r), "--n", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: table: need 2 <= k < r, got k={k}, r={r}\n"
+
+
 def _stdout_digest(out):
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
@@ -659,14 +668,28 @@ def test_package_names_resolve_to_their_submodule(module):
         turankit.no_such_name
 
 
-@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES.keys() - {"combinat"}))
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
 def test_lazy_names_are_each_module_all(module):
     import importlib
 
-    import turankit
-
     sub = importlib.import_module(f"turankit.{module}")
-    assert sorted(turankit._NAMES[module].split()) == sorted(sub.__all__)
+    assert sorted(sub.__all__) == sorted(PUBLIC_NAMES[module].split())
+    # a star import binds exactly those names, in a fresh interpreter
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "before = set(dir()) | {'before'}\n"
+        f"from turankit.{module} import *\n"
+        "print(*sorted(set(dir()) - before))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == sorted(PUBLIC_NAMES[module].split())
 
 
 def test_verify_suite_choices_are_the_relation_suites():

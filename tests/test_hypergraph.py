@@ -44,6 +44,7 @@ from turankit.hypergraph import (
 )
 
 from oracles import (
+    burnside_count,
     clique_density,
     edge_count,
     is_complete,
@@ -159,27 +160,6 @@ def brute_force_classes(n, k):
             best = min(best, m)
         reps.add(best)
     return sorted(reps)
-
-
-def burnside_count(n, k):
-    """Orbit count of edge subsets under the vertex symmetric group."""
-    total = 0
-    for p in itertools.permutations(range(n)):
-        seen = set()
-        cycles = 0
-        for s in itertools.combinations(range(n), k):
-            if s in seen:
-                continue
-            cycles += 1
-            cur = s
-            while True:
-                cur = tuple(sorted(p[v] for v in cur))
-                seen.add(cur)
-                if cur == s:
-                    break
-        total += 2**cycles
-    assert total % math.factorial(n) == 0
-    return total // math.factorial(n)
 
 
 def relabelings(n, fixed):
@@ -560,6 +540,8 @@ def test_has_no_empty_set():
     assert not has_no_empty_set(Hypergraph.complete(6, 3), 2)
     with pytest.raises(ValueError, match="exceeds the vertex count"):
         has_no_empty_set(two, 7)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        has_no_empty_set(two, -1)
     # 8 vertices (56 edge slots): every 5-set of two disjoint K_4s holds 3
     # vertices of one, and {0, 1, 4, 5} holds no edge
     four = disjoint_union(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3))
