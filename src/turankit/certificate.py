@@ -9,8 +9,10 @@ not exceed 3/8 minus the empty-4-set coefficient on any single class.
 
 This module pins the six squares and their weights as exact rationals,
 each flag as an edge list on t vertices whose first s carry the type (see
-`turankit.flags`).  It expands them at size 6 as integer numerators over
-one denominator each, lifts the empty-4-set density to size 6 the same way,
+`turankit.flags`).  The admissible classes are codes of the class-code
+record of `turankit.hypergraph`, proved complete first (`_check_complete`).
+It expands the squares at size 6 as integer numerators over one
+denominator each, lifts the empty-4-set density to size 6 the same way,
 and checks the slack of all 2102 admissible classes as one integer product
 of the scaled weights with a 7 x 2102 numerator matrix (int64 where that
 cannot overflow), with one `Fraction` per distinct slack.
@@ -23,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,11 @@ from . import _NAMES
 from .flags import ExpansionVector, chain_lift, square_expansion
 from .hypergraph import (
     Hypergraph,
+    _class_codes,
+    _empty_set_masks,
+    _orbit_minima,
+    _spans_every,
     disjoint_union,
-    enumerate_all,
     has_no_empty_set,
     induced_density,
 )
@@ -48,8 +52,7 @@ TARGET = Fraction(3, 8)
 TWO_CLIQUES_PROFILE = {0xFFFFF: 1, 0x3FF: 6, 0xF: 15, 0x600: 10}
 
 
-@dataclass(frozen=True)
-class CertificateTerm:
+class CertificateTerm(NamedTuple):
     """One weighted square: weight * avg((sum a_i F_i - constant * sigma)^2),
     with terms (a_i, F_i) and each flag F_i typed on its first sigma.n vertices."""
 
@@ -100,11 +103,48 @@ def certificate_terms() -> tuple[CertificateTerm, ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def e5free_six_classes() -> tuple[Hypergraph, ...]:
-    """Isomorphism classes of 3-graphs on 6 vertices in which every 5-subset
-    spans an edge, canonically ordered (2102 classes)."""
-    return enumerate_all(6, 3, lambda G: has_no_empty_set(G, 5))
+def e5free_six_classes() -> tuple[int, ...]:
+    """Canonical codes of the isomorphism classes of 3-graphs on 6 vertices
+    in which every 5-subset spans an edge, ascending (2102 classes)."""
+    return tuple(_class_codes(6, 3, 5)[1])
+
+
+def _labelled_count(n: int, k: int, size: int) -> int:
+    """Labelled k-graphs on n vertices in which every size-subset spans an
+    edge, by inclusion-exclusion over the sets F of size-subsets:
+    sum of (-1)^|F| 2^(C(n,k) - |union of their k-subset masks|)."""
+    terms = [(0, 1)]  # (union of F's masks, (-1)^|F|)
+    for M in _empty_set_masks(n, k, size):
+        terms += [(union | M, -sign) for union, sign in terms]
+    return sum(sign << math.comb(n, k) - union.bit_count() for union, sign in terms)
+
+
+def _check_complete(codes: tuple[int, ...]) -> None:
+    """Prove that codes hold every admissible 6-vertex class once: distinct
+    canonical codes have disjoint orbits of 720/|Aut(H)| labelled graphs, so
+    these cover the admissible ones exactly when their sizes sum to
+    `_labelled_count`, which shares no code with enumeration.  The minima
+    and |Aut| come from one `_orbit_minima` read.  ArithmeticError if a code
+    is not above the one before it, is not an admissible canonical code,
+    has an |Aut| that does not divide 720, or if the counts differ."""
+    masks = np.array(codes, dtype=np.int64)
+    least, aut = _orbit_minima(masks, 6, 3, stabilizers=True)
+    admissible = (least == masks) & _spans_every(masks, 6, 3, 5)
+    problems = (
+        (np.diff(masks, prepend=-1) <= 0, "{:x} is not above the one before it"),
+        (~admissible, "{:x} is not an admissible canonical code"),
+        (720 % aut > 0, "{:x} has an |Aut| that does not divide 720"),
+    )
+    for bad, message in problems:
+        if bad.any():  # argmax is the first bad code
+            code = codes[bad.argmax()]
+            raise ArithmeticError("verify_certificate: class code " + message.format(code))
+    orbits, labelled = int((720 // aut).sum()), _labelled_count(6, 3, 5)
+    if orbits != labelled:
+        raise ArithmeticError(
+            f"verify_certificate: the classes' orbits hold {orbits} labelled 3-graphs, "
+            f"not the {labelled} admissible ones"
+        )
 
 
 def _term_vectors() -> tuple[ExpansionVector, ...]:
@@ -113,8 +153,7 @@ def _term_vectors() -> tuple[ExpansionVector, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of the per-class slack check.
 
     slack(H) = 3/8 - d(empty 4-set, H) - sum_i weight_i * coeff_i(H); the
@@ -136,16 +175,18 @@ class CertificateReport:
 
 def verify_certificate() -> CertificateReport:
     """Check the certificate slack on every admissible 6-vertex class, as
-    enumerated by `e5free_six_classes`: integer slack numerators over the
-    common denominator D of 3/8 and seven weighted vectors, d(E4) (the
-    empty 4-set lifted to size 6, weight 1) and the six term vectors.
+    enumerated by `e5free_six_classes` and proved complete by
+    `_check_complete`: integer slack numerators over the common
+    denominator D of 3/8 and seven weighted vectors, d(E4) (the empty 4-set
+    lifted to size 6, weight 1) and the six term vectors.
 
     The two-cliques profile must be an optimality witness: d(E4) averages
     3/8 over it and each term vector 0, so the squares are tight on the
     construction and no weighting of them proves less than 3/8
     (ArithmeticError otherwise).  The least slack and the tight classes are
     read off the numerators."""
-    classes = e5free_six_classes()
+    codes = e5free_six_classes()
+    _check_complete(codes)
     empty4 = chain_lift(ExpansionVector(3, 4, {0: 1}, 1), 6)  # d(E4) per class
     terms = certificate_terms()
     weights = [Fraction(1)] + [t.weight for t in terms]
@@ -165,7 +206,7 @@ def verify_certificate() -> CertificateReport:
     D = math.lcm(TARGET.denominator, *dens)
     scales = [w.numerator * (D // d) for w, d in zip(weights, dens)]
     target = TARGET.numerator * (D // TARGET.denominator)
-    codes = [H.edges for H in classes]  # slack numerators over D: target - scales @ rows
+    # slack numerators over D: target - scales @ rows
     rows = [list(map(v.nums.get, codes, itertools.repeat(0))) for v in vecs]
     top = max(max(max(row), -min(row)) for row in rows)
     dtype = np.int64 if target + top * sum(map(abs, scales)) < 1 << 63 else object
@@ -177,7 +218,7 @@ def verify_certificate() -> CertificateReport:
     return CertificateReport(
         k=3,
         n=6,
-        graph_count=len(classes),
+        graph_count=len(codes),
         slacks=slacks,
         min_slack=min_slack,
         tight_graphs=tight,

@@ -12,7 +12,8 @@ inputs is byte-identical.
 
 `enumerate` and `certificate` write the classes they enumerated to an HGR1
 class file, an output only: a file already at that path is replaced
-atomically (exclusive-create, then rename), never read.
+atomically (exclusive-create, then rename), never read.  `certificate`
+writes it once its check has proved the class set complete.
 
 Importing this module runs only `combinat`; every other submodule loads as
 a command first uses it.  `bound`, `table`, `lower` and `solve` load
@@ -59,15 +60,15 @@ def _mode(args) -> EpsilonMode:
     return EpsilonMode(args.mode)
 
 
-def _write_classes(args, k: int, n: int, tag: str, classes) -> str:
-    """Write `classes` to `k{k}-n{n}-{tag}.hgr` in the cache directory,
+def _write_classes(args, k: int, n: int, tag: str, codes) -> str:
+    """Write the class codes to `k{k}-n{n}-{tag}.hgr` in the cache directory,
     replacing any file there; returns the path."""
     directory = args.cache_dir
     if directory is None:  # an empty --cache-dir is used, as an empty TURANKIT_CACHE is
         directory = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"k{k}-n{n}-{tag}.hgr")
-    hypergraph.write_hgr(path, k, n, classes, tag)
+    hypergraph.write_hgr(path, k, n, codes, tag)
     return path
 
 
@@ -142,27 +143,26 @@ def _cmd_lower(args) -> int:
 
 def _parse_filter(value: Optional[str]):
     """Filter string `no-empty-M`, M in ASCII digits: keep classes where
-    every M-subset spans an edge.  Returns (tag, predicate)."""
+    every M-subset spans an edge.  Returns (tag, M or None)."""
     if value is None:
         return "none", None
     # [0-9], not str.isdigit, which also takes other scripts' digits and superscripts
     match = re.fullmatch(r"no-empty-([0-9]+)", value)
     if match:
-        size = int(match[1])
-        return value, lambda G: hypergraph.has_no_empty_set(G, size)
+        return value, int(match[1])
     raise ValueError(f"unknown filter {value!r}; expected no-empty-<size>")
 
 
 def _cmd_enumerate(args) -> int:
-    tag, predicate = _parse_filter(args.filter)
-    classes = hypergraph.enumerate_all(args.n, args.k, predicate)
-    path = _write_classes(args, args.k, args.n, tag, classes)
+    tag, size = _parse_filter(args.filter)
+    codes = hypergraph._class_codes(args.n, args.k, size)[1]
+    path = _write_classes(args, args.k, args.n, tag, codes)
     _emit(
         {
             "k": args.k,
             "n": args.n,
             "filter": tag,
-            "count": len(classes),
+            "count": len(codes),
             "cache": path,
         },
         args.format,
@@ -171,8 +171,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
+    report = certificate.verify_certificate()  # proves the class set complete first
     _write_classes(args, 3, 6, "no-empty-5", certificate.e5free_six_classes())
-    report = certificate.verify_certificate()
     payload = {
         "k": report.k,
         "n": report.n,
@@ -186,7 +186,10 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):  # "abc", "1/0"
+        raise ValueError(f"--eps: {args.eps!r} is not a rational number") from None
     tables = bounds.recurrences(bounds.build_system(args.k, args.r), eps)
     delta = bounds.solve_delta(args.k, args.g, args.r, eps)
     payload = {
@@ -251,13 +254,20 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one
+    (argparse takes milliseconds to set up all seven).  Its usage still
+    lists every command, so both print the same bytes after the command."""
     parser = argparse.ArgumentParser(
         prog="turankit",
         description="Exact clique-density bounds and certificates for uniform hypergraphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = [name for name, *_ in _COMMANDS]
+    one = {"metavar": "{" + ",".join(names) + "}"} if command in names else {}
+    sub = parser.add_subparsers(dest="command", required=True, **one)
     for name, func, help_line, flags in _COMMANDS:
+        if one and name != command:
+            continue
         p = sub.add_parser(name, help=help_line)
         for flag in flags.split():
             p.add_argument(flag, **_OPTIONS[flag])
@@ -266,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -23,52 +23,51 @@ every sigma-flag.
 type subset in one read of a Gram table, the inner products of the rows of
 a weight table over (t-vertex mask, order of its first s vertices): the
 moment-matrix entry of two extension sets.  `chain_lift` maps the untyped
-sub-masks of all classes of any larger size that `enumerate_all` lists
-through the `_typed_canon` table.  Both read sub-masks of all classes on
-vertex subsets off `hypergraph._ordered_masks`.  Counts per class are int64
-where no sum can overflow it, and numerators integers over one denominator,
-which the lift keeps.
+sub-masks of all classes of any larger size through the `_typed_canon`
+table.  Both read the sub-masks of the class-code record's array
+(`hypergraph._class_codes`) off `hypergraph._ordered_masks` and key the
+numerators on its list of ints.  Counts per class are int64 where no sum
+can overflow it, and numerators integers over one denominator, which the
+lift keeps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _NAMES
 from .hypergraph import (
     Hypergraph,
+    _class_codes,
     _ordered_masks,
     _typed_canon,
-    enumerate_all,
     restriction_class_counts,
 )
 
 __all__ = _NAMES["flags"].split()
 
 
-@dataclass(frozen=True)
-class ExpansionVector:
+class ExpansionVector(
+    NamedTuple("ExpansionVector", [("k", int), ("n", int), ("nums", dict), ("den", int)])
+):
     """Coefficients of an averaged flag expression over the isomorphism
     classes of n-vertex hosts: nums[code] / den per canonical mask, with
     integer numerators over one positive denominator (missing key = 0)."""
 
-    k: int
-    n: int
-    nums: dict[int, int]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.den) is not int or self.den <= 0:
+    def __new__(cls, k: int, n: int, nums: dict[int, int], den: int):
+        if type(den) is not int or den <= 0:
             raise ValueError("ExpansionVector: den must be a positive int")
-        if not set(map(type, self.nums.values())) <= {int}:
+        if not set(map(type, nums.values())) <= {int}:
             raise ValueError("ExpansionVector: numerators must be ints")
+        return super().__new__(cls, k, n, nums, den)
 
     def coefficient(self, code: int) -> Fraction:
         return Fraction(self.nums.get(code, 0), self.den)
@@ -134,8 +133,7 @@ def square_expansion(
         raise ValueError(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
         )
-    classes = enumerate_all(base, k)  # within its guards before any table is built
-    masks = np.array([g.edges for g in classes], dtype=np.int64)
+    masks, codes = _class_codes(base, k)  # within its guards before any table is built
     scale = math.lcm(*(w.denominator for w in weight.values()))
     n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}
@@ -164,11 +162,11 @@ def square_expansion(
     # pass per split (arrays of one entry per class); ordered pairs of extension sets
     # count each split twice, but the one set of n1 = 1 pairs with itself
     shifted = (relabel >> low) << high
-    pair = np.zeros(len(classes), dtype=gram.dtype)
+    pair = np.zeros(len(codes), dtype=gram.dtype)
     for (u, p), (v, q) in _extension_pairs(base, t, s):
         pair += gram.take(relabel[p].take(on_t[u]) | shifted[q].take(on_t[v]))
     pair *= 2 if n1 > 1 else 1
-    nums = dict(zip((rep.edges for rep in classes), pair.tolist()))
+    nums = dict(zip(codes, pair.tolist()))
     vec = ExpansionVector(k, base, nums, scale * scale * n1 * math.perm(base, s))
     return chain_lift(vec, size) if size > base else vec
 
@@ -198,16 +196,15 @@ def chain_lift(vec: ExpansionVector, size: int) -> ExpansionVector:
     are read off `_ordered_masks` and mapped through the untyped `_typed_canon` table,
     and the numerators are summed per class over vec.den * C(size, vec.n), in int64
     where no sum can overflow it and as Python ints otherwise.  The lift must
-    grow the vector, and `enumerate_all` refuses sizes past its guards."""
+    grow the vector, and sizes past the enumeration guards are refused."""
     if size <= vec.n:
         raise ValueError(f"chain_lift: need size > {vec.n}, got {size}")
     b, k = vec.n, vec.k
-    classes = enumerate_all(size, k)
-    masks = np.array([g.edges for g in classes], dtype=np.int64)
+    masks, codes = _class_codes(size, k)
     sub_masks = _ordered_masks(masks, size, k, itertools.combinations(range(size), b))
     fits = max(map(abs, vec.nums.values()), default=0) * math.comb(size, b) < 1 << 63
     by_code = np.zeros(1 << math.comb(b, k), dtype=np.int64 if fits else object)
     by_code[list(vec.nums)] = list(vec.nums.values())
     sums = by_code[_typed_canon(b, 0, k)][sub_masks].sum(axis=1)
-    nums = dict(zip((rep.edges for rep in classes), sums.tolist()))
+    nums = dict(zip(codes, sums.tolist()))
     return ExpansionVector(k, size, nums, vec.den * math.comb(size, b))

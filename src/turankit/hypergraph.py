@@ -24,6 +24,10 @@ relabeling, and each link's least image and the coset carrying it there.
 `_typed_canon(t, s, k)` builds the classification table with it, each
 ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
+
+`_all_classes(n, k)`, the class-code record, holds every class's code as a
+read-only int64 array and as one list of Python ints, which every per-class
+dict keys on; only `enumerate_all` builds `Hypergraph`s from it.
 `_canonical_codes` canonicalizes a batch of masks for `canonical_mask`,
 `restriction_class_counts` and `read_hgr` in three tiers by bit count, the
 one rule every route here follows: up to C(n,k) = 10 it reads a list copy
@@ -70,7 +74,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -262,7 +266,9 @@ def _vertex_last(n: int, k: int, fixed: int):
     return orders, rest, images, code, rows, np.cumsum(count) - count, count
 
 
-def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarray:
+def _orbit_minima(
+    masks: np.ndarray, n: int, k: int, fixed: int = 0, stabilizers: bool = False
+):
     """Minimum of each mask in a 1-d array over the relabelings that fix
     0..fixed-1.  Each of them places some vertex v >= fixed last and then
     relabels the other n-1 vertices, fixing 0..fixed-1.  With v moved last
@@ -271,12 +277,14 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
     link, an (n-1)-vertex (k-1)-graph, and one relabeling of the other n-1
     moves both (`_vertex_last`).  The link bits dominate, so only the
     vertices whose link has the least code C, and only the rows that carry
-    that link to C, can reach the minimum: the rests are read there alone."""
+    that link to C, can reach the minimum: the rests are read there alone.
+    With stabilizers, also the count of relabelings reaching each minimum."""
     if fixed >= n:
-        return masks.copy()
+        return (masks.copy(), np.ones_like(masks)) if stabilizers else masks.copy()
     low = math.comb(n - 1, k)
     orders, (split, lo_tab, hi_tab), _, code, rows, start, count = _vertex_last(n, k, fixed)
     out = np.empty(len(masks), dtype=np.int64)
+    stab = np.empty(len(masks), dtype=np.int64)
     for at in range(0, len(masks), _ORBIT_READS):  # a mask reads at least one image
         last = _ordered_masks(masks[at : at + _ORBIT_READS], n, k, orders)
         link_code = code[last >> low]
@@ -298,9 +306,13 @@ def _orbit_minima(masks: np.ndarray, n: int, k: int, fixed: int = 0) -> np.ndarr
             rest = np.repeat(picked & ((1 << low) - 1), reads)
             image = lo_tab[row, rest & ((1 << split) - 1)] | hi_tab[row, rest >> split]
             picks = hit[lo:hi].sum(axis=1)
-            image = np.minimum.reduceat(image, firsts[np.cumsum(picks) - picks])  # per mask
-            out[at + lo : at + hi] = image | best[lo:hi] << low
-    return out
+            heads = firsts[np.cumsum(picks) - picks]  # where each mask's images start
+            least = np.minimum.reduceat(image, heads)
+            out[at + lo : at + hi] = least | best[lo:hi] << low
+            if stabilizers:
+                ties = image == np.repeat(least, np.diff(heads, append=len(image)))
+                stab[at + lo : at + hi] = np.add.reduceat(ties, heads, dtype=np.int64)
+    return (out, stab) if stabilizers else out
 
 
 def _check_bits(caller: str, n: int, k: int) -> None:
@@ -363,44 +375,48 @@ def canonical_mask(G: Hypergraph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _all_classes(n: int, k: int) -> tuple[Hypergraph, ...]:
-    """One representative per isomorphism class, sorted by canonical mask.
-
-    Extends each (n-1)-vertex representative by one link of vertex n-1 per
-    orbit of its automorphism group, the relabelings of {0..n-2} that fix
-    it, and takes the orbit minima of all candidates at once.  The
-    relabelings and link images are those of `_vertex_last(n, k, 0)`.
-    """
+def _all_classes(n: int, k: int) -> tuple[np.ndarray, list[int]]:
+    """The class-code record: one canonical code per isomorphism class,
+    ascending, as a read-only int64 array and a (read-only) list of the same
+    Python ints.  Extends each (n-1)-vertex representative by one link of
+    vertex n-1 per orbit of its automorphism group, the relabelings of
+    {0..n-2} that fix it, and takes the orbit minima of all candidates at
+    once.  The relabelings and link images are those of `_vertex_last(n, k, 0)`."""
     if math.comb(n, k) == 0:
-        return (Hypergraph(n, k, 0),)
-    _, (split, lo_tab, hi_tab), images, *_ = _vertex_last(n, k, 0)
-    links = np.arange(images.shape[1], dtype=np.int64)
-    cands = []
-    for rep in _all_classes(n - 1, k):
-        m = rep.edges
-        aut = (lo_tab[:, m & ((1 << split) - 1)] | hi_tab[:, m >> split]) == m
-        kept = links[images[aut].min(axis=0) == links]
-        cands.append(m | kept << math.comb(n - 1, k))
-    codes = np.sort(_orbit_minima(np.concatenate(cands), n, k))
-    # np.unique would import numpy.ma on its first call
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    return tuple(Hypergraph(n, k, int(m)) for m in codes)
+        codes = np.zeros(1, dtype=np.int64)
+    else:
+        _, (split, lo_tab, hi_tab), images, *_ = _vertex_last(n, k, 0)
+        links = np.arange(images.shape[1], dtype=np.int64)
+        cands = []
+        for m in _all_classes(n - 1, k)[1]:
+            aut = (lo_tab[:, m & ((1 << split) - 1)] | hi_tab[:, m >> split]) == m
+            kept = links[images[aut].min(axis=0) == links]
+            cands.append(m | kept << math.comb(n - 1, k))
+        codes = np.sort(_orbit_minima(np.concatenate(cands), n, k))
+        # np.unique would import numpy.ma on its first call
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+    codes.flags.writeable = False
+    return codes, codes.tolist()
 
 
-def enumerate_all(
-    n: int, k: int, predicate: Optional[Callable[[Hypergraph], bool]] = None
-) -> tuple[Hypergraph, ...]:
+def _class_codes(n: int, k: int, no_empty: Optional[int] = None) -> tuple[np.ndarray, list[int]]:
+    """The `_all_classes` record within the guards of `enumerate_all`; with
+    no_empty = s, its classes in which every s-subset spans an edge."""
+    _check_bits("enumerate_all", n, k)
+    codes, ints = _all_classes(n, k)
+    if no_empty is None:
+        return codes, ints
+    keep = _spans_every(codes, n, k, no_empty)
+    return codes[keep], list(itertools.compress(ints, keep.tolist()))
+
+
+def enumerate_all(n: int, k: int) -> tuple[Hypergraph, ...]:
     """All isomorphism classes of k-graphs on n vertices, canonically ordered.
 
-    Each representative's own edge mask is its canonical code.  The optional
-    predicate filters classes after deduplication.  Guarded to C(n,k) <= 20
-    and n <= MAX_VERTICES.
+    Each representative's own edge mask is its canonical code.  Guarded to
+    C(n,k) <= 20 and n <= MAX_VERTICES.
     """
-    _check_bits("enumerate_all", n, k)
-    reps = _all_classes(n, k)
-    if predicate is not None:
-        reps = tuple(g for g in reps if predicate(g))
-    return reps
+    return tuple(Hypergraph(n, k, m) for m in _class_codes(n, k)[1])
 
 
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
@@ -505,35 +521,41 @@ def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[
     return split, tuple(tables)
 
 
+def _empty_set_masks(n: int, k: int, size: int) -> tuple[int, ...]:
+    """The k-subset masks of the size-subsets, which a k-graph meets all of
+    when it spans an edge in each."""
+    if size < 0:
+        raise ValueError(f"has_no_empty_set: size must be nonnegative, got {size}")
+    if size > n:
+        raise ValueError("has_no_empty_set: size exceeds the vertex count")
+    return _subset_masks(n, size, k)[0]
+
+
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
     """True when every size-subset of the vertices induces at least one edge;
     False for size < k, as such a subset's k-subset mask is 0."""
-    if size < 0:
-        raise ValueError(f"has_no_empty_set: size must be nonnegative, got {size}")
-    if size > G.n:
-        raise ValueError("has_no_empty_set: size exceeds the vertex count")
-    return all(G.edges & M for M in _subset_masks(G.n, size, G.k)[0])
+    return all(G.edges & M for M in _empty_set_masks(G.n, G.k, size))
 
 
-def write_hgr(path: str, k: int, n: int, graphs: Sequence[Hypergraph], tag: str) -> None:
+def _spans_every(codes: np.ndarray, n: int, k: int, size: int) -> np.ndarray:
+    """`has_no_empty_set` of each code of an int64 array, in one array test."""
+    return (codes[:, None] & np.array(_empty_set_masks(n, k, size))).all(axis=1)
+
+
+def write_hgr(path: str, k: int, n: int, codes: Sequence[int], tag: str) -> None:
     """Write an HGR1 class file: header `HGR1 k n count tag`, then one
     lowercase-hex canonical mask per line, ascending (colex bit order, bit 0
     least significant), with tag one ASCII word so that `read_hgr` reads it
     back.  Writes are exclusive-create-then-rename."""
     if not tag.isascii() or tag.split() != [tag]:
         raise ValueError(f"write_hgr: tag must be one nonempty ASCII word, got {tag!r}")
-    if any(g.k != k or g.n != n for g in graphs):
-        raise ValueError("write_hgr: graph parameters disagree with header")
-    codes = [g.edges for g in graphs]
     if any(a >= b for a, b in zip(codes, codes[1:])):
-        raise ValueError(
-            "write_hgr: graphs must be in strictly ascending canonical order"
-        )
-    lines = [f"{HGR_MAGIC} {k} {n} {len(graphs)} {tag}\n"]
-    lines.extend(f"{c:x}\n" for c in codes)
+        raise ValueError("write_hgr: codes must be strictly ascending")
+    if codes and not 0 <= codes[0] <= codes[-1] < 1 << math.comb(n, k):
+        raise ValueError(f"write_hgr: a code is out of range for (n, k) = ({n}, {k})")
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "x", encoding="ascii") as fh:
-        fh.writelines(lines)
+        fh.write(f"{HGR_MAGIC} {k} {n} {len(codes)} {tag}\n" + "".join(f"{c:x}\n" for c in codes))
     try:
         os.replace(tmp, path)
     except OSError:

@@ -123,9 +123,8 @@ def test_certificate_weights():
 
 def test_e5free_count(e5free_classes):
     assert len(e5free_classes) == 2102
-    codes = [g.edges for g in e5free_classes]
-    assert codes == sorted(codes)
-    assert all(has_no_empty_set(g, 5) for g in e5free_classes)
+    assert list(e5free_classes) == sorted(e5free_classes)
+    assert all(has_no_empty_set(Hypergraph(6, 3, code), 5) for code in e5free_classes)
 
 
 def test_e5free_classes_complete_by_orbit_counting(e5free_classes):
@@ -133,7 +132,7 @@ def test_e5free_classes_complete_by_orbit_counting(e5free_classes):
     # empty 5-set are counted by a scan of all 2^20 masks, and each class's
     # orbit has 720/|Aut| of them.  Distinct least images are distinct
     # orbits, so the orbit sizes reach the count only if no class is missing.
-    codes = [G.edges for G in e5free_classes]
+    codes = e5free_classes
     assert all(a < b for a, b in zip(codes, codes[1:]))
     labelled = count_without_empty_set(6, 3, 5)
     assert labelled == 1_042_642
@@ -145,6 +144,30 @@ def test_e5free_classes_complete_by_orbit_counting(e5free_classes):
         assert 720 % aut == 0
         orbits += 720 // aut
     assert orbits == labelled
+
+
+def test_labelled_count_matches_the_scan():
+    # inclusion-exclusion over the size-subsets against a scan of all masks
+    cases = [(n, k, size) for n in range(1, 7) for k in range(1, n + 1) for size in range(n + 1)]
+    cases = [c for c in cases if math.comb(c[0], c[2]) <= 8 and math.comb(c[0], c[1]) <= 20]
+    assert (6, 3, 5) in cases and len(cases) == 84
+    for n, k, size in cases:
+        assert certificate._labelled_count(n, k, size) == count_without_empty_set(n, k, size)
+    assert certificate._labelled_count(6, 3, 5) == 1_042_642
+
+
+def test_certificate_proves_its_class_set_complete(monkeypatch):
+    # every verification runs the completeness check on the classes it checks
+    checked = []
+    check = certificate._check_complete
+
+    def spy(codes):
+        checked.append(codes)
+        check(codes)
+
+    monkeypatch.setattr(certificate, "_check_complete", spy)
+    assert verify_certificate().passed
+    assert checked == [certificate.e5free_six_classes()]
 
 
 def test_cold_certificate_leaves_numpy_ma_unimported():
@@ -251,12 +274,12 @@ def test_two_clique_density_beyond_sixteen():
 
 def test_certificate_fails_outside_admissible_family(monkeypatch):
     # the bound genuinely fails on hosts with empty 5-sets (the empty graph
-    # has empty-4-set density 1 > 3/8), so checking them flips the verdict
-    monkeypatch.setattr(
-        certificate,
-        "e5free_six_classes",
-        lambda: (Hypergraph.empty(6, 3), Hypergraph.complete(6, 3)),
-    )
+    # has empty-4-set density 1 > 3/8), so checking them flips the verdict;
+    # the completeness check refuses such a class set, so it is bypassed
+    monkeypatch.setattr(certificate, "e5free_six_classes", lambda: (0, (1 << 20) - 1))
+    with pytest.raises(ArithmeticError, match="class code 0 is not an admissible canonical"):
+        verify_certificate()
+    monkeypatch.setattr(certificate, "_check_complete", lambda codes: None)
     report = verify_certificate()
     assert report.verdict == "fail"
     assert report.min_slack < 0
@@ -295,10 +318,10 @@ def test_empty_density_column(certificate_run, e5free_classes, term_vectors):
     # slack + squares + d(E4) reassemble to exactly 3/8 on every class
     report, _ = certificate_run
     e4 = Hypergraph.empty(4, 3)
-    for H in e5free_classes:
+    for code in e5free_classes:
         total = (
-            report.slacks[H.edges]
-            + sum(weighted_squares(term_vectors, H.edges), Fraction(0))
-            + induced_density(e4, H)
+            report.slacks[code]
+            + sum(weighted_squares(term_vectors, code), Fraction(0))
+            + induced_density(e4, Hypergraph(6, 3, code))
         )
         assert total == Fraction(3, 8)

@@ -379,7 +379,9 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
     # vertex-last record, and the flag weights, restrictions and lifts read
     # tables of vertex tuples of at most 5 vertices, so a cold run never
     # builds a 720-row table of 6-vertex relabelings: the only 6-vertex
-    # orders are those placing one vertex last after the others in order
+    # orders are those placing one vertex last after the others in order.
+    # The classes stay codes of one record: the only Hypergraphs built are
+    # the types and flags of the six squares, none per class
     from turankit import certificate, hypergraph
 
     cached = (
@@ -387,16 +389,23 @@ def test_cold_certificate_builds_no_six_vertex_relabeling_table(capsys, tmp_path
         hypergraph._vertex_last,
         hypergraph._typed_canon,
         hypergraph._all_classes,
-        certificate.e5free_six_classes,
     )
     for fn in cached:
         fn.cache_clear()
     built = spy_order_tables(monkeypatch)
+    squares = certificate.certificate_terms()
+    flags = {t.sigma for t in squares} | {F for t in squares for _, F in t.terms}
+    graphs = []
+    check = hypergraph.Hypergraph.__post_init__
+    monkeypatch.setattr(
+        hypergraph.Hypergraph, "__post_init__", lambda G: graphs.append(G) or check(G)
+    )
     code, out = run_cli(capsys, "certificate", "--cache-dir", str(tmp_path))
     assert code == 0
     vertex_last = {(*range(v), *range(v + 1, 6), v) for v in range(6)}
     six = {o for orders in built for o in orders if len(o) >= 6}
     assert built and six <= vertex_last
+    assert graphs and set(graphs) <= flags
     assert _stdout_digest(out) == pins.STDOUT_SHA256["certificate"]
     with open(tmp_path / "k3-n6-no-empty-5.hgr", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == pins.CLASS_FILE_SHA256["certificate"]
@@ -423,7 +432,7 @@ def test_certificate_overwrites_existing_class_file(
     cache.mkdir()
     path = cache / "k3-n6-no-empty-5.hgr"
     if content is None:
-        write_hgr(str(path), 3, 6, [Hypergraph(6, 3, (1 << 20) - 1)], "no-empty-5")
+        write_hgr(str(path), 3, 6, [(1 << 20) - 1], "no-empty-5")
     else:
         path.write_text(content)
 
@@ -508,6 +517,40 @@ def test_certificate_optimality_witness_exit_5(capsys, monkeypatch, tmp_path):
     )
 
 
+@pytest.mark.parametrize("change", ["drop", "repeat", "aut"])
+def test_certificate_unproved_class_set_exit_5(capsys, monkeypatch, tmp_path, change):
+    # verdict: pass needs the class set proved complete: a dropped class
+    # leaves the orbit sizes short of the labelled count, a repeated one is
+    # not above the one before it, and an |Aut| must divide 720
+    from turankit import certificate
+
+    codes = certificate.e5free_six_classes()
+    message = {
+        "drop": "the classes' orbits hold ",
+        "repeat": f"class code {codes[700]:x} is not above the one before it\n",
+        "aut": f"class code {codes[0]:x} has an |Aut| that does not divide 720\n",
+    }[change]
+    if change == "aut":
+        orbit_minima = certificate._orbit_minima
+
+        def times_seven(*args, **kwargs):
+            least, aut = orbit_minima(*args, **kwargs)
+            return least, aut * 7
+
+        monkeypatch.setattr(certificate, "_orbit_minima", times_seven)
+    else:
+        broken = codes[:700] + codes[701:] if change == "drop" else codes[:701] + codes[700:]
+        monkeypatch.setattr(certificate, "e5free_six_classes", lambda: broken)
+    code = main(["certificate", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    prefix = "error: internal cross-check failed: verify_certificate: "
+    assert captured.err.startswith(prefix + message)
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # an unproved class set is not written
+
+
 def test_lower_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
@@ -580,6 +623,15 @@ def test_solve_runs_the_minor_recursions_once(capsys, monkeypatch):
     assert json.loads(out)["delta"] == [str(d) for d in expected]
 
 
+@pytest.mark.parametrize("eps", ["1/0", "abc"])
+def test_solve_names_a_bad_eps(capsys, eps):
+    code = main(["solve", "--k", "3", "--r", "5", "--g", "4", "--eps", eps])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --eps: {eps!r} is not a rational number\n"
+
+
 def test_singular_system_keeps_exit_2(capsys):
     # ZeroDivisionError is an ArithmeticError but stays a parameter error
     code = main(["solve", "--k", "2", "--r", "3", "--g", "2", "--eps", "1"])
@@ -628,6 +680,24 @@ def test_bounds_commands_start_without_numpy():
         "    assert cli.main(argv) == 0\n"
         "    assert 'numpy' not in sys.modules, argv[0]\n"
         "    assert 'dataclasses' not in sys.modules, argv[0]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_certificate_leaves_bounds_and_relations_unrun(tmp_path):
+    # their compile would land in the cold op the certificate benchmark times
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys, types\n"
+        "from turankit import cli\n"
+        f"assert cli.main(['certificate', '--cache-dir', {str(tmp_path)!r}]) == 0\n"
+        "for name in ('bounds', 'relations'):\n"
+        "    # LazyLoader sets the class back to ModuleType once the module runs\n"
+        "    assert type(sys.modules['turankit.' + name]) is not types.ModuleType, name\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
@@ -778,3 +848,51 @@ def test_command_help_exits_0(command, capsys):
         main([command, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: turankit {command} ")
+
+
+# each command with its required options: an unknown option after them
+# reaches the top-level parser, whose usage lists every command
+_VALID_ARGS = {
+    "bound": "--k 3 --g 4 --r 5 --n 100",
+    "table": "--k 3 --r 5 --n 100",
+    "lower": "--k 3 --g 4 --r 5",
+    "enumerate": "--k 3 --n 4",
+    "certificate": "",
+    "verify": "--suite lemma",
+    "solve": "--k 3 --r 5 --g 4",
+}
+
+
+def _parse_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return exit_info.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(_VALID_ARGS))
+def test_one_command_parser_prints_the_full_parsers_bytes(command, capsys):
+    # `main` builds the parser of the named command alone
+    from turankit import cli
+
+    assert list(_VALID_ARGS) == [name for name, *_ in cli._COMMANDS]
+    for argv in (
+        [command, "--help"],
+        [command, *_VALID_ARGS[command].split(), "--no-such-option"],
+        [command, "--format", "yaml"] if command != "table" else [command, "--mode", "x"],
+    ):
+        full = _parse_exit(cli.build_parser().parse_args, argv, capsys)
+        assert _parse_exit(main, argv, capsys) == full, argv
+        assert full[0] in (0, 2)
+
+
+def test_top_level_help_and_unknown_command_list_every_command(capsys):
+    from turankit import cli
+
+    code, captured = _parse_exit(main, ["--help"], capsys)
+    assert code == 0
+    for name, _, help_line, _ in cli._COMMANDS:
+        assert f"    {name:<20}{help_line}\n" in captured.out
+    code, captured = _parse_exit(main, ["no-such-command"], capsys)
+    names = ", ".join(repr(name) for name, *_ in cli._COMMANDS)
+    assert code == 2
+    assert captured.err.endswith(f"invalid choice: 'no-such-command' (choose from {names})\n")

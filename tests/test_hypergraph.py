@@ -273,7 +273,7 @@ def test_enumeration_keeps_one_link_per_orbit(monkeypatch):
         _all_classes.__wrapped__(m + 1, k)
         cands = calls[m + 1, k]
         shift = math.comb(m, k)
-        kept = {g.edges: [] for g in _all_classes(m, k)}
+        kept = {code: [] for code in _all_classes(m, k)[1]}
         for c in cands:
             kept[c & ((1 << shift) - 1)].append(c >> shift)
         for rep, links in kept.items():
@@ -530,6 +530,24 @@ def test_nonedge_core_values():
     assert nonedge_core_size(Hypergraph.empty(4, 3)) == 0
 
 
+def test_class_codes_filter_is_has_no_empty_set():
+    # the one admissibility filter, an array test over all classes at once,
+    # keeps exactly the classes `has_no_empty_set` keeps, at every size
+    for n, k in guard_pairs():
+        codes, ints = hypergraph._class_codes(n, k)
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        assert codes.tolist() == ints == [g.edges for g in enumerate_all(n, k)]
+        for size in range(n + 1):
+            kept, kept_ints = hypergraph._class_codes(n, k, size)
+            want = [g.edges for g in enumerate_all(n, k) if has_no_empty_set(g, size)]
+            assert kept.tolist() == kept_ints == want, (n, k, size)
+            # the kept ints are the record's own objects
+            assert all(any(c is d for d in ints) for c in kept_ints[-3:]), (n, k, size)
+        for size, message in ((n + 1, "exceeds the vertex count"), (-1, "must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                hypergraph._class_codes(n, k, size)
+
+
 def test_has_no_empty_set():
     assert has_no_empty_set(Hypergraph.complete(6, 3), 5)
     assert not has_no_empty_set(Hypergraph.empty(6, 3), 5)
@@ -559,7 +577,7 @@ def test_has_no_empty_set():
 
 def test_hgr_round_trip(tmp_path, h4_classes):
     path = str(tmp_path / "k3-n4-none.hgr")
-    write_hgr(path, 3, 4, h4_classes, "none")
+    write_hgr(path, 3, 4, [g.edges for g in h4_classes], "none")
     k, n, tag, classes = read_hgr(path)
     assert (k, n, tag) == (3, 4, "none")
     assert classes == h4_classes
@@ -574,7 +592,15 @@ def test_hgr_rejects_duplicate_codes(tmp_path):
     with pytest.raises(ValueError, match="not strictly ascending"):
         read_hgr(str(path))
     with pytest.raises(ValueError, match="strictly ascending"):
-        write_hgr(str(path), 3, 4, [Hypergraph(4, 3, 1)] * 2, "none")
+        write_hgr(str(path), 3, 4, [1, 1], "none")
+
+
+@pytest.mark.parametrize("codes", [[-1, 3], [3, 16], [1 << 20]], ids=["negative", "past", "wide"])
+def test_write_hgr_rejects_codes_out_of_range(tmp_path, codes):
+    # a (4,3) mask has C(4,3) = 4 bits; no file is left behind
+    with pytest.raises(ValueError, match=r"out of range for \(n, k\) = \(4, 3\)"):
+        write_hgr(str(tmp_path / "classes.hgr"), 3, 4, codes, "none")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tag", ["", "a b", "x\ny", "caf\u00e9"])
@@ -582,7 +608,7 @@ def test_write_hgr_rejects_unreadable_tag(tmp_path, tag):
     # read_hgr splits its ASCII header on whitespace, so such a tag would
     # be written and then fail to read back
     with pytest.raises(ValueError, match="tag must be one nonempty ASCII word"):
-        write_hgr(str(tmp_path / "classes.hgr"), 3, 4, [Hypergraph(4, 3, 1)], tag)
+        write_hgr(str(tmp_path / "classes.hgr"), 3, 4, [1], tag)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -681,7 +707,7 @@ def test_in_guard_codes_past_six_vertices_skip_the_scan(monkeypatch, tmp_path):
     for n, k in [(7, 1), (7, 6), (8, 1), (8, 7)]:
         masks = list(range(1 << math.comb(n, k)))
         path = str(tmp_path / f"k{k}-n{n}-none.hgr")
-        write_hgr(path, k, n, enumerate_all(n, k), "none")
+        write_hgr(path, k, n, [g.edges for g in enumerate_all(n, k)], "none")
         with monkeypatch.context() as patched:
             patched.setattr(Hypergraph, "edge_list", refuse)
             got = hypergraph._canonical_codes(masks, n, k)
@@ -831,15 +857,17 @@ def test_link_cosets_carry_each_link_to_its_code():
             assert count[L] * len(set(images[:, L].tolist())) == len(images), (m, k, fixed, L)
 
 
-def typed_minima(n, k, fixed, masks):
+def typed_minima(n, k, fixed, masks, stabilizers=False):
     """Brute-force typed minimum of each mask: its least image under the
     relabelings of {0..n-1} that fix 0..fixed-1, edge bit by edge bit
-    through subset_rank."""
+    through subset_rank; with stabilizers, also how many of them reach it."""
     subs = colex_subsets(n, k)
     perms = (tuple(range(fixed)) + q for q in itertools.permutations(range(fixed, n)))
     images = [[1 << subset_rank(p[v] for v in s) for s in subs] for p in perms]
     bits = [[i for i in range(len(subs)) if (mask >> i) & 1] for mask in masks]
-    return [min(sum(image[i] for i in on) for image in images) for on in bits]
+    seen = [[sum(image[i] for i in on) for image in images] for on in bits]
+    least = [min(row) for row in seen]
+    return (least, [row.count(m) for row, m in zip(seen, least)]) if stabilizers else least
 
 
 @pytest.mark.parametrize("n, k", [(5, 3), (6, 2)])
@@ -859,9 +887,12 @@ def test_orbit_minima_match_brute_force_at_every_fixed(n, k):
     reps = _ORBIT_READS // len(masks) + 1
     assert len(masks) * reps > _ORBIT_READS
     for fixed in range(n + 1):
-        want = typed_minima(n, k, fixed, masks)
+        want, stab = typed_minima(n, k, fixed, masks, stabilizers=True)
         got = _orbit_minima(np.tile(arr, reps), n, k, fixed).tolist()
         assert got == want * reps, (n, k, fixed)
+        # the relabelings reaching each minimum, counted in the same reads
+        got, got_stab = _orbit_minima(np.tile(arr, reps), n, k, fixed, stabilizers=True)
+        assert (got.tolist(), got_stab.tolist()) == (want * reps, stab * reps), (n, k, fixed)
         sliced = [_orbit_minima(arr[i : i + 8], n, k, fixed) for i in range(0, len(arr), 8)]
         assert np.concatenate(sliced).tolist() == want, (n, k, fixed)
     assert typed_minima(n, k, 0, masks[:64]) == oracle_canonical_masks(n, k, masks[:64])
@@ -981,5 +1012,5 @@ def test_property_hgr_round_trip(case):
     k, n, tag, graphs = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "classes.hgr")
-        write_hgr(path, k, n, graphs, tag)
+        write_hgr(path, k, n, [g.edges for g in graphs], tag)
         assert read_hgr(path) == (k, n, tag, graphs)
