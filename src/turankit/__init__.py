@@ -11,7 +11,8 @@ first s vertices carry its type, a `Hypergraph` on s vertices.
 
 Import runs only `combinat`.  The other submodules run on the first use of
 one of their names: `bounds` needs no numpy, while `hypergraph`, `flags`,
-`certificate` and `relations` load it.
+`certificate` and `relations` load it.  `from turankit import *` binds the
+public names of every submodule, and so runs them all.
 """
 
 import importlib.util
@@ -38,6 +39,7 @@ _NAMES = {
 from .combinat import *  # after _NAMES, which combinat reads
 
 _LAZY = {name: module for module, names in _NAMES.items() for name in names.split()}
+__all__ = list(_LAZY)  # a star import binds every public name, running each submodule
 # every submodule but combinat: in sys.modules now, for tools that look there; run on first use
 for _module in list(_NAMES)[1:]:
     _spec = importlib.util.find_spec(f".{_module}", __name__)

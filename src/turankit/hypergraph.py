@@ -11,16 +11,20 @@ a member whose restriction to {0..n-2} is a canonical (n-1)-vertex
 representative, and the k-subsets containing vertex n-1 follow all others
 in colex order, so the candidates are each representative OR'd with a link
 of vertex n-1 shifted above it, one link per orbit of the representative's
-automorphisms (McKay, 1998); at (6,3) that is 10,688 candidates, not
-34 x 1024 or the 2^20 labeled masks.  `_orbit_minima` splits every
-relabeling into the vertex v it places last and a relabeling of the other
-n-1, reading (n-1)-vertex tables only.  v's link lands above all other
-edges, so only the vertices whose link has the least code, through the
-relabelings that carry it to that code, can reach the minimum: a (6,3) mask
-reads about 6 images instead of 720.  `_vertex_last(n, k, fixed)` is the
-one record that it and the enumeration `_all_classes` read: the vertex-last
-orders, the relabeling tables of the rest, every link's image under each
-relabeling, and each link's least image and the coset carrying it there.
+automorphisms (McKay, 1998): at (6,3) 10,688 candidates, not 34 x 1024 or
+the 2^20 labeled masks.  Only those in which vertex n-1 has a least link
+code are canonicalized, 2,352 of them at (6,3): link codes do not change
+under relabeling, and a class relabeled so that a vertex of least link
+code comes last and the rest is its canonical parent is one of the kept
+candidates.  `_orbit_minima` splits every relabeling into the vertex v it
+places last and a relabeling of the other n-1, reading (n-1)-vertex tables
+only.  v's link lands above all other edges, so only the vertices whose
+link has the least code, through the relabelings that carry it to that
+code, can reach the minimum: a (6,3) mask reads about 6 images instead of
+720.  `_vertex_last(n, k, fixed)` is the one record that it and the
+enumeration `_all_classes` read: the vertex-last orders, the relabeling
+tables of the rest, every link's image under each relabeling, and each
+link's least image and the coset carrying it there.
 `_typed_canon(t, s, k)` builds the classification table with it, each
 ordered t-vertex mask's minimum over the relabelings that fix the first s
 vertices, which `turankit.flags` reads for typed flags.
@@ -380,19 +384,28 @@ def _all_classes(n: int, k: int) -> tuple[np.ndarray, list[int]]:
     ascending, as a read-only int64 array and a (read-only) list of the same
     Python ints.  Extends each (n-1)-vertex representative by one link of
     vertex n-1 per orbit of its automorphism group, the relabelings of
-    {0..n-2} that fix it, and takes the orbit minima of all candidates at
-    once.  The relabelings and link images are those of `_vertex_last(n, k, 0)`."""
+    {0..n-2} that fix it, keeps the candidates in which no vertex has a
+    smaller link code than n-1, and takes the orbit minima of those at
+    once.  Every class survives: a relabeling of it that puts a vertex of
+    least link code last and its canonical parent on {0..n-2} is a kept
+    candidate, as link codes do not change under relabeling.  At (6,3),
+    2,352 of the 10,688 candidates are canonicalized.  The relabelings, link
+    images and link codes are those of `_vertex_last(n, k, 0)`."""
     if math.comb(n, k) == 0:
         codes = np.zeros(1, dtype=np.int64)
     else:
-        _, (split, lo_tab, hi_tab), images, *_ = _vertex_last(n, k, 0)
+        low = math.comb(n - 1, k)
+        orders, (split, lo_tab, hi_tab), images, code, *_ = _vertex_last(n, k, 0)
         links = np.arange(images.shape[1], dtype=np.int64)
         cands = []
         for m in _all_classes(n - 1, k)[1]:
             aut = (lo_tab[:, m & ((1 << split) - 1)] | hi_tab[:, m >> split]) == m
             kept = links[images[aut].min(axis=0) == links]
-            cands.append(m | kept << math.comb(n - 1, k))
-        codes = np.sort(_orbit_minima(np.concatenate(cands), n, k))
+            cands.append(m | kept << low)
+        cands = np.concatenate(cands)
+        link_code = code[_ordered_masks(cands, n, k, orders) >> low]
+        cands = cands[link_code[:, -1] == link_code.min(axis=1)]
+        codes = np.sort(_orbit_minima(cands, n, k))
         # np.unique would import numpy.ma on its first call
         codes = codes[np.diff(codes, prepend=-1) != 0]
     codes.flags.writeable = False

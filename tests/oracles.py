@@ -381,6 +381,23 @@ def partite_fractions(k: int, g: int, l: int) -> tuple[Fraction, Fraction]:
     return Fraction(hits, l**g), enumerated_inclusion_exclusion(k, g, l)
 
 
+def ratio_bound(k: int, g: int, r: int, n: int, seeded: bool = False) -> Fraction:
+    """The ratio bound U on d(K_g, G) over K_r-free n-vertex k-graphs G: the
+    three-term row at m, read at x = d_m / d_(m-1), gives rho_m <= u_m for
+    the clique ratios rho_m = d_m / d_(m-1), where u_r = 0 and
+    u_m = (1 - (k-1)/m) u_(m+1) + (k-1)/m + 1/(n-m), one m at a time down
+    from r - 1; U is the product of u_k..u_g.  Seeded, u_k (the edge
+    density bound) is also capped by de Caen's
+    1 - (n-r+1) / ((n-k+1) C(r-1, k-1))."""
+    u, terms = Fraction(0), {}
+    for m in range(r - 1, k - 1, -1):
+        a = Fraction(k - 1, m)
+        u = terms[m] = (1 - a) * u + a + Fraction(1, n - m)
+    if seeded:
+        terms[k] = min(terms[k], 1 - Fraction(n - r + 1, (n - k + 1) * math.comb(r - 1, k - 1)))
+    return math.prod((terms[m] for m in range(k, g + 1)), start=Fraction(1))
+
+
 def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     """The Taylor bracket of `exp_bounds` summed term by term: the first
     `terms` terms of the series, minus and plus 2 |x|^terms / terms!."""

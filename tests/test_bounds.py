@@ -29,11 +29,13 @@ from turankit import (
 )
 
 from oracles import (
+    clique_density,
     dense,
     edge_count,
     enumerated_inclusion_exclusion,
     is_edge,
     partite_fractions,
+    ratio_bound,
     sandwich_fractions,
     upper_bound_fractions,
     vertex_threshold_fractions,
@@ -441,6 +443,53 @@ def test_de_caen_bound_dominates_exhaustive_turan_density():
         assert bound >= best, (n, k, r, bound, best)
         if k == 2 and n % (r - 1) == 0:
             assert bound == best == (1 - Fraction(1, r - 1)) * Fraction(n, n - 1), (n, r)
+
+
+def test_ratio_bound_closed_form_equals_recursion():
+    # u_m = x(k, m, r) + C(m-1, k-1) sum_{j=m..r-1} 1 / ((n-j) C(j-1, k-1))
+    points = 0
+    for k in range(2, 6):
+        for r in range(k + 1, 10):
+            for n in (r, 2 * r + 1, 100):
+                closed = Fraction(1)
+                for g in range(k, r):
+                    tail = sum(
+                        Fraction(1, (n - j) * math.comb(j - 1, k - 1)) for j in range(g, r)
+                    )
+                    closed *= x_ratio(k, g, r) + math.comb(g - 1, k - 1) * tail
+                    assert ratio_bound(k, g, r, n) == closed, (k, g, r, n)
+                    points += 1
+    assert points == 222
+
+
+def test_ratio_bound_dominates_exhaustive_clique_density():
+    # every cell (n, k, g, r) with C(n, k) <= 20 and k <= g < r <= n
+    cells = 0
+    for n in range(3, 9):
+        for k in range(2, n):
+            if math.comb(n, k) > 20:
+                continue
+            classes = enumerate_all(n, k)
+            for r in range(k + 1, n + 1):
+                free = [G for G in classes if clique_density(G, r) == 0]
+                for g in range(k, r):
+                    best = max(clique_density(G, g) for G in free)
+                    for seeded in (False, True):
+                        bound = ratio_bound(k, g, r, n, seeded)
+                        assert bound >= best, (n, k, g, r, seeded, bound, best)
+                    cells += 1
+    assert cells == 37
+
+
+def test_ratio_bound_pinned_values():
+    assert ratio_bound(3, 4, 5, 100) == Fraction(1159585, 2681856)
+    assert ratio_bound(3, 4, 5, 100, seeded=True) == Fraction(41, 96)
+    # the first n at which the bound says something
+    for (k, g, r), first in {(2, 3, 5): 8, (3, 4, 5): 7, (3, 5, 7): 12, (2, 9, 16): 27}.items():
+        n = r
+        while ratio_bound(k, g, r, n) >= 1:
+            n += 1
+        assert n == first, (k, g, r)
 
 
 def test_partite_lower_bound_small_cases():

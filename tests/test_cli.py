@@ -744,11 +744,22 @@ def test_lazy_names_are_each_module_all(module):
 
     sub = importlib.import_module(f"turankit.{module}")
     assert sorted(sub.__all__) == sorted(PUBLIC_NAMES[module].split())
-    # a star import binds exactly those names, in a fresh interpreter
+    assert star_import_names(f"turankit.{module}") == sorted(PUBLIC_NAMES[module].split())
+
+
+def test_package_star_import_binds_every_public_name():
+    # and no helper module the package imports, such as importlib or sys
+    names = sorted(name for names in PUBLIC_NAMES.values() for name in names.split())
+    assert len(names) == 52
+    assert star_import_names("turankit") == names
+
+
+def star_import_names(module):
+    """The names `from <module> import *` binds, sorted, in a fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     code = (
         "before = set(dir()) | {'before'}\n"
-        f"from turankit.{module} import *\n"
+        f"from {module} import *\n"
         "print(*sorted(set(dir()) - before))\n"
     )
     run = subprocess.run(
@@ -759,7 +770,7 @@ def test_lazy_names_are_each_module_all(module):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == sorted(PUBLIC_NAMES[module].split())
+    return run.stdout.split()
 
 
 def test_verify_suite_choices_are_the_relation_suites():

@@ -250,6 +250,19 @@ def link_orbit_minima(rep, m, k):
     return sorted(minima)
 
 
+def least_link_last(c, n, k, codes):
+    """Oracle: whether vertex n-1 of the n-vertex k-graph mask c has a least
+    link code, each vertex's link read edge by edge with the other vertices
+    kept in order, and its code looked up in codes."""
+    edges = Hypergraph(n, k, c).edge_list()
+    link_codes = []
+    for v in range(n):
+        pos = {u: i for i, u in enumerate(u for u in range(n) if u != v)}
+        link = sum(1 << subset_rank(pos[u] for u in e if u != v) for e in edges if v in e)
+        link_codes.append(codes[link])
+    return link_codes[-1] == min(link_codes)
+
+
 def test_enumeration_keeps_one_link_per_orbit(monkeypatch):
     sizes = []
     for m in range(1, MAX_VERTICES):
@@ -269,17 +282,23 @@ def test_enumeration_keeps_one_link_per_orbit(monkeypatch):
         return orbit_minima(masks, n, k, fixed)
 
     monkeypatch.setattr(hypergraph, "_orbit_minima", spy)
+    link_codes = {}  # the canonical code of every link, per (m, k - 1)
     for m, k in sizes:
+        if (m, k - 1) not in link_codes:
+            links = range(1 << math.comb(m, k - 1))
+            link_codes[m, k - 1] = oracle_canonical_masks(m, k - 1, links)
         _all_classes.__wrapped__(m + 1, k)
-        cands = calls[m + 1, k]
         shift = math.comb(m, k)
-        kept = {code: [] for code in _all_classes(m, k)[1]}
-        for c in cands:
-            kept[c & ((1 << shift) - 1)].append(c >> shift)
-        for rep, links in kept.items():
-            assert links == link_orbit_minima(rep, m, k), (m, k, rep)
+        orbits = [
+            rep | link << shift
+            for rep in _all_classes(m, k)[1]
+            for link in link_orbit_minima(rep, m, k)
+        ]
+        kept = [c for c in orbits if least_link_last(c, m + 1, k, link_codes[m, k - 1])]
+        assert calls[m + 1, k] == kept, (m, k)
         if (m, k) == (5, 3):
-            assert len(cands) == 10688  # number of link orbits over the (5,3) classes
+            # link orbits over the (5,3) classes, and those with a least link last
+            assert (len(orbits), len(kept)) == (10688, 2352)
 
 
 def test_enumerate_5_3_against_brute_force(h5_classes):
@@ -824,8 +843,10 @@ def test_orbit_minima_full_tables_pinned(k, digest):
     # the minimum of every 6-vertex k-graph mask, as computed by a fold
     # over all 720 relabelings, split at the vertex placed last
     masks = np.arange(1 << math.comb(6, k), dtype=np.int64)
-    got = _orbit_minima(masks, 6, k).astype("<i8").tobytes()
-    assert hashlib.sha256(got).hexdigest() == digest
+    got = _orbit_minima(masks, 6, k)
+    assert hashlib.sha256(got.astype("<i8").tobytes()).hexdigest() == digest
+    # the enumeration keeps exactly the distinct minima of the full table
+    assert _all_classes(6, k)[1] == sorted(set(got.tolist()))
 
 
 def test_link_cosets_carry_each_link_to_its_code():
