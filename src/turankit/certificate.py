@@ -35,9 +35,9 @@ from .flags import ExpansionVector, chain_lift, square_expansion
 from .hypergraph import (
     Hypergraph,
     _class_codes,
-    _empty_set_masks,
     _orbit_minima,
     _spans_every,
+    _subset_masks,
     disjoint_union,
     has_no_empty_set,
     induced_density,
@@ -114,7 +114,7 @@ def _labelled_count(n: int, k: int, size: int) -> int:
     edge, by inclusion-exclusion over the sets F of size-subsets:
     sum of (-1)^|F| 2^(C(n,k) - |union of their k-subset masks|)."""
     terms = [(0, 1)]  # (union of F's masks, (-1)^|F|)
-    for M in _empty_set_masks(n, k, size):
+    for M in _subset_masks(n, size, k)[0]:
         terms += [(union | M, -sign) for union, sign in terms]
     return sum(sign << math.comb(n, k) - union.bit_count() for union, sign in terms)
 

@@ -278,6 +278,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(*argv[:1]).parse_args(argv)
+    # exact values of any size: lifted after parsing, so argparse still refuses
+    # an int of over 4,300 digits, and put back after; Python < 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
@@ -289,6 +294,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # after ZeroDivisionError, its subclass
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return 5
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -63,7 +63,9 @@ ints, as an 8-vertex bitmap of 4-sets has 70 bits, read back as lists.  So
 within the 20-bit guard the complete m-sets are all m-sets less two reads
 on the non-edges; past it, the k-subset mask of every subset is tested
 against them.  `has_no_empty_set` scans the same masks for one that no edge
-meets.  `_complete_sets` keeps, for the last few hosts, the bitmap of
+meets.  Each entry point range-checks its own subset size under its own
+name: `has_no_empty_set`, and the admissible filter of `_class_codes` under
+`enumerate_all`.  `_complete_sets` keeps, for the last few hosts, the bitmap of
 complete m-sets for every m; `clique_counts` returns their popcounts, and
 with the superset bitmaps the complete one-vertex extensions of a set are
 one AND and one popcount.
@@ -295,11 +297,9 @@ def _orbit_minima(
         best = link_code.min(axis=1)
         hit = link_code == best[:, None]
         # chunks of whole masks, cut as the images read pass multiples of the budget
-        cuts = [0, len(last)]
-        if len(last) * math.factorial(n - fixed) > _ORBIT_READS:  # else all fit in one
-            through = np.cumsum((count[last >> low] * hit).sum(axis=1))
-            steps = range(_ORBIT_READS, through[-1], _ORBIT_READS)
-            cuts = sorted({*cuts, *np.searchsorted(through, steps, side="right").tolist()})
+        through = np.cumsum((count[last >> low] * hit).sum(axis=1))
+        steps = range(_ORBIT_READS, through[-1], _ORBIT_READS)
+        cuts = sorted({0, len(last), *np.searchsorted(through, steps, side="right").tolist()})
         for lo, hi in zip(cuts, cuts[1:]):
             picked = last[lo:hi][hit[lo:hi]]  # row-major: each mask's picks are contiguous
             link = picked >> low
@@ -416,6 +416,8 @@ def _class_codes(n: int, k: int, no_empty: Optional[int] = None) -> tuple[np.nda
     """The `_all_classes` record within the guards of `enumerate_all`; with
     no_empty = s, its classes in which every s-subset spans an edge."""
     _check_bits("enumerate_all", n, k)
+    if no_empty is not None and not 0 <= no_empty <= n:
+        raise ValueError(f"enumerate_all: need 0 <= size <= n, got size={no_empty}, n={n}")
     codes, ints = _all_classes(n, k)
     if no_empty is None:
         return codes, ints
@@ -534,25 +536,17 @@ def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[
     return split, tuple(tables)
 
 
-def _empty_set_masks(n: int, k: int, size: int) -> tuple[int, ...]:
-    """The k-subset masks of the size-subsets, which a k-graph meets all of
-    when it spans an edge in each."""
-    if size < 0:
-        raise ValueError(f"has_no_empty_set: size must be nonnegative, got {size}")
-    if size > n:
-        raise ValueError("has_no_empty_set: size exceeds the vertex count")
-    return _subset_masks(n, size, k)[0]
-
-
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
     """True when every size-subset of the vertices induces at least one edge;
     False for size < k, as such a subset's k-subset mask is 0."""
-    return all(G.edges & M for M in _empty_set_masks(G.n, G.k, size))
+    if not 0 <= size <= G.n:
+        raise ValueError(f"has_no_empty_set: need 0 <= size <= n, got size={size}, n={G.n}")
+    return all(G.edges & M for M in _subset_masks(G.n, size, G.k)[0])
 
 
 def _spans_every(codes: np.ndarray, n: int, k: int, size: int) -> np.ndarray:
     """`has_no_empty_set` of each code of an int64 array, in one array test."""
-    return (codes[:, None] & np.array(_empty_set_masks(n, k, size))).all(axis=1)
+    return (codes[:, None] & np.array(_subset_masks(n, size, k)[0])).all(axis=1)
 
 
 def write_hgr(path: str, k: int, n: int, codes: Sequence[int], tag: str) -> None:

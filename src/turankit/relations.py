@@ -32,9 +32,11 @@ times the host's relaxed rows, the record `check_relaxed_rows` reads, over
 one integer denominator; the right side is one integer combination of its
 clique counts, so the two sides stay independent.
 
-`SUITES` holds the batteries behind `turankit verify`: each entry runs its
-checks over a fixed host set and returns (checks, failures, warnings), the
-last two as lists of JSON-ready records.
+`SUITES` holds the batteries behind `turankit verify`.  Each suite runs its
+checks over a fixed host set and yields one (holds, record) per check and
+one (None, record) per warning; one loop, `_tally`, counts them, so each
+entry returns (checks, failures, warnings), the last two as lists of the
+JSON-ready records of the failed checks and of the warnings.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import _NAMES
 from .bounds import solve_delta
@@ -263,47 +265,35 @@ def _telescoped(
     return Fraction(num, lhs_den), Fraction(low * c[k - 1] + mid * c[g] + high * c[r], den)
 
 
-def _lemma_suite() -> tuple[int, list, list]:
+def _lemma_suite() -> Iterator[tuple[Optional[bool], dict]]:
     """Three-term inequality over all 3-graph classes on 4 and 5 vertices,
     on a dyadic x grid plus the bound-relevant x values."""
     xs = {Fraction(j, 8) for j in range(1, 17)}
     for r in range(5, 9):
         for m in (3, 4):
             xs.add(x_ratio(3, m, r))
-    checks = 0
-    failures = []
     for n in (4, 5):
         for G in enumerate_all(n, 3):
             for m in range(3, n):
                 for x in sorted(xs):
-                    res = check_three_term_inequality(G, m, x)
-                    checks += 1
-                    if not res.holds:
-                        failures.append({"graph": f"{G.edges:x}", "n": n, "m": m, "x": str(x)})
-    return checks, failures, []
+                    record = {"graph": f"{G.edges:x}", "n": n, "m": m, "x": str(x)}
+                    yield check_three_term_inequality(G, m, x).holds, record
 
 
-def _claims_suite() -> tuple[int, list, list]:
+def _claims_suite() -> Iterator[tuple[Optional[bool], dict]]:
     """Local-statistics moment identities on all 5-vertex classes plus a
     fixed sample of random 6-vertex hosts."""
-    checks = 0
-    failures = []
     hosts = list(enumerate_all(5, 3))
     rng = random.Random(271828)
     hosts += [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(100)]
     for G in hosts:
         for m in (3, 4):
-            checks += 1
-            if not check_square_intermediate(G, m):
-                failures.append({"graph": f"{G.edges:x}", "n": G.n, "m": m})
-    return checks, failures, []
+            yield check_square_intermediate(G, m), {"graph": f"{G.edges:x}", "n": G.n, "m": m}
 
 
-def _rows_suite() -> tuple[int, list, list]:
-    """Relaxed rows and the telescoping identity on fixed 6-vertex hosts."""
-    checks = 0
-    failures = []
-    warnings = []
+def _rows_suite() -> Iterator[tuple[Optional[bool], dict]]:
+    """Relaxed rows and the telescoping identity on fixed 6-vertex hosts;
+    a positive LITERAL row is a warning."""
     rng = random.Random(314159)
     hosts = [
         Hypergraph.complete(6, 3),
@@ -311,30 +301,36 @@ def _rows_suite() -> tuple[int, list, list]:
     ] + [Hypergraph(6, 3, rng.getrandbits(20)) for _ in range(60)]
     r = 5
     for G in hosts:
+        graph = f"{G.edges:x}"
         rows = check_relaxed_rows(G, r, EpsilonMode.CORRECTED)
-        checks += 1
-        if any(row > 0 for row in rows):
-            failures.append({"graph": f"{G.edges:x}", "kind": "corrected-row-positive"})
+        yield all(row <= 0 for row in rows), {"graph": graph, "kind": "corrected-row-positive"}
         literal_rows = check_relaxed_rows(G, r, EpsilonMode.LITERAL)
         for m, row in zip(range(3, r), literal_rows):
             if row > 0:
-                warnings.append(
-                    {
-                        "graph": f"{G.edges:x}",
-                        "m": m,
-                        "row": str(row),
-                        "kind": "literal-row-positive",
-                    }
-                )
+                warning = {"graph": graph, "m": m, "row": str(row), "kind": "literal-row-positive"}
+                yield None, warning
         for g in (3, 4):
             for mode in (EpsilonMode.CORRECTED, EpsilonMode.LITERAL):
                 lhs, rhs = telescoped_combination(G, g, r, mode)
-                checks += 1
-                if lhs != rhs:
-                    failures.append(
-                        {"graph": f"{G.edges:x}", "g": g, "kind": "telescoping-mismatch"}
-                    )
+                yield lhs == rhs, {"graph": graph, "g": g, "kind": "telescoping-mismatch"}
+
+
+def _tally(suite: Callable[[], Iterator[tuple[Optional[bool], dict]]]) -> tuple[int, list, list]:
+    """The one loop over a suite's yields: (checks, failures, warnings),
+    counting each (holds, record) as a check and keeping the records of
+    those that fail, and of each (None, record), a warning."""
+    checks, failures, warnings = 0, [], []
+    for holds, record in suite():
+        if holds is None:
+            warnings.append(record)
+        else:
+            checks += 1
+            if not holds:
+                failures.append(record)
     return checks, failures, warnings
 
 
-SUITES = {"lemma": _lemma_suite, "claims": _claims_suite, "rows": _rows_suite}
+SUITES = {
+    name: partial(_tally, suite)
+    for name, suite in (("lemma", _lemma_suite), ("claims", _claims_suite), ("rows", _rows_suite))
+}

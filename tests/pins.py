@@ -44,6 +44,9 @@ STDOUT_SHA256 = {
     # the sandwich's e^x bracket needs more than 64 series terms here
     "lower --k 2 --g 40 --r 41":
         "f20c8f8cf9f2f01372a7998745f8b740a22edc8d5c4faa4f4265247780318819",
+    # the sandwich's 1499!/1499^1499 is printed past 4,300 digits
+    "lower --k 2 --g 3 --r 1500":
+        "4f18f8540a625cc2a3551bb4e4160dece3b11a5af06ca21eb4453ee5f3c0be82",
     # 3/8 on all 2102 admissible 6-vertex classes
     "certificate":
         "0db83a97a49858eb2a0aaa202ddddf3b53e8428b862b679f979f3db5b7c89f48",

@@ -199,11 +199,36 @@ def test_lower_large_g(capsys):
     assert payload["sandwich"]["expLimitApprox"] == "~0.000000003398"
 
 
+def test_lower_prints_exact_values_past_4300_digits(capsys):
+    # the sandwich's 1499!/1499^1499 has 8,867 digits, past Python's default
+    # limit on int-to-str conversion, which main lifts for the command only
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "lower", "--k", "2", "--g", "3", "--r", "1500")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(Fraction(math.factorial(1499), 1499**1499))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["sandwich"]["multinomialLower"] == want
+
+
 def test_enumerate_guard_exit_2(capsys):
     code = main(["enumerate", "--k", "3", "--n", "7"])
     err = capsys.readouterr().err
     assert code == 2
     assert "guard" in err
+
+
+def test_enumerate_filter_past_n_exit_2(capsys, tmp_path, monkeypatch):
+    # the filter's size is checked under the command's entry point, before
+    # any class file is written
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    code = main(["enumerate", "--k", "3", "--n", "6", "--filter", "no-empty-7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: enumerate_all: need 0 <= size <= n, got size=7, n=6\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def spy_order_tables(monkeypatch):
