@@ -22,7 +22,7 @@ import sys
 # on import, the others on first use
 _NAMES = {
     "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
-    "exp_bounds multinomial vertex_threshold x_ratio",
+    "multinomial vertex_threshold x_ratio",
     "bounds": "BoundReport PartiteBound RecurrenceTables SandwichTable TridiagonalSystem "
     "asymptotic_product build_system de_caen_bound inverse_matrix partite_lower_bound "
     "recurrences sandwich_table solve_delta upper_bound",

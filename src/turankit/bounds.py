@@ -9,8 +9,9 @@ determinant is 1) that make every inverse entry an explicit product.
 
 Everything here is exact, and the solve runs in Python integers.  The
 records are NamedTuples, and a `TridiagonalSystem` computes its integer rows
-when it is built: row i scaled by the lcm R_i of its entry denominators
-(`build_system` caches the system, so the rows are kept per (k, r)).
+when it is built: row i scaled in integers by the lcm R_i of its entry
+denominators (`build_system` forms each entry as one `Fraction` of the
+integer pairs of `combinat._x_parts`, and caches the system per (k, r)).
 `recurrences(sys, eps)` is the one record of the shift: at eps = p/q the
 system becomes the integer matrix M = q (scaled rows) - p diag(R), one
 integer recursion gives M's leading minors, the trailing minors are the same
@@ -35,12 +36,14 @@ reported value.  The limit prod_m x(m) is one quotient of integer products
 multiplied out in integers (the threshold `Fraction` is built only for the
 error message), its geometric factor is an integer pair, its LITERAL closed
 form is checked against that pair by one cross-multiplication, and the
-finite bound is built from the two pairs at once.  `sandwich_table` doubles the series length, orders its three values
-and takes the midpoint on the integer bracket of `combinat._exp_bracket`,
-and `partite_lower_bound` compares its corrected sum with `direct` by
-cross-multiplication.  Neither depends on a host, so each is kept per key,
-(k, r) and (k, g, l), and its cross-check runs once per key; a check that
-raises caches nothing.  `upper_bound` reads the partite record's `direct`.
+finite bound is built from the two pairs at once.  `sandwich_table` orders
+its three values by two cross-multiplications (the second is AM-GM's) and
+brackets e^{(k-r)/k} (`combinat._exp_bracket`) only for its printed digits;
+`partite_lower_bound` reads the integer record `_partite_record`, one per
+(k, l) and size, and checks its corrected sum against `direct`.  Neither
+depends on a host, so each is kept per key, (k, r) and (k, g, l), and its
+check runs once per key; a check that raises caches nothing.  `upper_bound`
+reads the partite record's `direct`.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .combinat import (
     decimal_string,
     multinomial,
     vertex_threshold,
-    x_ratio,
 )
 
 __all__ = _NAMES["bounds"].split()
@@ -91,10 +93,9 @@ class TridiagonalSystem:
         d = r - k
         rows = []
         for i in range(d):
-            left, mid = lower[i - 1] if i else 0, diag[i]
-            right = upper[i] if i + 1 < d else 0
-            scale = math.lcm(left.denominator, mid.denominator, right.denominator)
-            rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
+            entries = (lower[i - 1] if i else 0, diag[i], upper[i] if i + 1 < d else 0)
+            scale = math.lcm(*(e.denominator for e in entries))
+            rows.append((scale, *(scale // e.denominator * e.numerator for e in entries)))
         scale, left, mid, right = zip(*rows)
         self.rows = scale, mid, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
 
@@ -112,12 +113,11 @@ def build_system(k: int, r: int) -> TridiagonalSystem:
     """Construct the (r-k)-dimensional tridiagonal system for (k, r)."""
     if k < 2 or r <= k:
         raise ValueError(f"build_system: need 2 <= k < r, got k={k}, r={r}")
-    ms = range(k, r)
-    diag = tuple(2 - Fraction(k - 1, 1) / (m * x_ratio(k, m, r)) for m in ms)
-    upper = tuple(-x_ratio(k, m + 1, r) for m in range(k, r - 1))
-    lower = tuple(
-        -(1 - Fraction(k - 1, m)) / x_ratio(k, m, r) for m in range(k, r - 1)
-    )
+    # x(m) = p/top: diag 2 - (k-1) top/(m p), upper -p(m+1)/top, lower (k-1-m) top/(m p)
+    parts = [(m, *_x_parts(k, m, r)) for m in range(k, r)]
+    diag = tuple(Fraction(2 * m * p - (k - 1) * top, m * p) for m, p, top in parts)
+    upper = tuple(Fraction(-p, top) for _, p, top in parts[1:])
+    lower = tuple(Fraction((k - 1 - m) * top, m * p) for m, p, top in parts[:-1])
     return TridiagonalSystem(k, r, diag, upper, lower)
 
 
@@ -389,7 +389,7 @@ class PartiteBound(NamedTuple):
     formula: Fraction
 
 
-# host-independent: kept per (k, g, l), so the inclusion-exclusion sum and its
+# host-independent: kept per (k, g, l), so the per-g sums and their
 # cross-check run once per key; every (k, g, (r-1)//(k-1)) with
 # 2 <= k <= g < r <= 16 is 292 keys, so a sweep over that grid keeps them all
 @lru_cache(maxsize=512)
@@ -399,8 +399,8 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
 
     direct  -- exact limit of the complete-g-set density: the probability
                that g independent uniform group labels give every group at
-               most k-1 members (sum of multinomials over bounded
-               compositions, divided by l^g).
+               most k-1 members (`_partite_record`'s placement count at g,
+               divided by l^g).
     formula -- a literal evaluation of the inclusion-exclusion sum
                sum_s (-1)^s C(l,s) sum_{i_1..i_s >= k, sum <= g}
                multinomial(g; i_1..i_s, g - sum) l^{-sum}, reported for
@@ -409,66 +409,59 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
                drops the factor ((l-s)/l)^(g - sum).  With it the sum
                equals `direct`, which is checked (ArithmeticError if not).
 
-    Both are polynomial in g (`_inclusion_exclusion` groups the sum's terms
-    by s and by the total covered); `upper_bound` reports `direct`.
+    Over l^g, the printed and corrected sums are sum_s (-1)^s C(l,s) sum_T
+    C(g,T) c_s(T) w^(g-T) at w = l and w = l-s, for the record's block counts
+    c_s(T); they run per g, by Horner's rule.
     """
     if k < 2 or g < k or l < 1:
         raise ValueError(
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
-    direct = _partite_direct(k, g, l)
-    printed, corrected = _inclusion_exclusion(k, g, l)
-    if corrected * direct.denominator != direct.numerator * l**g:
-        raise ArithmeticError("partite_lower_bound: corrected sum disagrees with direct")
-    return PartiteBound(direct, Fraction(printed, l**g))
-
-
-def _partite_direct(k: int, g: int, l: int) -> Fraction:
-    """`partite_lower_bound(k, g, l).direct`: DP over groups, dp[t] = number
-    of assignments of some t of the g labeled items into the groups so far,
-    each group holding at most k-1."""
-    dp = [1] + [0] * g
-    for _ in range(l):
-        new = [0] * (g + 1)
-        for t in range(g + 1):
-            if dp[t] == 0:
-                continue
-            for c in range(0, min(k - 1, g - t) + 1):
-                new[t + c] += dp[t] * math.comb(g - t, c)
-        dp = new
-    return Fraction(dp[g], l**g)
-
-
-def _inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
-    """Numerators over l^g of (`partite_lower_bound(k, g, l).formula`, the
-    corrected sum): the multinomials of the s-tuples with sum T add up to
-    C(g, T) c_s(T), where c_s(T) counts the ordered s-tuples of disjoint
-    labeled blocks, each of size >= k, covering T labeled items; so the
-    printed sum is sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T) l^(g-T) / l^g,
-    and the corrected one has (l-s)^(g-T) in place of l^(g-T).  DP over s:
-    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), c_0 = [1, 0, ..], and
-    c_s(T) = 0 for T < s k.  The terms with s > l vanish with C(l, s)."""
+    # size the record by the g it serves: g rounded up to a power of two, or, past half of
+    # `most`, every g < r <= (l+1)(k-1) that a (k, r) with this l asks, as `table` does
+    size, most = 1 << (g - 1).bit_length(), (l + 1) * (k - 1) - 1
+    placements, blocks = _partite_record(k, l, max(g, most) if 2 * size > most else size)
     binoms = [math.comb(g, t) for t in range(g + 1)]
-    powers = [l ** (g - t) for t in range(g + 1)]
-    blocks = [1] + [0] * g
     printed = corrected = 0
-    for s in range(min(g // k, l) + 1):
-        if s:  # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
-            low = s * k
-            blocks = [0] * low + [
-                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t - low + k + 1))
-                for t in range(low, g + 1)
-            ]
-        left = l - s
+    for s, counts in enumerate(blocks[: g // k + 1]):
         row_printed = row_corrected = 0
         for t in range(s * k, g + 1):
-            a = binoms[t] * blocks[t]
-            row_printed += a * powers[t]
-            row_corrected += a * left ** (g - t)
+            a = binoms[t] * counts[t]
+            row_printed = row_printed * l + a
+            row_corrected = row_corrected * (l - s) + a
         weight = (-1) ** s * math.comb(l, s)
         printed += weight * row_printed
         corrected += weight * row_corrected
-    return printed, corrected
+    if corrected != placements[g]:
+        raise ArithmeticError("partite_lower_bound: corrected sum disagrees with direct")
+    return PartiteBound(Fraction(placements[g], l**g), Fraction(printed, l**g))
+
+
+@lru_cache(maxsize=128)
+def _partite_record(k: int, l: int, size: int) -> tuple[tuple[int, ...], tuple]:
+    """(placements, blocks) for every g <= size, by integer DPs that do not
+    depend on g.  placements[t] counts the placements of t labeled items
+    into the l groups with at most k-1 in each: a DP over the groups, the
+    new group taking c of the t items.  blocks[s][T] = c_s(T) counts the
+    ordered s-tuples of disjoint labeled blocks, each of size >= k, covering
+    T labeled items, for s <= min(size // k, l): c_0 = [1, 0, ..] and
+    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), which is 0 for T < s k."""
+    binoms = [[math.comb(t, c) for c in range(t + 1)] for t in range(size + 1)]
+    placements = [1] + [0] * size
+    for _ in range(l):
+        placements = [
+            sum(row[c] * placements[t - c] for c in range(min(k - 1, t) + 1))
+            for t, row in enumerate(binoms)
+        ]
+    blocks = [(1,) + (0,) * size]
+    for s in range(1, min(size // k, l) + 1):
+        # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
+        low, last = s * k, blocks[-1]
+        blocks.append((0,) * low + tuple(
+            sum(binoms[t][i] * last[t - i] for i in range(k, t - low + k + 1))
+            for t in range(low, size + 1)
+        ))
+    return tuple(placements), tuple(blocks)
 
 
 class SandwichTable(NamedTuple):
@@ -476,7 +469,7 @@ class SandwichTable(NamedTuple):
 
     exp_limit_approx is the only non-rational quantity in the package; it is
     rendered to 12 decimal places and labeled approximate.  The ordering is
-    asserted with exact rational brackets around the exponential.
+    proved in integers, without the exponential.
     """
 
     k: int
@@ -488,10 +481,16 @@ class SandwichTable(NamedTuple):
 
 
 # the 2 <= k < r <= 16 grid has 30 pairs with (k-1) | (r-1); kept per (k, r),
-# so the bracket doubling and the ordering check run once per pair
+# so the ordering check and the bracket doubling run once per pair
 @lru_cache(maxsize=64)
 def sandwich_table(k: int, r: int) -> SandwichTable:
-    """Evaluate the three-way comparison at g = r-1; requires (k-1) | (r-1)."""
+    """Evaluate the three-way comparison at g = r-1; requires (k-1) | (r-1).
+
+    The product's r-k factors are 1 - y_m with y_m = C(m-1,k-1)/C(r-1,k-1),
+    and sum_m y_m = C(r-1,k)/C(r-1,k-1) = (r-k)/k (hockey stick), so by
+    AM-GM the product is at most (1 - 1/k)^(r-k) <= e^{(k-r)/k}; the first
+    inequality is checked by one cross-multiplication.
+    """
     if k < 2 or r <= k:
         raise ValueError(f"sandwich_table: need 2 <= k < r, got ({k}, {r})")
     if (r - 1) % (k - 1) != 0:
@@ -501,26 +500,35 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
     l = (r - 1) // (k - 1)
     low_num, low_den = multinomial(r - 1, (k - 1,) * l), l ** (r - 1)
     prod_num, prod_den = _product_parts(k, r - 1, r)
-    # 64 series terms bracket e^x tightly for |x| up to about 10; beyond
-    # that the tail bound can exceed e^x itself, so double until the bracket
-    # is narrow against its (then positive) lower end.  r >= 2|x| + 2 terms
-    # keep the tail bound valid.  The bracket is lo/den .. hi/den, den > 0.
-    common = math.gcd(r - k, k)
-    a, b, terms = (k - r) // common, k // common, max(64, r)
-    exp_lo, exp_hi, den = _exp_bracket(a, b, terms)
-    while (exp_hi - exp_lo) * 10**20 >= exp_lo:
-        terms *= 2
-        exp_lo, exp_hi, den = _exp_bracket(a, b, terms)
-    if not (
-        low_num * prod_den <= prod_num * low_den and prod_num * den <= exp_lo * prod_den
-    ):
+    below = prod_num * k ** (r - k) <= (k - 1) ** (r - k) * prod_den  # AM-GM's bound
+    if not (low_num * prod_den <= prod_num * low_den and below):
         raise ArithmeticError("sandwich_table: ordering check failed")
-    approx = decimal_string(Fraction(exp_lo + exp_hi, 2 * den), 12)
+    common = math.gcd(r - k, k)
+    a, b = (r - k) // common, k // common  # e^x at x = -a/b, only for its 12 places
+    if a >= 29 * b:
+        # the 12 places are zeros once e^{a/b} > 2 10^12: a prefix of its
+        # positive series, total / (b^j j!), proves it; e^29 > 2 10^12 ends the loop
+        total, den, power, j = 1, 1, 1, 0
+        while total <= 2 * 10**12 * den:
+            j += 1
+            power *= a
+            total, den = total * b * j + power, den * b * j
+        midpoint = Fraction(0)
+    else:
+        # max(64, r) >= 2|x| + 2 terms keep the tail bound valid; double them
+        # until the bracket lo/den .. hi/den, den > 0, is narrow against its
+        # (then positive) lower end, as it is at once for |x| up to about 10
+        terms = max(64, r)
+        exp_lo, exp_hi, den = _exp_bracket(-a, b, terms)
+        while (exp_hi - exp_lo) * 10**20 >= exp_lo:
+            terms *= 2
+            exp_lo, exp_hi, den = _exp_bracket(-a, b, terms)
+        midpoint = Fraction(exp_lo + exp_hi, 2 * den)
     return SandwichTable(
         k=k,
         r=r,
         groups=l,
         multinomial_lower=Fraction(low_num, low_den),
         product=Fraction(prod_num, prod_den),
-        exp_limit_approx=f"~{approx}",
+        exp_limit_approx=f"~{decimal_string(midpoint, 12)}",
     )

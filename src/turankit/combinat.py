@@ -6,9 +6,9 @@ built as one reduced `Fraction` at the end: x(m) has the integer pair
 `_x_parts`, which `bounds` and `relations` multiply out themselves, and
 `vertex_threshold` is one quotient.  The only irrational number anywhere
 downstream is the e^{(k-r)/k} comparison value of `bounds.sandwich_table`,
-which is handled through exact rational brackets (`_exp_bracket`, integer
-numerators over one denominator, which `exp_bounds` wraps) plus an
-explicitly labeled decimal rendering.
+whose order against the other two values is proved without it; it enters
+only as an explicitly labeled decimal rendering, from the exact rational
+brackets of `_exp_bracket` (integer numerators over one denominator).
 """
 
 from __future__ import annotations
@@ -129,23 +129,13 @@ def vertex_threshold(k: int, r: int, mode: EpsilonMode = EpsilonMode.LITERAL) ->
     return Fraction((r - 1) * (square + _eps_top(k, r, mode) * (r - k)), square)
 
 
-def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
-    """Exact rational brackets [lo, hi] around exp(x) via the Taylor series.
-
-    The tail after N terms is at most 2 |x|^N / N! once N >= 2|x| + 1, so
-    the bracket width is astronomically small for the arguments used here
-    (|x| <= 6, N = 64 gives width < 1e-35).
-    """
-    x = Fraction(x)
-    lo, hi, denom = _exp_bracket(x.numerator, x.denominator, terms)
-    return Fraction(lo, denom), Fraction(hi, denom)
-
-
 def _exp_bracket(a: int, b: int, terms: int) -> tuple[int, int, int]:
-    """`exp_bounds(a/b, terms)` as integers (lo, hi, denom) with
-    lo/denom <= exp(a/b) <= hi/denom and denom > 0; needs b > 0."""
+    """Exact rational brackets around exp(a/b) from the first `terms` terms
+    of the Taylor series, as integers (lo, hi, denom) with lo/denom <=
+    exp(a/b) <= hi/denom and denom > 0; needs b > 0.  The tail after N
+    terms is at most 2 |x|^N / N! once N >= 2|x| + 1."""
     if terms * b < 2 * abs(a) + 2 * b:
-        raise ValueError("exp_bounds: too few series terms for a valid tail bound")
+        raise ValueError("_exp_bracket: too few series terms for a valid tail bound")
     # term j of the series is t_j / (b^(N-1) (N-1)!) for the integer
     # t_j = a^j b^(N-1-j) (N-1)!/j!; t_j = t_{j-1} a / (b j) exactly
     term = b ** (terms - 1) * math.factorial(terms - 1)

@@ -21,12 +21,12 @@ from turankit import (
     colex_subsets,
     decimal_string,
     epsilon_value,
-    exp_bounds,
     multinomial,
     subset_rank,
     x_ratio,
 )
 from turankit.certificate import _term_vectors, certificate_terms
+from turankit.combinat import _exp_bracket
 from turankit.flags import ExpansionVector
 from turankit.hypergraph import tuple_bits
 
@@ -147,6 +147,24 @@ def local_stats(G: Hypergraph, S: Iterable[int]) -> LocalStats:
     r = Fraction(l, out) if out >= 1 else Fraction(0)
     rr = Fraction(math.comb(l, 2), math.comb(out, 2)) if out >= 2 else Fraction(0)
     return LocalStats(q, l, r, rr)
+
+
+def system_fractions(k: int, r: int):
+    """(diag, upper, lower, rows) of `build_system(k, r)` in `Fraction`
+    arithmetic: the entries from `x_ratio` products and quotients, and each
+    integer row as its entries times the lcm of their reduced denominators."""
+    diag = tuple(2 - Fraction(k - 1, 1) / (m * x_ratio(k, m, r)) for m in range(k, r))
+    upper = tuple(-x_ratio(k, m + 1, r) for m in range(k, r - 1))
+    lower = tuple(-(1 - Fraction(k - 1, m)) / x_ratio(k, m, r) for m in range(k, r - 1))
+    d, rows = r - k, []
+    for i in range(d):
+        left, mid = lower[i - 1] if i else Fraction(0), diag[i]
+        right = upper[i] if i + 1 < d else Fraction(0)
+        scale = math.lcm(left.denominator, mid.denominator, right.denominator)
+        rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
+    scale, left, mid, right = zip(*rows)
+    up, down = tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
+    return diag, upper, lower, (scale, mid, up, down)
 
 
 def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
@@ -369,6 +387,52 @@ def enumerated_inclusion_exclusion(k: int, g: int, l: int) -> Fraction:
     return total
 
 
+def partite_direct(k: int, g: int, l: int) -> Fraction:
+    """`partite_lower_bound(k, g, l).direct` for one g: DP over groups,
+    dp[t] = number of assignments of some t of the g labeled items into the
+    groups so far, each group holding at most k-1."""
+    dp = [1] + [0] * g
+    for _ in range(l):
+        new = [0] * (g + 1)
+        for t in range(g + 1):
+            if dp[t] == 0:
+                continue
+            for c in range(0, min(k - 1, g - t) + 1):
+                new[t + c] += dp[t] * math.comb(g - t, c)
+        dp = new
+    return Fraction(dp[g], l**g)
+
+
+def inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
+    """Numerators over l^g of (`partite_lower_bound(k, g, l).formula`, the
+    corrected sum) for one g, with the block counts c_s(T) rebuilt for this
+    g alone: the printed sum is sum_s (-1)^s C(l,s) sum_T C(g,T) c_s(T)
+    l^(g-T) / l^g, and the corrected one has (l-s)^(g-T) in place of
+    l^(g-T), with c_0 = [1, 0, ..] and c_s(T) = sum_{i >= k} C(T, i)
+    c_{s-1}(T - i).  The terms with s > l vanish with C(l, s)."""
+    binoms = [math.comb(g, t) for t in range(g + 1)]
+    powers = [l ** (g - t) for t in range(g + 1)]
+    blocks = [1] + [0] * g
+    printed = corrected = 0
+    for s in range(min(g // k, l) + 1):
+        if s:  # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
+            low = s * k
+            blocks = [0] * low + [
+                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t - low + k + 1))
+                for t in range(low, g + 1)
+            ]
+        left = l - s
+        row_printed = row_corrected = 0
+        for t in range(s * k, g + 1):
+            a = binoms[t] * blocks[t]
+            row_printed += a * powers[t]
+            row_corrected += a * left ** (g - t)
+        weight = (-1) ** s * math.comb(l, s)
+        printed += weight * row_printed
+        corrected += weight * row_corrected
+    return printed, corrected
+
+
 def partite_fractions(k: int, g: int, l: int) -> tuple[Fraction, Fraction]:
     """(direct, formula) of `partite_lower_bound`: direct sums the
     multinomials of the group sizes (c_1, .., c_l), each at most k-1 and
@@ -396,6 +460,14 @@ def ratio_bound(k: int, g: int, r: int, n: int, seeded: bool = False) -> Fractio
     if seeded:
         terms[k] = min(terms[k], 1 - Fraction(n - r + 1, (n - k + 1) * math.comb(r - 1, k - 1)))
     return math.prod((terms[m] for m in range(k, g + 1)), start=Fraction(1))
+
+
+def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
+    """Exact rational brackets [lo, hi] around exp(x): the integer bracket
+    of `combinat._exp_bracket` as two `Fraction`s."""
+    x = Fraction(x)
+    lo, hi, denom = _exp_bracket(x.numerator, x.denominator, terms)
+    return Fraction(lo, denom), Fraction(hi, denom)
 
 
 def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:

@@ -47,6 +47,16 @@ STDOUT_SHA256 = {
     # the sandwich's 1499!/1499^1499 is printed past 4,300 digits
     "lower --k 2 --g 3 --r 1500":
         "4f18f8540a625cc2a3551bb4e4160dece3b11a5af06ca21eb4453ee5f3c0be82",
+    # every g of a (k, r) from one partite record per size; the l = 299
+    # record's block table is 150 rows of 300 counts
+    "table --k 2 --r 150 --n 100000000":
+        "92af9988740a7b9f232d80f610d9917ef37e4303c5be0ff5baf3ceedb46eed0b",
+    "table --k 2 --r 300 --n 100000000":
+        "51e1e804ed85860fa2ac1bc85a94261d15140d0dbb563f679b2fd1dfb57b0445",
+    # x = -19998/2: the ordering needs no e^x, and its twelve printed zeros
+    # come from a three-term prefix of e^-x's series
+    "lower --k 2 --g 3 --r 20000":
+        "ac68c2e1ed28f0ec2a5cfa9584b75c1081b9021eef072060ca61a72fb8ed9da0",
     # 3/8 on all 2102 admissible 6-vertex classes
     "certificate":
         "0db83a97a49858eb2a0aaa202ddddf3b53e8428b862b679f979f3db5b7c89f48",

@@ -33,10 +33,13 @@ from oracles import (
     dense,
     edge_count,
     enumerated_inclusion_exclusion,
+    inclusion_exclusion,
     is_edge,
+    partite_direct,
     partite_fractions,
     ratio_bound,
     sandwich_fractions,
+    system_fractions,
     upper_bound_fractions,
     vertex_threshold_fractions,
 )
@@ -109,6 +112,15 @@ def test_build_system_2_4_matches_definition():
     tab = recurrences(s)
     assert tab.determinant == 1
     assert set(tab.phi[:-1]) == {Fraction(1)}
+
+
+def test_build_system_matches_fraction_rows():
+    # the entries from integer pairs and the rows scaled in integers, against
+    # x_ratio products and the Fraction products of each row with its lcm
+    for r in range(3, 41):
+        for k in range(2, r):
+            s = build_system(k, r)
+            assert (s.diag, s.upper, s.lower, s.rows) == system_fractions(k, r), (k, r)
 
 
 def test_offdiagonals_strictly_negative():
@@ -501,17 +513,36 @@ def test_partite_lower_bound_small_cases():
 
 def test_corrected_inclusion_exclusion_equals_direct():
     # with the factor ((l-s)/l)^(g - sum) the printed sum becomes the
-    # blowup limit itself, at every point of this grid
+    # blowup limit itself, at every point of this grid: the corrected sum
+    # over one record's block table equals its placement count, which the
+    # sum rebuilt for one g alone equals too
     import turankit.bounds as bounds
 
     points = 0
     for k in range(2, 7):
-        for g in range(k, 17):
-            for l in range(1, 12):
-                _, corrected = bounds._inclusion_exclusion(k, g, l)  # over l^g
-                assert Fraction(corrected, l**g) == partite_lower_bound(k, g, l).direct, (k, g, l)
+        for l in range(1, 12):
+            placements, blocks = bounds._partite_record(k, l, 16)
+            for g in range(k, 17):
+                corrected = sum(
+                    (-1) ** s * math.comb(l, s) * math.comb(g, t) * counts[t] * (l - s) ** (g - t)
+                    for s, counts in enumerate(blocks[: g // k + 1])
+                    for t in range(s * k, g + 1)
+                )
+                assert corrected == placements[g] == inclusion_exclusion(k, g, l)[1], (k, g, l)
+                assert Fraction(placements[g], l**g) == partite_lower_bound(k, g, l).direct
                 points += 1
     assert points == 715
+
+
+def test_partite_record_matches_the_per_g_oracles():
+    # one record serves every g up to its size; each g against the DP and
+    # the inclusion-exclusion sums rebuilt for that g alone, and every g of
+    # `table --k 2 --r 150`, whose records are the largest at l = 149
+    points = [(k, g, l) for l in range(1, 16) for k in range(2, 8) for g in range(k, 40)]
+    for k, g, l in points + [(2, g, 149) for g in range(2, 150)]:
+        printed, _ = inclusion_exclusion(k, g, l)
+        want = (partite_direct(k, g, l), Fraction(printed, l**g))
+        assert tuple(partite_lower_bound(k, g, l)) == want, (k, g, l)
 
 
 def test_partite_formula_matches_tuple_enumeration():
@@ -621,6 +652,31 @@ def test_sandwich_bracket_ends_agree_to_twelve_digits(monkeypatch):
         assert leading_digits(lo, den) == leading_digits(hi, den), (k, r)
 
 
+def test_product_is_at_most_the_am_gm_bound():
+    # the sandwich's ordering without e^x: the r-k factors of the g = r-1
+    # product have mean 1 - 1/k, so the product is at most (1 - 1/k)^(r-k)
+    pairs = [(k, r) for r in range(3, 60) for k in range(2, r)]
+    for k, r in pairs:
+        assert asymptotic_product(k, r - 1, r) <= Fraction(k - 1, k) ** (r - k), (k, r)
+    assert len(pairs) == 1653
+
+
+def test_sandwich_zeros_match_the_bracket_oracle(monkeypatch):
+    # from x = -29 on, e^x prints as twelve zeros with no bracket built; the
+    # oracle still doubles its Fraction bracket there.  (2, 59) and (3, 89)
+    # sit just inside the bracket route, the others past it
+    from turankit import bounds
+
+    bracket = bounds._exp_bracket
+    for k, r in [(2, 59), (2, 61), (3, 89), (3, 91), (2, 121), (5, 201)]:
+        past = r - k >= 29 * k
+        sandwich_table.cache_clear()
+        monkeypatch.setattr(bounds, "_exp_bracket", None if past else bracket)
+        t = sandwich_table(k, r)
+        assert (t.multinomial_lower, t.product, t.exp_limit_approx) == sandwich_fractions(k, r)
+        assert t.exp_limit_approx == "~0.000000000000", (k, r)
+
+
 def test_host_independent_caches_hold_the_uncached_values():
     # every key of the 2 <= k < r <= 16 grid, compared with the function
     # behind the cache; the grid fits, so a sweep over it never evicts
@@ -639,11 +695,14 @@ def test_host_independent_caches_hold_the_uncached_values():
 def test_failed_cross_check_is_not_cached(monkeypatch):
     from turankit import bounds
 
-    inclusion_exclusion = bounds._inclusion_exclusion
+    record = bounds._partite_record
     partite_lower_bound.cache_clear()
     with monkeypatch.context() as patch:
+        # one placement too many at every t: the corrected sum disagrees
         patch.setattr(
-            bounds, "_inclusion_exclusion", lambda k, g, l: (0, inclusion_exclusion(k, g, l)[1] + 1)
+            bounds,
+            "_partite_record",
+            lambda k, l, size: (tuple(a + 1 for a in record(k, l, size)[0]), record(k, l, size)[1]),
         )
         with pytest.raises(ArithmeticError, match="corrected sum disagrees"):
             partite_lower_bound(3, 4, 2)
@@ -652,8 +711,8 @@ def test_failed_cross_check_is_not_cached(monkeypatch):
 
     sandwich_table.cache_clear()
     with monkeypatch.context() as patch:
-        # a narrow bracket around 10^-6, below the product: ordering fails
-        patch.setattr(bounds, "_exp_bracket", lambda a, b, terms: (1, 1, 10**6))
+        # a product of 1 is above ((k-1)/k)^(r-k): ordering fails
+        patch.setattr(bounds, "_product_parts", lambda k, g, r: (1, 1))
         with pytest.raises(ArithmeticError, match="ordering check failed"):
             sandwich_table(3, 5)
     assert sandwich_table.cache_info().currsize == 0

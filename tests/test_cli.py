@@ -580,7 +580,10 @@ def test_lower_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
     bounds.partite_lower_bound.cache_clear()  # a kept bound would skip the check
-    monkeypatch.setattr(bounds, "_partite_direct", lambda k, g, l: Fraction(1, 2))
+    record = bounds._partite_record  # one placement at every t: direct is wrong
+    monkeypatch.setattr(
+        bounds, "_partite_record", lambda k, l, size: ((1,) * (size + 1), record(k, l, size)[1])
+    )
     code = main(["lower", "--k", "3", "--g", "4", "--r", "5"])
     captured = capsys.readouterr()
     assert code == 5
@@ -591,13 +594,32 @@ def test_lower_cross_check_exit_5(capsys, monkeypatch):
     )
 
 
+def test_lower_sandwich_ordering_exit_5(capsys, monkeypatch):
+    from turankit import bounds
+
+    bounds.sandwich_table.cache_clear()  # a kept table would skip the check
+    # a product of 1 is above ((k-1)/k)^(r-k), so the ordering fails
+    monkeypatch.setattr(bounds, "_product_parts", lambda k, g, r: (1, 1))
+    code = main(["lower", "--k", "3", "--g", "4", "--r", "5"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal cross-check failed: sandwich_table: ordering check failed\n"
+    )
+    assert bounds.sandwich_table.cache_info().currsize == 0
+
+
 def test_bound_runs_the_partite_cross_check_exit_5(capsys, monkeypatch):
     # `bound` reads its lower bound from `partite_lower_bound`'s record, so a
     # wrong direct value fails the cross-check there as it does for `lower`
     from turankit import bounds
 
     bounds.partite_lower_bound.cache_clear()  # a kept bound would skip the check
-    monkeypatch.setattr(bounds, "_partite_direct", lambda k, g, l: Fraction(1, 2))
+    record = bounds._partite_record  # one placement at every t: direct is wrong
+    monkeypatch.setattr(
+        bounds, "_partite_record", lambda k, l, size: ((1,) * (size + 1), record(k, l, size)[1])
+    )
     code = main(["bound", "--k", "3", "--g", "4", "--r", "5", "--n", "100"])
     captured = capsys.readouterr()
     assert code == 5
@@ -739,7 +761,7 @@ PUBLIC_NAMES = {
     "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "
     "two_clique_density verify_certificate",
     "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
-    "exp_bounds multinomial vertex_threshold x_ratio",
+    "multinomial vertex_threshold x_ratio",
     "flags": "ExpansionVector chain_lift square_expansion",
     "hypergraph": "MAX_VERTICES Hypergraph canonical_mask clique_counts colex_subsets "
     "disjoint_union enumerate_all has_no_empty_set induced_density read_hgr "
@@ -775,7 +797,7 @@ def test_lazy_names_are_each_module_all(module):
 def test_package_star_import_binds_every_public_name():
     # and no helper module the package imports, such as importlib or sys
     names = sorted(name for names in PUBLIC_NAMES.values() for name in names.split())
-    assert len(names) == 52
+    assert len(names) == 51
     assert star_import_names("turankit") == names
 
 

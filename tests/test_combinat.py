@@ -10,14 +10,13 @@ from turankit import (
     decimal_string,
     epsilon_threshold,
     epsilon_value,
-    exp_bounds,
     multinomial,
     vertex_threshold,
     x_ratio,
 )
 from turankit.combinat import _exp_bracket
 
-from oracles import exp_series
+from oracles import exp_bounds, exp_series
 
 
 def test_binomial_values():
