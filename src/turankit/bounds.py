@@ -40,10 +40,10 @@ finite bound is built from the two pairs at once.  `sandwich_table` orders
 its three values by two cross-multiplications (the second is AM-GM's) and
 brackets e^{(k-r)/k} (`combinat._exp_bracket`) only for its printed digits;
 `partite_lower_bound` reads the integer record `_partite_record`, one per
-(k, l) and size, and checks its corrected sum against `direct`.  Neither
-depends on a host, so each is kept per key, (k, r) and (k, g, l), and its
-check runs once per key; a check that raises caches nothing.  `upper_bound`
-reads the partite record's `direct`.
+(k, l), grown in place to the largest g asked, and checks its corrected
+sum against `direct`.  Neither depends on a host, so each is kept per key,
+(k, r) and (k, g, l), and its check runs once per key; a check that raises
+caches nothing.  `upper_bound` reads the partite record's `direct`.
 """
 
 from __future__ import annotations
@@ -417,10 +417,7 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
         raise ValueError(
             f"partite_lower_bound: need k >= 2, g >= k, l >= 1, got ({k}, {g}, {l})"
         )
-    # size the record by the g it serves: g rounded up to a power of two, or, past half of
-    # `most`, every g < r <= (l+1)(k-1) that a (k, r) with this l asks, as `table` does
-    size, most = 1 << (g - 1).bit_length(), (l + 1) * (k - 1) - 1
-    placements, blocks = _partite_record(k, l, max(g, most) if 2 * size > most else size)
+    placements, blocks = _partite_record(k, l, g)
     binoms = [math.comb(g, t) for t in range(g + 1)]
     printed = corrected = 0
     for s, counts in enumerate(blocks[: g // k + 1]):
@@ -437,31 +434,40 @@ def partite_lower_bound(k: int, g: int, l: int) -> PartiteBound:
     return PartiteBound(Fraction(placements[g], l**g), Fraction(printed, l**g))
 
 
-@lru_cache(maxsize=128)
-def _partite_record(k: int, l: int, size: int) -> tuple[tuple[int, ...], tuple]:
-    """(placements, blocks) for every g <= size, by integer DPs that do not
-    depend on g.  placements[t] counts the placements of t labeled items
-    into the l groups with at most k-1 in each: a DP over the groups, the
-    new group taking c of the t items.  blocks[s][T] = c_s(T) counts the
-    ordered s-tuples of disjoint labeled blocks, each of size >= k, covering
-    T labeled items, for s <= min(size // k, l): c_0 = [1, 0, ..] and
-    c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), which is 0 for T < s k."""
-    binoms = [[math.comb(t, c) for c in range(t + 1)] for t in range(size + 1)]
-    placements = [1] + [0] * size
-    for _ in range(l):
-        placements = [
-            sum(row[c] * placements[t - c] for c in range(min(k - 1, t) + 1))
-            for t, row in enumerate(binoms)
+def _partite_record(k: int, l: int, size: int) -> tuple[list[int], list[list[int]]]:
+    """(placements, blocks) of the (k, l) record, grown in place through
+    column `size`, by integer recurrences that do not depend on g; a sweep
+    over g builds each column once, a single g only the columns up to it.
+
+    placements[t] = t! [x^t] (sum_{c<k} x^c/c!)^l counts the placements of
+    t labeled items into the l groups with at most k-1 in each; the power's
+    recurrence gives t a[t] = sum_{j=1}^{k-1} ((l+1) j - t) C(t, j) a[t-j].
+    blocks[s][T] = c_s(T) counts the ordered s-tuples of disjoint labeled
+    blocks, each of size >= k, covering T labeled items, for s <= l:
+    c_0 = [1, 0, ..] and c_s(T) = sum_{i >= k} C(T, i) c_{s-1}(T - i), which
+    is 0 for T < s k, so row s starts at column s k."""
+    placements, blocks = _partite_columns(k, l)
+    for t in range(len(placements), size + 1):
+        binoms = [math.comb(t, i) for i in range(t + 1)]
+        a = sum(((l + 1) * j - t) * binoms[j] * placements[t - j] for j in range(1, min(k, t + 1)))
+        if t % k == 0 and t // k == len(blocks) <= l:
+            blocks.append([0] * t)
+        # c_{s-1} vanishes below low = (s-1) k, so i runs up to T - low
+        column = [0] + [
+            sum(map(operator.mul, binoms[k : t - low + 1], reversed(last[low : t - k + 1])))
+            for low, last in zip(itertools.count(0, k), blocks[:-1])
         ]
-    blocks = [(1,) + (0,) * size]
-    for s in range(1, min(size // k, l) + 1):
-        # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
-        low, last = s * k, blocks[-1]
-        blocks.append((0,) * low + tuple(
-            sum(binoms[t][i] * last[t - i] for i in range(k, t - low + k + 1))
-            for t in range(low, size + 1)
-        ))
-    return tuple(placements), tuple(blocks)
+        placements.append(a // t)
+        for row, c in zip(blocks, column):
+            row.append(c)
+    return placements, blocks
+
+
+# the record grows in place; kept per (k, l), so each column is built once
+@lru_cache(maxsize=128)
+def _partite_columns(k: int, l: int) -> tuple[list[int], list[list[int]]]:
+    """The (k, l) record before its first column past t = 0."""
+    return [1], [[1]]
 
 
 class SandwichTable(NamedTuple):
@@ -506,13 +512,7 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
     common = math.gcd(r - k, k)
     a, b = (r - k) // common, k // common  # e^x at x = -a/b, only for its 12 places
     if a >= 29 * b:
-        # the 12 places are zeros once e^{a/b} > 2 10^12: a prefix of its
-        # positive series, total / (b^j j!), proves it; e^29 > 2 10^12 ends the loop
-        total, den, power, j = 1, 1, 1, 0
-        while total <= 2 * 10**12 * den:
-            j += 1
-            power *= a
-            total, den = total * b * j + power, den * b * j
+        # e^x <= e^{-29} < 5 10^-13, below half a unit in the 12th place: zeros
         midpoint = Fraction(0)
     else:
         # max(64, r) >= 2|x| + 2 terms keep the tail bound valid; double them

@@ -545,6 +545,27 @@ def test_partite_record_matches_the_per_g_oracles():
         assert tuple(partite_lower_bound(k, g, l)) == want, (k, g, l)
 
 
+def test_partite_record_grows_only_to_the_g_asked():
+    # a single g builds the record's columns up to g and no further; a later,
+    # larger g extends the same record, which then equals one built at once
+    from turankit import bounds
+
+    bounds._partite_columns.cache_clear()
+    partite_lower_bound.cache_clear()
+    partite_lower_bound(2, 40, 1023)
+    placements, blocks = bounds._partite_record(2, 1023, 0)
+    assert (len(placements), len(blocks)) == (41, 21)
+    assert {len(row) for row in blocks} == {41}
+    partite_lower_bound(3, 60, 1023)
+    partite_lower_bound(3, 40, 1023)
+    partite_lower_bound(2, 60, 1023)
+    grown = bounds._partite_record(2, 1023, 0)
+    assert (len(grown[0]), len(grown[1])) == (61, 31)
+    bounds._partite_columns.cache_clear()
+    assert grown == bounds._partite_record(2, 1023, 60)
+    assert bounds._partite_columns.cache_info().currsize == 1
+
+
 def test_partite_formula_matches_tuple_enumeration():
     for k in range(2, 6):
         for g in range(k, 15):
@@ -667,6 +688,9 @@ def test_sandwich_zeros_match_the_bracket_oracle(monkeypatch):
     # sit just inside the bracket route, the others past it
     from turankit import bounds
 
+    # the shortcut's premise: a prefix of the series of e^29 passes 2 10^12,
+    # so e^x <= e^{-29} < 5 10^-13, below half a unit in the 12th place
+    assert sum(Fraction(29**j, math.factorial(j)) for j in range(60)) > 2 * 10**12
     bracket = bounds._exp_bracket
     for k, r in [(2, 59), (2, 61), (3, 89), (3, 91), (2, 121), (5, 201)]:
         past = r - k >= 29 * k
