@@ -38,7 +38,7 @@ error message), its geometric factor is an integer pair, its LITERAL closed
 form is checked against that pair by one cross-multiplication, and the
 finite bound is built from the two pairs at once.  `sandwich_table` orders
 its three values by two cross-multiplications (the second is AM-GM's) and
-brackets e^{(k-r)/k} (`combinat._exp_bracket`) only for its printed digits;
+takes e^{(k-r)/k} from `decimal`, at 40 digits, only for its printed digits;
 `partite_lower_bound` reads the integer record `_partite_record`, one per
 (k, l), grown in place to the largest g asked, and checks its corrected
 sum against `direct`.  Neither depends on a host, so each is kept per key,
@@ -48,6 +48,7 @@ caches nothing.  `upper_bound` reads the partite record's `direct`.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import operator
@@ -59,7 +60,6 @@ from . import _NAMES
 from .combinat import (
     EpsilonMode,
     _eps_top,
-    _exp_bracket,
     _x_parts,
     binomial,
     decimal_string,
@@ -474,8 +474,8 @@ class SandwichTable(NamedTuple):
     """The g = r-1 comparison: blowup value <= product bound <= e^{(k-r)/k}.
 
     exp_limit_approx is the only non-rational quantity in the package; it is
-    rendered to 12 decimal places and labeled approximate.  The ordering is
-    proved in integers, without the exponential.
+    `decimal`'s exp at 40 digits, rendered to 12 decimal places and labeled
+    approximate.  The ordering is proved in integers, without the exponential.
     """
 
     k: int
@@ -487,7 +487,7 @@ class SandwichTable(NamedTuple):
 
 
 # the 2 <= k < r <= 16 grid has 30 pairs with (k-1) | (r-1); kept per (k, r),
-# so the ordering check and the bracket doubling run once per pair
+# so the ordering check and the exponential run once per pair
 @lru_cache(maxsize=64)
 def sandwich_table(k: int, r: int) -> SandwichTable:
     """Evaluate the three-way comparison at g = r-1; requires (k-1) | (r-1).
@@ -509,26 +509,15 @@ def sandwich_table(k: int, r: int) -> SandwichTable:
     below = prod_num * k ** (r - k) <= (k - 1) ** (r - k) * prod_den  # AM-GM's bound
     if not (low_num * prod_den <= prod_num * low_den and below):
         raise ArithmeticError("sandwich_table: ordering check failed")
-    common = math.gcd(r - k, k)
-    a, b = (r - k) // common, k // common  # e^x at x = -a/b, only for its 12 places
-    if a >= 29 * b:
-        # e^x <= e^{-29} < 5 10^-13, below half a unit in the 12th place: zeros
-        midpoint = Fraction(0)
-    else:
-        # max(64, r) >= 2|x| + 2 terms keep the tail bound valid; double them
-        # until the bracket lo/den .. hi/den, den > 0, is narrow against its
-        # (then positive) lower end, as it is at once for |x| up to about 10
-        terms = max(64, r)
-        exp_lo, exp_hi, den = _exp_bracket(-a, b, terms)
-        while (exp_hi - exp_lo) * 10**20 >= exp_lo:
-            terms *= 2
-            exp_lo, exp_hi, den = _exp_bracket(-a, b, terms)
-        midpoint = Fraction(exp_lo + exp_hi, 2 * den)
+    # e^x at x = (k-r)/k, only for its 12 printed places: at 40 digits, x's
+    # rounding and exp's correct rounding together err by under 10^-39
+    ctx = decimal.Context(prec=40)
+    exp_limit = Fraction(ctx.exp(ctx.divide(k - r, k)))
     return SandwichTable(
         k=k,
         r=r,
         groups=l,
         multinomial_lower=Fraction(low_num, low_den),
         product=Fraction(prod_num, prod_den),
-        exp_limit_approx=f"~{decimal_string(midpoint, 12)}",
+        exp_limit_approx=f"~{decimal_string(exp_limit, 12)}",
     )

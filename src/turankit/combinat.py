@@ -7,8 +7,8 @@ built as one reduced `Fraction` at the end: x(m) has the integer pair
 `vertex_threshold` is one quotient.  The only irrational number anywhere
 downstream is the e^{(k-r)/k} comparison value of `bounds.sandwich_table`,
 whose order against the other two values is proved without it; it enters
-only as an explicitly labeled decimal rendering, from the exact rational
-brackets of `_exp_bracket` (integer numerators over one denominator).
+only as an explicitly labeled decimal rendering of `decimal`'s correctly
+rounded exp.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     parts = tuple(parts)
     if any(c < 0 for c in parts) or sum(parts) != n:
         raise ValueError("multinomial: parts must be nonnegative and sum to n")
-    out = 1
-    rest = n
-    for c in parts:
-        out *= math.comb(rest, c)
-        rest -= c
-    return out
+    return math.factorial(n) // math.prod(map(math.factorial, parts))
 
 
 def x_ratio(k: int, m: int, r: int) -> Fraction:
@@ -127,28 +122,6 @@ def vertex_threshold(k: int, r: int, mode: EpsilonMode = EpsilonMode.LITERAL) ->
     # (r-1) (1 + top (r-k) / (k-1)^2) with top = `_eps_top`
     square = (k - 1) ** 2
     return Fraction((r - 1) * (square + _eps_top(k, r, mode) * (r - k)), square)
-
-
-def _exp_bracket(a: int, b: int, terms: int) -> tuple[int, int, int]:
-    """Exact rational brackets around exp(a/b) from the first `terms` terms
-    of the Taylor series, as integers (lo, hi, denom) with lo/denom <=
-    exp(a/b) <= hi/denom and denom > 0; needs b > 0.  The tail after N
-    terms is at most 2 |x|^N / N! once N >= 2|x| + 1."""
-    if terms * b < 2 * abs(a) + 2 * b:
-        raise ValueError("_exp_bracket: too few series terms for a valid tail bound")
-    # term j of the series is t_j / (b^(N-1) (N-1)!) for the integer
-    # t_j = a^j b^(N-1-j) (N-1)!/j!; t_j = t_{j-1} a / (b j) exactly
-    term = b ** (terms - 1) * math.factorial(terms - 1)
-    denom = term
-    total = term
-    for j in range(1, terms):
-        term = term * a // (b * j)
-        total += term
-    # over b^N N!, the sum is total b N and the tail 2 |a|^N
-    total *= b * terms
-    denom *= b * terms
-    tail = 2 * abs(a) ** terms
-    return total - tail, total + tail, denom
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

@@ -123,17 +123,17 @@ def square_expansion(
     type_bits = (1 << math.comb(s, k)) - 1
     if any(F.edges & type_bits != sigma.edges for _, F in terms):
         raise ValueError("square_expansion: a flag does not carry the type on its first vertices")
-    canon = _typed_canon(t, s, k)
-    # -c on every sigma-flag: the codes of the masks whose low C(s,k) bits are sigma's
-    weight = dict.fromkeys(set(canon[sigma.edges :: type_bits + 1].tolist()), -constant)
-    for a, F in terms:
-        weight[int(canon[F.edges])] += Fraction(a)
     base = 2 * t - s
     if base > size:
         raise ValueError(
             f"expansion needs hosts of at least {base} vertices, target is {size}"
         )
     masks, codes = _class_codes(base, k)  # within its guards before any table is built
+    canon = _typed_canon(t, s, k)
+    # -c on every sigma-flag: the codes of the masks whose low C(s,k) bits are sigma's
+    weight = dict.fromkeys(set(canon[sigma.edges :: type_bits + 1].tolist()), -constant)
+    for a, F in terms:
+        weight[int(canon[F.edges])] += Fraction(a)
     scale = math.lcm(*(w.denominator for w in weight.values()))
     n1 = math.comb(base - s, t - s)  # extension sets per placement
     ints = {code: w.numerator * (scale // w.denominator) for code, w in weight.items()}

@@ -26,7 +26,6 @@ from turankit import (
     x_ratio,
 )
 from turankit.certificate import _term_vectors, certificate_terms
-from turankit.combinat import _exp_bracket
 from turankit.flags import ExpansionVector
 from turankit.hypergraph import tuple_bits
 
@@ -345,20 +344,18 @@ def upper_bound_fractions(k: int, g: int, r: int, n: int, mode: EpsilonMode) -> 
 
 
 def sandwich_fractions(k: int, r: int) -> tuple[Fraction, Fraction, str]:
-    """(multinomial lower, product, approximation) of `sandwich_table`, with
-    the series length doubled, the values ordered and the midpoint taken on
-    the `Fraction` brackets of `exp_bounds`."""
+    """(multinomial lower, product, approximation) of `sandwich_table`, the
+    approximation rounded from `exp_places`.  The product's factors are
+    x(m) = 1 - y_m, and 1 - y <= e^{-y} puts their product below e^x once
+    the y_m sum to -x = (r-k)/k, which is checked here in place of the
+    package's AM-GM cross-multiplication."""
     l = (r - 1) // (k - 1)
     lower = Fraction(multinomial(r - 1, (k - 1,) * l), l ** (r - 1))
     product = product_fractions(k, r - 1, r)
-    x, terms = Fraction(k - r, k), max(64, r)
-    exp_lo, exp_hi = exp_bounds(x, terms)
-    while exp_hi - exp_lo >= exp_lo / 10**20:
-        terms *= 2
-        exp_lo, exp_hi = exp_bounds(x, terms)
-    if not lower <= product <= exp_lo:
+    spent = sum(1 - x_ratio(k, m, r) for m in range(k, r))
+    if not (lower <= product and spent == Fraction(r - k, k)):
         raise ArithmeticError("sandwich_fractions: ordering check failed")
-    return lower, product, f"~{decimal_string((exp_lo + exp_hi) / 2, 12)}"
+    return lower, product, f"~{decimal_string(exp_places(Fraction(k - r, k))[0], 12)}"
 
 
 def tuples_at_least(k: int, s: int, g: int) -> Iterable[tuple[int, ...]]:
@@ -463,22 +460,44 @@ def ratio_bound(k: int, g: int, r: int, n: int, seeded: bool = False) -> Fractio
 
 
 def exp_bounds(x: Fraction, terms: int = 64) -> tuple[Fraction, Fraction]:
-    """Exact rational brackets [lo, hi] around exp(x): the integer bracket
-    of `combinat._exp_bracket` as two `Fraction`s."""
+    """Exact rational brackets [lo, hi] around exp(x): `exp_series`, refused
+    where its tail bound fails.  The tail after N terms is at most
+    2 |x|^N / N! once N >= 2|x| + 1."""
     x = Fraction(x)
-    lo, hi, denom = _exp_bracket(x.numerator, x.denominator, terms)
-    return Fraction(lo, denom), Fraction(hi, denom)
+    if terms < 2 * abs(x) + 2:
+        raise ValueError("exp_bounds: too few series terms for a valid tail bound")
+    return exp_series(x, terms)
 
 
 def exp_series(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """The Taylor bracket of `exp_bounds` summed term by term: the first
-    `terms` terms of the series, minus and plus 2 |x|^terms / terms!."""
+    """The first `terms` terms of the Taylor series of exp(x) summed term by
+    term, minus and plus 2 |x|^terms / terms!."""
     total, term = Fraction(0), Fraction(1)
     for j in range(terms):
         total += term
         term = term * x / (j + 1)
     tail = 2 * abs(x) ** terms / Fraction(math.factorial(terms))
     return total - tail, total + tail
+
+
+def exp_places(x: Fraction, digits: int = 12) -> tuple[Fraction, Fraction]:
+    """Exact rational brackets [lo, hi] around exp(x), x <= 0, whose ends
+    round alike to `digits` places, so exp(x) rounds that way too.  They come
+    from the positive series of e^{-x}: a partial sum S is at most e^{-x}, so
+    hi = 1/S; once the N terms summed reach 2|x| - 1, the rest is at most
+    twice the next term t, so lo = 1/(S + 2t), and 0 before that.  From
+    x = -29 on, a short prefix passes 2 10^digits and both ends round to
+    zeros."""
+    y = -Fraction(x)
+    if y < 0:
+        raise ValueError("exp_places: need x <= 0")
+    total, term, n = Fraction(0), Fraction(1), 0
+    while True:
+        total, n = total + term, n + 1
+        term = term * y / n  # y^n / n!, the first term left out of total
+        lo = 1 / (total + 2 * term) if n + 1 >= 2 * y else Fraction(0)
+        if decimal_string(lo, digits) == decimal_string(1 / total, digits):
+            return lo, 1 / total
 
 
 # Orbit counting for the admissible 6-vertex classes.  These helpers build

@@ -41,7 +41,7 @@ STDOUT_SHA256 = {
         "e5e096eec68b9f85543a41b74d26cae32c753166d774d733615dd347fbd6feae",
     "table --k 3 --r 9 --n 500 --mode corrected":
         "a690989ae8e5ef5c32a60d0dd4a33497624cb4d17a3bf42ac3288dbf64acca39",
-    # the sandwich's e^x bracket needs more than 64 series terms here
+    # e^x at x = -39/2 keeps four significant digits in its 12 places
     "lower --k 2 --g 40 --r 41":
         "f20c8f8cf9f2f01372a7998745f8b740a22edc8d5c4faa4f4265247780318819",
     # the sandwich's 1499!/1499^1499 is printed past 4,300 digits
@@ -53,8 +53,12 @@ STDOUT_SHA256 = {
         "92af9988740a7b9f232d80f610d9917ef37e4303c5be0ff5baf3ceedb46eed0b",
     "table --k 2 --r 300 --n 100000000":
         "51e1e804ed85860fa2ac1bc85a94261d15140d0dbb563f679b2fd1dfb57b0445",
-    # x = -19998/2: the ordering needs no e^x, and its twelve printed zeros
-    # come from a three-term prefix of e^-x's series
+    # x = -55/2 prints the last nonzero digit of e^x, x = -57/2 zeros
+    "lower --k 2 --g 56 --r 57":
+        "eb0637fdaa4efcc674fc8c5f519a2c57a75c39f01ba14782a0cfe9208f94c0bc",
+    "lower --k 2 --g 58 --r 59":
+        "62e0cd254ecd23346934aeb3036f3867a70ee9c4a144d4d8475c9cc97b1f0900",
+    # x = -19998/2: the ordering needs no e^x, which prints as twelve zeros
     "lower --k 2 --g 3 --r 20000":
         "ac68c2e1ed28f0ec2a5cfa9584b75c1081b9021eef072060ca61a72fb8ed9da0",
     # 3/8 on all 2102 admissible 6-vertex classes

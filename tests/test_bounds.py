@@ -15,6 +15,7 @@ from turankit import (
     binomial,
     build_system,
     de_caen_bound,
+    decimal_string,
     enumerate_all,
     epsilon_threshold,
     epsilon_value,
@@ -33,6 +34,7 @@ from oracles import (
     dense,
     edge_count,
     enumerated_inclusion_exclusion,
+    exp_places,
     inclusion_exclusion,
     is_edge,
     partite_direct,
@@ -637,40 +639,20 @@ def test_sandwich_3_7_and_divisibility_guard():
         sandwich_table(3, 6)
 
 
-def test_sandwich_bracket_ends_agree_to_twelve_digits(monkeypatch):
-    # the reported e^x is the exact midpoint of the last bracket the doubling
-    # loop keeps, and both ends of that bracket agree in their first 12
-    # significant digits; at (2, 30) and (3, 41) a loop that stopped at a
-    # relative width of 10^-8 would keep a bracket whose ends do not
-    from turankit import bounds
-    from turankit.combinat import _exp_bracket, decimal_string
-
-    brackets, shown = [], []
-
-    def bracket(a, b, terms):
-        brackets.append(_exp_bracket(a, b, terms))
-        return brackets[-1]
-
-    def show(value, digits=12):
-        shown.append(value)
-        return decimal_string(value, digits)
-
-    def leading_digits(num, den):
-        return decimal_string(Fraction(num, den) * 10 ** (len(str(den // num)) - 1), 12)
-
-    bounds.sandwich_table.cache_clear()  # a kept table would skip the bracket
-    monkeypatch.setattr(bounds, "_exp_bracket", bracket)
-    monkeypatch.setattr(bounds, "decimal_string", show)
-    pairs = [(k, r) for r in range(3, 17) for k in range(2, r) if (r - 1) % (k - 1) == 0]
-    for k, r in pairs + [(2, 25), (2, 30), (2, 41), (3, 41)]:
-        brackets.clear()
-        shown.clear()
-        approx = sandwich_table(k, r).exp_limit_approx
-        lo, hi, den = brackets[-1]
-        assert 0 < lo < hi, (k, r)
-        assert shown == [Fraction(lo + hi, 2 * den)], (k, r)
-        assert approx == f"~{decimal_string(shown[0], 12)}", (k, r)
-        assert leading_digits(lo, den) == leading_digits(hi, den), (k, r)
+def test_sandwich_bracket_ends_agree_to_twelve_digits():
+    # the printed e^x against the tests' own exact bracket: both ends of
+    # `exp_places` round to the printed 12 places, from x = -29 on as zeros;
+    # at k = 2, r = 58 (x = -28) prints the last nonzero digit and r = 59
+    # (x = -28.5) the first zeros
+    pairs = [(k, r) for r in range(3, 121) for k in range(2, r) if (r - 1) % (k - 1) == 0]
+    zeros = 0
+    for k, r in pairs + [(2, 1500), (2, 20000)]:
+        lo, hi = exp_places(Fraction(k - r, k))
+        printed = sandwich_table(k, r).exp_limit_approx
+        assert printed == f"~{decimal_string(lo, 12)}" == f"~{decimal_string(hi, 12)}", (k, r)
+        zeros += printed == "~0.000000000000"
+    assert [sandwich_table(2, r).exp_limit_approx for r in (58, 59)] == ["~0.000000000001", "~0.000000000000"]
+    assert (len(pairs), zeros) == (467, 81)
 
 
 def test_product_is_at_most_the_am_gm_bound():
@@ -682,20 +664,15 @@ def test_product_is_at_most_the_am_gm_bound():
     assert len(pairs) == 1653
 
 
-def test_sandwich_zeros_match_the_bracket_oracle(monkeypatch):
-    # from x = -29 on, e^x prints as twelve zeros with no bracket built; the
-    # oracle still doubles its Fraction bracket there.  (2, 59) and (3, 89)
-    # sit just inside the bracket route, the others past it
-    from turankit import bounds
-
-    # the shortcut's premise: a prefix of the series of e^29 passes 2 10^12,
+def test_sandwich_zeros_match_the_bracket_oracle():
+    # from x = -29 on, e^x prints as twelve zeros; the oracle reaches them by
+    # its own series bracket.  (2, 59) and (3, 89) sit just short of x = -29,
+    # the others past it
+    # the zeros' premise: a prefix of the series of e^29 passes 2 10^12,
     # so e^x <= e^{-29} < 5 10^-13, below half a unit in the 12th place
     assert sum(Fraction(29**j, math.factorial(j)) for j in range(60)) > 2 * 10**12
-    bracket = bounds._exp_bracket
     for k, r in [(2, 59), (2, 61), (3, 89), (3, 91), (2, 121), (5, 201)]:
-        past = r - k >= 29 * k
         sandwich_table.cache_clear()
-        monkeypatch.setattr(bounds, "_exp_bracket", None if past else bracket)
         t = sandwich_table(k, r)
         assert (t.multinomial_lower, t.product, t.exp_limit_approx) == sandwich_fractions(k, r)
         assert t.exp_limit_approx == "~0.000000000000", (k, r)
@@ -905,8 +882,8 @@ def test_integer_reports_match_fraction_oracles():
                     with pytest.raises(ValueError):
                         upper_bound(k, g, r, math.floor(max(thr, r)), mode)
     assert checked == 3360
-    # (2, r >= 25): |x| = (r-2)/2 is past where 64 series terms suffice, so
-    # the bracket is doubled
+    # the sandwich's three values against the `Fraction` oracle, out to
+    # x = -39/2 at (2, 41)
     pairs = [(k, r) for r in range(3, 17) for k in range(2, r) if (r - 1) % (k - 1) == 0]
     for k, r in pairs + [(2, 25), (2, 33), (2, 41), (3, 41)]:
         t = sandwich_table(k, r)

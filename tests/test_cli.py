@@ -189,7 +189,7 @@ def test_lower_without_divisibility_has_no_sandwich(capsys):
 
 def test_lower_large_g(capsys):
     # the inclusion-exclusion sum is polynomial in g, and at x = -39/2 the
-    # sandwich needs more than the default 64 series terms around e^x
+    # sandwich's e^x keeps four significant digits in its 12 printed places
     code, out = run_cli(capsys, "lower", "--k", "2", "--g", "40", "--r", "41")
     assert code == 0
     payload = json.loads(out)

@@ -14,9 +14,7 @@ from turankit import (
     vertex_threshold,
     x_ratio,
 )
-from turankit.combinat import _exp_bracket
-
-from oracles import exp_bounds, exp_series
+from oracles import exp_bounds, exp_places, exp_series
 
 
 def test_binomial_values():
@@ -43,6 +41,16 @@ def test_multinomial():
     assert multinomial(3, (3,)) == 1
     with pytest.raises(ValueError):
         multinomial(4, (2, 3))
+    # the factorial quotient against the product of binomials that picks
+    # each part from the items left, on random part lists
+    rng = random.Random(20260107)
+    for _ in range(300):
+        parts = [rng.randint(0, 30) for _ in range(rng.randint(1, 8))]
+        rest, product = sum(parts), 1
+        for c in parts:
+            product *= math.comb(rest, c)
+            rest -= c
+        assert multinomial(sum(parts), parts) == product, parts
 
 
 def test_x_ratio_values():
@@ -128,18 +136,18 @@ def test_exp_bounds_bracket():
 
 
 def test_exp_bounds_matches_fraction_series():
-    # the integer bracket, and exp_bounds over it, against the term-by-term
-    # Fraction series
+    # exp_bounds is the term-by-term Fraction series where its tail bound
+    # holds, and those brackets all hold e^x: they meet each other and, for
+    # x <= 0, the bracket of exp_places
     for x in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(-7), Fraction(13, 4), Fraction(-39, 2)):
-        for terms in (41, 42, 64, 128):
-            expected = exp_series(x, terms)
-            assert exp_bounds(x, terms) == expected
-            lo, hi, den = _exp_bracket(x.numerator, x.denominator, terms)
-            assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == expected
-    # the tail bound needs terms >= 2|x| + 2, also on the integer bracket
-    for call in (lambda: exp_bounds(Fraction(-39, 2), 40), lambda: _exp_bracket(-39, 2, 40)):
-        with pytest.raises(ValueError, match="too few series terms"):
-            call()
+        brackets = [exp_bounds(x, terms) for terms in (41, 42, 64, 128)]
+        assert brackets == [exp_series(x, terms) for terms in (41, 42, 64, 128)]
+        if x <= 0:
+            brackets.append(exp_places(x))
+        assert max(lo for lo, _ in brackets) <= min(hi for _, hi in brackets), x
+    # the tail bound needs terms >= 2|x| + 2
+    with pytest.raises(ValueError, match="too few series terms"):
+        exp_bounds(Fraction(-39, 2), 40)
 
 
 def test_decimal_string():

@@ -371,6 +371,17 @@ def test_square_expansion_rejects_size_mismatch():
         square_expansion(P1, ((ONE, E3),), Fraction(0), 4)  # needs 2t-s = 5
 
 
+def test_square_expansion_checks_its_guards_before_the_code_table():
+    # a 6-vertex 3-flag on an empty 0-, 1- or 4-vertex type needs hosts of 12,
+    # 11 or 8 vertices: the first two exceed the target size 8, the last the
+    # enumeration guard, and none reads the 2^20-entry `_typed_canon` table
+    for s, match in [(0, "at least 12 vertices"), (1, "at least 11 vertices"), (4, "C\\(8,3\\) = 56")]:
+        before = _typed_canon.cache_info()
+        with pytest.raises(ValueError, match=match):
+            square_expansion(Hypergraph.empty(s, 3), ((ONE, Hypergraph.empty(6, 3)),), Fraction(0), 8)
+        assert _typed_canon.cache_info() == before, s
+
+
 def test_typed_code_matches_brute_force():
     # the code of the t vertices verts, typed on the first s, is one entry of
     # the `_typed_canon` table at the host's sub-mask on verts in that order
