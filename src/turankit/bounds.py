@@ -21,8 +21,13 @@ system and per eps's integers (p, q), so no lookup hashes a `Fraction`, and
 `solve_delta` and `inverse_matrix` at one eps share one record (`turankit
 solve` reads its tables from `recurrences` and its column through
 `solve_delta`, both from one record).  Both build each column of the inverse
-as integer numerators over det(M), in one pass outward from the diagonal
-carrying the off-diagonal product, so every entry is one `Fraction`.  The
+in one pass outward from the diagonal carrying the off-diagonal product.
+`solve_delta` forms its column's integer numerators over det(M) and reduces
+each by one gcd; `inverse_matrix` reduces each entry during the walk, by the
+gcds of det(M) with the small factors the walk multiplies in and with 2d
+precomputed gcds of the minors, so it makes no gcd of an entry against the
+full determinant.  Both build their entries, already in lowest terms, with
+`_lowest`, which skips the gcd `Fraction(n, d)` would run again.  The
 `Fraction` tables theta, phi and zeta are computed only when read: the
 integer minors divided by the prefix and suffix products of the row scales.  Every
 multiplier vector is checked against the integer equations M N = det(M) q
@@ -245,17 +250,67 @@ def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
     return col
 
 
+def _lowest(n: int, d: int) -> Fraction:
+    """The `Fraction` n/d for coprime n and d > 0, built without the gcd that
+    `Fraction(n, d)` would run again.  It sets the class's two slots, as the
+    private `Fraction._from_coprime_ints` of Python 3.12+ does.  The slots
+    are ('_numerator', '_denominator') on Python 3.6 to 3.13, and `Fraction`
+    has no instance dictionary, so a changed layout raises AttributeError
+    here rather than giving a wrong value."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
 def inverse_matrix(
     sys: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
     """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
-    one pair of minor recursions serves every column."""
+    one pair of minor recursions serves every column.
+
+    Entry (i, g) is the numerator of `_inverse_column`, a product of minors,
+    the column's scale and off-diagonals, over det(M).  Each entry is reduced
+    as its column is walked outward from the diagonal, by gcd(ab, n) =
+    gcd(a, n) gcd(b, n / gcd(a, n)): the walk carries the reduced product
+    and the denominator D left of det, and each factor takes out its gcd
+    with D.  A minor's gcd with D is that of its gcd with det, one of the 2d
+    full-size gcds made per call; the scale and the off-diagonals are small.
+    The entries come out in lowest terms with D > 0 (det < 0 past the
+    threshold) and are built by `_lowest`."""
     mat = recurrences(sys, eps)
     det = mat.lead[-1]
     if det == 0:
         raise ZeroDivisionError("inverse_matrix: shifted system is singular")
-    columns = [_inverse_column(mat, g) for g in sys.ms]
-    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
+    sign, size = (1, det) if det > 0 else (-1, -det)
+    gcd = math.gcd
+    # the minor of entry (i, g) is lead[i] for i <= g and trail[i] for i >= g
+    lead, trail = mat.lead[:-1], mat.trail[1:]
+    lead_gcd = [gcd(v, size) for v in lead]
+    trail_gcd = [gcd(v, size) for v in trail]
+    d = len(lead)
+    out = [[None] * d for _ in range(d)]
+    for j, scale in enumerate(mat.scale):
+        # top / top_den and low / low_den: the reduced product carried up
+        # (from scale trail[j]) and down (from scale lead[j]) the column
+        c = gcd(scale, size)
+        top, top_den = sign * scale // c, size // c
+        c = gcd(lead_gcd[j], top_den)
+        low, low_den = top * (lead[j] // c), top_den // c
+        c = gcd(trail_gcd[j], top_den)
+        top, top_den = top * (trail[j] // c), top_den // c
+        c = gcd(lead_gcd[j], top_den)
+        out[j][j] = _lowest(top * (lead[j] // c), top_den // c)
+        for i in range(j - 1, -1, -1):  # rows above g: up[i] joins rows i and i+1
+            c = gcd(mat.up[i], top_den)
+            top, top_den = top * (mat.up[i] // c), top_den // c
+            c = gcd(lead_gcd[i], top_den)
+            out[i][j] = _lowest(top * (lead[i] // c), top_den // c)
+        for i in range(j + 1, d):  # rows below g: down[i-1] joins rows i-1 and i
+            c = gcd(mat.down[i - 1], low_den)
+            low, low_den = low * (mat.down[i - 1] // c), low_den // c
+            c = gcd(trail_gcd[i], low_den)
+            out[i][j] = _lowest(low * (trail[i] // c), low_den // c)
+    return out
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
@@ -285,7 +340,12 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
             raise ArithmeticError(
                 "solve_delta: minor formula does not solve the tridiagonal system"
             )
-    return [Fraction(v, det) for v in num]
+    sign, size = (1, det) if det > 0 else (-1, -det)
+    out = []
+    for v in num:
+        c = math.gcd(v, size)
+        out.append(_lowest(sign * v // c, size // c))
+    return out
 
 
 def asymptotic_product(k: int, g: int, r: int) -> Fraction:

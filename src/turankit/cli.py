@@ -7,8 +7,9 @@ certificate slack, refuted inequality), 2 usage or parameter-range error
 result disagrees with an independent route or check).  Code 3 is unused:
 no command reads a file.  A command that fails prints one `error:` line to
 stderr.  All rationals are serialized as exact "p/q" strings; decimal
-renderings are always marked as approximations.  Output for identical
-inputs is byte-identical.
+renderings are always marked as approximations.  `--format text` prints
+one `key = value` line per field, strings raw and other values as JSON.
+Output for identical inputs is byte-identical.
 
 `enumerate` and `certificate` write the classes they enumerated to an HGR1
 class file, an output only: a file already at that path is replaced
@@ -53,7 +54,7 @@ def _emit(payload: dict, fmt: str) -> None:
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
-            print(f"{key} = {value}")
+            print(f"{key} = {value if isinstance(value, str) else json.dumps(value)}")
 
 
 def _mode(args) -> EpsilonMode:

@@ -22,9 +22,11 @@ from turankit import (
     decimal_string,
     epsilon_value,
     multinomial,
+    recurrences,
     subset_rank,
     x_ratio,
 )
+from turankit.bounds import _inverse_column
 from turankit.certificate import _term_vectors, certificate_terms
 from turankit.flags import ExpansionVector
 from turankit.hypergraph import tuple_bits
@@ -176,6 +178,18 @@ def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[F
             out[i][i + 1] = system.upper[i]
             out[i + 1][i] = system.lower[i]
     return out
+
+
+def inverse_fractions(
+    system: TridiagonalSystem, eps: Fraction = Fraction(0)
+) -> list[list[Fraction]]:
+    """The shifted system's inverse as `Fraction(v, det)` of every integer
+    numerator of `bounds._inverse_column`: each entry reduced by one gcd
+    against the full determinant."""
+    mat = recurrences(system, eps)
+    det = mat.lead[-1]
+    columns = [_inverse_column(mat, g) for g in system.ms]
+    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
 
 
 def typed_mask(H: Hypergraph, verts: Sequence[int]) -> int:

@@ -65,7 +65,7 @@ STDOUT_SHA256 = {
     "certificate":
         "0db83a97a49858eb2a0aaa202ddddf3b53e8428b862b679f979f3db5b7c89f48",
     "certificate --format text":
-        "62f851bac7f866bb5740e36a8ff9861ed81f5c3ebcb6719621267a2e7d098f49",
+        "2998aa87fdb0d9a31d021f087d6ed99829549e7edd985b0c70a282376fa434b1",
 }
 
 CLASS_FILE_SHA256 = {

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from oracles import (
     enumerated_inclusion_exclusion,
     exp_places,
     inclusion_exclusion,
+    inverse_fractions,
     is_edge,
     partite_direct,
     partite_fractions,
@@ -228,6 +230,86 @@ def test_integer_inverse_matches_gauss_jordan():
         assert matmul(dense(s, eps), inv) == identity(2)
     assert inverse_matrix(s) == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
     assert recurrences(s).determinant == 3
+
+
+def _same_lowest(x, y):
+    """x is a `Fraction` in lowest terms with a positive denominator, equal
+    to y in numerator, denominator and hash."""
+    assert type(x) is Fraction
+    assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    assert (x.numerator, x.denominator, hash(x)) == (y.numerator, y.denominator, hash(y))
+
+
+def test_column_walk_reduction_matches_one_gcd_per_entry():
+    # every 2 <= k < r <= 19 at eps = threshold j/97, past the threshold
+    # too: each inverse_matrix entry and each solve_delta column is the
+    # Fraction(v, det) of the unreduced numerators of _inverse_column
+    cases = negative = 0
+    for r in range(3, 20):
+        for k in range(2, r):
+            s = build_system(k, r)
+            thr = epsilon_threshold(k, r)
+            for j in (0, 1, 48, 96, 97, 150):
+                eps = thr * Fraction(j, 97)
+                cases += 1
+                negative += recurrences(s, eps).lead[-1] < 0
+                oracle = inverse_fractions(s, eps)
+                for got, want in zip(inverse_matrix(s, eps), oracle):
+                    for x, y in zip(got, want, strict=True):
+                        _same_lowest(x, y)
+                for g in s.ms:
+                    for x, row in zip(solve_delta(k, g, r, eps), oracle, strict=True):
+                        _same_lowest(x, row[g - k])
+    assert cases == 918
+    assert negative == 16  # det < 0, so the entries' sign is moved to the numerator
+
+
+def test_inverse_matrix_makes_2d_full_size_gcds(monkeypatch):
+    # every gcd but 2d has an off-diagonal, a row scale or a minor's gcd with
+    # det as an argument; one Fraction(v, det) per entry would make d^2 more
+    from turankit import bounds
+
+    for k, r, j in ((2, 16, 48), (3, 16, 60), (2, 16, 96), (4, 9, 48)):
+        s = build_system(k, r)
+        eps = epsilon_threshold(k, r) * Fraction(j, 97)
+        mat = recurrences(s, eps)
+        det = mat.lead[-1]
+        small = {*mat.up, *mat.down, *mat.scale}
+        small |= {math.gcd(v, det) for v in mat.lead + mat.trail}
+        calls, gcd = [], math.gcd
+
+        def counted(a, b):
+            calls.append(abs(a) in small or abs(b) in small)
+            return gcd(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "gcd", counted)
+            inverse = bounds.inverse_matrix(s, eps)
+        assert inverse == inverse_fractions(s, eps)
+        assert len(calls) - sum(calls) <= 2 * s.dim and len(calls) > s.dim**2, (k, r, j)
+
+
+def test_lowest_builds_the_fraction_of_a_coprime_pair():
+    # _lowest sets Fraction's two slots; a Python that renames them, or gives
+    # Fraction an instance dictionary, fails here by name
+    from turankit.bounds import _lowest
+
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    with pytest.raises(AttributeError):
+        object.__new__(Fraction).other = 1
+    rng = random.Random(48)
+    for i in range(200):
+        d = rng.getrandbits(1 + i * 2) | 1  # 1 to 399 bits
+        n = rng.getrandbits(rng.randint(1, 400))
+        while math.gcd(n, d) != 1:
+            n += 1
+        if i % 3:
+            n = -n
+        x, want = _lowest(n, d), Fraction(n, d)
+        assert type(x) is Fraction and (x.numerator, x.denominator) == (n, d)
+        assert x == want and hash(x) == hash(want) and str(x) == str(want)
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is Fraction and back == want and hash(back) == hash(want)
 
 
 def test_recurrences_match_fraction_recursion():

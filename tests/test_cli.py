@@ -480,6 +480,27 @@ def test_text_format(capsys):
     assert "finiteBound = 10/23" in out
 
 
+def test_text_format_prints_json_for_non_strings(capsys):
+    # one `key = value` line per field: strings raw, every other value as JSON
+    code, out = run_cli(capsys, "lower", "--k", "3", "--g", "4", "--r", "5", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "k = 3" in lines
+    assert "direct = 3/8" in lines
+    assert "formulaAgrees = false" in lines
+    assert (
+        'sandwich = {"multinomialLower": "3/8", "product": "5/12", '
+        '"expLimitApprox": "~0.513417119033"}'
+    ) in lines
+    code, out = run_cli(capsys, "lower", "--k", "3", "--g", "4", "--r", "6", "--format", "text")
+    assert code == 0 and "sandwich = null" in out.splitlines()
+    code, out = run_cli(
+        capsys, "bound", "--k", "3", "--g", "5", "--r", "6", "--n", "100", "--format", "text"
+    )
+    assert code == 0
+    assert {"deCaen = null", "vacuous = false", "k = 3"} <= set(out.splitlines())
+
+
 def test_os_error_exit_4(capsys, tmp_path):
     # --cache-dir naming a regular file cannot hold a cache
     not_a_dir = tmp_path / "plain-file"
