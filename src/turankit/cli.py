@@ -143,14 +143,14 @@ def _cmd_lower(args) -> int:
 
 
 def _parse_filter(value: Optional[str]):
-    """Filter string `no-empty-M`, M in ASCII digits: keep classes where
-    every M-subset spans an edge.  Returns (tag, M or None)."""
+    """Filter string `no-empty-M`, M in ASCII digits: keep classes where every
+    M-subset spans an edge.  Returns (tag, M or None), M in the tag unpadded."""
     if value is None:
         return "none", None
     # [0-9], not str.isdigit, which also takes other scripts' digits and superscripts
     match = re.fullmatch(r"no-empty-([0-9]+)", value)
     if match:
-        return value, int(match[1])
+        return f"no-empty-{int(match[1])}", int(match[1])
     raise ValueError(f"unknown filter {value!r}; expected no-empty-<size>")
 
 

@@ -41,34 +41,30 @@ the guard it scans every relabeling and ranks each image edge through a
 colex index.
 
 `tuple_bits` gives, for an ordered vertex tuple, the host bit position of
-each of its colex k-subsets, uncached: `Hypergraph.restrict`,
-`_subset_masks` and the restriction route past the guard read it.  `_order_tables(n, k,
-orders)` is the one builder of mask tables: for vertex tuples of one
-length, in numpy from one colex rank table, the half tables that map the
-low and the high half of a mask to its sub-mask on each tuple.  An order of
-all n vertices is a relabeling, so the same tables serve relabelings,
+each of its colex k-subsets, uncached.  `_order_tables(n, k, orders)` builds
+the bulk mask tables in numpy: for vertex tuples of one length, the half
+tables that map the low and the high half of a mask to its sub-mask on each
+tuple, so one builder serves relabelings (orders of all n vertices),
 restrictions and lifts.  `_ordered_masks` reads the sub-mask of every mask
-of an array on every tuple from them: the restrictions, relabelings and
-lifts of `turankit.flags`, which work on all classes or all masks, and the
-vertex-last masks of `_orbit_minima`.  `restriction_class_counts`, which
-works on one host, reads Python-list copies of its subsets' rows instead.
+of an array on every tuple from them, for `turankit.flags`, which works on
+all classes or all masks, and for the vertex-last masks of `_orbit_minima`.
 
-Complete sets are found without canonical forms.  A subset is complete
-exactly when no non-edge of the host meets its k-subset mask.
+One host is read through Python ints at every n <= 8: a per-host record is
+`_row_tables` of one row per host bit, what that bit adds to every field of
+the answer side by side, so a read is one lookup per byte of the mask, 9 at
+(8,4).  `_restriction_record(n, k, size)` lays out the sub-masks of the
+size-subsets for `restriction_class_counts`.  Complete sets are found
+without canonical forms: a subset is complete exactly when no non-edge of
+the host meets its k-subset mask.  `_meet_record(n, k)` lays out the bitmap
+of the m-subsets a mask meets for every m: the complete m-sets are the
+m-field that one read of the non-edges leaves unset, and `has_no_empty_set`
+asks whether one read of the edges fills the size-field.
 `_subset_masks(n, m, k)` is the one record of the m-subsets: each one's
-k-subset mask and the bitmap of its one-vertex supersets.
-`_meet_tables(n, k)` maps the low and the high half of a mask to the bitmap
-of the m-subsets it meets, for every m: `_half_tables` of one row of Python
-ints, as an 8-vertex bitmap of 4-sets has 70 bits, read back as lists.  So
-within the 20-bit guard the complete m-sets are all m-sets less two reads
-on the non-edges; past it, the k-subset mask of every subset is tested
-against them.  `has_no_empty_set` scans the same masks for one that no edge
-meets.  Each entry point range-checks its own subset size under its own
-name: `has_no_empty_set`, and the admissible filter of `_class_codes` under
-`enumerate_all`.  `_complete_sets` keeps, for the last few hosts, the bitmap of
-complete m-sets for every m; `clique_counts` returns their popcounts, and
-with the superset bitmaps the complete one-vertex extensions of a set are
-one AND and one popcount.
+k-subset mask and the bitmap of its one-vertex supersets.  Each entry point
+range-checks its own subset size under its own name.  `_complete_sets`
+keeps, for the last few hosts, the bitmap of complete m-sets for every m;
+`clique_counts` returns their popcounts, and with the superset bitmaps the
+complete one-vertex extensions of a set are one AND and one popcount.
 """
 
 from __future__ import annotations
@@ -196,34 +192,16 @@ def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     return Hypergraph(a.n + b.n, a.k, mask)
 
 
-def _half_tables(img: np.ndarray):
-    """Lookup tables of one bit map per row of img, an integer array (or an
-    object array of Python ints) whose entry (row, b) is the value bit b of a
-    mask takes in that row's image (a power of two, or 0 where the bit is
-    dropped, for the order tables): arrays of img's dtype and
-    shape (rows, 2^split) and (rows, 2^(bits - split)) in C order for the
-    low and high halves of a mask, split = ceil(bits / 2).  Each half-table
-    doubles: the entries with bit b set are those below 2^b OR'd with b's
-    value."""
-    split = (img.shape[1] + 1) // 2
-    tabs = []
-    for bits in (img[:, :split], img[:, split:]):
-        tab = np.zeros((len(img), 1 << bits.shape[1]), dtype=img.dtype)
-        for b in range(bits.shape[1]):
-            np.bitwise_or(tab[:, : 1 << b], bits[:, b, None], out=tab[:, 1 << b : 2 << b])
-        tabs.append(tab)
-    return split, tabs[0], tabs[1]
-
-
 @lru_cache(maxsize=None)
 def _order_tables(n: int, k: int, orders: tuple[tuple[int, ...], ...]):
-    """`_half_tables` of the sub-mask of each ordered tuple o in orders, all
+    """Lookup tables of the sub-mask of each ordered tuple o in orders, all
     of one length, for masks on n vertices: host bit `tuple_bits(k, o)[i]`
-    goes to bit i, every other bit is dropped, so an order of all n vertices
-    is a relabeling.  The host bit of a k-subset of o is read off one colex
-    rank table of vertex bitmaps.  The tables are int16 when the sub-masks
-    have at most 15 bits, as the restrictions of a host to 5 or fewer
-    vertices do, and int32 otherwise (at most 20 bits within the guard)."""
+    goes to bit i, read off one colex rank table of vertex bitmaps, and
+    every other bit is dropped.  Returns split = ceil(C(n,k) / 2) and, per
+    order, the table of the low split bits and of the high bits of a mask,
+    each built by doubling: the entries with bit b set are those below 2^b
+    OR'd with b's image.  int16 when the sub-masks have at most 15 bits, as
+    on 5 or fewer vertices, and int32 otherwise (20 bits within the guard)."""
     nbits = math.comb(n, k)
     subsets = np.array(colex_subsets(n, k), dtype=np.int64).reshape(nbits, k)
     rank = np.zeros(1 << n, dtype=np.int64)
@@ -234,7 +212,13 @@ def _order_tables(n: int, k: int, orders: tuple[tuple[int, ...], ...]):
     # the first `width` colex k-subsets are those of a tuple's positions
     bits = rank[(1 << o[:, subsets[:width]]).sum(axis=2)]
     img[np.arange(len(o))[:, None], bits] = 1 << np.arange(width)
-    return _half_tables(img)
+    split, tabs = (nbits + 1) // 2, []
+    for half in (img[:, :split], img[:, split:]):
+        tab = np.zeros((len(o), 1 << half.shape[1]), dtype=img.dtype)
+        for b in range(half.shape[1]):
+            np.bitwise_or(tab[:, : 1 << b], half[:, b, None], out=tab[:, 1 << b : 2 << b])
+        tabs.append(tab)
+    return split, *tabs
 
 
 def _ordered_masks(masks: np.ndarray, n: int, k: int, orders) -> np.ndarray:
@@ -436,26 +420,28 @@ def enumerate_all(n: int, k: int) -> tuple[Hypergraph, ...]:
 
 def restriction_class_counts(G: Hypergraph, size: int) -> dict[int, int]:
     """Counts of canonical masks over all induced size-subsets of G: every
-    subset's sub-mask is read off a list copy of its `_order_tables` row
-    (gathered bit by bit past C(n,k) = 20), then all are canonicalized."""
+    subset's sub-mask is a field of one `_restriction_record` read, then all
+    are canonicalized."""
     if not 0 <= size <= G.n:
-        raise ValueError("restriction_class_counts: size out of range")
-    if G.nbits > _MAX_ENUM_BITS:  # past the tables: one bit at a time, as Python ints
-        subsets = itertools.combinations(range(G.n), size)
-        sub_masks = [_gather(G.edges, tuple_bits(G.k, S)) for S in subsets]
-    else:
-        split, rows = _restriction_rows(G.n, G.k, size)
-        lo, hi = G.edges & ((1 << split) - 1), G.edges >> split
-        sub_masks = [lo_row[lo] | hi_row[hi] for lo_row, hi_row in rows]
+        raise ValueError(
+            f"restriction_class_counts: need 0 <= size <= n, got size={size}, n={G.n}"
+        )
+    tables, shifts, field = _restriction_record(G.n, G.k, size)
+    packed = _read_rows(tables, G.edges)
+    sub_masks = [packed >> at & field for at in shifts]
     return dict(Counter(_canonical_codes(sub_masks, size, G.k)))
 
 
 @lru_cache(maxsize=None)
-def _restriction_rows(n: int, k: int, size: int):
-    """`_order_tables` of the size-subsets of {0..n-1} in combinations order,
-    as split and one (low, high) pair of Python lists per subset."""
-    split, lo_tab, hi_tab = _order_tables(n, k, tuple(itertools.combinations(range(n), size)))
-    return split, tuple(zip(lo_tab.tolist(), hi_tab.tolist()))
+def _restriction_record(n: int, k: int, size: int):
+    """`_row_tables` of the sub-masks of a host on n vertices on its
+    size-subsets, in combinations order, side by side; with each field's
+    shift and the all-ones field."""
+    width = math.comb(size, k)
+    subsets = enumerate(itertools.combinations(range(n), size))
+    pairs = ((b, j * width + i) for j, S in subsets for i, b in enumerate(tuple_bits(k, S)))
+    shifts = tuple(j * width for j in range(math.comb(n, size)))
+    return _row_tables(n, k, pairs), shifts, (1 << width) - 1
 
 
 def induced_density(F: Hypergraph, G: Hypergraph) -> Fraction:
@@ -481,19 +467,11 @@ def _complete_sets(n: int, k: int, edges: int) -> tuple[tuple[int, ...], tuple[i
     """A host's clique counts and, for every m, the bitmap of its complete
     m-sets: bit i for the i-th m-subset in `itertools.combinations` order.
     An m-set is complete when its k-subset mask meets none of the non-edges,
-    so the bitmap is all m-sets less the ones the non-edges meet: two reads
-    of the m-row of `_meet_tables` within the 20-bit guard, a scan of every
-    m-subset past it."""
-    nbits = math.comb(n, k)
-    miss = edges ^ ((1 << nbits) - 1)
-    if nbits > _MAX_ENUM_BITS:
-        sets = tuple(
-            ((1 << math.comb(n, m)) - 1) ^ _scanned_meets(n, k, miss, m) for m in range(n + 1)
-        )
-    else:
-        split, tables = _meet_tables(n, k)
-        lo, hi = miss & ((1 << split) - 1), miss >> split
-        sets = tuple(full & ~(lo_m[lo] | hi_m[hi]) for full, lo_m, hi_m in tables)
+    so the bitmap is the m-field of what one `_meet_record` read of the
+    non-edges leaves unset."""
+    tables, fields = _meet_record(n, k)
+    free = ~_read_rows(tables, edges ^ ((1 << math.comb(n, k)) - 1))
+    sets = tuple(free >> at & full for at, full in fields)
     return tuple(map(int.bit_count, sets)), sets
 
 
@@ -511,37 +489,53 @@ def _subset_masks(n: int, size: int, k: int) -> tuple[tuple[int, ...], tuple[int
     return masks, ups
 
 
-def _scanned_meets(n: int, k: int, mask: int, m: int) -> int:
-    """Bitmap of the m-subsets of {0..n-1} whose k-subset mask meets mask,
-    one subset at a time: the route for masks past the 20-bit guard."""
-    return sum(1 << i for i, M in enumerate(_subset_masks(n, m, k)[0]) if mask & M)
-
-
 @lru_cache(maxsize=None)
-def _meet_tables(n: int, k: int) -> tuple[int, tuple[tuple[int, list[int], list[int]], ...]]:
-    """`_scanned_meets` as two table reads, for masks on n vertices within
-    the guard: split = ceil(C(n,k)/2) and, for each m = 0..n, the bitmap of
-    all m-subsets and the `_half_tables` of the m-subsets meeting each host
-    bit, built on one object row and read back as Python lists: an m-set
-    bitmap has up to C(8,4) = 70 bits, past int64."""
+def _meet_record(n: int, k: int):
+    """`_row_tables` of the bitmap of the subsets of {0..n-1} a mask on n
+    vertices meets, the m-subsets in combinations order for each m = 0..n
+    side by side; with each m-field's shift and its all-ones value."""
+    subsets = itertools.chain(*(itertools.combinations(range(n), m) for m in range(n + 1)))
+    tables = _row_tables(n, k, ((b, j) for j, S in enumerate(subsets) for b in tuple_bits(k, S)))
+    starts = itertools.accumulate((math.comb(n, m) for m in range(n)), initial=0)
+    return tables, tuple((at, (1 << math.comb(n, m)) - 1) for m, at in enumerate(starts))
+
+
+def _row_tables(n: int, k: int, pairs) -> tuple[list[int], ...]:
+    """Per byte of a mask on n vertices, the OR of the rows of its set bits
+    for each of the byte's values (2^8, or fewer for a short last byte), as
+    one Python list per byte; row b sets bit j for each (b, j) in pairs.
+    Each table doubles: the entries with bit b set are those below 2^b OR'd
+    with row b."""
+    rows = [0] * math.comb(n, k)
+    for b, j in pairs:
+        rows[b] |= 1 << j
     tables = []
-    for m in range(n + 1):
-        masks = _subset_masks(n, m, k)[0]
-        # entry b: the m-subsets whose k-subset mask holds bit b
-        meets = [
-            sum(1 << i for i, M in enumerate(masks) if M >> b & 1) for b in range(math.comb(n, k))
-        ]
-        split, lo, hi = _half_tables(np.array([meets], dtype=object))
-        tables.append(((1 << len(masks)) - 1, lo[0].tolist(), hi[0].tolist()))
-    return split, tuple(tables)
+    for at in range(0, len(rows), 8):
+        tab = [0]
+        for row in rows[at : at + 8]:
+            tab += [t | row for t in tab]
+        tables.append(tab)
+    return tuple(tables)
+
+
+def _read_rows(tables, mask: int) -> int:
+    """OR of the rows of mask's set bits: one `_row_tables` lookup per byte."""
+    out = 0
+    for tab in tables:
+        out |= tab[mask & 255]
+        mask >>= 8
+    return out
 
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
-    """True when every size-subset of the vertices induces at least one edge;
+    """True when every size-subset of the vertices induces at least one edge,
+    that is when the edges meet every size-subset in one `_meet_record` read;
     False for size < k, as such a subset's k-subset mask is 0."""
     if not 0 <= size <= G.n:
         raise ValueError(f"has_no_empty_set: need 0 <= size <= n, got size={size}, n={G.n}")
-    return all(G.edges & M for M in _subset_masks(G.n, size, G.k)[0])
+    tables, fields = _meet_record(G.n, G.k)
+    at, full = fields[size]
+    return _read_rows(tables, G.edges) >> at & full == full
 
 
 def _spans_every(codes: np.ndarray, n: int, k: int, size: int) -> np.ndarray:
@@ -572,23 +566,29 @@ def write_hgr(path: str, k: int, n: int, codes: Sequence[int], tag: str) -> None
 
 def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
     """Read an HGR1 class file; returns (k, n, tag, graphs).  Codes must be
-    strictly ascending and each the canonical mask of its graph; (n, k) must
-    pass the enumeration guard `_check_bits`, checked before any code is
-    canonicalized."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != HGR_MAGIC:
-            raise ValueError(f"read_hgr: bad header in {path}")
-        k, n, count = int(header[1]), int(header[2]), int(header[3])
-        tag = header[4]
-        codes = [int(line, 16) for line in fh if line.strip()]
+    nonnegative hex, strictly ascending and each the canonical mask of its
+    graph; (n, k) must pass the enumeration guard `_check_bits`, checked
+    before any code is canonicalized.  A malformed file raises one
+    `read_hgr:` ValueError naming the path."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            header, lines = fh.readline().split(), [x.strip() for x in fh if x.strip()]
+    except UnicodeDecodeError:
+        raise ValueError(f"read_hgr: {path} is not ASCII") from None
+    if len(header) != 5 or header[0] != HGR_MAGIC or not all(f.isdigit() for f in header[1:4]):
+        raise ValueError(f"read_hgr: bad header in {path}")
+    (k, n, count), tag = map(int, header[1:4]), header[4]
+    for line in lines:  # int(x, 16) also takes a sign, "0x" and underscores
+        if line.strip("0123456789abcdefABCDEF"):
+            raise ValueError(f"read_hgr: {line!r} in {path} is not a hex code")
+    codes = [int(line, 16) for line in lines]
     if len(codes) != count:
-        raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)}")
+        raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)} in {path}")
     if any(a >= b for a, b in zip(codes, codes[1:])):
-        raise ValueError("read_hgr: codes are not strictly ascending")
+        raise ValueError(f"read_hgr: codes are not strictly ascending in {path}")
     _check_bits("read_hgr", n, k)
     graphs = tuple(Hypergraph(n, k, c) for c in codes)
     for code, canon in zip(codes, _canonical_codes(codes, n, k)):
         if canon != code:
-            raise ValueError(f"read_hgr: code {code:x} is not canonical")
+            raise ValueError(f"read_hgr: code {code:x} in {path} is not canonical")
     return k, n, tag, graphs

@@ -8,9 +8,9 @@ telescoping identity that ties the multiplier vector to the final bound.
 
 Every relation is integer arithmetic on the host's clique counts plus one
 `Fraction` at the end.  A host's complete m-sets are found once, for every m,
-in the per-host record `hypergraph._complete_sets` (two table reads per m up
-to 20 edge slots), and every check reads its clique counts and bitmaps
-there.  A three-term row at x = p/q with shift s/t is one integer numerator
+in the per-host record `hypergraph._complete_sets` (one table lookup per byte
+of the edge mask, for all m at once), and every check reads its clique
+counts and bitmaps there.  A three-term row at x = p/q with shift s/t is one integer numerator
 over m p q t (n-m) C(n, m); x and the shift enter as integer pairs, so each
 three-term check and each relaxed row builds one `Fraction`, and a check
 reads its sign off the numerator and returns an `InequalityCheck` tuple

@@ -88,6 +88,22 @@ def test_enumerate_filter_tag(capsys, tmp_path):
     assert 0 < payload["count"] < 34
 
 
+def test_enumerate_filter_tag_drops_leading_zeros(capsys, tmp_path):
+    # no-empty-05 names the classes of no-empty-5: same tag, same file, byte
+    # for byte the one `certificate` writes
+    code, out = run_cli(
+        capsys, "enumerate", "--k", "3", "--n", "6", "--filter", "no-empty-05",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["filter"] == "no-empty-5"
+    assert payload["cache"] == str(tmp_path / "k3-n6-no-empty-5.hgr")
+    assert os.listdir(tmp_path) == ["k3-n6-no-empty-5.hgr"]
+    with open(payload["cache"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == pins.CLASS_FILE_SHA256["certificate"]
+
+
 def test_enumerate_filter_below_k_keeps_nothing(capsys, tmp_path):
     # a 2-set never spans a 3-edge, so no class passes no-empty-2
     cache = str(tmp_path / "cache")

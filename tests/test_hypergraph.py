@@ -404,75 +404,112 @@ def guard_masks(n, k):
     return [rng.getrandbits(nbits) for _ in range(200)]
 
 
-def table_mismatches(n, k, split, tables, masks):
-    """The (mask, m) at which two reads of the m-row of `_meet_tables`-shaped
-    tables differ from the per-subset scan that serves hosts past the guard."""
+def all_pairs():
+    """Every (n, k) with n <= MAX_VERTICES, k = n + 1 (no k-subsets) included."""
+    return [(n, k) for n in range(MAX_VERTICES + 1) for k in range(1, n + 2)]
+
+
+def subset_oracle(n, m, k):
+    """The m-subsets of {0..n-1} in combinations order and, for each, the mask
+    of the k-subsets inside it, from `Hypergraph.from_edges`."""
+    subsets = list(itertools.combinations(range(n), m))
+    inside = [Hypergraph.from_edges(n, k, itertools.combinations(S, k)).edges for S in subsets]
+    return subsets, inside
+
+
+def meet_mismatches(n, k, tables, fields, masks):
+    """The (mask, m) at which the m-field of one read of `_meet_record`-shaped
+    tables differs from the bitmap of m-subsets the mask meets, found one
+    subset at a time."""
+    oracle = [subset_oracle(n, m, k)[1] for m in range(n + 1)]
     return [
         (x, m)
         for x in masks
-        for m, (_, lo, hi) in enumerate(tables)
-        if lo[x & ((1 << split) - 1)] | hi[x >> split] != hypergraph._scanned_meets(n, k, x, m)
+        for m, (at, full) in enumerate(fields)
+        if hypergraph._read_rows(tables, x) >> at & full
+        != sum(1 << i for i, M in enumerate(oracle[m]) if x & M)
     ]
 
 
-def half_lists(values):
-    """`_half_tables` of one row of Python ints, read back as split and two
-    Python lists, the form each m-row of `_meet_tables` keeps."""
-    split, lo, hi = hypergraph._half_tables(np.array([values], dtype=object))
-    return split, lo[0].tolist(), hi[0].tolist()
+def meet_pairs(n, k):
+    """`_meet_record`'s (host bit, record bit) pairs rebuilt from the subset
+    oracle: host bit b sets, in the m-field, the bit of each m-subset whose
+    k-subset mask holds b."""
+    pairs, at = [], 0
+    for m in range(n + 1):
+        inside = subset_oracle(n, m, k)[1]
+        bits = [[b for b in range(M.bit_length()) if M >> b & 1] for M in inside]
+        pairs += [(b, at + i) for i, held in enumerate(bits) for b in held]
+        at += len(inside)
+    return pairs
 
 
-def test_table_reads_match_the_scan():
-    # (8,1) and (8,7) are in the guard, and their 4-set bitmaps have 70 bits
-    assert {(8, 1), (8, 7)} <= set(guard_pairs())
-    for n, k in guard_pairs():
-        # the subset record both routes read: each m-subset's k-subset mask
-        # and the bitmap of the (m+1)-subsets that hold it
+def test_meet_reads_match_per_subset_brute_force():
+    # every (n, k) up to 8 vertices, past the 20-bit guard too
+    assert {(7, 3), (8, 3), (8, 4)} <= set(all_pairs())
+    for n, k in all_pairs():
+        masks = guard_masks(n, k)
+        tables, fields = hypergraph._meet_record(n, k)
+        # one lookup per byte of a mask, 9 at (8,4)
+        assert len(tables) == -(-math.comb(n, k) // 8)
+        assert meet_mismatches(n, k, tables, fields, masks) == []
+        sets_of = []
         for m in range(n + 1):
-            subsets = list(itertools.combinations(range(n), m))
+            subsets, inside = subset_oracle(n, m, k)
             bigger = list(itertools.combinations(range(n), m + 1))
-            inside = (Hypergraph.from_edges(n, k, itertools.combinations(S, k)) for S in subsets)
+            # the subset record: each m-subset's k-subset mask and the bitmap
+            # of the (m+1)-subsets that hold it
             assert hypergraph._subset_masks(n, m, k) == (
-                tuple(G.edges for G in inside),
+                tuple(inside),
                 tuple(sum(1 << j for j, T in enumerate(bigger) if {*S} <= {*T}) for S in subsets),
             )
-        split, tables = hypergraph._meet_tables(n, k)
-        masks = guard_masks(n, k)
-        assert table_mismatches(n, k, split, tables, masks) == []
-        everything = (1 << math.comb(n, k)) - 1
+            sets_of.append(inside)
         for x in masks:
             sets = tuple(
-                full ^ hypergraph._scanned_meets(n, k, x ^ everything, m)
-                for m, (full, _, _) in enumerate(tables)
+                sum(1 << i for i, M in enumerate(inside) if x & M == M) for inside in sets_of
             )
-            assert hypergraph._complete_sets(n, k, x) == (tuple(s.bit_count() for s in sets), sets)
+            assert hypergraph._complete_sets(n, k, x) == (tuple(map(int.bit_count, sets)), sets)
+            G = Hypergraph(n, k, x)
+            spans = [all(x & M for M in inside) for inside in sets_of]
+            assert [has_no_empty_set(G, size) for size in range(n + 1)] == spans, (n, k, x)
 
 
-@pytest.mark.parametrize("n, k", [(5, 3), (8, 1)])
-def test_table_with_a_dropped_meets_bit_fails(n, k):
-    # meets lists rebuilt from the subset masks give back the cached half
-    # lists; with one m-subset dropped from host bit 0's entry, the comparison
-    # with the scan finds the masks on which the reads go wrong
-    split, tables = hypergraph._meet_tables(n, k)
-    masks = guard_masks(n, k)
+@pytest.mark.parametrize("n, k", [(5, 3), (8, 1), (7, 3)])
+def test_meet_record_with_a_dropped_row_bit_fails(n, k):
+    # pairs rebuilt from the subset oracle give back the cached tables; with
+    # host bit 0's last m-subset dropped from its row, the comparison with
+    # the oracle finds the masks on which the reads go wrong, the single
+    # edge 0 among them
+    tables, fields = hypergraph._meet_record(n, k)
+    pairs = meet_pairs(n, k)
+    assert hypergraph._row_tables(n, k, pairs) == tables
+    masks = [1, *guard_masks(n, k)]
     for m in range(k, n + 1):
-        meets = [0] * math.comb(n, k)
-        for i, M in enumerate(hypergraph._subset_masks(n, m, k)[0]):
-            for b in range(len(meets)):
-                if M >> b & 1:
-                    meets[b] |= 1 << i
-        assert half_lists(meets) == (split, *tables[m][1:])
-        meets[0] &= meets[0] - 1
-        _, lo, hi = half_lists(meets)
-        broken = tables[:m] + ((tables[m][0], lo, hi),) + tables[m + 1 :]
-        assert 1 in {x for x, _ in table_mismatches(n, k, split, broken, masks)}
+        at, full = fields[m]
+        drop = max((b, j) for b, j in pairs if b == 0 and at <= j < at + full.bit_length())
+        broken = [pair for pair in pairs if pair != drop]
+        bad = meet_mismatches(n, k, hypergraph._row_tables(n, k, broken), fields, masks)
+        assert (1, m) in bad and all(x & 1 for x, _ in bad)
+
+
+def test_restriction_fields_are_gathers():
+    for n, k in all_pairs():
+        masks = guard_masks(n, k)
+        for size in range(n + 1):
+            tables, shifts, field = hypergraph._restriction_record(n, k, size)
+            bits = [tuple_bits(k, S) for S in itertools.combinations(range(n), size)]
+            assert len(shifts) == len(bits) and field == (1 << math.comb(size, k)) - 1
+            for x in masks:
+                packed = hypergraph._read_rows(tables, x)
+                got = [packed >> at & field for at in shifts]
+                assert got == [_gather(x, b) for b in bits], (n, k, size, x)
 
 
 def test_k4_free_extremal_numbers():
     # ground truth past the 20-bit guard: the branch and bound agrees with
     # enumeration at n = 5, 6 and gives ex(n, K_4^(3)) = 7, 14, 23 at
-    # n = 5, 6, 7 (Sidorenko 1995); the n = 7 witness, 35 bits, is counted
-    # by the per-subset scan
+    # n = 5, 6, 7 (Sidorenko 1995); the n = 7 witness has 35 bits, past the
+    # 20-bit guard
     for n in (5, 6):
         free = [G for G in enumerate_all(n, 3) if clique_counts(G)[4] == 0]
         assert k4_free_extremal(n)[0] == max(edge_count(G) for G in free)
@@ -585,15 +622,6 @@ def test_has_no_empty_set():
     # vertices of one, and {0, 1, 4, 5} holds no edge
     four = disjoint_union(Hypergraph.complete(4, 3), Hypergraph.complete(4, 3))
     assert has_no_empty_set(four, 5) and not has_no_empty_set(four, 4)
-    # the subset scan agrees at every size with two reads of the meet tables
-    # of `_complete_sets`: the edges meet every size-subset
-    for n, k in guard_pairs():
-        split, tables = hypergraph._meet_tables(n, k)
-        for x in guard_masks(n, k):
-            G = Hypergraph(n, k, x)
-            for size, (full, lo, hi) in enumerate(tables):
-                covered = lo[x & ((1 << split) - 1)] | hi[x >> split] == full
-                assert has_no_empty_set(G, size) == (size >= k and covered)
 
 
 def test_hgr_round_trip(tmp_path, h4_classes):
@@ -648,16 +676,27 @@ _DENSE_84 = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("HGR1 3 6 1 none\nzz\n", "invalid literal"),
+        ("HGR1 3 6 1 none\nzz\n", "^read_hgr: 'zz' in PATH is not a hex code$"),
+        ("HGR1 3 x 1 none\n0\n", "^read_hgr: bad header in PATH$"),
+        ("HGR1 3 6 1 none\n-1\n", "^read_hgr: '-1' in PATH is not a hex code$"),
+        ("HGR1 3 6 1 none\n\u00e9\n", "^read_hgr: PATH is not ASCII$"),
         (
             f"HGR1 4 8 2 none\n{_DENSE_84:x}\n{_DENSE_84 + 1:x}\n",
             r"read_hgr: C\(8,4\) = 70 exceeds the 20-bit guard",
         ),
-        ("HGR1 3 4 3 none\n0\n1\n", "expected 3 lines, found 2"),
+        ("HGR1 3 4 3 none\n0\n1\n", "^read_hgr: expected 3 lines, found 2 in PATH$"),
         # C(100000, 50000) is never computed: the vertex guard comes first
         ("HGR1 50000 100000 0 none\n", "read_hgr: n = 100000 exceeds the 8-vertex guard"),
     ],
-    ids=["non-hex", "oversized-header", "count-mismatch", "huge-n-header"],
+    ids=[
+        "non-hex",
+        "non-integer-header",
+        "negative-code",
+        "non-ascii",
+        "oversized-header",
+        "count-mismatch",
+        "huge-n-header",
+    ],
 )
 def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
     from turankit import hypergraph
@@ -666,9 +705,11 @@ def test_read_hgr_rejects_malformed_file(tmp_path, monkeypatch, text, message):
     monkeypatch.setattr(hypergraph, "canonical_mask", calls.append)
     monkeypatch.setattr(hypergraph, "_canonical_codes", lambda *args: calls.append(args))
     path = tmp_path / "classes.hgr"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    path.write_bytes(text.encode())
+    # one line, naming the file where the message is about its contents
+    with pytest.raises(ValueError, match=message.replace("PATH", re.escape(str(path)))) as info:
         read_hgr(str(path))
+    assert "\n" not in str(info.value)
     assert calls == []
 
 
@@ -787,8 +828,10 @@ def test_restriction_class_counts_below_k():
     for size in range(3):
         assert restriction_class_counts(G, size) == {0: math.comb(6, size)}
     assert restriction_class_counts(Hypergraph(0, 2), 0) == {0: 1}
-    with pytest.raises(ValueError, match="size out of range"):
-        restriction_class_counts(G, 7)
+    for size in (7, -1):
+        message = f"^restriction_class_counts: need 0 <= size <= n, got size={size}, n=6$"
+        with pytest.raises(ValueError, match=message):
+            restriction_class_counts(G, size)
 
 
 def images_read(masks, n, k, fixed=0):
