@@ -20,20 +20,21 @@ recursion on the reversed system, and the two must agree on the determinant.
 system and per eps's integers (p, q), so no lookup hashes a `Fraction`, and
 `solve_delta` and `inverse_matrix` at one eps share one record (`turankit
 solve` reads its tables from `recurrences` and its column through
-`solve_delta`, both from one record).  Both build each column of the inverse
-in one pass outward from the diagonal carrying the off-diagonal product.
-`solve_delta` forms its column's integer numerators over det(M) and reduces
-each by one gcd; `inverse_matrix` reduces each entry during the walk, by the
-gcds of det(M) with the small factors the walk multiplies in and with 2d
-precomputed gcds of the minors, so it makes no gcd of an entry against the
-full determinant.  Both build their entries, already in lowest terms, with
-`_lowest`, which skips the gcd `Fraction(n, d)` would run again.  The
-`Fraction` tables theta, phi and zeta are computed only when read: the
-integer minors divided by the prefix and suffix products of the row scales.  Every
-multiplier vector is checked against the integer equations M N = det(M) q
-R_g e_g, row by row, on every call; with a nonzero determinant that solution
-is unique, so the check is independent of the minor formula and costs
-O(dimension).
+`solve_delta`, both from one record).  Both read `_inverse_columns`, one
+walk per column outward from the diagonal carrying the off-diagonal
+product: `inverse_matrix` walks every column, `solve_delta` column g alone.
+The walk reduces each entry as it goes, by the gcds of det(M) with the
+small factors it multiplies in and with precomputed gcds of the minors it
+reads (2d for every column, d+1 for one), so it makes no gcd of an entry
+against the full determinant, and builds the entries, already in lowest
+terms, with `_lowest`, which skips the gcd `Fraction(n, d)` would run
+again.  The `Fraction` tables theta, phi and zeta are computed only when
+read: the integer minors divided by the prefix and suffix products of the
+row scales.  Every multiplier vector `solve_delta` returns is checked
+against the integer equations M N = det(M) q R_g e_g, row by row, on every
+call, with N = det(M) times the returned entries; with a nonzero
+determinant that solution is unique, so the check is independent of the
+minor formula and of the reduction, and costs O(dimension).
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
@@ -228,28 +229,6 @@ def _shifted(sys: TridiagonalSystem, p: int, q: int) -> RecurrenceTables:
     return RecurrenceTables(sys.k, sys.r, Fraction(p, q), scale, diag, up, down, lead, trail)
 
 
-def _inverse_column(mat: RecurrenceTables, g: int) -> list[int]:
-    """Integer numerators N of column g of the shifted system's inverse,
-    rows k..r-1: the column is N / det(M).  Entry (i, g) of M's inverse is
-    lead[min] trail[max+1] / det(M) times the product of M's negated
-    off-diagonals between i and g, carried outward from the diagonal; the
-    shifted system's inverse is M's inverse times diag(scale), so column g
-    carries scale[g] as well.  No minor is ever divided by."""
-    j = g - mat.k
-    d = len(mat.diag)
-    col = [0] * d
-    carried = mat.scale[j] * mat.trail[j + 1]
-    col[j] = mat.lead[j] * carried
-    for i in range(j - 1, -1, -1):  # rows above g: up[i] joins rows i and i+1
-        carried *= mat.up[i]
-        col[i] = mat.lead[i] * carried
-    carried = mat.scale[j] * mat.lead[j]
-    for i in range(j + 1, d):  # rows below g: down[i-1] joins rows i-1 and i
-        carried *= mat.down[i - 1]
-        col[i] = carried * mat.trail[i + 1]
-    return col
-
-
 def _lowest(n: int, d: int) -> Fraction:
     """The `Fraction` n/d for coprime n and d > 0, built without the gcd that
     `Fraction(n, d)` would run again.  It sets the class's two slots, as the
@@ -262,65 +241,76 @@ def _lowest(n: int, d: int) -> Fraction:
     return f
 
 
-def inverse_matrix(
-    sys: TridiagonalSystem, eps: Fraction = Fraction(0)
-) -> list[list[Fraction]]:
-    """Full inverse of the shifted system, rows/columns indexed by [k, r-1];
-    one pair of minor recursions serves every column.
+def _inverse_columns(mat: RecurrenceTables, first: int, stop: int) -> list[list[Fraction]]:
+    """Columns first..stop-1 of the shifted system's inverse, rows k..r-1:
+    out[i][j - first] is entry (i, j), indices from 0 at k.
 
-    Entry (i, g) is the numerator of `_inverse_column`, a product of minors,
-    the column's scale and off-diagonals, over det(M).  Each entry is reduced
-    as its column is walked outward from the diagonal, by gcd(ab, n) =
-    gcd(a, n) gcd(b, n / gcd(a, n)): the walk carries the reduced product
-    and the denominator D left of det, and each factor takes out its gcd
-    with D.  A minor's gcd with D is that of its gcd with det, one of the 2d
-    full-size gcds made per call; the scale and the off-diagonals are small.
-    The entries come out in lowest terms with D > 0 (det < 0 past the
-    threshold) and are built by `_lowest`."""
-    mat = recurrences(sys, eps)
+    Entry (i, j) of M's inverse is lead[min] trail[max+1] / det(M) times the
+    product of M's negated off-diagonals between i and j; the shifted
+    system's inverse is M's inverse times diag(scale), so column j carries
+    scale[j] as well.  Each column is walked once outward from the diagonal
+    and each entry reduced on the way, by gcd(ab, n) = gcd(a, n) gcd(b, n /
+    gcd(a, n)): the walk carries the reduced product and the denominator D
+    left of det, and each factor takes out its gcd with D.  A minor's gcd
+    with D is that of its gcd with det, made once per minor the columns read
+    (2d for all columns, d+1 for one); the scale and the off-diagonals are
+    small.  The entries come out in lowest terms with D > 0 (det < 0 past
+    the threshold) and are built by `_lowest`."""
     det = mat.lead[-1]
-    if det == 0:
-        raise ZeroDivisionError("inverse_matrix: shifted system is singular")
     sign, size = (1, det) if det > 0 else (-1, -det)
     gcd = math.gcd
-    # the minor of entry (i, g) is lead[i] for i <= g and trail[i] for i >= g
-    lead, trail = mat.lead[:-1], mat.trail[1:]
-    lead_gcd = [gcd(v, size) for v in lead]
-    trail_gcd = [gcd(v, size) for v in trail]
+    # the minor of entry (i, j) is lead[i] for i <= j and trail[i] for i >= j,
+    # so these columns read lead[:stop] and trail[first:]
+    lead, trail, up, down = mat.lead[:-1], mat.trail[1:], mat.up, mat.down
+    lead_gcd = [gcd(v, size) for v in lead[:stop]]
+    trail_gcd = [0] * first + [gcd(v, size) for v in trail[first:]]
     d = len(lead)
-    out = [[None] * d for _ in range(d)]
-    for j, scale in enumerate(mat.scale):
+    out = [[None] * (stop - first) for _ in range(d)]
+    for col, j in enumerate(range(first, stop)):
         # top / top_den and low / low_den: the reduced product carried up
         # (from scale trail[j]) and down (from scale lead[j]) the column
-        c = gcd(scale, size)
-        top, top_den = sign * scale // c, size // c
+        c = gcd(mat.scale[j], size)
+        top, top_den = sign * mat.scale[j] // c, size // c
         c = gcd(lead_gcd[j], top_den)
         low, low_den = top * (lead[j] // c), top_den // c
         c = gcd(trail_gcd[j], top_den)
         top, top_den = top * (trail[j] // c), top_den // c
         c = gcd(lead_gcd[j], top_den)
-        out[j][j] = _lowest(top * (lead[j] // c), top_den // c)
-        for i in range(j - 1, -1, -1):  # rows above g: up[i] joins rows i and i+1
-            c = gcd(mat.up[i], top_den)
-            top, top_den = top * (mat.up[i] // c), top_den // c
+        out[j][col] = _lowest(top * (lead[j] // c), top_den // c)
+        for i in range(j - 1, -1, -1):  # rows above j: up[i] joins rows i and i+1
+            c = gcd(up[i], top_den)
+            top, top_den = top * (up[i] // c), top_den // c
             c = gcd(lead_gcd[i], top_den)
-            out[i][j] = _lowest(top * (lead[i] // c), top_den // c)
-        for i in range(j + 1, d):  # rows below g: down[i-1] joins rows i-1 and i
-            c = gcd(mat.down[i - 1], low_den)
-            low, low_den = low * (mat.down[i - 1] // c), low_den // c
+            out[i][col] = _lowest(top * (lead[i] // c), top_den // c)
+        for i in range(j + 1, d):  # rows below j: down[i-1] joins rows i-1 and i
+            c = gcd(down[i - 1], low_den)
+            low, low_den = low * (down[i - 1] // c), low_den // c
             c = gcd(trail_gcd[i], low_den)
-            out[i][j] = _lowest(low * (trail[i] // c), low_den // c)
+            out[i][col] = _lowest(low * (trail[i] // c), low_den // c)
     return out
+
+
+def inverse_matrix(
+    sys: TridiagonalSystem, eps: Fraction = Fraction(0)
+) -> list[list[Fraction]]:
+    """Full inverse of the shifted system, rows/columns indexed by [k, r-1]:
+    every column of `_inverse_columns`, from one pair of minor recursions and
+    the 2d gcds of the minors with det(M)."""
+    mat = recurrences(sys, eps)
+    if mat.lead[-1] == 0:
+        raise ZeroDivisionError("inverse_matrix: shifted system is singular")
+    return _inverse_columns(mat, 0, len(mat.diag))
 
 
 def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fraction]:
     """Multiplier vector (indices m = k..r-1): column g of the shifted
-    system's inverse, read from the minor/product formula.
+    system's inverse, the one column `_inverse_columns` walks for it.
 
-    The integer matrix M applied to the numerators is checked to be
-    det(M) scale[g] at m = g and 0 elsewhere, row by row; the determinant
-    is nonzero, so this accepts only the true column.  `build_system`
-    checks k and r before g is checked here.
+    The entries returned are checked: their integer numerators over det(M),
+    N = det(M) delta (integers, as every denominator must divide det(M)),
+    must satisfy M N = det(M) scale[g] e_g, row by row.  The determinant is
+    nonzero, so this accepts only the values of the true column.
+    `build_system` checks k and r before g is checked here.
     """
     mat = recurrences(build_system(k, r), eps)
     if not k <= g < r:
@@ -328,24 +318,18 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     det = mat.lead[-1]
     if det == 0:
         raise ZeroDivisionError("solve_delta: shifted system is singular")
-    num = _inverse_column(mat, g)
-    j, d = g - k, len(num)
+    j, d = g - k, len(mat.diag)
+    delta = [row[0] for row in _inverse_columns(mat, j, j + 1)]
+    num = [det // x.denominator * x.numerator for x in delta]
     for i in range(d):
         row = mat.diag[i] * num[i]
         if i >= 1:
             row -= mat.down[i - 1] * num[i - 1]
         if i + 1 < d:
             row -= mat.up[i] * num[i + 1]
-        if row != (det * mat.scale[j] if i == j else 0):
-            raise ArithmeticError(
-                "solve_delta: minor formula does not solve the tridiagonal system"
-            )
-    sign, size = (1, det) if det > 0 else (-1, -det)
-    out = []
-    for v in num:
-        c = math.gcd(v, size)
-        out.append(_lowest(sign * v // c, size // c))
-    return out
+        if row != (det * mat.scale[j] if i == j else 0) or det % delta[i].denominator:
+            raise ArithmeticError("solve_delta: column does not solve the tridiagonal system")
+    return delta
 
 
 def asymptotic_product(k: int, g: int, r: int) -> Fraction:

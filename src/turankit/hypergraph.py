@@ -303,18 +303,18 @@ def _orbit_minima(
     return (out, stab) if stabilizers else out
 
 
-def _check_bits(caller: str, n: int, k: int) -> None:
+def _check_bits(caller: str, n: int, k: int, where: str = "") -> None:
     """Refuse k < 1, n < 0, mask tables over more than 2^_MAX_ENUM_BITS
     entries, or over more than MAX_VERTICES vertices (n! relabelings), before
-    any of them is allocated."""
+    any of them is allocated; `where` ends each message (" in PATH")."""
     if k < 1 or n < 0:
-        raise ValueError(f"{caller}: need k >= 1 and n >= 0, got k={k}, n={n}")
+        raise ValueError(f"{caller}: need k >= 1 and n >= 0, got k={k}, n={n}{where}")
     if n > MAX_VERTICES:  # first: C(n, k) of a huge n is slow to compute and to print
-        raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard")
+        raise ValueError(f"{caller}: n = {n} exceeds the {MAX_VERTICES}-vertex guard{where}")
     nbits = math.comb(n, k)
     if nbits > _MAX_ENUM_BITS:
         raise ValueError(
-            f"{caller}: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard"
+            f"{caller}: C({n},{k}) = {nbits} exceeds the {_MAX_ENUM_BITS}-bit guard{where}"
         )
 
 
@@ -586,7 +586,7 @@ def read_hgr(path: str) -> tuple[int, int, str, tuple[Hypergraph, ...]]:
         raise ValueError(f"read_hgr: expected {count} lines, found {len(codes)} in {path}")
     if any(a >= b for a, b in zip(codes, codes[1:])):
         raise ValueError(f"read_hgr: codes are not strictly ascending in {path}")
-    _check_bits("read_hgr", n, k)
+    _check_bits("read_hgr", n, k, f" in {path}")
     graphs = tuple(Hypergraph(n, k, c) for c in codes)
     for code, canon in zip(codes, _canonical_codes(codes, n, k)):
         if canon != code:

@@ -26,7 +26,6 @@ from turankit import (
     subset_rank,
     x_ratio,
 )
-from turankit.bounds import _inverse_column
 from turankit.certificate import _term_vectors, certificate_terms
 from turankit.flags import ExpansionVector
 from turankit.hypergraph import tuple_bits
@@ -183,13 +182,21 @@ def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[F
 def inverse_fractions(
     system: TridiagonalSystem, eps: Fraction = Fraction(0)
 ) -> list[list[Fraction]]:
-    """The shifted system's inverse as `Fraction(v, det)` of every integer
-    numerator of `bounds._inverse_column`: each entry reduced by one gcd
-    against the full determinant."""
+    """The shifted system's inverse, each entry `Fraction(v, det)` of its
+    own integer numerator v, reduced by one gcd against the full
+    determinant.  Entry (i, g) of the inverse of M = diag(scale) (A - eps I)
+    is lead[min] trail[max+1] / det times M's negated off-diagonals between
+    rows i and g (up above the diagonal, down below); the shifted system's
+    inverse is M's inverse times diag(scale), so v carries scale[g]."""
     mat = recurrences(system, eps)
     det = mat.lead[-1]
-    columns = [_inverse_column(mat, g) for g in system.ms]
-    return [[Fraction(v, det) for v in row] for row in zip(*columns)]
+
+    def entry(i, g):
+        lo, hi = min(i, g), max(i, g)
+        offs = (mat.up if i < g else mat.down)[lo:hi]
+        return Fraction(mat.lead[lo] * mat.trail[hi + 1] * mat.scale[g] * math.prod(offs), det)
+
+    return [[entry(i, g) for g in range(len(mat.diag))] for i in range(len(mat.diag))]
 
 
 def typed_mask(H: Hypergraph, verts: Sequence[int]) -> int:

@@ -243,7 +243,8 @@ def _same_lowest(x, y):
 def test_column_walk_reduction_matches_one_gcd_per_entry():
     # every 2 <= k < r <= 19 at eps = threshold j/97, past the threshold
     # too: each inverse_matrix entry and each solve_delta column is the
-    # Fraction(v, det) of the unreduced numerators of _inverse_column
+    # Fraction(v, det) of the entry's own product of minors, scale and
+    # off-diagonals (oracles.inverse_fractions)
     cases = negative = 0
     for r in range(3, 20):
         for k in range(2, r):
@@ -287,6 +288,49 @@ def test_inverse_matrix_makes_2d_full_size_gcds(monkeypatch):
             inverse = bounds.inverse_matrix(s, eps)
         assert inverse == inverse_fractions(s, eps)
         assert len(calls) - sum(calls) <= 2 * s.dim and len(calls) > s.dim**2, (k, r, j)
+
+
+def test_solve_check_reads_the_returned_fractions(monkeypatch, capsys):
+    # the equation check runs on the entries solve_delta returns, after
+    # _lowest: one entry one too large fails it, in the API and in the CLI;
+    # and a lone solve_delta makes only the d+1 full-size gcds of the minors
+    # its column reads
+    from turankit import bounds
+    from turankit.cli import main
+
+    lowest, built = bounds._lowest, []
+
+    def larger_first(n, d):  # the first entry built comes back one too large
+        built.append(n)
+        return lowest(n + d if len(built) == 1 else n, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_lowest", larger_first)
+        with pytest.raises(ArithmeticError, match="^solve_delta: column does not solve"):
+            bounds.solve_delta(3, 4, 5)
+        built.clear()
+        assert main(["solve", "--k", "3", "--r", "5", "--g", "4"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal cross-check failed: solve_delta") and err.count("\n") == 1
+    for k, r, j in ((2, 16, 48), (3, 16, 60), (2, 16, 96), (4, 9, 48)):
+        s = build_system(k, r)
+        eps = epsilon_threshold(k, r) * Fraction(j, 97)
+        mat = recurrences(s, eps)
+        oracle = inverse_fractions(s, eps)
+        small = {*mat.up, *mat.down, *mat.scale}
+        small |= {math.gcd(v, mat.lead[-1]) for v in mat.lead + mat.trail}
+        for g in s.ms:
+            calls, gcd = [], math.gcd
+
+            def counted(a, b):
+                calls.append(abs(a) in small or abs(b) in small)
+                return gcd(a, b)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(math, "gcd", counted)
+                delta = bounds.solve_delta(k, g, r, eps)
+            assert delta == [row[g - k] for row in oracle]
+            assert len(calls) - sum(calls) <= s.dim + 1, (k, r, j, g)
 
 
 def test_lowest_builds_the_fraction_of_a_coprime_pair():
@@ -891,10 +935,16 @@ def test_failed_solve_check_leaves_no_wrong_result(monkeypatch):
     from turankit import bounds
     from turankit.cli import main
 
-    column = bounds._inverse_column
+    walk = bounds._inverse_columns
+
+    def perturbed(mat, first, stop):  # entry (3, 4) of the walk one too large
+        out = walk(mat, first, stop)
+        out[0][1 - first] += 1
+        return out
+
     bounds._shifted.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(bounds, "_inverse_column", lambda m, g: [column(m, g)[0] + 1] + column(m, g)[1:])
+        patch.setattr(bounds, "_inverse_columns", perturbed)
         assert main(["solve", "--k", "3", "--r", "5", "--g", "4"]) == 5
     s = build_system(3, 5)
     oracle = gauss_jordan_inverse(dense(s, Fraction(0)))

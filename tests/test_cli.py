@@ -544,13 +544,14 @@ def test_empty_cache_dir_is_used(capsys, tmp_path, monkeypatch):
 def test_failed_cross_check_exit_5(capsys, monkeypatch):
     from turankit import bounds
 
-    column = bounds._inverse_column
+    walk = bounds._inverse_columns
 
-    def perturbed(m, g):
-        col = column(m, g)
-        return [col[0] + 1] + col[1:]
+    def perturbed(mat, first, stop):  # entry (3, 4) of the walk one too large
+        out = walk(mat, first, stop)
+        out[0][1 - first] += 1
+        return out
 
-    monkeypatch.setattr(bounds, "_inverse_column", perturbed)
+    monkeypatch.setattr(bounds, "_inverse_columns", perturbed)
     code = main(["solve", "--k", "3", "--r", "5", "--g", "4"])
     captured = capsys.readouterr()
     assert code == 5

@@ -682,11 +682,11 @@ _DENSE_84 = (1 << 70) - 3  # two dense (8,4) codes take seconds to canonicalize
         ("HGR1 3 6 1 none\n\u00e9\n", "^read_hgr: PATH is not ASCII$"),
         (
             f"HGR1 4 8 2 none\n{_DENSE_84:x}\n{_DENSE_84 + 1:x}\n",
-            r"read_hgr: C\(8,4\) = 70 exceeds the 20-bit guard",
+            r"^read_hgr: C\(8,4\) = 70 exceeds the 20-bit guard in PATH$",
         ),
         ("HGR1 3 4 3 none\n0\n1\n", "^read_hgr: expected 3 lines, found 2 in PATH$"),
         # C(100000, 50000) is never computed: the vertex guard comes first
-        ("HGR1 50000 100000 0 none\n", "read_hgr: n = 100000 exceeds the 8-vertex guard"),
+        ("HGR1 50000 100000 0 none\n", "^read_hgr: n = 100000 exceeds the 8-vertex guard in PATH$"),
     ],
     ids=[
         "non-hex",
