@@ -23,7 +23,7 @@ import sys
 _NAMES = {
     "combinat": "EpsilonMode binomial decimal_string epsilon_threshold epsilon_value "
     "multinomial vertex_threshold x_ratio",
-    "bounds": "BoundReport PartiteBound RecurrenceTables SandwichTable TridiagonalSystem "
+    "bounds": "BoundReport PartiteBound SandwichTable TridiagonalSystem "
     "asymptotic_product build_system de_caen_bound inverse_matrix partite_lower_bound "
     "recurrences sandwich_table solve_delta upper_bound",
     "certificate": "CertificateReport CertificateTerm certificate_terms e5free_six_classes "

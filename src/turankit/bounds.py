@@ -8,16 +8,18 @@ recursions have closed forms (the trailing principal minors are all 1, the
 determinant is 1) that make every inverse entry an explicit product.
 
 Everything here is exact, and the solve runs in Python integers.  The
-records are NamedTuples, and a `TridiagonalSystem` computes its integer rows
-when it is built: row i scaled in integers by the lcm R_i of its entry
-denominators (`build_system` forms each entry as one `Fraction` of the
-integer pairs of `combinat._x_parts`, and caches the system per (k, r)).
-`recurrences(sys, eps)` is the one record of the shift: at eps = p/q the
-system becomes the integer matrix M = q (scaled rows) - p diag(R), one
+records are NamedTuples, and one, `TridiagonalSystem`, is the system of
+(k, r) shifted by epsilon: its rows in integers, row i scaled by the lcm R_i
+of its entry denominators (`build_system` forms each entry as one
+`Fraction` of the integer pairs of `combinat._x_parts`), with their leading
+and trailing minors.  `build_system` returns the record at epsilon 0, cached
+per (k, r); `recurrences(sys, eps)` shifts it by eps more: at epsilon p/q
+the system becomes the integer matrix M = q (scaled rows) - p diag(R), one
 integer recursion gives M's leading minors, the trailing minors are the same
 recursion on the reversed system, and the two must agree on the determinant.
-`recurrences` keeps its last few records (`_shifted`, with tuple fields) per
-system and per eps's integers (p, q), so no lookup hashes a `Fraction`, and
+A system is identified by (k, r) and its epsilon: `recurrences` keeps its
+last few records (`_shifted`, with tuple fields) per (k, r) and epsilon's
+integers (p, q), so no lookup hashes a `Fraction` or a record, and
 `solve_delta` and `inverse_matrix` at one eps share one record (`turankit
 solve` reads its tables from `recurrences` and its column through
 `solve_delta`, both from one record).  Both read `_inverse_columns`, one
@@ -32,9 +34,10 @@ again.  The `Fraction` tables theta, phi and zeta are computed only when
 read: the integer minors divided by the prefix and suffix products of the
 row scales.  Every multiplier vector `solve_delta` returns is checked
 against the integer equations M N = det(M) q R_g e_g, row by row, on every
-call, with N = det(M) times the returned entries; with a nonzero
-determinant that solution is unique, so the check is independent of the
-minor formula and of the reduction, and costs O(dimension).
+call, with N = det(M) times the returned entries, one `divmod` per entry;
+with a nonzero determinant that solution is unique, so the check is
+independent of the minor formula and of the reduction, and costs
+O(dimension) big-integer operations.
 
 The reports are integer arithmetic as well, with one reduced `Fraction` per
 reported value.  The limit prod_m x(m) is one quotient of integer products
@@ -76,74 +79,21 @@ from .combinat import (
 __all__ = _NAMES["bounds"].split()
 
 
-class TridiagonalSystem:
-    """The bound system for parameters (k, r), indexed by m in [k, r-1].
+class TridiagonalSystem(NamedTuple):
+    """The bound system for (k, r) shifted by epsilon, indexed by m in
+    [k, r-1] (row i is m = k+i).  The unshifted system A has entries
 
-    diag[i]  = entry (m, m)   = 2 - (k-1)/(m x_ratio(k, m, r)),  m = k+i
-    upper[i] = entry (m, m+1) = -x_ratio(k, m+1, r)
-    lower[i] = entry (m+1, m) = -(1 - (k-1)/m) / x_ratio(k, m, r)
+    (m, m)   = 2 - (k-1)/(m x_ratio(k, m, r))
+    (m, m+1) = -x_ratio(k, m+1, r)
+    (m+1, m) = -(1 - (k-1)/m) / x_ratio(k, m, r)
 
     Off-diagonal entries are strictly negative on the whole range, which is
-    what forces the inverse to be entrywise positive.  The solvers read the
-    entries of the system they are given through its integer rows, built
-    with it: rows = (scale, diag, up, down), row i multiplied by scale[i],
-    the lcm of that row's entry denominators, so every entry is an integer;
-    diag[i] = scale[i] diag[i], up[i] = -scale[i] upper[i] and down[i] =
-    -scale[i+1] lower[i].
-    """
-
-    __slots__ = ("k", "r", "diag", "upper", "lower", "rows")
-
-    def __init__(self, k: int, r: int, diag, upper, lower) -> None:
-        self.k, self.r, self.diag, self.upper, self.lower = k, r, diag, upper, lower
-        d = r - k
-        rows = []
-        for i in range(d):
-            entries = (lower[i - 1] if i else 0, diag[i], upper[i] if i + 1 < d else 0)
-            scale = math.lcm(*(e.denominator for e in entries))
-            rows.append((scale, *(scale // e.denominator * e.numerator for e in entries)))
-        scale, left, mid, right = zip(*rows)
-        self.rows = scale, mid, tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
-
-    @property
-    def dim(self) -> int:
-        return self.r - self.k
-
-    @property
-    def ms(self) -> tuple[int, ...]:
-        return tuple(range(self.k, self.r))
-
-
-@lru_cache(maxsize=256)
-def build_system(k: int, r: int) -> TridiagonalSystem:
-    """Construct the (r-k)-dimensional tridiagonal system for (k, r)."""
-    if k < 2 or r <= k:
-        raise ValueError(f"build_system: need 2 <= k < r, got k={k}, r={r}")
-    # x(m) = p/top: diag 2 - (k-1) top/(m p), upper -p(m+1)/top, lower (k-1-m) top/(m p)
-    parts = [(m, *_x_parts(k, m, r)) for m in range(k, r)]
-    diag = tuple(Fraction(2 * m * p - (k - 1) * top, m * p) for m, p, top in parts)
-    upper = tuple(Fraction(-p, top) for _, p, top in parts[1:])
-    lower = tuple(Fraction((k - 1 - m) * top, m * p) for m, p, top in parts[:-1])
-    return TridiagonalSystem(k, r, diag, upper, lower)
-
-
-def _minors(diag: tuple[int, ...], offs: list[int]) -> list[int]:
-    """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
-    with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
-    lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
-    out = [0, 1]
-    for i, a in enumerate(diag):
-        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
-    return out[1:]
-
-
-class RecurrenceTables(NamedTuple):
-    """The shifted system A - eps I at eps = p/q as the integer matrix
-    M = diag(scale) (A - eps I) = q (R A) - p diag(R), where R holds the row
-    scales of `TridiagonalSystem.rows` and scale = q R, with M's minors:
-    lead[j] over rows 0..j-1 (lead[0] = 1) and trail[j] over rows j..d-1
-    (trail[d] = 1), so det(M) = lead[d] = trail[0].  up and down hold M's
-    off-diagonals negated.
+    what forces the inverse to be entrywise positive.  At epsilon = p/q the
+    record holds the integer matrix M = diag(scale) (A - epsilon I), that is
+    q (R A) - p diag(R) with R_i the lcm of row i's entry denominators and
+    scale = q R: diag is M's diagonal, up and down its off-diagonals
+    negated, and M's minors are lead[j] over rows 0..j-1 (lead[0] = 1) and
+    trail[j] over rows j..d-1 (trail[d] = 1), so det(M) = lead[d] = trail[0].
 
     The `Fraction` tables, computed on each read, are the shifted system's
     own minors: M's divided by the prefix (suffix) products of the scales.
@@ -194,39 +144,74 @@ class RecurrenceTables(NamedTuple):
         ]
 
 
-def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> RecurrenceTables:
-    """Shift the integer rows of `sys` by eps in O(dimension), run the minor
-    recursion forward and on the reversed system, and cross-check the
-    determinant.  Large eps may drive minors nonpositive; that is reported
-    through `nonpositive_entries`, not an error.  The record is `_shifted`'s,
-    kept per (sys, p, q) for eps = p/q; its fields are tuples, so the callers
-    that share it cannot change it."""
+@lru_cache(maxsize=256)
+def build_system(k: int, r: int) -> TridiagonalSystem:
+    """The (r-k)-dimensional tridiagonal system for (k, r), unshifted."""
+    if k < 2 or r <= k:
+        raise ValueError(f"build_system: need 2 <= k < r, got k={k}, r={r}")
+    # x(m) = p/top: diag 2 - (k-1) top/(m p), upper -p(m+1)/top, lower (k-1-m) top/(m p)
+    parts = [(m, *_x_parts(k, m, r)) for m in range(k, r)]
+    diag = [Fraction(2 * m * p - (k - 1) * top, m * p) for m, p, top in parts]
+    upper = [Fraction(-p, top) for _, p, top in parts[1:]] + [0]
+    lower = [0] + [Fraction((k - 1 - m) * top, m * p) for m, p, top in parts[:-1]]
+    rows = []
+    for entries in zip(lower, diag, upper):
+        scale = math.lcm(*(e.denominator for e in entries))
+        rows.append((scale, *(scale // e.denominator * e.numerator for e in entries)))
+    scale, left, mid, right = zip(*rows)
+    up, down = tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
+    return _system(k, r, Fraction(0), scale, mid, up, down)
+
+
+def _system(k: int, r: int, epsilon: Fraction, scale, diag, up, down) -> TridiagonalSystem:
+    """The record of the integer rows given, with their minors: the leading
+    ones by one recursion, the trailing ones by the same recursion on the
+    reversed system, cross-checked on the determinant."""
+    offs = [u * l for u, l in zip(up, down)]
+    lead = tuple(_minors(diag, offs))
+    trail = tuple(_minors(diag[::-1], offs[::-1])[::-1])
+    if lead[-1] != trail[0]:
+        raise ArithmeticError("minor recursions disagree on the determinant")
+    return TridiagonalSystem(k, r, epsilon, scale, diag, up, down, lead, trail)
+
+
+def _minors(diag: tuple[int, ...], offs: list[int]) -> list[int]:
+    """Leading principal minors 1, D_1, .., D_d of the tridiagonal matrix
+    with diagonal `diag` and off-diagonal products offs[i] = upper[i] *
+    lower[i]: D_i = diag[i-1] D_{i-1} - offs[i-2] D_{i-2}."""
+    out = [0, 1]
+    for i, a in enumerate(diag):
+        out.append(a * out[-1] - (offs[i - 1] * out[-2] if i else 0))
+    return out[1:]
+
+
+def recurrences(sys: TridiagonalSystem, eps: Fraction = Fraction(0)) -> TridiagonalSystem:
+    """`sys` shifted by eps more, so shifts add: the rows of `build_system`
+    shifted in O(dimension), with their minors.  Large eps may drive minors
+    nonpositive; that is reported through `nonpositive_entries`, not an
+    error.  The record is `_shifted`'s, kept per (k, r, p, q) for the total
+    epsilon p/q; its fields are tuples, so the callers that share it cannot
+    change it."""
     if type(eps) is not Fraction:
         eps = Fraction(eps)
     if eps.numerator < 0:
         raise ValueError("recurrences: eps must be nonnegative")
-    return _shifted(sys, eps.numerator, eps.denominator)
+    if sys.epsilon:
+        eps += sys.epsilon
+    return _shifted(sys.k, sys.r, eps.numerator, eps.denominator)
 
 
 # a query reads one shift twice (`solve_delta`, then `inverse_matrix` at the
-# same eps); keyed on the system's identity (the systems are `build_system`'s,
-# and a hand-built one with the same (k, r) is another system) and on eps's
-# integers, so no lookup hashes a `Fraction`
+# same eps); keyed on eps's integers, so no lookup hashes a `Fraction`
 @lru_cache(maxsize=8)
-def _shifted(sys: TridiagonalSystem, p: int, q: int) -> RecurrenceTables:
-    """`recurrences(sys, p/q)`, built once per (sys, p, q)."""
-    scale, diag, up, down = sys.rows
-    diag = tuple(q * b - p * s for b, s in zip(diag, scale))
-    up = tuple(q * u for u in up)
-    down = tuple(q * l for l in down)
-    offs = [u * l for u, l in zip(up, down)]
-    lead = tuple(_minors(diag, offs))
-    # the trailing minors are the leading minors of the reversed system
-    trail = tuple(_minors(diag[::-1], offs[::-1])[::-1])
-    if lead[-1] != trail[0]:
-        raise ArithmeticError("minor recursions disagree on the determinant")
-    scale = tuple(q * s for s in scale)
-    return RecurrenceTables(sys.k, sys.r, Fraction(p, q), scale, diag, up, down, lead, trail)
+def _shifted(k: int, r: int, p: int, q: int) -> TridiagonalSystem:
+    """`build_system(k, r)` shifted by p/q, built once per (k, r, p, q)."""
+    base = build_system(k, r)
+    diag = tuple(q * b - p * s for b, s in zip(base.diag, base.scale))
+    up = tuple(q * u for u in base.up)
+    down = tuple(q * l for l in base.down)
+    scale = tuple(q * s for s in base.scale)
+    return _system(k, r, Fraction(p, q), scale, diag, up, down)
 
 
 def _lowest(n: int, d: int) -> Fraction:
@@ -241,7 +226,7 @@ def _lowest(n: int, d: int) -> Fraction:
     return f
 
 
-def _inverse_columns(mat: RecurrenceTables, first: int, stop: int) -> list[list[Fraction]]:
+def _inverse_columns(mat: TridiagonalSystem, first: int, stop: int) -> list[list[Fraction]]:
     """Columns first..stop-1 of the shifted system's inverse, rows k..r-1:
     out[i][j - first] is entry (i, j), indices from 0 at k.
 
@@ -307,8 +292,9 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
     system's inverse, the one column `_inverse_columns` walks for it.
 
     The entries returned are checked: their integer numerators over det(M),
-    N = det(M) delta (integers, as every denominator must divide det(M)),
-    must satisfy M N = det(M) scale[g] e_g, row by row.  The determinant is
+    N = det(M) delta (integers, as every denominator must divide det(M): one
+    `divmod` per entry gives N's entry and the remainder to test), must
+    satisfy M N = det(M) scale[g] e_g, row by row.  The determinant is
     nonzero, so this accepts only the values of the true column.
     `build_system` checks k and r before g is checked here.
     """
@@ -320,14 +306,15 @@ def solve_delta(k: int, g: int, r: int, eps: Fraction = Fraction(0)) -> list[Fra
         raise ZeroDivisionError("solve_delta: shifted system is singular")
     j, d = g - k, len(mat.diag)
     delta = [row[0] for row in _inverse_columns(mat, j, j + 1)]
-    num = [det // x.denominator * x.numerator for x in delta]
+    quotients = [divmod(det, x.denominator) for x in delta]
+    num = [q * x.numerator for (q, _), x in zip(quotients, delta)]
     for i in range(d):
         row = mat.diag[i] * num[i]
         if i >= 1:
             row -= mat.down[i - 1] * num[i - 1]
         if i + 1 < d:
             row -= mat.up[i] * num[i + 1]
-        if row != (det * mat.scale[j] if i == j else 0) or det % delta[i].denominator:
+        if row != (det * mat.scale[j] if i == j else 0) or quotients[i][1]:
             raise ArithmeticError("solve_delta: column does not solve the tridiagonal system")
     return delta
 

@@ -58,7 +58,7 @@ without canonical forms: a subset is complete exactly when no non-edge of
 the host meets its k-subset mask.  `_meet_record(n, k)` lays out the bitmap
 of the m-subsets a mask meets for every m: the complete m-sets are the
 m-field that one read of the non-edges leaves unset, and `has_no_empty_set`
-asks whether one read of the edges fills the size-field.
+asks whether the complement has no complete size-set.
 `_subset_masks(n, m, k)` is the one record of the m-subsets: each one's
 k-subset mask and the bitmap of its one-vertex supersets.  Each entry point
 range-checks its own subset size under its own name.  `_complete_sets`
@@ -493,7 +493,7 @@ def _subset_masks(n: int, size: int, k: int) -> tuple[tuple[int, ...], tuple[int
 def _meet_record(n: int, k: int):
     """`_row_tables` of the bitmap of the subsets of {0..n-1} a mask on n
     vertices meets, the m-subsets in combinations order for each m = 0..n
-    side by side; with each m-field's shift and its all-ones value."""
+    side by side; with each m-field's shift and its all-ones mask."""
     subsets = itertools.chain(*(itertools.combinations(range(n), m) for m in range(n + 1)))
     tables = _row_tables(n, k, ((b, j) for j, S in enumerate(subsets) for b in tuple_bits(k, S)))
     starts = itertools.accumulate((math.comb(n, m) for m in range(n)), initial=0)
@@ -529,13 +529,11 @@ def _read_rows(tables, mask: int) -> int:
 
 def has_no_empty_set(G: Hypergraph, size: int) -> bool:
     """True when every size-subset of the vertices induces at least one edge,
-    that is when the edges meet every size-subset in one `_meet_record` read;
-    False for size < k, as such a subset's k-subset mask is 0."""
+    that is when the complement has no complete size-set; False for size <
+    k, as such a subset's k-subset mask is 0."""
     if not 0 <= size <= G.n:
         raise ValueError(f"has_no_empty_set: need 0 <= size <= n, got size={size}, n={G.n}")
-    tables, fields = _meet_record(G.n, G.k)
-    at, full = fields[size]
-    return _read_rows(tables, G.edges) >> at & full == full
+    return _complete_sets(G.n, G.k, G.edges ^ ((1 << G.nbits) - 1))[0][size] == 0
 
 
 def _spans_every(codes: np.ndarray, n: int, k: int, size: int) -> np.ndarray:

@@ -7,6 +7,7 @@ against it.  None of them is on a command's path.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -150,32 +151,26 @@ def local_stats(G: Hypergraph, S: Iterable[int]) -> LocalStats:
 
 
 def system_fractions(k: int, r: int):
-    """(diag, upper, lower, rows) of `build_system(k, r)` in `Fraction`
-    arithmetic: the entries from `x_ratio` products and quotients, and each
-    integer row as its entries times the lcm of their reduced denominators."""
+    """(diag, upper, lower) of the unshifted system for (k, r) in `Fraction`
+    arithmetic, from `x_ratio` products and quotients: entries (m, m),
+    (m, m+1) and (m+1, m) for m = k..r-1."""
     diag = tuple(2 - Fraction(k - 1, 1) / (m * x_ratio(k, m, r)) for m in range(k, r))
     upper = tuple(-x_ratio(k, m + 1, r) for m in range(k, r - 1))
     lower = tuple(-(1 - Fraction(k - 1, m)) / x_ratio(k, m, r) for m in range(k, r - 1))
-    d, rows = r - k, []
-    for i in range(d):
-        left, mid = lower[i - 1] if i else Fraction(0), diag[i]
-        right = upper[i] if i + 1 < d else Fraction(0)
-        scale = math.lcm(left.denominator, mid.denominator, right.denominator)
-        rows.append((scale, int(scale * left), int(scale * mid), int(scale * right)))
-    scale, left, mid, right = zip(*rows)
-    up, down = tuple(-c for c in right[:-1]), tuple(-a for a in left[1:])
-    return diag, upper, lower, (scale, mid, up, down)
+    return diag, upper, lower
 
 
-def dense(system: TridiagonalSystem, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
-    """The shifted matrix (system minus eps on the diagonal) as rows."""
-    d = system.dim
+def dense(k: int, r: int, eps: Fraction = Fraction(0)) -> list[list[Fraction]]:
+    """The system for (k, r) minus eps on the diagonal, as rows of the
+    `system_fractions` entries."""
+    diag, upper, lower = system_fractions(k, r)
+    d = r - k
     out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        out[i][i] = system.diag[i] - eps
+        out[i][i] = diag[i] - eps
         if i + 1 < d:
-            out[i][i + 1] = system.upper[i]
-            out[i + 1][i] = system.lower[i]
+            out[i][i + 1] = upper[i]
+            out[i + 1][i] = lower[i]
     return out
 
 
@@ -408,15 +403,15 @@ def enumerated_inclusion_exclusion(k: int, g: int, l: int) -> Fraction:
 def partite_direct(k: int, g: int, l: int) -> Fraction:
     """`partite_lower_bound(k, g, l).direct` for one g: DP over groups,
     dp[t] = number of assignments of some t of the g labeled items into the
-    groups so far, each group holding at most k-1."""
+    groups so far, each group holding at most k-1.  A group taking c items
+    moves dp[t] C(g-t, c) to t + c, for every t at once."""
+    # ways[c][t] = C(g-t, c) for t = 0..g-c
+    ways = [[math.comb(g - t, c) for t in range(g - c + 1)] for c in range(min(k - 1, g) + 1)]
     dp = [1] + [0] * g
     for _ in range(l):
         new = [0] * (g + 1)
-        for t in range(g + 1):
-            if dp[t] == 0:
-                continue
-            for c in range(0, min(k - 1, g - t) + 1):
-                new[t + c] += dp[t] * math.comb(g - t, c)
+        for c, row in enumerate(ways):
+            new[c:] = map(operator.add, new[c:], map(operator.mul, dp, row))
         dp = new
     return Fraction(dp[g], l**g)
 
@@ -428,7 +423,9 @@ def inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
     l^(g-T) / l^g, and the corrected one has (l-s)^(g-T) in place of
     l^(g-T), with c_0 = [1, 0, ..] and c_s(T) = sum_{i >= k} C(T, i)
     c_{s-1}(T - i).  The terms with s > l vanish with C(l, s)."""
-    binoms = [math.comb(g, t) for t in range(g + 1)]
+    pascal = [[1]]
+    for _ in range(g):
+        pascal.append(list(map(operator.add, [0, *pascal[-1]], [*pascal[-1], 0])))
     powers = [l ** (g - t) for t in range(g + 1)]
     blocks = [1] + [0] * g
     printed = corrected = 0
@@ -436,13 +433,13 @@ def inclusion_exclusion(k: int, g: int, l: int) -> tuple[int, int]:
         if s:  # c_{s-1} vanishes below (s-1) k, so i runs up to T - (s-1) k
             low = s * k
             blocks = [0] * low + [
-                sum(math.comb(t, i) * blocks[t - i] for i in range(k, t - low + k + 1))
+                sum(map(operator.mul, pascal[t][k:], reversed(blocks[low - k : t - k + 1])))
                 for t in range(low, g + 1)
             ]
         left = l - s
         row_printed = row_corrected = 0
         for t in range(s * k, g + 1):
-            a = binoms[t] * blocks[t]
+            a = pascal[g][t] * blocks[t]
             row_printed += a * powers[t]
             row_corrected += a * left ** (g - t)
         weight = (-1) ** s * math.comb(l, s)

@@ -63,8 +63,8 @@ def test_criterion_1_exact_identity_suite():
                 assert first_row[g - k] == expected
             for eps in (Fraction(0), epsilon_threshold(k, r) / 2):
                 inv = inverse_matrix(sysm, eps)
-                A = dense(sysm, eps)
-                dim = sysm.dim
+                A = dense(k, r, eps)
+                dim = r - k
                 for i in range(dim):
                     for j in range(dim):
                         acc = sum(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from turankit import (
     EpsilonMode,
-    TridiagonalSystem,
     asymptotic_product,
     binomial,
     build_system,
@@ -81,6 +80,17 @@ def gauss_jordan_inverse(A):
     return [row[n:] for row in M]
 
 
+def entries(s):
+    """(diag, upper, lower) of the unshifted system as `Fraction`s, read off
+    the integer rows of its record: row i is scaled by scale[i], and up and
+    down hold the off-diagonals negated."""
+    return (
+        tuple(Fraction(a, c) for a, c in zip(s.diag, s.scale)),
+        tuple(-Fraction(u, c) for u, c in zip(s.up, s.scale)),
+        tuple(-Fraction(l, c) for l, c in zip(s.down, s.scale[1:])),
+    )
+
+
 def fraction_minors(diag, offs):
     """Leading minors 1, D_1, .., D_d by the plain Fraction recursion."""
     out = [Fraction(0), Fraction(1)]
@@ -91,27 +101,26 @@ def fraction_minors(diag, offs):
 
 def test_build_system_3_5():
     s = build_system(3, 5)
-    assert s.diag == (Fraction(6, 5), Fraction(1))
-    assert s.upper == (Fraction(-1, 2),)
-    assert s.lower == (Fraction(-2, 5),)
+    assert (s.scale, s.diag, s.up, s.down) == ((10, 5), (12, 5), (5,), (2,))
+    assert entries(s) == ((Fraction(6, 5), Fraction(1)), (Fraction(-1, 2),), (Fraction(-2, 5),))
 
 
 def test_build_system_one_dimensional():
     # single index m = k: diagonal entry 2 - (k-1)/(k x(k, k, k+1)) simplifies to 1
     for k in range(2, 8):
-        s = build_system(k, k + 1)
-        assert s.dim == 1
-        assert s.diag == (2 - Fraction(k - 1, 1) / (k * x_ratio(k, k, k + 1)),)
-        assert s.diag[0] == 1
+        diag = entries(build_system(k, k + 1))[0]
+        assert diag == (2 - Fraction(k - 1, 1) / (k * x_ratio(k, k, k + 1)),)
+        assert diag == (1,)
 
 
 def test_build_system_2_4_matches_definition():
     # direct substitution of x(2,2,4) = 2/3 and x(2,3,4) = 1/3
     s = build_system(2, 4)
-    assert s.diag == (2 - Fraction(1) / (2 * Fraction(2, 3)), 2 - Fraction(1) / (3 * Fraction(1, 3)))
-    assert s.diag == (Fraction(5, 4), Fraction(1))
-    assert s.upper == (-Fraction(1, 3),)
-    assert s.lower == (-Fraction(1, 2) / Fraction(2, 3),)
+    diag, upper, lower = entries(s)
+    assert diag == (2 - Fraction(1) / (2 * Fraction(2, 3)), 2 - Fraction(1) / (3 * Fraction(1, 3)))
+    assert diag == (Fraction(5, 4), Fraction(1))
+    assert upper == (-Fraction(1, 3),)
+    assert lower == (-Fraction(1, 2) / Fraction(2, 3),)
     # the trailing-minor identity pins the diagonal: det = 1 and phi = 1
     tab = recurrences(s)
     assert tab.determinant == 1
@@ -119,20 +128,41 @@ def test_build_system_2_4_matches_definition():
 
 
 def test_build_system_matches_fraction_rows():
-    # the entries from integer pairs and the rows scaled in integers, against
-    # x_ratio products and the Fraction products of each row with its lcm
+    # the integer rows reproduce the entries from x_ratio products, and each
+    # row's scale is the lcm of its entries' reduced denominators; the
+    # record is the unshifted one, with the minors of its rows
     for r in range(3, 41):
         for k in range(2, r):
             s = build_system(k, r)
-            assert (s.diag, s.upper, s.lower, s.rows) == system_fractions(k, r), (k, r)
+            diag, upper, lower = system_fractions(k, r)
+            assert entries(s) == (diag, upper, lower), (k, r)
+            rows = zip((0, *lower), diag, (*upper, 0))
+            assert s.scale == tuple(math.lcm(*(e.denominator for e in row)) for row in rows)
+            assert (s.k, s.r, s.epsilon) == (k, r, 0) and type(s.epsilon) is Fraction
+            assert recurrences(s) == s and len(s.lead) == len(s.trail) == r - k + 1
+
+
+def test_shifts_add():
+    # a shifted record shifted again is the record of the summed epsilon,
+    # field by field, whichever order the two shifts come in
+    thirds = [Fraction(j, 3) for j in range(4)]
+    for k, r in ((2, 3), (3, 5), (3, 8), (4, 9), (2, 12)):
+        s = build_system(k, r)
+        thr = epsilon_threshold(k, r)
+        for a, b in itertools.product([Fraction(0), thr / 7, thr / 2, *thirds], repeat=2):
+            twice = recurrences(recurrences(s, a), b)
+            once = recurrences(s, a + b)
+            assert twice._asdict() == once._asdict(), (k, r, a, b)
+            assert twice.epsilon == a + b
 
 
 def test_offdiagonals_strictly_negative():
     for k in range(2, 7):
         for r in range(k + 2, 13):
             s = build_system(k, r)
-            assert all(u < 0 for u in s.upper)
-            assert all(l < 0 for l in s.lower)
+            # the record holds the off-diagonals negated, over positive scales
+            assert all(c > 0 for c in s.scale)
+            assert all(u > 0 for u in s.up) and all(l > 0 for l in s.down)
 
 
 def test_recurrences_at_zero_eps():
@@ -198,12 +228,12 @@ def test_inverse_matrix_times_system_is_identity():
         s = build_system(k, r)
         for eps in (Fraction(0), Fraction(1, 100), epsilon_threshold(k, r) / 2):
             inv = inverse_matrix(s, eps)
-            assert matmul(dense(s, eps), inv) == identity(s.dim)
+            assert matmul(dense(k, r, eps), inv) == identity(r - k)
     # theta(3) = 0 while det = -1/5: no entry may divide by a minor
     s = build_system(3, 5)
     tab = recurrences(s, Fraction(6, 5))
     assert tab.theta[1] == 0 and tab.determinant == Fraction(-1, 5)
-    assert matmul(dense(s, Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
+    assert matmul(dense(3, 5, Fraction(6, 5)), inverse_matrix(s, Fraction(6, 5))) == identity(2)
 
 
 def test_integer_inverse_matches_gauss_jordan():
@@ -217,19 +247,10 @@ def test_integer_inverse_matches_gauss_jordan():
     cases.append((3, 5, Fraction(6, 5)))
     for k, r, eps in cases:
         s = build_system(k, r)
-        oracle = gauss_jordan_inverse(dense(s, eps))
+        oracle = gauss_jordan_inverse(dense(k, r, eps))
         assert inverse_matrix(s, eps) == oracle
-        for g in s.ms:
+        for g in range(k, r):
             assert solve_delta(k, g, r, eps) == [row[g - k] for row in oracle]
-    # a hand-built system is solved from its own entries, not from
-    # build_system(3, 5), whose indices it shares
-    s = TridiagonalSystem(3, 5, (2, 2), (-1,), (-1,))
-    for eps in (Fraction(0), Fraction(1, 2)):
-        inv = inverse_matrix(s, eps)
-        assert inv == gauss_jordan_inverse(dense(s, eps))
-        assert matmul(dense(s, eps), inv) == identity(2)
-    assert inverse_matrix(s) == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
-    assert recurrences(s).determinant == 3
 
 
 def _same_lowest(x, y):
@@ -258,7 +279,7 @@ def test_column_walk_reduction_matches_one_gcd_per_entry():
                 for got, want in zip(inverse_matrix(s, eps), oracle):
                     for x, y in zip(got, want, strict=True):
                         _same_lowest(x, y)
-                for g in s.ms:
+                for g in range(k, r):
                     for x, row in zip(solve_delta(k, g, r, eps), oracle, strict=True):
                         _same_lowest(x, row[g - k])
     assert cases == 918
@@ -287,7 +308,7 @@ def test_inverse_matrix_makes_2d_full_size_gcds(monkeypatch):
             patch.setattr(math, "gcd", counted)
             inverse = bounds.inverse_matrix(s, eps)
         assert inverse == inverse_fractions(s, eps)
-        assert len(calls) - sum(calls) <= 2 * s.dim and len(calls) > s.dim**2, (k, r, j)
+        assert len(calls) - sum(calls) <= 2 * (r - k) and len(calls) > (r - k) ** 2, (k, r, j)
 
 
 def test_solve_check_reads_the_returned_fractions(monkeypatch, capsys):
@@ -319,7 +340,7 @@ def test_solve_check_reads_the_returned_fractions(monkeypatch, capsys):
         oracle = inverse_fractions(s, eps)
         small = {*mat.up, *mat.down, *mat.scale}
         small |= {math.gcd(v, mat.lead[-1]) for v in mat.lead + mat.trail}
-        for g in s.ms:
+        for g in range(k, r):
             calls, gcd = [], math.gcd
 
             def counted(a, b):
@@ -330,7 +351,7 @@ def test_solve_check_reads_the_returned_fractions(monkeypatch, capsys):
                 patch.setattr(math, "gcd", counted)
                 delta = bounds.solve_delta(k, g, r, eps)
             assert delta == [row[g - k] for row in oracle]
-            assert len(calls) - sum(calls) <= s.dim + 1, (k, r, j, g)
+            assert len(calls) - sum(calls) <= r - k + 1, (k, r, j, g)
 
 
 def test_lowest_builds_the_fraction_of_a_coprime_pair():
@@ -361,16 +382,17 @@ def test_recurrences_match_fraction_recursion():
         for k in range(2, r):
             s = build_system(k, r)
             thr = epsilon_threshold(k, r)
+            diag, upper, lower = system_fractions(k, r)
             for eps in (Fraction(0), thr * Fraction(37, 97), thr, Fraction(6, 5), Fraction(2)):
-                diag = [a - eps for a in s.diag]
-                offs = [u * l for u, l in zip(s.upper, s.lower)]
-                theta = fraction_minors(diag, offs)
-                phi = fraction_minors(diag[::-1], offs[::-1])[::-1] + [Fraction(0)]
+                shifted = [a - eps for a in diag]
+                offs = [u * l for u, l in zip(upper, lower)]
+                theta = fraction_minors(shifted, offs)
+                phi = fraction_minors(shifted[::-1], offs[::-1])[::-1] + [Fraction(0)]
                 tab = recurrences(s, eps)
                 assert tab.epsilon == eps
                 assert tab.theta == tuple(theta)
                 assert tab.phi == tuple(phi)
-                assert tab.zeta == tuple(phi[j + 1] - phi[j] for j in range(s.dim)) + (0,)
+                assert tab.zeta == tuple(phi[j + 1] - phi[j] for j in range(r - k)) + (0,)
                 assert tab.determinant == theta[-1]
 
 
@@ -389,19 +411,14 @@ def test_solve_delta_range_checked_by_system_and_column(k, g, r, message):
 
 
 def test_solve_delta_matches_inverse_column():
-    s = build_system(3, 5)
     assert solve_delta(3, 4, 5) == [Fraction(1, 2), Fraction(6, 5)]
     assert solve_delta(3, 3, 5) == [Fraction(1), Fraction(2, 5)]
     for k, g, r, eps in [(3, 4, 6, Fraction(1, 100)), (2, 3, 5, Fraction(0)), (4, 5, 7, Fraction(1, 50))]:
-        sysm = build_system(k, r)
         delta = solve_delta(k, g, r, eps)
         # residual: (system - eps I) delta = e_g
-        A = dense(sysm, eps)
-        res = [
-            sum((A[i][j] * delta[j] for j in range(sysm.dim)), Fraction(0))
-            for i in range(sysm.dim)
-        ]
-        expected = [Fraction(1) if m == g else Fraction(0) for m in sysm.ms]
+        A = dense(k, r, eps)
+        res = [sum((A[i][j] * delta[j] for j in range(r - k)), Fraction(0)) for i in range(r - k)]
+        expected = [Fraction(1) if m == g else Fraction(0) for m in range(k, r)]
         assert res == expected
 
 
@@ -446,14 +463,14 @@ def test_property_solve_delta_is_inverse_column(case, data):
 def test_property_dense_times_inverse_is_identity(case):
     k, r, eps = case
     s = build_system(k, r)
-    assert matmul(dense(s, eps), inverse_matrix(s, eps)) == identity(s.dim)
+    assert matmul(dense(k, r, eps), inverse_matrix(s, eps)) == identity(r - k)
 
 
 def test_singular_shift_rejected():
     # the 1x1 system for (k, r) = (2, 3) has the single entry 1, so the
     # shift eps = 1 is exactly singular
     s = build_system(2, 3)
-    assert s.diag == (Fraction(1),)
+    assert entries(s)[0] == (Fraction(1),)
     with pytest.raises(ZeroDivisionError):
         solve_delta(2, 2, 3, Fraction(1))
     with pytest.raises(ZeroDivisionError):
@@ -859,17 +876,18 @@ def test_solve_then_inverse_share_one_shifted_record(monkeypatch):
         calls.append(len(diag))
         return minors(diag, offs)
 
+    s = build_system(4, 9)
     bounds._shifted.cache_clear()
     monkeypatch.setattr(bounds, "_minors", counted)
     eps = epsilon_threshold(4, 9) / 3
     delta = solve_delta(4, 6, 9, eps)
-    inverse = inverse_matrix(build_system(4, 9), eps)
+    inverse = inverse_matrix(s, eps)
     assert calls == [5, 5]
     assert delta == [row[2] for row in inverse]
-    mat = recurrences(build_system(4, 9), eps)
+    mat = recurrences(s, eps)
     assert len(calls) == 2
     for field in ("scale", "diag", "up", "down", "lead", "trail"):
-        assert type(getattr(mat, field)) is tuple, field
+        assert type(getattr(mat, field)) is tuple and type(getattr(s, field)) is tuple, field
 
 
 def test_solve_and_inverse_agree_in_both_orders():
@@ -947,7 +965,7 @@ def test_failed_solve_check_leaves_no_wrong_result(monkeypatch):
         patch.setattr(bounds, "_inverse_columns", perturbed)
         assert main(["solve", "--k", "3", "--r", "5", "--g", "4"]) == 5
     s = build_system(3, 5)
-    oracle = gauss_jordan_inverse(dense(s, Fraction(0)))
+    oracle = gauss_jordan_inverse(dense(3, 5))
     assert solve_delta(3, 4, 5, Fraction(0)) == [row[1] for row in oracle]
     assert inverse_matrix(s, Fraction(0)) == oracle
 
